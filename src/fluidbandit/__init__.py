@@ -32,13 +32,12 @@ from .priority import (
 )
 from .policies import (
     PolicySpec, activation_probabilities, budget_relaxed_allocate,
-    fluid_priority_allocate, index_allocate, parse_policy, rac_allocate,
-    score_order, ts_allocate, ucb_allocate, ucb_scores, violation_event,
+    fluid_priority_allocate, index_allocate, parse_policy, score_order,
+    ucb_allocate, ucb_scores, violation_event,
 )
 from .simulator import (
-    CompiledPolicy, SimulationReport, SweepRow, default_reps,
-    diffusion_stats, gap_sweep, simulate, simulate_per_arm,
-    violation_rate_sweep,
+    CompiledPolicy, SimulationReport, SweepRow, default_reps, gap_sweep,
+    simulate, simulate_per_arm, violation_rate_sweep,
 )
 from .oracle import (
     bounded_compositions, compositions, exact_policy_value, optimal_value,

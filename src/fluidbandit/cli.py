@@ -384,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, **common_sim)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--engine", choices=["count", "per-arm"], default="count")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("RB_JOBS", "1")))
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_eval)
 
@@ -399,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--crn", action="store_true",
                    help="share random streams across policies")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("RB_JOBS", "1")))
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_sweep)
 
@@ -411,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, **common_sim)
     p.add_argument("--reps-cap", dest="reps_cap", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("RB_JOBS", "1")))
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_violations)
 

@@ -14,7 +14,6 @@ then the initial-state row, then the total-mass row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -330,6 +329,3 @@ def pin_objective(inst_or_model, pairs: list[tuple[int, int, int]],
     for t, s, a in pairs:
         f[t - 1, s, a] = 1.0
     return f
-
-
-FunctionalBuilder = Callable[[ArmModel], np.ndarray]

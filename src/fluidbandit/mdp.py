@@ -110,8 +110,8 @@ class AllocationPlan:
     :t: 1-based period.
     :X: counts, shape (S, 2); X[s, a] arms of state s playing action a.
     :relaxed: True when the plan may overspend or underspend the budget
-        (budget-relaxed and randomized-activation policies), False when it
-        spends floor(alpha_t * N) exactly.
+        (budget-relaxed plans, and index plans that run out of arms), False
+        when it spends floor(alpha_t * N) exactly.
     """
 
     t: int

@@ -177,6 +177,8 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
     advances through the kernel.  Returns (x_pi, value).  The output is
     always feasible for the relaxation, so value <= V-hat*_1.
     """
+    from .policies import index_pulls  # policies imports this module
+
     P = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
     if P.shape != (model.T, model.S):
         raise DimensionMismatch(f"scores shape {P.shape}, expected ({model.T}, {model.S})")
@@ -186,14 +188,7 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
     value = 0.0
     for t in range(model.T):
         order = np.lexsort((np.arange(model.S), -P[t]))
-        remaining = float(model.alpha[t])
-        pull = np.zeros(model.S)
-        for s in order:
-            if remaining <= 0.0:
-                break
-            u = min(z[s], remaining)
-            pull[s] = u
-            remaining -= u
+        pull = index_pulls(z[None, :], order, float(model.alpha[t]))[0]
         x[t, :, 1] = pull
         x[t, :, 0] = z - pull
         value += float((model.R[t] * x[t]).sum())

@@ -155,7 +155,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
 
 
 def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
-    """Deterministic per-count-state allocation via the scalar anchors."""
+    """Deterministic per-count-state allocation via the public 1-row allocators."""
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if callable(policy) and not isinstance(policy, PolicySpec):

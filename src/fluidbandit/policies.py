@@ -1,10 +1,16 @@
 """Allocation rules mapping (t, Z) to integer action counts X.
 
-The scalar functions here are the semantic anchors: one count state in,
-one plan out.  The simulator's vectorized engine must match them row for
-row (property-tested).  Score arguments accept a PriorityScheme, a full
-(T, S) array, or a per-period (S,) vector; order is always descending
-score with ties broken by ascending state index.
+Each rule exists once, as a batch kernel over a count matrix Z (R, S)
+that returns pulls X1 (R, S): ``fluid_pulls`` (strict and relaxed),
+``index_pulls`` (index and UCB), ``rac_pulls`` and ``ts_pulls``, plus
+``violation_rows`` for the bracketing event.  The simulator's
+``CompiledPolicy`` dispatches to them; the deterministic public functions
+(``fluid_priority_allocate`` and friends) validate one count state and
+make a 1-row call.  Per-state loop forms of the deterministic rules, in
+``tests/reference_policies.py``, are the reference the kernels are
+checked against, row for row.  Score arguments accept a PriorityScheme, a
+full (T, S) array, or a per-period (S,) vector; order is always
+descending score with ties broken by ascending state index.
 
 Budget note: the period budget floor(alpha_t * N) needs the exact alpha_t.
 Allocators take it as an explicit argument; when omitted, it is recovered
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, MissingMetadata, QOutOfRange
 from .lp import OccupationMeasure
-from .mdp import AllocationPlan, ArmModel, BeliefStateAnnotation, CountState, period_budget
+from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
 from .occupancy import CategoryPartition, classify
 
 
@@ -76,15 +82,141 @@ def _budget(t: int, N: int, alpha_t: float | None, measure: OccupationMeasure | 
     return period_budget(alpha_t, N)
 
 
-def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float | None = None,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
-    """Priority allocation with neutral-state quotas from the measure.
+def _prefix_clip(X1: np.ndarray, slots, caps, budget) -> None:
+    """Greedy fill under a shared budget (scalar or per-row): for each k in
+    turn, add to column slots[k] of X1 as much of caps[k] (R,) as is left."""
+    rem = np.maximum(budget, 0)
+    for s, cap in zip(slots, caps):
+        if not rem.any():
+            break  # caps are >= 0, so every take left would be 0
+        take = np.minimum(cap, rem)
+        X1[:, s] += take
+        rem = rem - take
 
-    Pass order: active states (descending score) up to their counts; then
-    neutral states up to floor(N * x_t(s,1)); then leftover neutral arms;
-    then inactive states.  Exactly floor(alpha_t * N) arms are pulled.
+
+def fluid_pulls(Z: np.ndarray, codes: np.ndarray, order: np.ndarray, quota: np.ndarray,
+                B: int, relaxed: bool = False) -> np.ndarray:
+    """Fluid-priority pulls (R, S) for count rows Z (R, S) at budget B.
+
+    Strict pass order: active states (in score order) up to their counts;
+    then neutral states up to their quota floor(N * x_t(s,1)); then
+    leftover neutral arms; then inactive states, until B is spent.  The
+    relaxed rule pulls every active arm even past B, spends what is left
+    of B on the two neutral passes and never pulls an inactive arm.
     """
+    active, neutral, inactive = (order[codes[order] == c] for c in (1, 0, -1))
+    zn = Z.T[neutral]
+    first = np.minimum(zn, quota[neutral, None])
+    slots, caps = [*neutral, *neutral], [*first, *(zn - first)]
+    X1 = np.zeros(Z.shape, dtype=np.int64)
+    if relaxed:
+        X1[:, active] = Z[:, active]
+        budget = np.maximum(B - X1.sum(axis=1), 0)
+    else:
+        slots = [*active, *slots, *inactive]
+        caps = [*Z.T[active], *caps, *Z.T[inactive]]
+        budget = B
+    _prefix_clip(X1, slots, caps, budget)
+    return X1
+
+
+def index_pulls(Z: np.ndarray, order: np.ndarray, B) -> np.ndarray:
+    """Greedy pulls (R, S): states in score order until B is spent.
+
+    Z may also hold fluid mass (floats) with a fractional budget B, which
+    is how ``occupancy.fluid_propagate`` takes the fluid limit of the rule.
+    """
+    X1 = np.zeros_like(Z)
+    _prefix_clip(X1, order, Z.T[order], B)
+    return X1
+
+
+def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarray:
+    """Per-row failure (R,) of the bracketing event at budget mass target.
+
+    The good event asks the active mass to sit at or below alpha_t*N and
+    the active-plus-neutral mass to reach it; its failure is what makes
+    the strict and relaxed allocations diverge.
+    """
+    lo = Z[:, codes == 1].sum(axis=1)
+    hi = lo + Z[:, codes == 0].sum(axis=1)
+    return (lo > target) | (target > hi)
+
+
+def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
+    """Randomized activation pulls (R, S): visit arms in uniform order, flip
+    q(s) coins.
+
+    Pulls stop the moment the budget is exhausted, so a row may spend less
+    than B but never more.  Every arm's coin is drawn independently of the
+    visiting order, which reproduces the sequential law exactly (unvisited
+    arms simply discard their coins).
+    """
+    R, S = Z.shape
+    N = int(Z[0].sum())
+    arm_state = np.repeat(np.tile(np.arange(S), R), Z.reshape(-1)).reshape(R, N)
+    coins = rng.random((R, N)) < q[arm_state]
+    keys = rng.random((R, N))
+    visit = np.argsort(keys, axis=1)
+    succ = np.take_along_axis(coins, visit, axis=1)
+    st = np.take_along_axis(arm_state, visit, axis=1)
+    chosen = succ & (np.cumsum(succ, axis=1) <= B)
+    flat = st[chosen] + S * np.broadcast_to(np.arange(R)[:, None], (R, N))[chosen]
+    return np.bincount(flat, minlength=R * S).reshape(R, S).astype(np.int64)
+
+
+def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np.ndarray:
+    """Thompson-sampling pulls (R, S): per-arm posterior draws, top B per row.
+
+    Draws happen state by state in ascending index (one sampler call per
+    occupied state, covering every row).  Equal draws are resolved in
+    ascending state order, which is distribution-neutral by
+    exchangeability of tied arms.
+    """
+    R, S = Z.shape
+    N = int(Z[0].sum())
+    if B <= 0:
+        return np.zeros((R, S), dtype=np.int64)
+    if B >= N:
+        return Z.copy()
+    occupied = np.flatnonzero(Z.any(axis=0))
+    if occupied.size == 1:
+        # single occupied state: top-B is any B of its arms
+        X1 = np.zeros((R, S), dtype=np.int64)
+        X1[:, occupied[0]] = np.minimum(Z[:, occupied[0]], B)
+        return X1
+    # rep-major (R, N) sample matrix, filled state block by state block
+    samples = np.empty((R, N), dtype=np.float64)
+    col_start = np.concatenate([np.zeros((R, 1), dtype=np.int64),
+                                np.cumsum(Z, axis=1)[:, :-1]], axis=1)
+    row_base = np.arange(R, dtype=np.int64) * N
+    per_state = {}
+    for s in occupied:
+        zs = Z[:, s]
+        M = int(zs.sum())
+        draws = np.asarray(annotations[s].sampler(rng, M), dtype=np.float64)
+        starts = np.concatenate([[0], np.cumsum(zs)[:-1]])
+        offs = np.arange(M) - np.repeat(starts, zs)
+        flat = np.repeat(row_base + col_start[:, s], zs) + offs
+        samples.reshape(-1)[flat] = draws
+        per_state[s] = (draws, starts, zs)
+    thr = np.partition(samples, N - B, axis=1)[:, N - B]
+    gt = np.zeros((R, S), dtype=np.int64)
+    eq = np.zeros((R, S), dtype=np.int64)
+    for s, (draws, starts, zs) in per_state.items():
+        ends = starts + zs
+        thr_rep = np.repeat(thr, zs)
+        cg = np.concatenate([[0], np.cumsum(draws > thr_rep)])
+        ce = np.concatenate([[0], np.cumsum(draws == thr_rep)])
+        gt[:, s] = cg[ends] - cg[starts]
+        eq[:, s] = ce[ends] - ce[starts]
+    _prefix_clip(gt, range(S), eq.T, B - gt.sum(axis=1))
+    return gt
+
+
+def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: Any,
+                N: int, alpha_t: float | None, partition: CategoryPartition | None,
+                relaxed: bool) -> AllocationPlan:
     Z = counts.Z
     S = Z.size
     if counts.N != N or int(Z.sum()) != N:
@@ -92,36 +224,22 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
     part = partition if partition is not None else classify(measure)
-    codes = part.codes[t - 1]
     order = score_order(scores, t, S)
     B = _budget(t, N, alpha_t, measure)
+    quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
+    X1 = fluid_pulls(Z[None, :], part.codes[t - 1], order, quota, B, relaxed)[0]
+    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=relaxed)
 
-    X1 = np.zeros(S, dtype=np.int64)
-    undecided = np.zeros(S, dtype=np.int64)
-    for s in order:
-        if codes[s] == 1:
-            take = min(B, int(Z[s]))
-            X1[s] += take
-            B -= take
-    for s in order:
-        if codes[s] == 0:
-            quota = int(math.floor(N * measure.x[t - 1, s, 1]))
-            take = min(B, int(Z[s]), quota)
-            X1[s] += take
-            B -= take
-            undecided[s] = int(Z[s]) - take
-    for s in order:
-        if codes[s] == 0:
-            take = min(B, int(undecided[s]))
-            X1[s] += take
-            B -= take
-    for s in order:
-        if codes[s] == -1:
-            take = min(B, int(Z[s]))
-            X1[s] += take
-            B -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=False)
+
+def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
+                            scores: Any, N: int, alpha_t: float | None = None,
+                            partition: CategoryPartition | None = None) -> AllocationPlan:
+    """Priority allocation with neutral-state quotas from the measure.
+
+    A 1-row call of :func:`fluid_pulls`.  Exactly floor(alpha_t * N) arms
+    are pulled.
+    """
+    return _fluid_plan(t, counts, measure, scores, N, alpha_t, partition, relaxed=False)
 
 
 def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
@@ -129,74 +247,33 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
                             partition: CategoryPartition | None = None) -> AllocationPlan:
     """Relaxed variant: all active arms are pulled even past the budget.
 
-    If the budget is spent (or overspent) by the active pass, no neutral
-    arm is pulled; otherwise the two neutral passes run as in the strict
-    policy.  Inactive arms are never pulled.  The plan is flagged relaxed.
+    A 1-row call of :func:`fluid_pulls` with ``relaxed=True``.  If the
+    active pass spends (or overspends) the budget, no neutral arm is
+    pulled; inactive arms never are.  The plan is flagged relaxed.
     """
-    Z = counts.Z
-    S = Z.size
-    if counts.N != N or int(Z.sum()) != N:
-        raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
-    part = partition if partition is not None else classify(measure)
-    codes = part.codes[t - 1]
-    order = score_order(scores, t, S)
-    B = _budget(t, N, alpha_t, measure)
-
-    X1 = np.zeros(S, dtype=np.int64)
-    for s in order:
-        if codes[s] == 1:
-            X1[s] += int(Z[s])
-            B -= int(Z[s])
-    if B > 0:
-        undecided = np.zeros(S, dtype=np.int64)
-        for s in order:
-            if codes[s] == 0:
-                quota = int(math.floor(N * measure.x[t - 1, s, 1]))
-                take = min(B, int(Z[s]), quota)
-                X1[s] += take
-                B -= take
-                undecided[s] = int(Z[s]) - take
-        for s in order:
-            if codes[s] == 0:
-                take = min(B, int(undecided[s]))
-                X1[s] += take
-                B -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=True)
+    return _fluid_plan(t, counts, measure, scores, N, alpha_t, partition, relaxed=True)
 
 
 def violation_event(t: int, counts: CountState, partition: CategoryPartition,
                     alpha_t: float, N: int | None = None) -> bool:
     """True iff the real-budget bracketing event fails at (t, Z).
 
-    The good event asks the active mass to sit at or below alpha_t*N and
-    the active-plus-neutral mass to reach it; its failure is what makes
-    the strict and relaxed allocations diverge.
+    A 1-row call of :func:`violation_rows` at target alpha_t * N.
     """
     if N is None:
         N = counts.N
-    codes = partition.codes[t - 1]
-    lo = int(counts.Z[codes == 1].sum())
-    hi = lo + int(counts.Z[codes == 0].sum())
-    target = alpha_t * N
-    return not (lo <= target <= hi)
+    return bool(violation_rows(counts.Z[None, :], partition.codes[t - 1], alpha_t * N)[0])
 
 
 def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> AllocationPlan:
-    """Greedy: pull arms in descending state score until B is spent."""
+    """Greedy: pull arms in descending state score until B is spent.
+
+    A 1-row call of :func:`index_pulls`; the plan is flagged relaxed when
+    the arms run out before the budget does.
+    """
     Z = counts.Z
-    S = Z.size
-    order = score_order(scores, t, S)
-    X1 = np.zeros(S, dtype=np.int64)
-    rem = int(B)
-    for s in order:
-        if rem <= 0:
-            break
-        take = min(rem, int(Z[s]))
-        X1[s] = take
-        rem -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=bool(rem > 0))
+    X1 = index_pulls(Z[None, :], score_order(scores, t, Z.size), int(B))[0]
+    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=bool(X1.sum() < B))
 
 
 def activation_probabilities(measure: OccupationMeasure, t: int,
@@ -210,30 +287,6 @@ def activation_probabilities(measure: OccupationMeasure, t: int,
     if (q < -tol).any() or (q > 1.0 + 1e-9).any():
         raise QOutOfRange(f"activation probabilities outside [0,1]: min {q.min()}, max {q.max()}")
     return np.clip(q, 0.0, 1.0)
-
-
-def rac_allocate(t: int, counts: CountState, measure: OccupationMeasure, B: int,
-                 rng: np.random.Generator) -> AllocationPlan:
-    """Randomized activation: visit arms in uniform order, flip q_t(s) coins.
-
-    Pulls stop the moment the budget is exhausted, so the plan may spend
-    less than B but never more.  The per-arm coin of every arm is drawn
-    independently of the visiting order, which reproduces the sequential
-    law exactly (unvisited arms simply discard their coins).
-    """
-    q = activation_probabilities(measure, t)
-    Z = counts.Z
-    S = Z.size
-    N = int(Z.sum())
-    arm_state = np.repeat(np.arange(S), Z)
-    visit = rng.permutation(N)
-    coins = rng.random(N) < q[arm_state]
-    success_in_order = coins[visit]
-    cum = np.cumsum(success_in_order)
-    chosen_arms = visit[success_in_order & (cum <= B)]
-    X1 = np.bincount(arm_state[chosen_arms], minlength=S).astype(np.int64)
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=True)
 
 
 def _require_annotations(annotations) -> list[BeliefStateAnnotation]:
@@ -251,39 +304,6 @@ def ucb_allocate(t: int, counts: CountState, annotations, delta: float,
                  B: int) -> AllocationPlan:
     """Index allocation by posterior mean plus delta posterior sd."""
     return index_allocate(t, counts, ucb_scores(annotations, delta), B)
-
-
-def ts_allocate(t: int, counts: CountState, annotations, rng: np.random.Generator,
-                B: int) -> AllocationPlan:
-    """Thompson sampling: per-arm posterior draws, pull the top B.
-
-    Draws happen state by state in ascending index (one sampler call per
-    occupied state).  Equal draws are resolved in ascending state order,
-    which is distribution-neutral by exchangeability of tied arms.
-    """
-    ann = _require_annotations(annotations)
-    Z = counts.Z
-    S = Z.size
-    N = int(Z.sum())
-    B = min(int(B), N)
-    if B <= 0:
-        return AllocationPlan(t=t, X=np.stack([Z, np.zeros(S, dtype=np.int64)], 1), relaxed=False)
-    draws_by_state = [ann[s].sampler(rng, int(Z[s])) if Z[s] > 0 else np.empty(0)
-                      for s in range(S)]
-    allsamp = np.concatenate(draws_by_state) if N else np.empty(0)
-    thr = np.partition(allsamp, N - B)[N - B]
-    gt = np.array([(d > thr).sum() for d in draws_by_state], dtype=np.int64)
-    eq = np.array([(d == thr).sum() for d in draws_by_state], dtype=np.int64)
-    X1 = gt.copy()
-    rem = B - int(gt.sum())
-    for s in range(S):
-        if rem <= 0:
-            break
-        take = min(rem, int(eq[s]))
-        X1[s] += take
-        rem -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=False)
 
 
 def parse_policy(text: str) -> PolicySpec:

@@ -20,16 +20,17 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingMetadata, RangeError
+from .errors import MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
-from .mdp import ArmModel, CountState, period_budget
+from .mdp import ArmModel, period_budget
 from .occupancy import CategoryPartition, classify
-from .policies import (PolicySpec, activation_probabilities, parse_policy,
-                       score_order, ucb_scores)
+from .policies import (PolicySpec, activation_probabilities, fluid_pulls, index_pulls,
+                       parse_policy, rac_pulls, score_order, ts_pulls, ucb_scores,
+                       violation_rows)
 from .priority import lambda_from_duals, q_recursion
 
 # 95% two-sided normal quantile.
@@ -43,15 +44,6 @@ CI_MIN_REPS = 1000
 def default_reps(N: int) -> int:
     """Desk-scale default replication rule."""
     return min(50 * N, 200_000)
-
-
-def diffusion_stats(arr: np.ndarray, N: int, reference: np.ndarray) -> np.ndarray:
-    """Centered, sqrt(N)-scaled fluctuation of counts around N * reference."""
-    a = np.asarray(arr, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if a.shape != ref.shape:
-        raise DimensionMismatch(f"shapes {a.shape} vs {ref.shape}")
-    return (a - N * ref) / math.sqrt(N)
 
 
 @dataclass
@@ -95,7 +87,8 @@ class SweepRow:
 
 
 class CompiledPolicy:
-    """Per-(model, spec) allocation engine with vectorized batch paths."""
+    """Per-(model, spec) engine: precomputed orders, codes and transition
+    supports, with allocation delegated to the kernels in policies."""
 
     def __init__(self, model: ArmModel, spec: PolicySpec):
         self.model = model
@@ -160,154 +153,24 @@ class CompiledPolicy:
             ctx["quota"] = np.floor(N * self.measure.x[:, :, 1]).astype(np.int64)
         return ctx
 
-    # ---- batch allocation ------------------------------------------------
-
     def allocate_batch(self, t: int, Z: np.ndarray, rng: np.random.Generator,
                        ctx: dict[str, Any]) -> np.ndarray:
-        """Pull counts (R, S) matching the scalar allocators row for row."""
+        """Pull counts (R, S) for count rows Z (R, S) at period t.
+
+        Dispatches to this policy's kernel in :mod:`fluidbandit.policies`
+        with the per-period order, codes and the budget and quotas of ctx.
+        """
+        B = int(ctx["B"][t - 1])
         if self.kind in ("fluid", "relaxed"):
-            return self._batch_fluid(t, Z, ctx, relaxed=self.kind == "relaxed")
+            return fluid_pulls(Z, self._codes[t - 1], self._orders[t - 1],
+                               ctx["quota"][t - 1], B, relaxed=self.kind == "relaxed")
         if self.kind in ("index", "ucb"):
-            return self._batch_index(t, Z, ctx)
+            return index_pulls(Z, self._orders[t - 1], B)
         if self.kind == "rac":
-            return self._batch_rac(t, Z, rng, ctx)
+            return rac_pulls(Z, activation_probabilities(self.measure, t), B, rng)
         if self.kind == "ts":
-            return self._batch_ts(t, Z, rng, ctx)
+            return ts_pulls(Z, self.model.annotations, B, rng)
         raise RangeError(f"unknown policy kind {self.kind!r}")
-
-    @staticmethod
-    def _prefix_clip(caps: list[np.ndarray], budget) -> list[np.ndarray]:
-        """Greedy takes per slot under a shared budget (scalar or per-rep)."""
-        takes = []
-        used = 0
-        for cap in caps:
-            rem = np.maximum(budget - used, 0)
-            take = np.minimum(cap, rem)
-            takes.append(take)
-            used = used + take
-        return takes
-
-    def _batch_fluid(self, t: int, Z: np.ndarray, ctx: dict[str, Any],
-                     relaxed: bool) -> np.ndarray:
-        codes = self._codes[t - 1]
-        order = self._orders[t - 1]
-        quota = ctx["quota"][t - 1]
-        B = int(ctx["B"][t - 1])
-        R, S = Z.shape
-        X1 = np.zeros((R, S), dtype=np.int64)
-
-        active = [s for s in order if codes[s] == 1]
-        neutral = [s for s in order if codes[s] == 0]
-        inactive = [s for s in order if codes[s] == -1]
-
-        if relaxed:
-            for s in active:
-                X1[:, s] = Z[:, s]
-            budget = B - Z[:, active].sum(axis=1) if active else np.full(R, B)
-            budget = np.maximum(budget, 0)
-        else:
-            budget = B
-            slots, caps = [], []
-            for s in active:
-                slots.append(s)
-                caps.append(Z[:, s])
-            takes = self._prefix_clip(caps, budget)
-            used = np.zeros(R, dtype=np.int64)
-            for s, take in zip(slots, takes):
-                X1[:, s] += take
-                used += take
-            budget = B - used
-
-        # neutral pass one (quota floor), then pass two (leftovers)
-        caps1 = [np.minimum(Z[:, s], quota[s]) for s in neutral]
-        caps2 = [Z[:, s] - np.minimum(Z[:, s], quota[s]) for s in neutral]
-        takes = self._prefix_clip(caps1 + caps2, budget)
-        for s, take in zip(neutral + neutral, takes):
-            X1[:, s] += take
-        if not relaxed:
-            spent = X1.sum(axis=1)
-            caps3 = [Z[:, s] for s in inactive]
-            takes = self._prefix_clip(caps3, B - spent)
-            for s, take in zip(inactive, takes):
-                X1[:, s] += take
-        return X1
-
-    def _batch_index(self, t: int, Z: np.ndarray, ctx: dict[str, Any]) -> np.ndarray:
-        order = self._orders[t - 1]
-        B = int(ctx["B"][t - 1])
-        R, S = Z.shape
-        X1 = np.zeros((R, S), dtype=np.int64)
-        takes = self._prefix_clip([Z[:, s] for s in order], B)
-        for s, take in zip(order, takes):
-            X1[:, s] = take
-        return X1
-
-    def _batch_rac(self, t: int, Z: np.ndarray, rng: np.random.Generator,
-                   ctx: dict[str, Any]) -> np.ndarray:
-        q = activation_probabilities(self.measure, t)
-        B = int(ctx["B"][t - 1])
-        R, S = Z.shape
-        N = int(ctx["N"])
-        arm_state = np.repeat(np.tile(np.arange(S), R), Z.reshape(-1)).reshape(R, N)
-        coins = rng.random((R, N)) < q[arm_state]
-        keys = rng.random((R, N))
-        visit = np.argsort(keys, axis=1)
-        succ = np.take_along_axis(coins, visit, axis=1)
-        st = np.take_along_axis(arm_state, visit, axis=1)
-        chosen = succ & (np.cumsum(succ, axis=1) <= B)
-        flat = st[chosen] + S * np.broadcast_to(np.arange(R)[:, None], (R, N))[chosen]
-        X1 = np.bincount(flat, minlength=R * S).reshape(R, S).astype(np.int64)
-        return X1
-
-    def _batch_ts(self, t: int, Z: np.ndarray, rng: np.random.Generator,
-                  ctx: dict[str, Any]) -> np.ndarray:
-        ann = self.model.annotations
-        B = int(ctx["B"][t - 1])
-        R, S = Z.shape
-        N = int(ctx["N"])
-        if B <= 0:
-            return np.zeros((R, S), dtype=np.int64)
-        if B >= N:
-            return Z.copy()
-        occupied = np.flatnonzero(Z.any(axis=0))
-        if occupied.size == 1:
-            # single occupied state: top-B is any B of its arms
-            X1 = np.zeros((R, S), dtype=np.int64)
-            X1[:, occupied[0]] = np.minimum(Z[:, occupied[0]], B)
-            return X1
-        # rep-major (R, N) sample matrix, filled state block by state block
-        samples = np.empty((R, N), dtype=np.float64)
-        col_start = np.concatenate([np.zeros((R, 1), dtype=np.int64),
-                                    np.cumsum(Z, axis=1)[:, :-1]], axis=1)
-        row_base = np.arange(R, dtype=np.int64) * N
-        per_state = {}
-        for s in occupied:
-            zs = Z[:, s]
-            M = int(zs.sum())
-            if M == 0:
-                continue
-            draws = np.asarray(ann[s].sampler(rng, M), dtype=np.float64)
-            starts = np.concatenate([[0], np.cumsum(zs)[:-1]])
-            offs = np.arange(M) - np.repeat(starts, zs)
-            flat = np.repeat(row_base + col_start[:, s], zs) + offs
-            samples.reshape(-1)[flat] = draws
-            per_state[s] = (draws, starts, zs)
-        thr = np.partition(samples, N - B, axis=1)[:, N - B]
-        gt = np.zeros((R, S), dtype=np.int64)
-        eq = np.zeros((R, S), dtype=np.int64)
-        for s, (draws, starts, zs) in per_state.items():
-            ends = starts + zs
-            thr_rep = np.repeat(thr, zs)
-            cg = np.concatenate([[0], np.cumsum(draws > thr_rep)])
-            ce = np.concatenate([[0], np.cumsum(draws == thr_rep)])
-            gt[:, s] = cg[ends] - cg[starts]
-            eq[:, s] = ce[ends] - ce[starts]
-        X1 = gt
-        rem = B - gt.sum(axis=1)
-        takes = self._prefix_clip([eq[:, s] for s in range(S)], rem)
-        for s, take in zip(range(S), takes):
-            X1[:, s] += take
-        return X1
 
     # ---- batch transitions ----------------------------------------------
 
@@ -397,8 +260,7 @@ def _resolve_policy(model: ArmModel, policy) -> CompiledPolicy:
 
 
 def simulate(model: ArmModel, policy, N: int, reps: int, seed: int,
-             crn: bool = False, collect_diffusion: bool = True,
-             jobs: int = 1) -> SimulationReport:
+             crn: bool = False, collect_diffusion: bool = True) -> SimulationReport:
     """Count-based Monte Carlo run; deterministic given all arguments.
 
     TS and RAC consume O(N) work per replication inside the count engine
@@ -410,8 +272,7 @@ def simulate(model: ArmModel, policy, N: int, reps: int, seed: int,
 
 
 def simulate_per_arm(model: ArmModel, policy, N: int, reps: int, seed: int,
-                     crn: bool = False, collect_diffusion: bool = True,
-                     jobs: int = 1) -> SimulationReport:
+                     crn: bool = False, collect_diffusion: bool = True) -> SimulationReport:
     """Per-arm reference engine; same contract, each arm tracked singly."""
     return _run(model, policy, N, reps, seed, engine="per_arm",
                 crn=crn, collect_diffusion=collect_diffusion)
@@ -481,11 +342,7 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
 
 
 def _violations(pol: CompiledPolicy, ctx, t: int, Z: np.ndarray) -> np.ndarray:
-    codes = pol.partition.codes[t - 1]
-    lo = Z[:, codes == 1].sum(axis=1)
-    hi = lo + Z[:, codes == 0].sum(axis=1)
-    target = float(ctx["alphaN"][t - 1])
-    return (lo > target) | (target > hi)
+    return violation_rows(Z, pol.partition.codes[t - 1], float(ctx["alphaN"][t - 1]))
 
 
 def _chunk_counts(model, pol, ctx, N, R, rng, want_diffusion):

@@ -30,6 +30,15 @@ def test_gen_relax_pipeline(tmp_path):
     assert all(triple[3] > 1e-9 for triple in payload["x"])
 
 
+def test_environment_holds_no_cli_option(tmp_path, monkeypatch):
+    # RB_JOBS once fed a --jobs default, so junk in it killed every command
+    monkeypatch.setenv("RB_JOBS", "two")
+    model_path = tmp_path / "single.json"
+    assert main(["gen", "single", "-o", str(model_path)]) == 0
+    assert main(["relax", "--model", str(model_path),
+                 "-o", str(tmp_path / "relax.json")]) == 0
+
+
 def test_relax_two(capsys):
     assert main(["relax", "--gen", "two"]) == 0
     payload = _stdout_json(capsys)

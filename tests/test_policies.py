@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+import reference_policies as ref
 from conftest import make_random_model
 from fluidbandit.errors import MissingMetadata, QOutOfRange
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.mdp import CountState, period_budget
 from fluidbandit.occupancy import classify
-from fluidbandit.policies import (activation_probabilities,
+from fluidbandit.policies import (PolicySpec, activation_probabilities,
                                   budget_relaxed_allocate,
                                   fluid_priority_allocate, index_allocate,
-                                  parse_policy, rac_allocate, ts_allocate,
+                                  index_pulls, parse_policy, rac_pulls, ts_pulls,
                                   ucb_allocate, ucb_scores, violation_event)
+from fluidbandit.simulator import CompiledPolicy, _violations
 
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 
@@ -20,6 +22,10 @@ G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 def _cs(t, Z):
     Z = np.asarray(Z, dtype=np.int64)
     return CountState(t=t, N=int(Z.sum()), Z=Z)
+
+
+def _row(Z):
+    return np.asarray(Z, dtype=np.int64)[None, :]
 
 
 def test_fluid_two_t1_neutral_quota(two, two_measure):
@@ -158,24 +164,25 @@ def test_activation_probabilities_out_of_range():
         activation_probabilities(m, 1)
 
 
+def _rac_row(Z, measure, B, rng):
+    return rac_pulls(_row(Z), activation_probabilities(measure, 1), B, rng)[0]
+
+
 def test_rac_truncated_binomial(single_measure):
     rng = np.random.default_rng(0)
-    plan = rac_allocate(1, _cs(1, [10_000]), single_measure, B=5_000, rng=rng)
-    assert 4_700 <= int(plan.pulls.sum()) <= 5_000
-    assert plan.relaxed is True
+    pulls = _rac_row([10_000], single_measure, B=5_000, rng=rng)
+    assert 4_700 <= int(pulls.sum()) <= 5_000
 
 
 def test_rac_extreme_probabilities():
     x1 = np.array([[[0.0, 0.5], [0.5, 0.0]]])
     m1 = OccupationMeasure(x=x1, z=x1.sum(axis=2), value=0.0, duals=None)
     rng = np.random.default_rng(1)
-    plan = rac_allocate(1, _cs(1, [6, 6]), m1, B=12, rng=rng)
-    np.testing.assert_array_equal(plan.pulls, [6, 0])
+    np.testing.assert_array_equal(_rac_row([6, 6], m1, B=12, rng=rng), [6, 0])
 
     x0 = np.array([[[0.5, 0.0], [0.5, 0.0]]])
     m0 = OccupationMeasure(x=x0, z=x0.sum(axis=2), value=0.0, duals=None)
-    plan = rac_allocate(1, _cs(1, [6, 6]), m0, B=12, rng=rng)
-    assert int(plan.pulls.sum()) == 0
+    assert int(_rac_row([6, 6], m0, B=12, rng=rng).sum()) == 0
 
 
 def test_ucb_scores_and_allocation(bern2):
@@ -200,15 +207,81 @@ def test_ucb_requires_annotations(crowd3):
 def test_ts_allocation(bern2):
     ann = bern2.annotations
     Z = np.array([3, 2, 1], dtype=np.int64)
-    plan = ts_allocate(1, _cs(1, Z), ann, np.random.default_rng(4), B=2)
-    assert int(plan.pulls.sum()) == 2
-    assert (plan.pulls <= Z).all()
-    again = ts_allocate(1, _cs(1, Z), ann, np.random.default_rng(4), B=2)
-    np.testing.assert_array_equal(plan.X, again.X)
-    full = ts_allocate(1, _cs(1, Z), ann, np.random.default_rng(4), B=10)
-    assert int(full.pulls.sum()) == 6
-    none = ts_allocate(1, _cs(1, Z), ann, np.random.default_rng(4), B=0)
-    assert int(none.pulls.sum()) == 0
+    pulls = ts_pulls(_row(Z), ann, 2, np.random.default_rng(4))[0]
+    assert int(pulls.sum()) == 2
+    assert (pulls <= Z).all()
+    again = ts_pulls(_row(Z), ann, 2, np.random.default_rng(4))[0]
+    np.testing.assert_array_equal(pulls, again)
+    full = ts_pulls(_row(Z), ann, 10, np.random.default_rng(4))[0]
+    assert int(full.sum()) == 6
+    none = ts_pulls(_row(Z), ann, 0, np.random.default_rng(4))[0]
+    assert int(none.sum()) == 0
+
+
+def test_kernels_match_scalar_reference():
+    """Batch kernels and the 1-row public functions equal the scalar loops
+    row for row: fluid, relaxed, index, ucb:0.5 and the bracketing event."""
+    rng = np.random.default_rng(29)
+    rows = 0
+    for i in range(40):
+        model = make_random_model(rng, annotate=True)
+        T, S = model.T, model.S
+        scores = rng.normal(size=(T, S))
+        if i % 2:
+            # ties, broken by ascending state index; and budget masses
+            # alpha_t * N that hit the bracket's integer edges
+            scores = np.round(scores)
+            model.alpha = rng.choice([0.25, 0.5, 0.75], size=T)
+        measure = solve_relaxation(model)
+        part = classify(measure)
+        ucb = ucb_scores(model.annotations, 0.5)
+        pols = {kind: CompiledPolicy(model, PolicySpec(kind, measure=measure, scores=scores))
+                for kind in ("fluid", "relaxed", "index")}
+        pols["ucb"] = CompiledPolicy(model, parse_policy("ucb:0.5"))
+        for N in rng.integers(1, 61, size=4):
+            N = int(N)
+            Zs = rng.multinomial(N, rng.dirichlet(np.ones(S)), size=16)
+            ctxs = {kind: pol.prepare(N) for kind, pol in pols.items()}
+            for t in range(1, T + 1):
+                a_t = float(model.alpha[t - 1])
+                B = period_budget(a_t, N)
+                batch = {kind: pol.allocate_batch(t, Zs, rng, ctxs[kind])
+                         for kind, pol in pols.items()}
+                viol = _violations(pols["fluid"], ctxs["fluid"], t, Zs)
+                for r, Z in enumerate(Zs):
+                    cs = _cs(t, Z)
+                    kw = dict(alpha_t=a_t, partition=part)
+                    cases = {
+                        "fluid": (ref.fluid_priority_allocate(t, cs, measure, scores, N, **kw),
+                                  fluid_priority_allocate(t, cs, measure, scores, N, **kw)),
+                        "relaxed": (ref.budget_relaxed_allocate(t, cs, measure, scores, N, **kw),
+                                    budget_relaxed_allocate(t, cs, measure, scores, N, **kw)),
+                        "index": (ref.index_allocate(t, cs, scores, B),
+                                  index_allocate(t, cs, scores, B)),
+                        "ucb": (ref.index_allocate(t, cs, ucb, B),
+                                ucb_allocate(t, cs, model.annotations, 0.5, B)),
+                    }
+                    for kind, (want, got) in cases.items():
+                        np.testing.assert_array_equal(got.X, want.X)
+                        assert got.relaxed is want.relaxed
+                        np.testing.assert_array_equal(batch[kind][r], want.pulls)
+                    event = ref.violation_event(t, cs, part, a_t)
+                    assert violation_event(t, cs, part, a_t) is event
+                    assert bool(viol[r]) is event
+                    rows += 1
+    assert rows >= 5000
+
+
+def test_index_pulls_on_fluid_mass():
+    # same float operations in the same order as the loop: equal bit for bit
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        S = int(rng.integers(1, 12))
+        z = rng.dirichlet(np.ones(S))
+        order = rng.permutation(S)
+        alpha = float(rng.uniform(0.0, 1.0))
+        got = index_pulls(z[None, :], order, alpha)[0]
+        np.testing.assert_array_equal(got, ref.fluid_greedy_pulls(z, order, alpha))
 
 
 def test_parse_policy():
