@@ -16,7 +16,7 @@ from .errors import (
 from .mdp import (
     AllocationPlan, ArmModel, BeliefStateAnnotation, CountState,
     model_from_dict, model_from_json, model_to_dict, model_to_json,
-    period_budget, reachable_states, validate_model,
+    period_budget, reachable_states, successors, validate_model,
 )
 from .lp import (
     LpInstance, OccupationMeasure, build_lp, pin_objective,

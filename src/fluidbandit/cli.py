@@ -420,8 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset/default-valued options from --config JSON; flags win."""
+def _apply_config(args: argparse.Namespace, argv: list[str],
+                  parser: argparse.ArgumentParser) -> None:
+    """Fill unset/default-valued options from --config JSON; flags win.
+
+    Keys of another subcommand are ignored, so one file serves them all;
+    a key that is an option of no subcommand is a ConfigError.
+    """
     if not getattr(args, "config", None):
         return
     try:
@@ -431,6 +436,11 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {a.dest for p in sub.choices.values() for a in p._actions}
+    unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)
+    if unknown:
+        raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
     present = set()
     for tok in argv:
         if tok.startswith("--"):
@@ -447,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         if getattr(args, "seed", None) is None and args.command in (
                 "eval", "sweep", "violations"):
             raise ConfigError("--seed is mandatory for simulation commands")

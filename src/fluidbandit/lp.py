@@ -9,6 +9,11 @@ optimal value bounds the N-arm problem from above after scaling by N.
 Row order is part of the public contract (duals are read off by row):
 flow rows for t = 2..T in state order, then budget rows for t = 1..T,
 then the initial-state row, then the total-mass row.
+
+Columns come in period blocks of 2S with (s, a) at offset 2s+a, the row
+of (s, a) in the period's kernel K_t from ``mdp.successors``.  So the
+flow rows of period t are kron(I_S, [1, 1]) on block t beside -K_{t-1}^T
+on block t-1, and the budget rows are kron(I_T, [0, 1] * S).
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import simplex
-from .errors import MissingDuals, PinInfeasible, SolverFailure
-from .mdp import ArmModel, reachable_states, validate_model
+from .errors import DimensionMismatch, MissingDuals, PinInfeasible, SolverFailure
+from .mdp import ArmModel, reachable_states, successors, validate_model
 
 # Entries of a solved measure may undershoot zero by at most this much
 # before being clamped; anything worse is a solver failure.
 NEG_TOL = 1e-9
 # Residual tolerances for the solved-measure invariants.
 RESIDUAL_TOL = 1e-7
+# Strong-duality residual |dual_value(lambda) - value| a solve may leave.
+DUALITY_TOL = 1e-6
 # Half-width of the value band used by pinned re-solves.
 PIN_TOL = 1e-7
 # Reduced row count above which the "auto" backend defers to HiGHS.
@@ -97,61 +104,21 @@ def build_lp(model: ArmModel) -> LpInstance:
     """Assemble the full-size relaxation (no reachability pruning here)."""
     validate_model(model)
     T, S = model.T, model.S
-    n = T * S * 2
-
-    def var(t: int, s: int, a: int) -> int:
-        return ((t - 1) * S + s) * 2 + a
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    rhs: list[float] = []
-    row_kind: list[tuple] = []
-
-    def add(r: int, cidx: int, v: float) -> None:
-        rows.append(r)
-        cols.append(cidx)
-        vals.append(v)
-
-    r = 0
-    # flow balance: mass entering (t, s) equals mass sitting at (t, s)
-    for t in range(2, T + 1):
-        Pprev = model.P[t - 2]
-        for s in range(S):
-            for a in (0, 1):
-                add(r, var(t, s, a), 1.0)
-            for sp_ in range(S):
-                for a in (0, 1):
-                    p = Pprev[sp_, a, s]
-                    if p != 0.0:
-                        add(r, var(t - 1, sp_, a), -p)
-            rhs.append(0.0)
-            row_kind.append(("flow", t, s))
-            r += 1
-    # budget: pull mass is exactly alpha_t each period
-    for t in range(1, T + 1):
-        for s in range(S):
-            add(r, var(t, s, 1), 1.0)
-        rhs.append(float(model.alpha[t - 1]))
-        row_kind.append(("budget", t))
-        r += 1
-    # all mass starts on s0
-    for a in (0, 1):
-        add(r, var(1, model.s0, a), 1.0)
-    rhs.append(1.0)
-    row_kind.append(("initial",))
-    r += 1
-    # and totals one
-    for s in range(S):
-        for a in (0, 1):
-            add(r, var(1, s, a), 1.0)
-    rhs.append(1.0)
-    row_kind.append(("mass",))
-    r += 1
-
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
+    pair, first = np.ones((1, 2)), sp.eye(1, T)
+    # kron in csr: scipy's default bsr would keep explicit zeros
+    A = sp.vstack([
+        # flow: mass sitting at (t, s) minus the mass K_{t-1} moves into it
+        sp.kron(sp.eye(T - 1, T, k=1), sp.kron(sp.identity(S), pair), "csr")
+        - sp.block_diag([K.T for K in successors(model)] + [sp.csr_matrix((0, 2 * S))]),
+        sp.kron(sp.identity(T), np.tile([0.0, 1.0], S), "csr"),          # budget
+        sp.kron(first, sp.kron(sp.eye(1, S, k=model.s0), pair), "csr"),  # initial
+        sp.kron(first, np.ones((1, 2 * S)), "csr"),                      # mass
+    ], format="csr")
+    b = np.concatenate([np.zeros((T - 1) * S), model.alpha, [1.0, 1.0]])
+    row_kind = ([("flow", t, s) for t in range(2, T + 1) for s in range(S)]
+                + [("budget", t) for t in range(1, T + 1)] + [("initial",), ("mass",)])
     c = model.R.reshape(-1).astype(np.float64).copy()
-    return LpInstance(c=c, A=A, b=np.asarray(rhs), row_kind=row_kind, T=T, S=S)
+    return LpInstance(c=c, A=A, b=b, row_kind=row_kind, T=T, S=S)
 
 
 @dataclass
@@ -167,23 +134,13 @@ class _Reduced:
 
 
 def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
-    masks = reachable_states(model)
-    keep_col = np.zeros(inst.n_vars, dtype=bool)
-    for t in range(1, inst.T + 1):
-        for s in np.flatnonzero(masks[t - 1]):
-            keep_col[inst.var(t, int(s), 0)] = True
-            keep_col[inst.var(t, int(s), 1)] = True
-    keep_row = np.zeros(inst.n_rows, dtype=bool)
-    for i, kind in enumerate(inst.row_kind):
-        if kind[0] == "flow":
-            _, t, s = kind
-            keep_row[i] = masks[t - 1][s]
-        else:
-            keep_row[i] = True
-    keep_cols = np.flatnonzero(keep_col)
-    keep_rows = np.flatnonzero(keep_row)
+    masks = np.array(reachable_states(model))
+    keep_cols = np.flatnonzero(np.repeat(masks.reshape(-1), 2))
+    # flow rows of unreachable (t, s) go; budget, initial and mass rows stay
+    keep_rows = np.flatnonzero(np.concatenate([masks[1:].reshape(-1),
+                                               np.ones(inst.T + 2, dtype=bool)]))
     A = sp.csc_matrix(inst.A[keep_rows][:, keep_cols])
-    budget_pos = np.array([np.searchsorted(keep_rows, i) for i in inst.budget_rows()])
+    budget_pos = int(masks[1:].sum()) + np.arange(inst.T)
     return _Reduced(A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
                     keep_cols=keep_cols, keep_rows=keep_rows,
                     budget_row_pos=budget_pos)
@@ -250,6 +207,10 @@ def solve_relaxation(model: ArmModel, backend: str = "auto") -> OccupationMeasur
     Duals follow the max-sense convention: value decrease per unit of extra
     budget fraction is -duals; concretely lambda_t prices one unit of pull
     mass in period t and feeds the priority recursion.
+
+    The result certifies itself: primal residuals within RESIDUAL_TOL and
+    strong duality, |dual_value(lambda) - value| <= DUALITY_TOL, or
+    SolverFailure.
     """
     inst = build_lp(model)
     red = _reduce(inst, model)
@@ -258,7 +219,13 @@ def solve_relaxation(model: ArmModel, backend: str = "auto") -> OccupationMeasur
     if status != "optimal":
         raise SolverFailure(f"relaxation solve failed: {status}")
     lam = -np.asarray(y_min)[red.budget_row_pos]
-    return _embed(inst, model, red, x_red, lam)
+    measure = _embed(inst, model, red, x_red, lam)
+    from .priority import dual_value  # priority imports this module
+
+    gap = abs(dual_value(model, lam) - measure.value)
+    if gap > DUALITY_TOL:
+        raise SolverFailure(f"duality residual {gap:.3e} exceeds {DUALITY_TOL}")
+    return measure
 
 
 def upper_bound(measure: OccupationMeasure, N: int) -> float:
@@ -285,7 +252,8 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray, value: float,
     red = _reduce(inst, model)
     f = np.asarray(functional, dtype=np.float64).reshape(-1)
     if f.shape != (inst.n_vars,):
-        f = np.asarray(functional, dtype=np.float64).reshape(inst.T, inst.S, 2).reshape(-1)
+        raise DimensionMismatch(
+            f"functional has {f.size} entries, expected T*S*2 = {inst.n_vars}")
     fred = f[red.keep_cols]
     if sense == "max":
         fred = -fred

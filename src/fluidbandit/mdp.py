@@ -9,6 +9,10 @@ The kernel entry ``P[t-1, s, a, s']`` is the probability of moving to s'
 after playing a in state s during period t.  Only rows for t = 1..T-1 drive
 dynamics; the row at t = T must still be row-stochastic (generators may use
 it to fold terminal lookahead rewards) but is never simulated.
+
+:func:`successors` is the one reader of the kernel's sparsity.  The LP's
+flow rows, the count engine's transitions, the exact oracle and
+:func:`reachable_states` all read it, so they agree on what a successor is.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, RangeError, RowSumError, ShapeError
 
@@ -173,6 +178,19 @@ def period_budget(alpha_t: float, N: int) -> int:
     return int(math.floor(alpha_t * N + BUDGET_FLOOR_SLACK * max(1.0, alpha_t * N) + 1e-12))
 
 
+def successors(model: ArmModel) -> list[sp.csr_matrix]:
+    """The kernel's sparse form: one (2S, S) CSR matrix per period t = 1..T-1.
+
+    Row 2s+a of entry t-1 holds the positive entries of P[t-1, s, a] in
+    ascending target order, with no explicit zeros.  Entries <= 0 (the
+    negative dust that validate_model tolerates among them) are not
+    successors.  Every support list in the package derives from this.
+    """
+    S = model.S
+    return [sp.csr_matrix(np.where(Pt > 0.0, Pt, 0.0).reshape(2 * S, S))
+            for Pt in model.P[:-1]]
+
+
 def reachable_states(model: ArmModel) -> list[np.ndarray]:
     """Boolean masks, one per period, of states reachable from (1, s0).
 
@@ -181,11 +199,9 @@ def reachable_states(model: ArmModel) -> list[np.ndarray]:
     """
     masks = [np.zeros(model.S, dtype=bool) for _ in range(model.T)]
     masks[0][model.s0] = True
-    for t in range(model.T - 1):
-        src = masks[t]
-        # any positive-probability successor under either action
-        step = (model.P[t][src] > 0).any(axis=(0, 1))
-        masks[t + 1] = step
+    for t, K in enumerate(successors(model)):
+        # any successor of a reachable state under either action
+        masks[t + 1][K[np.repeat(masks[t], 2)].indices] = True
     return masks
 
 

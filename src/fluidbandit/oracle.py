@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExceeded, NondeterministicPolicy, RangeError
-from .mdp import AllocationPlan, ArmModel, CountState, period_budget
+from .mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
 from .occupancy import classify
 from .policies import (PolicySpec, fluid_priority_allocate, budget_relaxed_allocate,
                        index_allocate, parse_policy, ucb_allocate)
@@ -85,30 +85,27 @@ def _group_outcomes(g: int, probs: tuple[float, ...]) -> list[tuple[tuple[int, .
     return out
 
 
-def _successor_distribution(model: ArmModel, t: int, X: np.ndarray,
+def _successor_distribution(K, X: np.ndarray,
                             meter: _WorkMeter) -> dict[tuple[int, ...], float]:
-    """Distribution of Z_{t+1} given the action counts X at period t."""
-    S = model.S
-    dist: dict[tuple[int, ...], float] = {tuple([0] * S): 1.0}
-    for s in range(S):
-        for a in (0, 1):
-            g = int(X[s, a])
-            if g == 0:
-                continue
-            p = model.P[t - 1, s, a]
-            targets = np.flatnonzero(p > 0.0)
-            probs = tuple(float(v) for v in p[targets])
-            outcomes = _group_outcomes(g, probs)
-            new: dict[tuple[int, ...], float] = {}
-            meter.spend(len(dist) * len(outcomes))
-            for z, pz in dist.items():
-                for comp, pc in outcomes:
-                    nz = list(z)
-                    for tgt, cnt in zip(targets, comp):
-                        nz[tgt] += cnt
-                    key = tuple(nz)
-                    new[key] = new.get(key, 0.0) + pz * pc
-            dist = new
+    """Distribution of Z_{t+1} given the action counts X at period t,
+    whose kernel K is the period's entry of :func:`mdp.successors`."""
+    dist: dict[tuple[int, ...], float] = {tuple([0] * K.shape[1]): 1.0}
+    for r, g in enumerate(X.reshape(-1).tolist()):
+        if g == 0:
+            continue
+        targets = K.indices[K.indptr[r]:K.indptr[r + 1]].tolist()
+        probs = tuple(K.data[K.indptr[r]:K.indptr[r + 1]].tolist())
+        outcomes = _group_outcomes(g, probs)
+        new: dict[tuple[int, ...], float] = {}
+        meter.spend(len(dist) * len(outcomes))
+        for z, pz in dist.items():
+            for comp, pc in outcomes:
+                nz = list(z)
+                for tgt, cnt in zip(targets, comp):
+                    nz[tgt] += cnt
+                key = tuple(nz)
+                new[key] = new.get(key, 0.0) + pz * pc
+        dist = new
     return dist
 
 
@@ -125,6 +122,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
         raise BudgetExceeded(
             f"estimated enumeration {rough} far beyond guard {guard}")
     meter = _WorkMeter(guard)
+    kernels = successors(model)
 
     all_Z = list(compositions(N, S))
     vnext: dict[tuple[int, ...], float] = {z: 0.0 for z in all_Z}
@@ -139,7 +137,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
                 meter.spend(1)
                 val = float((model.R[t - 1] * X).sum())
                 if t < T:
-                    succ = _successor_distribution(model, t, X, meter)
+                    succ = _successor_distribution(kernels[t - 1], X, meter)
                     val += sum(p * vnext[z2] for z2, p in succ.items())
                 if val > best:
                     best = val
@@ -199,6 +197,7 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     """
     allocate = _scalar_allocator(model, policy)
     meter = _WorkMeter(guard)
+    kernels = successors(model)
     S, T = model.S, model.T
     z1 = tuple(N if s == model.s0 else 0 for s in range(S))
     dist: dict[tuple[int, ...], float] = {z1: 1.0}
@@ -210,7 +209,7 @@ def exact_policy_value(model: ArmModel, policy, N: int,
             plan = allocate(t, counts)
             total += pz * float((model.R[t - 1] * plan.X).sum())
             if t < T:
-                succ = _successor_distribution(model, t, plan.X, meter)
+                succ = _successor_distribution(kernels[t - 1], plan.X, meter)
                 for z2, p2 in succ.items():
                     new[z2] = new.get(z2, 0.0) + pz * p2
         dist = new

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
-from .mdp import ArmModel, period_budget
+from .mdp import ArmModel, period_budget, successors
 from .occupancy import CategoryPartition, classify
 from .policies import (PolicySpec, activation_probabilities, fluid_pulls, index_pulls,
                        parse_policy, rac_pulls, score_order, ts_pulls, ucb_scores,
@@ -126,16 +126,8 @@ class CompiledPolicy:
         else:
             self._orders = [score_order(self.scores, t, S) for t in range(1, T + 1)]
         self._codes = self.partition.codes if self.partition is not None else None
-        # transition support lists per (t, s, a)
-        self._support = []
-        for t in range(T - 1):
-            per_sa = []
-            for s in range(S):
-                for a in (0, 1):
-                    p = model.P[t, s, a]
-                    nz = np.flatnonzero(p > 0.0)
-                    per_sa.append((s, a, nz, p[nz]))
-            self._support.append(per_sa)
+        # transition supports: row 2s+a of entry t-1 for period t
+        self._support = successors(model)
 
     @property
     def label(self) -> str:
@@ -181,12 +173,13 @@ class CompiledPolicy:
         (s asc, a in 0..1, targets asc) in a fixed order.
         """
         R = X.shape[0]
-        S = self.model.S
-        Znext = np.zeros((R, S), dtype=np.int64)
-        for s, a, targets, probs in self._support[t - 1]:
-            n = X[:, s, a]
-            if not n.any():
-                continue
+        Znext = np.zeros((R, self.model.S), dtype=np.int64)
+        K = self._support[t - 1]
+        Xsa = X.reshape(R, -1)  # column 2s+a, the row of K it feeds
+        for r in np.flatnonzero(Xsa.any(axis=0)):
+            n = Xsa[:, r]
+            targets = K.indices[K.indptr[r]:K.indptr[r + 1]]
+            probs = K.data[K.indptr[r]:K.indptr[r + 1]]
             if targets.size == 1:
                 Znext[:, targets[0]] += n
                 continue

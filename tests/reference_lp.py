@@ -1,0 +1,77 @@
+"""Loop reference builder for the occupation-measure LP.
+
+The row-by-row assembly that scans the dense kernel state by state.  It
+is the reference that ``fluidbandit.lp.build_lp`` (a block assembly from
+``mdp.successors``) is checked against, bit for bit, on models whose
+kernel entries are all >= 0.  On a kernel with negative dust it keeps
+the dust (``p != 0.0``), which ``build_lp`` does not.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from fluidbandit.lp import LpInstance
+from fluidbandit.mdp import ArmModel, validate_model
+
+
+def build_lp(model: ArmModel) -> LpInstance:
+    """Assemble the full-size relaxation (no reachability pruning here)."""
+    validate_model(model)
+    T, S = model.T, model.S
+    n = T * S * 2
+
+    def var(t: int, s: int, a: int) -> int:
+        return ((t - 1) * S + s) * 2 + a
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    rhs: list[float] = []
+    row_kind: list[tuple] = []
+
+    def add(r: int, cidx: int, v: float) -> None:
+        rows.append(r)
+        cols.append(cidx)
+        vals.append(v)
+
+    r = 0
+    # flow balance: mass entering (t, s) equals mass sitting at (t, s)
+    for t in range(2, T + 1):
+        Pprev = model.P[t - 2]
+        for s in range(S):
+            for a in (0, 1):
+                add(r, var(t, s, a), 1.0)
+            for sp_ in range(S):
+                for a in (0, 1):
+                    p = Pprev[sp_, a, s]
+                    if p != 0.0:
+                        add(r, var(t - 1, sp_, a), -p)
+            rhs.append(0.0)
+            row_kind.append(("flow", t, s))
+            r += 1
+    # budget: pull mass is exactly alpha_t each period
+    for t in range(1, T + 1):
+        for s in range(S):
+            add(r, var(t, s, 1), 1.0)
+        rhs.append(float(model.alpha[t - 1]))
+        row_kind.append(("budget", t))
+        r += 1
+    # all mass starts on s0
+    for a in (0, 1):
+        add(r, var(1, model.s0, a), 1.0)
+    rhs.append(1.0)
+    row_kind.append(("initial",))
+    r += 1
+    # and totals one
+    for s in range(S):
+        for a in (0, 1):
+            add(r, var(1, s, a), 1.0)
+    rhs.append(1.0)
+    row_kind.append(("mass",))
+    r += 1
+
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
+    c = model.R.reshape(-1).astype(np.float64).copy()
+    return LpInstance(c=c, A=A, b=np.asarray(rhs), row_kind=row_kind, T=T, S=S)

@@ -148,6 +148,21 @@ def test_config_file_supplies_seed_flags_win(tmp_path):
     assert sidecar["rows"][0]["seed"] == 4
 
 
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "rep": 7}))
+    code = main(["--config", str(cfg), "eval", "--gen", "two",
+                 "--policy", "fluid", "--N", "2", "--reps", "5"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "rep" in err["message"]
+    # an option of another subcommand is no error: one file serves them all
+    cfg.write_text(json.dumps({"seed": 3, "guard": 100, "reps-cap": 9}))
+    assert main(["--config", str(cfg), "eval", "--gen", "two",
+                 "--policy", "fluid", "--N", "2", "--reps", "5",
+                 "-o", str(tmp_path / "r.csv")]) == 0
+
+
 def test_unknown_generator_is_config_error(capsys):
     assert main(["relax", "--gen", "bogus"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

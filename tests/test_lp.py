@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import fluidbandit.lp as lp
+import reference_lp as ref
 from conftest import make_random_model
-from fluidbandit.errors import MissingDuals, PinInfeasible
+from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
+                                SolverFailure)
 from fluidbandit.lp import (RESIDUAL_TOL, build_lp, pin_objective,
                             resolve_with_pins, solve_relaxation, upper_bound)
 from fluidbandit.priority import dual_value, lambda_from_duals
@@ -90,6 +93,44 @@ def test_build_lp_structure(two):
     assert len(inst.budget_rows()) == two.T
     for i, r in enumerate(inst.budget_rows()):
         assert inst.b[r] == pytest.approx(two.alpha[i])
+
+
+def test_build_lp_matches_loop_reference(fix, bern5, crowd7, assort8):
+    """The block assembly equals the row-by-row loop builder bit for bit."""
+    rng = np.random.default_rng(33)
+    models = list(fix.values()) + [bern5, crowd7, assort8]
+    models += [make_random_model(rng) for _ in range(30)]
+    for model in models:
+        got, want = build_lp(model), ref.build_lp(model)
+        assert got.A.shape == want.A.shape
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got.A, part), getattr(want.A, part)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert got.b.dtype == want.b.dtype
+        np.testing.assert_array_equal(got.b, want.b)
+        np.testing.assert_array_equal(got.c, want.c)
+        assert got.row_kind == want.row_kind
+
+
+def test_solve_certifies_strong_duality(bern5, monkeypatch):
+    orig = lp._solve_reduced_min
+
+    def perturbed(red, cmin, backend):
+        x, y, status = orig(red, cmin, backend)
+        y = np.array(y, dtype=np.float64)
+        y[red.budget_row_pos[0]] -= 0.5
+        return x, y, status
+
+    monkeypatch.setattr(lp, "_solve_reduced_min", perturbed)
+    with pytest.raises(SolverFailure, match="duality residual"):
+        solve_relaxation(bern5)
+
+
+def test_pin_functional_size_is_checked(two, two_measure):
+    f = np.zeros((two.T, two.S))  # missing the action axis
+    with pytest.raises(DimensionMismatch):
+        resolve_with_pins(two, f, two_measure.value)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_random_model
 from fluidbandit.errors import (DimensionMismatch, RangeError, RowSumError,
                                 ShapeError)
+from fluidbandit.lp import build_lp
 from fluidbandit.mdp import (AllocationPlan, ArmModel, CountState,
                              model_from_dict, model_to_dict, period_budget,
-                             reachable_states, validate_model)
+                             reachable_states, successors, validate_model)
+from fluidbandit.oracle import _WorkMeter, _successor_distribution
+from fluidbandit.policies import parse_policy
+from fluidbandit.simulator import CompiledPolicy
 
 
 def _copy(model):
@@ -95,6 +100,39 @@ def test_reachable_states(single, two):
     assert masks[1].tolist() == [True, True]
     masks = reachable_states(single)
     assert all(m.all() for m in masks)
+
+
+def test_successors_are_the_positive_kernel(fix, bern5, crowd7):
+    rng = np.random.default_rng(34)
+    models = list(fix.values()) + [bern5, crowd7]
+    models += [make_random_model(rng) for _ in range(10)]
+    for model in models:
+        kernels = successors(model)
+        assert len(kernels) == model.T - 1
+        for t, K in enumerate(kernels):
+            P = model.P[t]
+            assert K.shape == (2 * model.S, model.S)
+            assert K.has_sorted_indices
+            assert (K.data > 0.0).all()
+            np.testing.assert_array_equal(
+                K.toarray(), np.where(P > 0, P, 0).reshape(2 * model.S, model.S))
+
+
+def test_negative_dust_is_no_successor():
+    """A kernel entry of -5e-10 passes validation yet is a successor nowhere:
+    not in the LP's flow rows, the count engine or the exact oracle."""
+    model = make_random_model(np.random.default_rng(35), S=3, T=3)
+    model.P[0, 1, 0] = [0.6 + 5e-10, 0.4, -5e-10]
+    validate_model(model)
+    # flow row of (t=2, s=2) must not see x_1(1, 0)
+    inst = build_lp(model)
+    row = inst.row_kind.index(("flow", 2, 2))
+    assert inst.A[row, inst.var(1, 1, 0)] == 0.0
+    pol = CompiledPolicy(model, parse_policy("fluid"))
+    assert pol._support[0][2 * 1 + 0].indices.tolist() == [0, 1]
+    X = np.array([[0, 0], [3, 0], [0, 0]])
+    dist = _successor_distribution(successors(model)[0], X, _WorkMeter(10 ** 6))
+    assert all(z[2] == 0 for z in dist)
 
 
 def test_json_round_trip(bern2):
