@@ -18,6 +18,7 @@ on block t-1, and the budget rows are kron(I_T, [0, 1] * S).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,13 @@ DUALITY_TOL = 1e-6
 # Half-width of the value band used by pinned re-solves.
 PIN_TOL = 1e-7
 # Reduced row count above which the "auto" backend defers to HiGHS.
-# Own simplex: ~1 s at 700 rows, ~9 s at 1600, ~33 s at 2600, but returns
-# exact basic vertices (nonbasic entries identically 0), which the 1e-9
-# category threshold needs; HiGHS leaves 1e-8-scale junk at its default
-# tolerances.  Keep every instance that classification cares about on the
-# exact path and defer only truly large ones.
+# Own simplex (sparse LU, single-threaded): ~0.5 s at 696 rows (bern15),
+# ~3.6 s at 2590 (assort8) and 2625 (bern24), where HiGHS takes 19 s and
+# 0.3 s.  The simplex returns exact basic vertices (nonbasic entries
+# identically 0), which the 1e-9 category threshold needs; HiGHS leaves
+# 1e-8-scale junk at its default tolerances.  Keep every instance that
+# classification cares about on the exact path and defer only truly
+# large ones.
 AUTO_SIMPLEX_MAX_ROWS = 2600
 
 
@@ -158,8 +161,9 @@ def _solve_reduced_min(red: _Reduced, cmin: np.ndarray, backend: str):
 
         # HiGHS defaults allow 1e-7 primal slop; the measure invariant
         # requires raw entries >= -1e-9, so tighten the solver, backing
-        # off only when it reports numerical trouble at a tolerance.
-        res = None
+        # off only when it reports numerical trouble at a tolerance, and
+        # saying so when a looser tolerance is accepted.
+        failed = []
         for tol in (1e-10, 1e-9, None):
             opts = ({} if tol is None else
                     {"primal_feasibility_tolerance": tol,
@@ -169,6 +173,13 @@ def _solve_reduced_min(red: _Reduced, cmin: np.ndarray, backend: str):
                           method="highs", options=opts)
             if res.status != 4:
                 break
+            failed.append(tol)
+        if failed and res.status != 4:
+            tried = ", ".join(f"{t:g}" for t in failed)
+            accepted = "HiGHS default" if tol is None else f"{tol:g}"
+            warnings.warn(f"HiGHS reported numerical trouble (status 4) at tolerance "
+                          f"{tried}; accepted tolerance {accepted}",
+                          RuntimeWarning, stacklevel=2)
         if res.status == 2:
             return None, None, "infeasible"
         if res.status != 0:

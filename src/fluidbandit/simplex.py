@@ -1,15 +1,25 @@
 """Self-contained two-phase revised simplex for equality-form LPs.
 
-Solves  min c'x  s.t.  A x = b,  x >= 0  with a dense basis inverse kept
-up to date by rank-one updates, sparse column pricing, Dantzig entering
-rule, and a permanent switch to Bland's rule after a long degenerate
-streak.  Artificial variables are retained and never re-enter, so
-redundant rows need no preprocessing; an artificial that is basic at zero
-is forced out the moment an entering column crosses its row.
+Solves  min c'x  s.t.  A x = b,  x >= 0.  The basis inverse is kept in
+product form (Dantzig & Orchard-Hays, 1954): a sparse LU factor of the
+basis at the last refactorisation, from ``scipy.sparse.linalg.splu``,
+followed by one eta (leave row, d) per pivot since.  FTRAN is the LU solve
+and then the etas in order; BTRAN is the etas in reverse and then the
+transposed LU solve.  The factor is rebuilt from the basis columns every
+REFACTOR_EVERY pivots.  No dense m x m array is kept; the BLAS work left is
+length-m dot products and SuperLU's kernels on its small supernodal
+blocks, too small for OpenBLAS to split across threads, so the pivot
+sequence, the returned vertex and the solve time do not depend on the BLAS
+thread count (tests/test_simplex.py checks one against two threads).
+
+Pricing is sparse, with Dantzig's entering rule and a permanent switch to
+Bland's rule after a long degenerate streak.  Artificial variables are
+unit columns that are retained and never re-enter, so redundant rows need
+no preprocessing; an artificial that is basic at zero is forced out the
+moment an entering column crosses its row.
 
 This is the package's primary LP engine; scipy's HiGHS is wired elsewhere
-as an independent cross-check and as a fallback backend for large
-instances.
+as an independent cross-check and as the backend for large instances.
 """
 
 from __future__ import annotations
@@ -18,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-try:
-    from scipy.linalg.blas import dger as _dger
-except ImportError:  # pragma: no cover
-    _dger = None
+from scipy.sparse.linalg import splu
 
 # Reduced-cost threshold for entering candidates.
 OPT_TOL = 1e-9
@@ -32,18 +38,23 @@ PIV_TOL = 1e-10
 FORCE_PIV_TOL = 1e-7
 # Phase-1 objective above this means infeasible.
 FEAS_TOL = 1e-7
+# Basic values at or below this are roundoff on a degenerate basic
+# variable (1e-17 scale on the model LPs) and are returned as exact zeros.
+ZERO_TOL = 1e-12
 # Degenerate steps before switching to Bland's rule for good.
 BLAND_TRIGGER = 300
-# Rebuild the basis inverse from scratch this often; rank-one update
-# drift past ~1e3 pivots was measured at 1e-6 scale on 2.5e3-row LPs.
-REFACTOR_EVERY = 1000
+# Pivots between sparse refactorisations.  Every FTRAN and BTRAN applies
+# each eta since the last one, so eta work per pivot grows with this while
+# the amortised factor cost shrinks.
+REFACTOR_EVERY = 64
 
 
 @dataclass
 class SimplexResult:
     """Outcome of one solve.
 
-    :status: "optimal", "infeasible", "unbounded", or "iteration_limit".
+    :status: "optimal", "infeasible", "unbounded", "iteration_limit", or
+        "singular_basis" when the sparse LU finds a basis exactly singular.
     :x: primal solution over structural variables, shape (n,).
     :y: row duals for the min problem, original row order and sign.
     :obj: c'x at the final point.
@@ -59,26 +70,46 @@ class SimplexResult:
     basis: np.ndarray
 
 
-def _rank1_update(binv: np.ndarray, d: np.ndarray, leave: int) -> None:
-    """binv <- E(d, leave) @ binv, in place."""
-    pivot_row = binv[leave] / d[leave]
-    if _dger is not None and binv.flags.f_contiguous:
-        _dger(-1.0, d, pivot_row, a=binv, overwrite_a=1)
-    else:
-        binv -= np.outer(d, pivot_row)
-    binv[leave] = pivot_row
+class _SingularBasis(Exception):
+    """The LU factorisation found the basis exactly singular."""
 
 
-def _refactor(A: sp.csc_matrix, basis: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Recompute the dense basis inverse from the basis column set."""
-    B = np.zeros((m, m), dtype=np.float64, order="F")
-    struct = basis < n
-    if struct.any():
-        B[:, struct] = A[:, basis[struct]].toarray()
-    for i in np.flatnonzero(~struct):
-        B[basis[i] - n, i] = 1.0
-    binv = np.linalg.inv(B)
-    return np.asfortranarray(binv)
+class _Factor:
+    """B^{-1} = E_k ... E_1 B_0^{-1}: an LU factor of B_0 and k etas.
+
+    ``lu`` is None while B_0 is the all-artificial start basis, the
+    identity, so small LPs that never refactor during phase 1 pay for no
+    factorisation there.  Eta (r, d) replaces basis row r by a column whose
+    FTRAN was d.
+    """
+
+    def __init__(self) -> None:
+        self.lu = None
+        self.etas: list[tuple[int, np.ndarray]] = []
+
+    def refactor(self, Aext: sp.csc_matrix, basis: np.ndarray) -> None:
+        try:
+            self.lu = splu(Aext[:, basis])
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise _SingularBasis(str(exc)) from exc
+        self.etas = []
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^{-1} v; v may be overwritten."""
+        if self.lu is not None:
+            v = self.lu.solve(v)
+        for r, d in self.etas:
+            vr = v[r] / d[r]
+            if vr != 0.0:
+                v -= vr * d
+            v[r] = vr
+        return v
+
+    def btran(self, w: np.ndarray) -> np.ndarray:
+        """B^{-T} w; w may be overwritten."""
+        for r, d in reversed(self.etas):
+            w[r] -= (d @ w - w[r]) / d[r]
+        return w if self.lu is None else self.lu.solve(w, trans="T")
 
 
 def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
@@ -99,34 +130,44 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
         A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
         b = np.abs(b)
     AT = sp.csr_matrix(A.T)  # fast A'y products for pricing
+    Aext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")  # + artificials
     col_ind, col_ptr, col_val = A.indices, A.indptr, A.data
 
     basis = np.arange(n, n + m)  # start from the all-artificial basis
-    binv = np.asfortranarray(np.eye(m))
+    factor = _Factor()
     xB = b.copy()
     in_basis = np.zeros(n, dtype=bool)
 
     iterations = 0
     bland = False
     degen_streak = 0
-    since_refactor = 0
+
+    def refactor() -> None:
+        nonlocal xB
+        factor.refactor(Aext, basis)
+        xB = np.maximum(factor.ftran(b.copy()), 0.0)
+
+    def duals(cost: np.ndarray, phase_two: bool) -> np.ndarray:
+        struct = basis < n
+        cb_full = np.zeros(m)
+        cb_full[struct] = cost[basis[struct]]
+        if not phase_two:
+            cb_full[~struct] = 1.0
+        return factor.btran(cb_full)
 
     def column_dense(j: int) -> np.ndarray:
         lo, hi = col_ptr[j], col_ptr[j + 1]
-        return binv[:, col_ind[lo:hi]] @ col_val[lo:hi]
+        a = np.zeros(m)
+        a[col_ind[lo:hi]] = col_val[lo:hi]
+        return factor.ftran(a)
 
     def run_phase(cost: np.ndarray, phase_two: bool) -> str:
-        nonlocal iterations, bland, degen_streak, since_refactor, xB, binv
+        nonlocal iterations, bland, degen_streak, xB
         while True:
             if iterations >= maxiter:
                 return "iteration_limit"
             struct_mask = basis < n
-            cb_full = np.zeros(m)
-            cb_full[struct_mask] = cost[basis[struct_mask]]
-            if not phase_two:
-                cb_full[~struct_mask] = 1.0
-            y = cb_full @ binv
-            red = cost - AT @ y
+            red = cost - AT @ duals(cost, phase_two)
             red[in_basis] = 0.0
             if bland:
                 cand = np.flatnonzero(red < -OPT_TOL)
@@ -174,51 +215,44 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
                 in_basis[old] = False
             basis[leave] = enter
             in_basis[enter] = True
-            _rank1_update(binv, d, leave)
+            factor.etas.append((leave, d))
             iterations += 1
-            since_refactor += 1
-            if since_refactor >= REFACTOR_EVERY:
-                binv = _refactor(A, basis, m, n)
-                xB = np.maximum(binv @ b, 0.0)
-                since_refactor = 0
+            if len(factor.etas) >= REFACTOR_EVERY:
+                refactor()
 
-    status = run_phase(np.zeros(n), phase_two=False)
-    if status != "optimal":
+    def result(status: str) -> SimplexResult:
         return SimplexResult(status, np.zeros(n), np.zeros(m), float("nan"),
                              iterations, basis.copy())
-    binv = _refactor(A, basis, m, n)
-    xB = np.maximum(binv @ b, 0.0)
-    since_refactor = 0
-    art_mass = float(xB[basis >= n].sum())
-    if art_mass > FEAS_TOL:
-        return SimplexResult("infeasible", np.zeros(n), np.zeros(m), float("nan"),
-                             iterations, basis.copy())
 
-    degen_streak = 0
-    bland = False
-    # Rank-one drift can both corrupt xB and stop the phase early on stale
-    # reduced costs, so certify termination against a fresh factorization
-    # and resume if anything still prices in.
-    for _ in range(5):
-        status = run_phase(c, phase_two=True)
-        binv = _refactor(A, basis, m, n)
-        xB = np.maximum(binv @ b, 0.0)
-        since_refactor = 0
+    try:
+        status = run_phase(np.zeros(n), phase_two=False)
         if status != "optimal":
-            break
-        struct = basis < n
-        cb_full = np.zeros(m)
-        cb_full[struct] = c[basis[struct]]
-        red = c - AT @ (cb_full @ binv)
-        red[in_basis] = 0.0
-        if red.min() >= -OPT_TOL:
-            break
+            return result(status)
+        refactor()
+        art_mass = float(xB[basis >= n].sum())
+        if art_mass > FEAS_TOL:
+            return result("infeasible")
+
+        degen_streak = 0
+        bland = False
+        # Eta drift can both corrupt xB and stop the phase early on stale
+        # reduced costs, so certify termination against a fresh factor and
+        # resume if anything still prices in.
+        for _ in range(5):
+            status = run_phase(c, phase_two=True)
+            refactor()
+            y = duals(c, phase_two=True)
+            if status != "optimal":
+                break
+            red = c - AT @ y
+            red[in_basis] = 0.0
+            if red.min() >= -OPT_TOL:
+                break
+    except _SingularBasis:
+        return result("singular_basis")
 
     struct = basis < n
-    cb_full = np.zeros(m)
-    cb_full[struct] = c[basis[struct]]
-    y = cb_full @ binv
     x = np.zeros(n)
-    x[basis[struct]] = xB[struct]
+    x[basis[struct]] = np.where(xB[struct] > ZERO_TOL, xB[struct], 0.0)
     y = np.where(flip, -y, y)
     return SimplexResult(status, x, y, float(c @ x), iterations, basis.copy())

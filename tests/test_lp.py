@@ -63,6 +63,26 @@ def test_backends_agree(bern5):
     np.testing.assert_allclose(a.duals, b.duals, atol=1e-6)
 
 
+def test_highs_tolerance_retry_is_reported(monkeypatch, bern5):
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def trouble_once(*args, **kwargs):
+        calls.append(kwargs["options"])
+        res = real(*args, **kwargs)
+        if len(calls) == 1:
+            res.status = 4
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", trouble_once)
+    with pytest.warns(RuntimeWarning, match=r"at tolerance 1e-10; accepted tolerance 1e-09"):
+        m = solve_relaxation(bern5, backend="highs")
+    assert [c["primal_feasibility_tolerance"] for c in calls] == [1e-10, 1e-9]
+    assert abs(m.value - solve_relaxation(bern5, backend="simplex").value) <= 1e-8
+
+
 def test_measure_invariants(single_measure, two_measure, bern2_measure,
                             bern5_measure, single, two, bern2, bern5):
     for model, m in [(single, single_measure), (two, two_measure),

@@ -1,9 +1,19 @@
-"""Revised simplex: values and duals against scipy, statuses, anticycling."""
+"""Revised simplex: values and duals against scipy, statuses, anticycling,
+long solves across refactorisations, BLAS-thread independence."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from fluidbandit import lp, simplex
+from fluidbandit.errors import SolverFailure
 from fluidbandit.simplex import solve_lp
 
 
@@ -104,3 +114,75 @@ def test_nonbasic_entries_exactly_zero():
     res = solve_lp(sp.csc_matrix(A), b, c)
     assert res.status == "optimal"
     assert ((res.x == 0.0) | (res.x > 1e-9)).all()
+
+
+LONG_SOLVES = ["bern15", "crowd7"]
+
+
+@pytest.mark.parametrize("name", LONG_SOLVES)
+def test_long_solve_exact_vertex(name, request):
+    # the model LPs run past REFACTOR_EVERY pivots, so eta files, in-loop
+    # refactorisations and the phase-2 certification all take part
+    model = request.getfixturevalue(name)
+    red = lp._reduce(lp.build_lp(model), model)
+    A, b, c = red.A, red.b, -red.c
+    res = solve_lp(A, b, c)
+    assert res.status == "optimal"
+    assert res.iterations > simplex.REFACTOR_EVERY
+    ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert abs(res.obj - ref.fun) <= 1e-9 * abs(ref.fun)
+    assert ((res.x == 0.0) | (res.x > 1e-9)).all()
+    assert np.abs(A @ res.x - b).max() <= 1e-9
+    assert (A.T @ res.y - c).max() <= 1e-9
+
+
+_THREADS_SCRIPT = """
+import hashlib, json
+from fluidbandit import lp, simplex, zoo
+iterations = []
+solve_lp = simplex.solve_lp
+def counted(*args, **kwargs):
+    res = solve_lp(*args, **kwargs)
+    iterations.append(res.iterations)
+    return res
+simplex.solve_lp = counted
+out = {}
+for name, model in [("bern15", zoo.bernoulli_bandit(15, 1.0 / 3.0)),
+                    ("crowd7", zoo.crowdsourcing(7, 0.25))]:
+    iterations.clear()
+    m = lp.solve_relaxation(model, backend="simplex")
+    out[name] = [hashlib.sha256(m.x.tobytes()).hexdigest(),
+                 hashlib.sha256(m.duals.tobytes()).hexdigest(),
+                 m.value.hex(), list(iterations)]
+print(json.dumps(out))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # a threaded BLAS call may sum in another order, and one changed bit
+    # can send the pivot path, and so the vertex, elsewhere
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs["1"] == runs["2"]
+
+
+def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(simplex, "splu", singular)
+    A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    res = solve_lp(sp.csc_matrix(A), np.array([1.0, 1.0]), np.array([1.0, 2.0, 1.0]))
+    assert res.status == "singular_basis"
+    with pytest.raises(SolverFailure, match="singular_basis"):
+        lp.solve_relaxation(bern5, backend="simplex")
+    f = lp.pin_objective(bern5, [(1, 0, 1)])
+    with pytest.raises(SolverFailure, match="singular_basis"):
+        lp.resolve_with_pins(bern5, f, 1.0, backend="simplex", band=0.0)
