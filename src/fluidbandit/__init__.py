@@ -19,7 +19,7 @@ from .mdp import (
     period_budget, reachable_states, successors, validate_model,
 )
 from .lp import (
-    LpInstance, OccupationMeasure, build_lp, pin_objective,
+    LpInstance, OccupationMeasure, build_lp,
     resolve_with_pins, solve_relaxation, upper_bound,
 )
 from .occupancy import (

@@ -23,8 +23,7 @@ from .occupancy import classify, search_nondegenerate
 from .oracle import optimal_value
 from .policies import parse_policy
 from .priority import lambda_from_duals, q_recursion, subgradient_solve
-from .simulator import (CompiledPolicy, default_reps, gap_sweep, simulate,
-                        simulate_per_arm, violation_rate_sweep)
+from .simulator import CompiledPolicy, gap_sweep, violation_rate_sweep
 from . import zoo
 
 CSV_COLUMNS = ["N", "policy", "upper_bound", "mean", "ci95", "gap",
@@ -184,7 +183,7 @@ def cmd_gen(args) -> int:
 
 def cmd_relax(args) -> int:
     model = _load_model(args)
-    meas = solve_relaxation(model, backend=args.backend)
+    meas = solve_relaxation(model)
     trips = []
     T, S = model.T, model.S
     for t in range(T):
@@ -200,7 +199,7 @@ def cmd_relax(args) -> int:
 
 def cmd_classify(args) -> int:
     model = _load_model(args)
-    meas = solve_relaxation(model, backend=args.backend)
+    meas = solve_relaxation(model)
     part = classify(meas)
     periods = []
     for t in range(1, model.T + 1):
@@ -217,7 +216,7 @@ def cmd_classify(args) -> int:
 
 def cmd_search_measure(args) -> int:
     model = _load_model(args)
-    report = search_nondegenerate(model, backend=args.backend)
+    report = search_nondegenerate(model)
     payload = {
         "nondegenerate": report.nondegenerate,
         "neutral_counts": report.neutral_counts,
@@ -236,7 +235,7 @@ def cmd_priority(args) -> int:
     if args.subgradient:
         lam = subgradient_solve(model, iterations=args.subgradient)
     else:
-        lam = lambda_from_duals(solve_relaxation(model, backend=args.backend))
+        lam = lambda_from_duals(solve_relaxation(model))
     scheme = q_recursion(model, lam)
     ranked = [[int(s) for s in scheme.order(t)] for t in range(1, model.T + 1)]
     _emit_json({"lambda": lam, "ranked_states": ranked}, args.out)
@@ -245,7 +244,7 @@ def cmd_priority(args) -> int:
 
 def cmd_fluid_index(args) -> int:
     model = _load_model(args)
-    lam = lambda_from_duals(solve_relaxation(model, backend=args.backend))
+    lam = lambda_from_duals(solve_relaxation(model))
     scheme = q_recursion(model, lam)
     table = []
     for t in range(1, model.T + 1):
@@ -256,33 +255,28 @@ def cmd_fluid_index(args) -> int:
     return 0
 
 
+def _write_sweep(args, rows) -> None:
+    csv_rows = [_finish_row(_report_row(r.report), r.upper_bound, r.mean, r.ci)
+                for r in rows]
+    _write_text(args.out, _csv_rows(csv_rows))
+    _emit_json({"rows": [_report_sidecar(r.report) for r in rows]},
+               _sidecar_path(args.out))
+
+
 def cmd_eval(args) -> int:
     model = _load_model(args)
     pol = CompiledPolicy(model, parse_policy(args.policy))
-    run = simulate_per_arm if args.engine == "per-arm" else simulate
-    reps = args.reps if args.reps is not None else default_reps(args.N)
-    rep = run(model, pol, args.N, reps, args.seed)
-    vhat = (pol.measure.value if pol.measure is not None
-            else solve_relaxation(model).value)
-    row = _finish_row(_report_row(rep), args.N * vhat, rep.mean_reward,
-                      rep.ci_halfwidth)
-    _write_text(args.out, _csv_rows([row]))
-    _emit_json({"rows": [_report_sidecar(rep)]}, _sidecar_path(args.out))
+    engine = "per_arm" if args.engine == "per-arm" else "counts"
+    _write_sweep(args, gap_sweep(model, pol, [args.N], args.reps,
+                                 seed=args.seed, engine=engine))
     return 0
 
 
 def cmd_sweep(args) -> int:
     model = _load_model(args)
     pol = CompiledPolicy(model, parse_policy(args.policy))
-    rows = gap_sweep(model, pol, _parse_n_list(args.N), _reps_rule(args),
-                     seed=args.seed, crn=args.crn)
-    csv_rows, sidecars = [], []
-    for r in rows:
-        csv_rows.append(_finish_row(_report_row(r.report), r.upper_bound,
-                                    r.mean, r.ci))
-        sidecars.append(_report_sidecar(r.report))
-    _write_text(args.out, _csv_rows(csv_rows))
-    _emit_json({"rows": sidecars}, _sidecar_path(args.out))
+    _write_sweep(args, gap_sweep(model, pol, _parse_n_list(args.N), _reps_rule(args),
+                                 seed=args.seed, crn=args.crn))
     return 0
 
 
@@ -305,7 +299,7 @@ def cmd_violations(args) -> int:
 def cmd_oracle(args) -> int:
     model = _load_model(args)
     vstar = optimal_value(model, args.N, guard=args.guard)
-    vhat = solve_relaxation(model, backend=args.backend).value
+    vhat = solve_relaxation(model).value
     _emit_json({"N": args.N, "V_star": vstar, "NVhat": args.N * vhat,
                 "gap": _round12(args.N * vhat) - _round12(vstar)}, args.out)
     return 0
@@ -318,11 +312,6 @@ def _add_model_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--m-cap", dest="m_cap", type=int, default=zoo.ASSORT_M_CAP)
     p.add_argument("--x-cap", dest="x_cap", type=int, default=zoo.ASSORT_X_CAP)
-
-
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "simplex", "highs"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,26 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relax", help="solve the occupation-measure LP")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_relax)
 
     p = sub.add_parser("classify", help="print per-period state categories")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("search-measure",
                        help="look for a measure with a neutral state per period")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_search_measure)
 
     p = sub.add_parser("priority", help="print lambda and ranked states")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--subgradient", type=int, default=0,
                    help="use N subgradient iterations instead of LP duals")
     p.add_argument("--out", "-o")
@@ -371,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fluid-index", help="print per-period index values")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_fluid_index)
 
@@ -412,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact small-N optimum vs LP bound")
     _add_model_source(p)
-    _add_backend(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--guard", type=int, default=10**7)
     p.add_argument("--out", "-o")
@@ -441,10 +424,16 @@ def _apply_config(args: argparse.Namespace, argv: list[str],
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)
     if unknown:
         raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
+    # a flag is explicit in every form argparse accepts: -o, -ob.json,
+    # --out, --out=b.json and the unique prefix --ou
     present = set()
     for tok in argv:
-        if tok.startswith("--"):
-            present.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+        flag = tok.split("=", 1)[0]
+        long_prefix = flag.startswith("--") and len(flag) > 2
+        for a in sub.choices[args.command]._actions:
+            if any(opt == flag or opt == tok[:2] or (long_prefix and opt.startswith(flag))
+                   for opt in a.option_strings):
+                present.add(a.dest)
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if attr in present or not hasattr(args, attr):

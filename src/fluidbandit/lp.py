@@ -35,22 +35,20 @@ NEG_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
 # Strong-duality residual |dual_value(lambda) - value| a solve may leave.
 DUALITY_TOL = 1e-6
-# Half-width of the value band used by pinned re-solves.
-PIN_TOL = 1e-7
-# Reduced row count above which the "auto" backend defers to HiGHS.
-# Own simplex (sparse LU, single-threaded): ~0.5 s at 696 rows (bern15),
-# ~3.6 s at 2590 (assort8) and 2625 (bern24), where HiGHS takes 19 s and
-# 0.3 s.  The simplex returns exact basic vertices (nonbasic entries
-# identically 0), which the 1e-9 category threshold needs; HiGHS leaves
-# 1e-8-scale junk at its default tolerances.  Keep every instance that
-# classification cares about on the exact path and defer only truly
-# large ones.
+# The one engine choice: an LP with at most this many reduced rows goes to
+# the exact simplex, a larger one to HiGHS.  Own simplex (sparse LU,
+# single-threaded): ~0.5 s at 696 rows (bern15), ~3.6 s at 2590 (assort8)
+# and 2625 (bern24), where HiGHS takes 19 s and 0.3 s.  The simplex
+# returns exact basic vertices (nonbasic entries identically 0), which the
+# 1e-9 category threshold needs; HiGHS leaves 1e-8-scale junk at its
+# default tolerances.  Keep every instance that classification cares
+# about on the exact path and defer only truly large ones.
 AUTO_SIMPLEX_MAX_ROWS = 2600
 
 
 @dataclass
 class LpInstance:
-    """Equality-form LP over the full (t, s, a) grid, max sense.
+    """Equality-form LP over the full (t, s, a) grid, to be maximised.
 
     :c: objective (reward) coefficients, shape (n_vars,).
     :A: constraint matrix, CSR, shape (n_rows, n_vars).
@@ -132,8 +130,7 @@ class _Reduced:
     b: np.ndarray
     c: np.ndarray
     keep_cols: np.ndarray
-    keep_rows: np.ndarray
-    budget_row_pos: np.ndarray  # positions of budget rows inside keep_rows
+    budget_row_pos: np.ndarray  # rows of A that are budget rows
 
 
 def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
@@ -145,47 +142,45 @@ def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
     A = sp.csc_matrix(inst.A[keep_rows][:, keep_cols])
     budget_pos = int(masks[1:].sum()) + np.arange(inst.T)
     return _Reduced(A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
-                    keep_cols=keep_cols, keep_rows=keep_rows,
-                    budget_row_pos=budget_pos)
+                    keep_cols=keep_cols, budget_row_pos=budget_pos)
 
 
-def _solve_reduced_min(red: _Reduced, cmin: np.ndarray, backend: str):
-    """min cmin'x on the reduced LP; returns (x, y, status_ok)."""
-    if backend == "auto":
-        backend = "simplex" if red.A.shape[0] <= AUTO_SIMPLEX_MAX_ROWS else "highs"
-    if backend == "simplex":
-        res = simplex.solve_lp(red.A, red.b, cmin)
+def _solve_reduced_min(A: sp.csc_matrix, b: np.ndarray, cmin: np.ndarray):
+    """min cmin'x s.t. Ax = b, x >= 0; returns (x, y, status).
+
+    The row count alone picks the engine: the exact simplex up to
+    AUTO_SIMPLEX_MAX_ROWS rows, HiGHS above.
+    """
+    if A.shape[0] <= AUTO_SIMPLEX_MAX_ROWS:
+        res = simplex.solve_lp(A, b, cmin)
         return res.x, res.y, res.status
-    if backend == "highs":
-        from scipy.optimize import linprog
+    from scipy.optimize import linprog
 
-        # HiGHS defaults allow 1e-7 primal slop; the measure invariant
-        # requires raw entries >= -1e-9, so tighten the solver, backing
-        # off only when it reports numerical trouble at a tolerance, and
-        # saying so when a looser tolerance is accepted.
-        failed = []
-        for tol in (1e-10, 1e-9, None):
-            opts = ({} if tol is None else
-                    {"primal_feasibility_tolerance": tol,
-                     "dual_feasibility_tolerance": tol})
-            res = linprog(cmin, A_eq=red.A, b_eq=red.b,
-                          bounds=[(0, None)] * red.A.shape[1],
-                          method="highs", options=opts)
-            if res.status != 4:
-                break
-            failed.append(tol)
-        if failed and res.status != 4:
-            tried = ", ".join(f"{t:g}" for t in failed)
-            accepted = "HiGHS default" if tol is None else f"{tol:g}"
-            warnings.warn(f"HiGHS reported numerical trouble (status 4) at tolerance "
-                          f"{tried}; accepted tolerance {accepted}",
-                          RuntimeWarning, stacklevel=2)
-        if res.status == 2:
-            return None, None, "infeasible"
-        if res.status != 0:
-            return None, None, f"highs status {res.status}"
-        return res.x, np.asarray(res.eqlin.marginals), "optimal"
-    raise ValueError(f"unknown backend {backend!r}")
+    # HiGHS defaults allow 1e-7 primal slop; the measure invariant
+    # requires raw entries >= -1e-9, so tighten the solver, backing
+    # off only when it reports numerical trouble at a tolerance, and
+    # saying so when a looser tolerance is accepted.
+    failed = []
+    for tol in (1e-10, 1e-9, None):
+        opts = ({} if tol is None else
+                {"primal_feasibility_tolerance": tol,
+                 "dual_feasibility_tolerance": tol})
+        res = linprog(cmin, A_eq=A, b_eq=b, bounds=[(0, None)] * A.shape[1],
+                      method="highs", options=opts)
+        if res.status != 4:
+            break
+        failed.append(tol)
+    if failed and res.status != 4:
+        tried = ", ".join(f"{t:g}" for t in failed)
+        accepted = "HiGHS default" if tol is None else f"{tol:g}"
+        warnings.warn(f"HiGHS reported numerical trouble (status 4) at tolerance "
+                      f"{tried}; accepted tolerance {accepted}",
+                      RuntimeWarning, stacklevel=2)
+    if res.status == 2:
+        return None, None, "infeasible"
+    if res.status != 0:
+        return None, None, f"highs status {res.status}"
+    return res.x, np.asarray(res.eqlin.marginals), "optimal"
 
 
 def _embed(inst: LpInstance, model: ArmModel, red: _Reduced, x_red: np.ndarray,
@@ -212,10 +207,10 @@ def _check_measure(inst: LpInstance, model: ArmModel, measure: OccupationMeasure
             raise SolverFailure(f"{kind} residual {v:.3e} exceeds {RESIDUAL_TOL}")
 
 
-def solve_relaxation(model: ArmModel, backend: str = "auto") -> OccupationMeasure:
+def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     """Solve the relaxation to a vertex; attach budget duals.
 
-    Duals follow the max-sense convention: value decrease per unit of extra
+    Duals follow the maximisation convention: value decrease per unit of extra
     budget fraction is -duals; concretely lambda_t prices one unit of pull
     mass in period t and feeds the priority recursion.
 
@@ -226,7 +221,7 @@ def solve_relaxation(model: ArmModel, backend: str = "auto") -> OccupationMeasur
     inst = build_lp(model)
     red = _reduce(inst, model)
     cmin = -red.c  # max r'x == -min(-r)'x
-    x_red, y_min, status = _solve_reduced_min(red, cmin, backend)
+    x_red, y_min, status = _solve_reduced_min(red.A, red.b, cmin)
     if status != "optimal":
         raise SolverFailure(f"relaxation solve failed: {status}")
     lam = -np.asarray(y_min)[red.budget_row_pos]
@@ -244,18 +239,16 @@ def upper_bound(measure: OccupationMeasure, N: int) -> float:
     return float(N * measure.value)
 
 
-def resolve_with_pins(model: ArmModel, functional: np.ndarray, value: float,
-                      backend: str = "auto", sense: str = "min",
-                      band: float = PIN_TOL) -> OccupationMeasure:
-    """Optimize `functional` over the (near-)optimal face of the relaxation.
+def resolve_with_pins(model: ArmModel, functional: np.ndarray,
+                      value: float) -> OccupationMeasure:
+    """Minimize `functional` over the exact optimal face of the relaxation.
 
-    With band > 0 the face is the feasible set intersected with a value
-    band of half-width `band`, encoded by two slack rows.  With band = 0
-    the objective is pinned by a single equality row; this is the exact
-    optimal face and is what degeneracy certification needs, since any
-    positive band admits slightly suboptimal points whose categories can
-    differ from every truly optimal measure.  The result carries
-    duals=None; budget duals of a pinned solve price the wrong problem.
+    The face is the feasible set with the objective pinned to `value` by
+    one equality row; degeneracy certification needs exactly this face,
+    since any slack on the value admits slightly suboptimal points whose
+    categories can differ from every truly optimal measure.  The result
+    carries duals=None; budget duals of a pinned solve price the wrong
+    problem.
 
     Raises PinInfeasible when the pinned value is unattainable.
     """
@@ -265,46 +258,11 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray, value: float,
     if f.shape != (inst.n_vars,):
         raise DimensionMismatch(
             f"functional has {f.size} entries, expected T*S*2 = {inst.n_vars}")
-    fred = f[red.keep_cols]
-    if sense == "max":
-        fred = -fred
-    elif sense != "min":
-        raise ValueError(f"bad sense {sense!r}")
-    if band < 0:
-        raise ValueError("band must be >= 0")
-
-    m, n = red.A.shape
-    rband = red.c
-    if band > 0:
-        # rows:  r'x - s1 = value - band ;  r'x + s2 = value + band
-        A_aug = sp.vstack([
-            sp.hstack([red.A, sp.csc_matrix((m, 2))]),
-            sp.hstack([sp.csr_matrix(rband), sp.csr_matrix([[-1.0, 0.0]])]),
-            sp.hstack([sp.csr_matrix(rband), sp.csr_matrix([[0.0, 1.0]])]),
-        ], format="csc")
-        b_aug = np.concatenate([red.b, [value - band, value + band]])
-        c_aug = np.concatenate([fred, [0.0, 0.0]])
-    else:
-        A_aug = sp.vstack([red.A, sp.csr_matrix(rband)], format="csc")
-        b_aug = np.concatenate([red.b, [value]])
-        c_aug = fred
-
-    red_aug = _Reduced(A=A_aug, b=b_aug, c=c_aug, keep_cols=red.keep_cols,
-                       keep_rows=red.keep_rows, budget_row_pos=red.budget_row_pos)
-    x_aug, _, status = _solve_reduced_min(red_aug, c_aug, backend)
+    A = sp.vstack([red.A, sp.csr_matrix(red.c)], format="csc")
+    x, _, status = _solve_reduced_min(A, np.concatenate([red.b, [value]]),
+                                      f[red.keep_cols])
     if status == "infeasible":
         raise PinInfeasible(f"no optimal measure at pinned value {value}")
     if status != "optimal":
         raise SolverFailure(f"pinned solve failed: {status}")
-    return _embed(inst, model, red, x_aug[:n], None)
-
-
-def pin_objective(inst_or_model, pairs: list[tuple[int, int, int]],
-                  T: int | None = None, S: int | None = None) -> np.ndarray:
-    """Indicator functional over (t, s, a) triples, full-size layout."""
-    if isinstance(inst_or_model, ArmModel):
-        T, S = inst_or_model.T, inst_or_model.S
-    f = np.zeros((T, S, 2))
-    for t, s, a in pairs:
-        f[t - 1, s, a] = 1.0
-    return f
+    return _embed(inst, model, red, x, None)

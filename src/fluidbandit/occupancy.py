@@ -23,7 +23,7 @@ CLASSIFY_TOL = 1e-9
 # the period as permanently degenerate (no further progress possible).
 CERT_TOL = 1e-6
 # Safety cap on collected solutions; keeps each one's weight in the
-# uniform combination well above CLASSIFY_TOL times the pin band.
+# uniform combination well above CLASSIFY_TOL.
 MAX_SOLUTIONS = 50
 
 
@@ -108,8 +108,7 @@ def _combine(solutions: list[OccupationMeasure]) -> OccupationMeasure:
                              duals=solutions[0].duals)
 
 
-def search_nondegenerate(model: ArmModel, backend: str = "auto",
-                         tol: float = CLASSIFY_TOL) -> DegeneracyReport:
+def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
     """Search for a non-degenerate optimal measure, or certify none exists.
 
     Stage k keeps the uniform combination of all collected optimal
@@ -125,14 +124,14 @@ def search_nondegenerate(model: ArmModel, backend: str = "auto",
     every accepted solution, so stages are bounded by T + T*|S| even when
     a single pin fails to create neutrality on its own.
     """
-    base = solve_relaxation(model, backend=backend)
+    base = solve_relaxation(model)
     solutions = [base]
     combo = base
     certified: set[int] = set()
     stages = 1
 
     while True:
-        part = classify(combo, tol=tol)
+        part = classify(combo)
         counts = part.neutral_counts()
         pending = [int(t + 1) for t in np.flatnonzero(counts == 0)
                    if int(t + 1) not in certified]
@@ -145,10 +144,7 @@ def search_nondegenerate(model: ArmModel, backend: str = "auto",
         prev_activity = float(combo.x[t_k - 1, c_plus, 1].sum())
         functional = np.zeros((model.T, model.S, 2))
         functional[t_k - 1, c_plus, 1] = 1.0
-        # band=0: certification must be against the exact optimal face; a
-        # positive band leaks category-flipping mass at suboptimal points
-        pinned = resolve_with_pins(model, functional, base.value,
-                                   backend=backend, band=0.0)
+        pinned = resolve_with_pins(model, functional, base.value)
         stages += 1
         fval = float(pinned.x[t_k - 1, c_plus, 1].sum())
         if fval >= prev_activity - CERT_TOL:
@@ -157,7 +153,7 @@ def search_nondegenerate(model: ArmModel, backend: str = "auto",
         solutions.append(pinned)
         combo = _combine(solutions)
 
-    final_part = classify(combo, tol=tol)
+    final_part = classify(combo)
     counts = final_part.neutral_counts()
     nondeg = bool((counts >= 1).all())
     return DegeneracyReport(

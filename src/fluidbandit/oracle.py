@@ -11,7 +11,6 @@ rejects anything larger instead of hanging.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -58,9 +57,13 @@ def bounded_compositions(total: int, bounds):
 
 
 class _WorkMeter:
+    """Work guard of one oracle call, and that call's memo of multinomial
+    outcome tables keyed by (group size, transition probabilities)."""
+
     def __init__(self, guard: int):
         self.guard = guard
         self.used = 0
+        self.outcomes: dict[tuple[int, tuple[float, ...]], list] = {}
 
     def spend(self, units: int) -> None:
         self.used += units
@@ -68,7 +71,6 @@ class _WorkMeter:
             raise BudgetExceeded(f"enumeration exceeded {self.guard} work units")
 
 
-@lru_cache(maxsize=100_000)
 def _group_outcomes(g: int, probs: tuple[float, ...]) -> list[tuple[tuple[int, ...], float]]:
     """Multinomial outcomes for g arms over len(probs) targets with pmf."""
     k = len(probs)
@@ -95,7 +97,9 @@ def _successor_distribution(K, X: np.ndarray,
             continue
         targets = K.indices[K.indptr[r]:K.indptr[r + 1]].tolist()
         probs = tuple(K.data[K.indptr[r]:K.indptr[r + 1]].tolist())
-        outcomes = _group_outcomes(g, probs)
+        outcomes = meter.outcomes.get((g, probs))
+        if outcomes is None:
+            outcomes = meter.outcomes[g, probs] = _group_outcomes(g, probs)
         new: dict[tuple[int, ...], float] = {}
         meter.spend(len(dist) * len(outcomes))
         for z, pz in dist.items():

@@ -18,8 +18,9 @@ unit columns that are retained and never re-enter, so redundant rows need
 no preprocessing; an artificial that is basic at zero is forced out the
 moment an entering column crosses its row.
 
-This is the package's primary LP engine; scipy's HiGHS is wired elsewhere
-as an independent cross-check and as the backend for large instances.
+This is the package's LP engine up to ``lp.AUTO_SIMPLEX_MAX_ROWS`` reduced
+rows; scipy's HiGHS solves larger instances, and the tests hold the
+cross-check of the two engines on the same LPs.
 """
 
 from __future__ import annotations

@@ -94,31 +94,28 @@ class CompiledPolicy:
         self.model = model
         self.spec = spec
         self.kind = spec.kind
-        self.measure: OccupationMeasure | None = spec.measure
-        if self.kind in ("fluid", "relaxed", "rac") and self.measure is None:
-            self.measure = solve_relaxation(model)
-        self.partition: CategoryPartition | None = (
-            classify(self.measure) if self.measure is not None else None)
-
         scores = spec.scores
+        measure = spec.measure
+        uses_measure = (self.kind in ("fluid", "relaxed", "rac")
+                        or (self.kind == "index" and scores is None))
+        if uses_measure and measure is None:
+            measure = solve_relaxation(model)
         if self.kind in ("fluid", "relaxed", "index") and scores is None:
-            m = self.measure if self.measure is not None else solve_relaxation(model)
-            if self.measure is None:
-                self.measure = m
-                self.partition = classify(m)
-            scores = q_recursion(model, lambda_from_duals(m))
+            scores = q_recursion(model, lambda_from_duals(measure))
         if self.kind == "ucb":
             if spec.delta is None:
                 raise RangeError("UCB policy needs a delta")
             scores = ucb_scores(model.annotations, spec.delta)
         self.scores = scores
+        # the relaxation behind this policy; gap_sweep reads V-hat off it
+        self.relaxation: OccupationMeasure | None = measure if uses_measure else None
+        # index/ucb/ts carry no reference measure for violation/diffusion
+        self.measure = measure if self.kind in ("fluid", "relaxed", "rac") else None
+        self.partition: CategoryPartition | None = (
+            classify(self.measure) if self.measure is not None else None)
 
         if self.kind == "ts" and not model.annotations:
             raise MissingMetadata("TS needs per-state posterior annotations")
-        # index/ucb/ts carry no reference measure for violation/diffusion
-        if self.kind in ("index", "ucb", "ts"):
-            self.measure = None
-            self.partition = None
 
         T, S = model.T, model.S
         if self.kind in ("ts", "rac"):
@@ -481,8 +478,8 @@ def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
     if not N_list or list(N_list) != sorted(set(N_list)):
         raise RangeError("N_list must be nonempty, ascending, duplicate-free")
     pol = _resolve_policy(model, policy)
-    vhat = (pol.measure.value if pol.measure is not None
-            else solve_relaxation(model).value)
+    vhat = (pol.relaxation if pol.relaxation is not None
+            else solve_relaxation(model)).value
     run = simulate if engine == "counts" else simulate_per_arm
     rows = []
     for N in N_list:

@@ -8,7 +8,7 @@ the traced benchmark run; this catches it in well under a second.
 import importlib.util
 from pathlib import Path
 
-from fluidbandit import oracle, simulator
+from fluidbandit import cli, oracle, simulator
 from fluidbandit.zoo import bernoulli_bandit, fixtures
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -21,7 +21,7 @@ def _load_tracing():
     return module
 
 
-def test_tracer_patches_and_restores_every_name():
+def test_tracer_patches_and_restores_every_name(capsys):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     two = fixtures()["TWO"]
@@ -31,13 +31,16 @@ def test_tracer_patches_and_restores_every_name():
         assert all(getattr(owner, attr) is not orig for owner, attr, orig in patched)
         oracle.exact_policy_value(two, "fluid", 2)
         simulator.simulate(two, "fluid", 2, 10, seed=0)
+        # TWO is degenerate at t=2, so the search pins
+        assert cli.main(["search-measure", "--gen", "two"]) == 0
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)
     names = {rec[0] for rec in tracer.spans}
     for name in ("oracle.policy", "policies.alloc", "occupancy.classify", "priority.q",
                  "simulator.compile", "simulator.alloc", "simulator.step",
-                 "simulator.simulate", "lp.solve"):
+                 "simulator.simulate", "lp.solve", "lp.build", "lp.pin",
+                 "simplex.solve", "occupancy.search"):
         assert name in names
     metrics = tracing.layer_metrics(tracer, 0.0)
     assert metrics["policies.alloc_calls"] > 0

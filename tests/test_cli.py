@@ -184,3 +184,50 @@ def test_ascending_n_list_enforced(capsys):
     code = main(["sweep", "--gen", "two", "--policy", "fluid",
                  "--N", "8,4", "--reps", "10", "--seed", "1"])
     assert code == 2
+
+
+def test_backend_option_and_config_key_are_gone(tmp_path, capsys):
+    # the reduced row count alone picks the LP engine
+    with pytest.raises(SystemExit) as exc:
+        main(["relax", "--gen", "two", "--backend", "simplex"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": "highs"}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "relax", "--gen", "two"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "backend" in err["message"]
+
+
+def test_short_flag_beats_config(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(a)}))
+    assert main(["--config", str(cfg), "gen", "single", "-o", str(b)]) == 0
+    assert b.exists() and not a.exists()
+    for flag in ([f"-o{b}"], ["--ou", str(b)], [f"--out={b}"]):
+        assert main(["--config", str(cfg), "gen", "single", *flag]) == 0
+        assert not a.exists()
+    assert main(["--config", str(cfg), "gen", "single"]) == 0
+    assert a.exists()
+
+
+@pytest.mark.parametrize("policy", ["fluid", "index", "ucb:0.5"])
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_simulation_commands_solve_the_relaxation_once(tmp_path, monkeypatch,
+                                                       command, policy):
+    import fluidbandit.lp as lp
+
+    solves = []
+    solve = lp._solve_reduced_min
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "_solve_reduced_min", counted)
+    assert main([command, "--gen", "bernoulli", "--T", "2",
+                 "--alpha", "0.3333333333333333", "--policy", policy,
+                 "--N", "4", "--reps", "20", "--seed", "1",
+                 "-o", str(tmp_path / "out.csv")]) == 0
+    assert len(solves) == 1

@@ -2,17 +2,30 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fluidbandit.lp as lp
 import reference_lp as ref
 from conftest import make_random_model
 from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
                                 SolverFailure)
-from fluidbandit.lp import (RESIDUAL_TOL, build_lp, pin_objective,
-                            resolve_with_pins, solve_relaxation, upper_bound)
+from fluidbandit.lp import (RESIDUAL_TOL, build_lp, resolve_with_pins,
+                            solve_relaxation, upper_bound)
 from fluidbandit.priority import dual_value, lambda_from_duals
 
-BACKENDS = ["simplex", "highs"]
+ENGINES = ["simplex", "highs"]
+
+
+def _use(monkeypatch, engine):
+    """Send every LP of the test to one engine through the row threshold."""
+    rows = {"simplex": 10 ** 9, "highs": 0}[engine]
+    monkeypatch.setattr(lp, "AUTO_SIMPLEX_MAX_ROWS", rows)
+
+
+def _indicator(model, t, s, a):
+    f = np.zeros((model.T, model.S, 2))
+    f[t - 1, s, a] = 1.0
+    return f
 
 
 def _max_residual(model, x):
@@ -32,17 +45,19 @@ def _max_residual(model, x):
     return max(errs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_frozen(single, backend):
-    m = solve_relaxation(single, backend=backend)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_single_frozen(single, engine, monkeypatch):
+    _use(monkeypatch, engine)
+    m = solve_relaxation(single)
     assert abs(m.value - 1.0) <= 1e-10
     np.testing.assert_allclose(m.x, 0.5, atol=1e-9)
     np.testing.assert_allclose(m.duals, [1.0, 1.0], atol=1e-8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_two_frozen(two, backend):
-    m = solve_relaxation(two, backend=backend)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_two_frozen(two, engine, monkeypatch):
+    _use(monkeypatch, engine)
+    m = solve_relaxation(two)
     assert abs(m.value - 1.0) <= 1e-10
     want = np.array([
         [[0.5, 0.5], [0.0, 0.0]],
@@ -56,9 +71,11 @@ def test_bern2_frozen(bern2_measure):
     np.testing.assert_allclose(bern2_measure.duals, [7.0 / 12.0, 0.5], atol=1e-8)
 
 
-def test_backends_agree(bern5):
-    a = solve_relaxation(bern5, backend="simplex")
-    b = solve_relaxation(bern5, backend="highs")
+def test_backends_agree(bern5, monkeypatch):
+    _use(monkeypatch, "simplex")
+    a = solve_relaxation(bern5)
+    _use(monkeypatch, "highs")
+    b = solve_relaxation(bern5)
     assert abs(a.value - b.value) <= 1e-8
     np.testing.assert_allclose(a.duals, b.duals, atol=1e-6)
 
@@ -77,10 +94,37 @@ def test_highs_tolerance_retry_is_reported(monkeypatch, bern5):
         return res
 
     monkeypatch.setattr(scipy.optimize, "linprog", trouble_once)
+    _use(monkeypatch, "highs")
     with pytest.warns(RuntimeWarning, match=r"at tolerance 1e-10; accepted tolerance 1e-09"):
-        m = solve_relaxation(bern5, backend="highs")
+        m = solve_relaxation(bern5)
     assert [c["primal_feasibility_tolerance"] for c in calls] == [1e-10, 1e-9]
-    assert abs(m.value - solve_relaxation(bern5, backend="simplex").value) <= 1e-8
+    _use(monkeypatch, "simplex")
+    assert abs(m.value - solve_relaxation(bern5).value) <= 1e-8
+
+
+def test_row_count_alone_picks_the_engine(monkeypatch):
+    import scipy.optimize
+
+    from fluidbandit import simplex
+
+    calls = []
+
+    def simplex_stub(A, b, c):
+        calls.append(("simplex", A.shape[0]))
+        return simplex.SimplexResult(status="infeasible", x=None, y=None, obj=0.0,
+                                     iterations=0, basis=None)
+
+    def highs_stub(c, A_eq, b_eq, **kwargs):
+        calls.append(("highs", A_eq.shape[0]))
+        return scipy.optimize.OptimizeResult(status=2)
+
+    monkeypatch.setattr(simplex, "solve_lp", simplex_stub)
+    monkeypatch.setattr(scipy.optimize, "linprog", highs_stub)
+    for m in (lp.AUTO_SIMPLEX_MAX_ROWS, lp.AUTO_SIMPLEX_MAX_ROWS + 1):
+        A = sp.identity(m, format="csc")
+        lp._solve_reduced_min(A, np.ones(m), np.ones(m))
+    assert calls == [("simplex", lp.AUTO_SIMPLEX_MAX_ROWS),
+                     ("highs", lp.AUTO_SIMPLEX_MAX_ROWS + 1)]
 
 
 def test_measure_invariants(single_measure, two_measure, bern2_measure,
@@ -136,10 +180,10 @@ def test_build_lp_matches_loop_reference(fix, bern5, crowd7, assort8):
 def test_solve_certifies_strong_duality(bern5, monkeypatch):
     orig = lp._solve_reduced_min
 
-    def perturbed(red, cmin, backend):
-        x, y, status = orig(red, cmin, backend)
+    def perturbed(A, b, cmin):
+        x, y, status = orig(A, b, cmin)
         y = np.array(y, dtype=np.float64)
-        y[red.budget_row_pos[0]] -= 0.5
+        y[A.shape[0] - bern5.T - 2] -= 0.5  # first budget row
         return x, y, status
 
     monkeypatch.setattr(lp, "_solve_reduced_min", perturbed)
@@ -153,27 +197,25 @@ def test_pin_functional_size_is_checked(two, two_measure):
         resolve_with_pins(two, f, two_measure.value)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pins_two_banded_and_exact(two, two_measure, backend):
-    f = pin_objective(two, [(2, 0, 1)])  # mass on pull of state G at t=2
-    banded = resolve_with_pins(two, f, two_measure.value, backend=backend)
-    assert abs(float(banded.x[1, 0, 1]) - 0.4999999) <= 1e-9
-    exact = resolve_with_pins(two, f, two_measure.value, backend=backend, band=0.0)
-    assert abs(float(exact.x[1, 0, 1]) - 0.5) <= 1e-9
-    hi = resolve_with_pins(two, f, two_measure.value, backend=backend,
-                           band=0.0, sense="max")
+@pytest.mark.parametrize("engine", ENGINES)
+def test_pins_two_exact_min_and_max(two, two_measure, engine, monkeypatch):
+    _use(monkeypatch, engine)
+    f = _indicator(two, 2, 0, 1)  # mass on pull of state G at t=2
+    lo = resolve_with_pins(two, f, two_measure.value)
+    assert abs(float(lo.x[1, 0, 1]) - 0.5) <= 1e-9
+    hi = resolve_with_pins(two, -f, two_measure.value)  # max f == min -f
     assert abs(float(hi.x[1, 0, 1]) - 0.5) <= 1e-9
 
 
 def test_pinned_measure_is_feasible_and_dualless(two, two_measure):
-    f = pin_objective(two, [(1, 0, 1)])
-    m = resolve_with_pins(two, f, two_measure.value, band=0.0)
+    f = _indicator(two, 1, 0, 1)
+    m = resolve_with_pins(two, f, two_measure.value)
     assert _max_residual(two, m.x) <= RESIDUAL_TOL
     with pytest.raises(MissingDuals):
         m.require_duals()
 
 
 def test_pin_infeasible(two, two_measure):
-    f = pin_objective(two, [(2, 0, 1)])
+    f = _indicator(two, 2, 0, 1)
     with pytest.raises(PinInfeasible):
-        resolve_with_pins(two, f, two_measure.value + 0.5, band=0.0)
+        resolve_with_pins(two, f, two_measure.value + 0.5)

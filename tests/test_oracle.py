@@ -91,3 +91,26 @@ def test_oracle_agrees_with_simulation(bern2):
     exact = exact_policy_value(bern2, "fluid", 4)
     rep = simulate(bern2, "fluid", N=4, reps=30_000, seed=17)
     assert abs(exact - rep.mean_reward) <= 3.0 * rep.ci_halfwidth + 1e-9
+
+
+def test_outcome_memo_lives_for_one_call(monkeypatch):
+    # a process-wide cache of outcome tables grew with every model seen;
+    # each call now builds its own tables and drops them when it returns
+    import fluidbandit.oracle as oracle
+
+    model = make_random_model(np.random.default_rng(404), S=3, T=3)
+    real = oracle.compositions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "compositions", counted)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        value = optimal_value(model, 5)
+        runs.append((value.hex(), len(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > len(list(real(5, 3)))  # tables were built, not only Z

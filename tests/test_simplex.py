@@ -150,7 +150,7 @@ out = {}
 for name, model in [("bern15", zoo.bernoulli_bandit(15, 1.0 / 3.0)),
                     ("crowd7", zoo.crowdsourcing(7, 0.25))]:
     iterations.clear()
-    m = lp.solve_relaxation(model, backend="simplex")
+    m = lp.solve_relaxation(model)
     out[name] = [hashlib.sha256(m.x.tobytes()).hexdigest(),
                  hashlib.sha256(m.duals.tobytes()).hexdigest(),
                  m.value.hex(), list(iterations)]
@@ -182,7 +182,8 @@ def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
     res = solve_lp(sp.csc_matrix(A), np.array([1.0, 1.0]), np.array([1.0, 2.0, 1.0]))
     assert res.status == "singular_basis"
     with pytest.raises(SolverFailure, match="singular_basis"):
-        lp.solve_relaxation(bern5, backend="simplex")
-    f = lp.pin_objective(bern5, [(1, 0, 1)])
+        lp.solve_relaxation(bern5)
+    f = np.zeros((bern5.T, bern5.S, 2))
+    f[0, 0, 1] = 1.0
     with pytest.raises(SolverFailure, match="singular_basis"):
-        lp.resolve_with_pins(bern5, f, 1.0, backend="simplex", band=0.0)
+        lp.resolve_with_pins(bern5, f, 1.0)
