@@ -26,10 +26,7 @@ from .occupancy import (
     CategoryPartition, DegeneracyReport, classify, fluid_consistency_gap,
     fluid_propagate, is_nondegenerate, search_nondegenerate,
 )
-from .priority import (
-    PriorityScheme, dual_value, lambda_from_duals, penalized_dp,
-    q_recursion, subgradient_solve,
-)
+from .priority import PriorityScheme, dual_value, lambda_from_duals, q_recursion
 from .policies import (
     PolicySpec, activation_probabilities, budget_relaxed_allocate,
     fluid_priority_allocate, index_allocate, parse_policy, score_order,

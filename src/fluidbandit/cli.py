@@ -3,7 +3,8 @@
 Every float printed to CSV or JSON goes through a 12-significant-digit
 round-trip so reruns of the same config are byte-identical (wall-clock
 time lives only in the JSON sidecar).  Config files are JSON objects
-whose keys mirror the long flags; explicit flags win over file values.
+whose keys mirror the long flags; each value is checked like the flag it
+stands for, and explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .mdp import ArmModel, model_from_json, model_to_json
 from .occupancy import classify, search_nondegenerate
 from .oracle import optimal_value
 from .policies import parse_policy
-from .priority import lambda_from_duals, q_recursion, subgradient_solve
+from .priority import lambda_from_duals, q_recursion, score_order
 from .simulator import CompiledPolicy, gap_sweep, violation_rate_sweep
 from . import zoo
 
@@ -58,14 +59,17 @@ def _clean(obj: Any) -> Any:
     return obj
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(_clean(payload), indent=2, sort_keys=True,
-                      allow_nan=True) + "\n"
+def _write_text(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, path: str | None) -> None:
+    _write_text(path, json.dumps(_clean(payload), indent=2, sort_keys=True,
+                                 allow_nan=True) + "\n")
 
 
 def _load_model(args) -> ArmModel:
@@ -104,21 +108,6 @@ def _generate(name: str, args) -> ArmModel:
     raise ConfigError(f"unknown generator {name!r}")
 
 
-def _csv_rows(rows: list[dict]) -> str:
-    out = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        out.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
-    return "\n".join(out) + "\n"
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _sidecar_path(out: str | None) -> str | None:
     if not out:
         return None
@@ -126,11 +115,17 @@ def _sidecar_path(out: str | None) -> str | None:
     return base + ".json"
 
 
-def _report_row(rep) -> dict:
-    """CSV row dict from a SimulationReport plus bound info set by caller."""
+def _csv_row(rep, upper_bound: float) -> str:
+    """One CSV line from a SimulationReport and the bound it is held to."""
     vmax = float(np.nanmax(rep.per_t_violation_rate)) if np.any(
         np.isfinite(rep.per_t_violation_rate)) else float("nan")
-    return {"N": rep.N, "policy": rep.policy, "violation_rate_max": vmax}
+    # print-precision round-trip first so gap == upper_bound - mean holds
+    # exactly on the parsed CSV values
+    ub, mu = _round12(upper_bound), _round12(rep.mean_reward)
+    row = {"N": rep.N, "policy": rep.policy, "upper_bound": ub, "mean": mu,
+           "ci95": _round12(rep.ci_halfwidth), "gap": _round12(ub - mu),
+           "violation_rate_max": vmax}
+    return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
 
 
 def _report_sidecar(rep) -> dict:
@@ -146,12 +141,16 @@ def _report_sidecar(rep) -> dict:
     }
 
 
-def _finish_row(row: dict, upper_bound: float, mean: float, ci: float) -> dict:
-    # print-precision round-trip first so gap == upper_bound - mean holds
-    # exactly on the parsed CSV values
-    ub, mu, hw = _round12(upper_bound), _round12(mean), _round12(ci)
-    row.update(upper_bound=ub, mean=mu, ci95=hw, gap=_round12(ub - mu))
-    return row
+def _write_reports(out: str | None, reports, upper_bounds) -> None:
+    """CSV of reports against their upper bounds, plus the JSON sidecar."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [_csv_row(rep, ub) for rep, ub in zip(reports, upper_bounds)]
+    _write_text(out, "\n".join(lines) + "\n")
+    _emit_json({"rows": [_report_sidecar(rep) for rep in reports]}, _sidecar_path(out))
+
+
+def _write_sweep(out: str | None, rows) -> None:
+    _write_reports(out, [r.report for r in rows], [r.upper_bound for r in rows])
 
 
 def _reps_rule(args):
@@ -230,53 +229,40 @@ def cmd_search_measure(args) -> int:
     return 0
 
 
-def cmd_priority(args) -> int:
+def _ranked_priorities(args):
+    """Priority scheme at the LP's budget duals and each period's state ranking."""
     model = _load_model(args)
-    if args.subgradient:
-        lam = subgradient_solve(model, iterations=args.subgradient)
-    else:
-        lam = lambda_from_duals(solve_relaxation(model))
-    scheme = q_recursion(model, lam)
-    ranked = [[int(s) for s in scheme.order(t)] for t in range(1, model.T + 1)]
-    _emit_json({"lambda": lam, "ranked_states": ranked}, args.out)
+    scheme = q_recursion(model, lambda_from_duals(solve_relaxation(model)))
+    return scheme, [score_order(scheme, t, model.S) for t in range(1, model.T + 1)]
+
+
+def cmd_priority(args) -> int:
+    scheme, orders = _ranked_priorities(args)
+    _emit_json({"lambda": scheme.lam, "ranked_states": orders}, args.out)
     return 0
 
 
 def cmd_fluid_index(args) -> int:
-    model = _load_model(args)
-    lam = lambda_from_duals(solve_relaxation(model))
-    scheme = q_recursion(model, lam)
-    table = []
-    for t in range(1, model.T + 1):
-        order = scheme.order(t)
-        table.append([[int(s), _round12(float(scheme.P[t - 1, s]))]
-                      for s in order])
-    _emit_json({"lambda": lam, "index": table}, args.out)
+    scheme, orders = _ranked_priorities(args)
+    index = [[[s, p[s]] for s in order] for p, order in zip(scheme.P, orders)]
+    _emit_json({"lambda": scheme.lam, "index": index}, args.out)
     return 0
-
-
-def _write_sweep(args, rows) -> None:
-    csv_rows = [_finish_row(_report_row(r.report), r.upper_bound, r.mean, r.ci)
-                for r in rows]
-    _write_text(args.out, _csv_rows(csv_rows))
-    _emit_json({"rows": [_report_sidecar(r.report) for r in rows]},
-               _sidecar_path(args.out))
 
 
 def cmd_eval(args) -> int:
     model = _load_model(args)
     pol = CompiledPolicy(model, parse_policy(args.policy))
     engine = "per_arm" if args.engine == "per-arm" else "counts"
-    _write_sweep(args, gap_sweep(model, pol, [args.N], args.reps,
-                                 seed=args.seed, engine=engine))
+    _write_sweep(args.out, gap_sweep(model, pol, [args.N], args.reps,
+                                     seed=args.seed, engine=engine))
     return 0
 
 
 def cmd_sweep(args) -> int:
     model = _load_model(args)
     pol = CompiledPolicy(model, parse_policy(args.policy))
-    _write_sweep(args, gap_sweep(model, pol, _parse_n_list(args.N), _reps_rule(args),
-                                 seed=args.seed, crn=args.crn))
+    _write_sweep(args.out, gap_sweep(model, pol, _parse_n_list(args.N), _reps_rule(args),
+                                     seed=args.seed, crn=args.crn))
     return 0
 
 
@@ -285,14 +271,7 @@ def cmd_violations(args) -> int:
     pol = CompiledPolicy(model, parse_policy(args.policy))
     reports = violation_rate_sweep(model, pol, _parse_n_list(args.N),
                                    _reps_rule(args), seed=args.seed)
-    vhat = pol.measure.value
-    csv_rows, sidecars = [], []
-    for rep in reports:
-        csv_rows.append(_finish_row(_report_row(rep), rep.N * vhat,
-                                    rep.mean_reward, rep.ci_halfwidth))
-        sidecars.append(_report_sidecar(rep))
-    _write_text(args.out, _csv_rows(csv_rows))
-    _emit_json({"rows": sidecars}, _sidecar_path(args.out))
+    _write_reports(args.out, reports, [rep.N * pol.measure.value for rep in reports])
     return 0
 
 
@@ -349,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("priority", help="print lambda and ranked states")
     _add_model_source(p)
-    p.add_argument("--subgradient", type=int, default=0,
-                   help="use N subgradient iterations instead of LP duals")
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_priority)
 
@@ -359,13 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_fluid_index)
 
-    common_sim = dict(required=False)
     p = sub.add_parser("eval", help="Monte Carlo value of one policy at one N")
     _add_model_source(p)
     p.add_argument("--policy", required=True,
                    help="fluid|relaxed|index|rac|ucb:<delta>|ts")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--reps", type=int, **common_sim)
+    p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--engine", choices=["count", "per-arm"], default="count")
     p.add_argument("--out", "-o")
@@ -375,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source(p)
     p.add_argument("--policy", required=True)
     p.add_argument("--N", required=True, help="comma-separated ascending list")
-    p.add_argument("--reps", type=int, **common_sim,
+    p.add_argument("--reps", type=int,
                    help="fixed replication count (default min(50N, reps-cap))")
     p.add_argument("--reps-cap", dest="reps_cap", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
@@ -388,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_source(p)
     p.add_argument("--policy", default="fluid")
     p.add_argument("--N", required=True)
-    p.add_argument("--reps", type=int, **common_sim)
+    p.add_argument("--reps", type=int)
     p.add_argument("--reps-cap", dest="reps_cap", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", "-o")
@@ -403,15 +379,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str],
-                  parser: argparse.ArgumentParser) -> None:
-    """Fill unset/default-valued options from --config JSON; flags win.
+def _config_value(key: str, val: Any, action: argparse.Action) -> Any:
+    """A --config value parsed as its flag's text would be; ConfigError names the key."""
+    if action.nargs == 0:  # store_true: only a JSON boolean turns it on or off
+        if isinstance(val, bool):
+            return val
+        raise ConfigError(f"config key {key!r} takes true or false, not {val!r}")
+    value = None
+    if isinstance(val, (str, int, float)) and not isinstance(val, bool):
+        try:
+            value = (action.type or str)(str(val))
+        except ValueError:
+            pass
+    if value is None or (action.choices is not None and value not in action.choices):
+        choices = f" (choose from {', '.join(action.choices)})" if action.choices else ""
+        raise ConfigError(f"config key {key!r} has bad value {val!r}{choices}")
+    return value
 
-    Keys of another subcommand are ignored, so one file serves them all;
-    a key that is an option of no subcommand is a ConfigError.
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with --config values installed as the subcommand's defaults.
+
+    argparse then makes explicit flags win in every form it accepts.  Keys
+    of another subcommand are ignored, so one file serves them all; a key
+    that is an option of no subcommand is a ConfigError.
     """
-    if not getattr(args, "config", None):
-        return
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -424,29 +419,22 @@ def _apply_config(args: argparse.Namespace, argv: list[str],
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)
     if unknown:
         raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
-    # a flag is explicit in every form argparse accepts: -o, -ob.json,
-    # --out, --out=b.json and the unique prefix --ou
-    present = set()
-    for tok in argv:
-        flag = tok.split("=", 1)[0]
-        long_prefix = flag.startswith("--") and len(flag) > 2
-        for a in sub.choices[args.command]._actions:
-            if any(opt == flag or opt == tok[:2] or (long_prefix and opt.startswith(flag))
-                   for opt in a.option_strings):
-                present.add(a.dest)
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    defaults = {}
     for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in present or not hasattr(args, attr):
-            continue
-        setattr(args, attr, val)
+        action = actions.get(key.replace("-", "_"))
+        if action is not None:
+            defaults[action.dest] = _config_value(key, val, action)
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv, parser)
+        args = _parse(parser, argv)
         if getattr(args, "seed", None) is None and args.command in (
                 "eval", "sweep", "violations"):
             raise ConfigError("--seed is mandatory for simulation commands")

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, SolverFailure
 from .lp import OccupationMeasure, resolve_with_pins, solve_relaxation
 from .mdp import ArmModel
+from .priority import score_order
 
 # Strict-positivity tolerance, shared with the LP layer's clamping.
 CLASSIFY_TOL = 1e-9
@@ -183,7 +184,7 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
     z[model.s0] = 1.0
     value = 0.0
     for t in range(model.T):
-        order = np.lexsort((np.arange(model.S), -P[t]))
+        order = score_order(P, t + 1, model.S)
         pull = index_pulls(z[None, :], order, float(model.alpha[t]))[0]
         x[t, :, 1] = pull
         x[t, :, 0] = z - pull

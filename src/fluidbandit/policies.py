@@ -8,19 +8,13 @@ that returns pulls X1 (R, S): ``fluid_pulls`` (strict and relaxed),
 (``fluid_priority_allocate`` and friends) validate one count state and
 make a 1-row call.  Per-state loop forms of the deterministic rules, in
 ``tests/reference_policies.py``, are the reference the kernels are
-checked against, row for row.  Score arguments accept a PriorityScheme, a
-full (T, S) array, or a per-period (S,) vector; order is always
-descending score with ties broken by ascending state index.
-
-Budget note: the period budget floor(alpha_t * N) needs the exact alpha_t.
-Allocators take it as an explicit argument; when omitted, it is recovered
-from the measure's pull mass (correct to the LP residual tolerance, then
-snapped to the nearest integer boundary when within 1e-4 of one).
+checked against, row for row.  States are visited in
+``priority.score_order`` (descending score, ties by ascending index), and
+the period budget is ``mdp.period_budget``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -30,6 +24,7 @@ from .errors import DimensionMismatch, MissingMetadata, QOutOfRange
 from .lp import OccupationMeasure
 from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
 from .occupancy import CategoryPartition, classify
+from .priority import score_order
 
 
 @dataclass
@@ -52,34 +47,6 @@ class PolicySpec:
         if self.kind == "ucb":
             return f"ucb:{self.delta:g}"
         return self.kind
-
-
-def _score_vector(scores: Any, t: int, S: int) -> np.ndarray:
-    """Per-state scores for period t from any accepted scores form."""
-    arr = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[t - 1]
-    if arr.shape != (S,):
-        raise DimensionMismatch(f"scores for period {t} have shape {arr.shape}, expected ({S},)")
-    return arr
-
-
-def score_order(scores: Any, t: int, S: int) -> np.ndarray:
-    """State visit order: descending score, ties by ascending index."""
-    sc = _score_vector(scores, t, S)
-    return np.lexsort((np.arange(S), -sc))
-
-
-def _budget(t: int, N: int, alpha_t: float | None, measure: OccupationMeasure | None) -> int:
-    if alpha_t is None:
-        if measure is None:
-            raise DimensionMismatch("need alpha_t or a measure to derive the budget")
-        a = float(measure.x[t - 1, :, 1].sum())
-        v = a * N
-        if abs(v - round(v)) <= 1e-4:
-            return int(round(v))
-        return int(math.floor(v))
-    return period_budget(alpha_t, N)
 
 
 def _prefix_clip(X1: np.ndarray, slots, caps, budget) -> None:
@@ -215,7 +182,7 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
 
 
 def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: Any,
-                N: int, alpha_t: float | None, partition: CategoryPartition | None,
+                N: int, alpha_t: float, partition: CategoryPartition | None,
                 relaxed: bool) -> AllocationPlan:
     Z = counts.Z
     S = Z.size
@@ -225,14 +192,14 @@ def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: 
         raise DimensionMismatch("measure and counts disagree on the state count")
     part = partition if partition is not None else classify(measure)
     order = score_order(scores, t, S)
-    B = _budget(t, N, alpha_t, measure)
+    B = period_budget(alpha_t, N)
     quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
     X1 = fluid_pulls(Z[None, :], part.codes[t - 1], order, quota, B, relaxed)[0]
     return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=relaxed)
 
 
 def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float | None = None,
+                            scores: Any, N: int, alpha_t: float,
                             partition: CategoryPartition | None = None) -> AllocationPlan:
     """Priority allocation with neutral-state quotas from the measure.
 
@@ -243,7 +210,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
 
 
 def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float | None = None,
+                            scores: Any, N: int, alpha_t: float,
                             partition: CategoryPartition | None = None) -> AllocationPlan:
     """Relaxed variant: all active arms are pulled even past the budget.
 

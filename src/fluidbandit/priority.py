@@ -2,21 +2,36 @@
 
 The per-period budget prices lambda turn the coupled N-arm problem into a
 single-arm penalized DP.  The pull advantage P_t(s) = Q_t(s,1) - Q_t(s,0)
-at the optimal prices ranks states for the index-style policies; the
-prices come either from the LP's budget-row duals (default) or from a
-projected subgradient run on the dual function.
+at the optimal prices ranks states for the index-style policies.  The
+prices come only from the LP's budget-row duals, which every unpinned
+solve certifies as optimal Lagrange multipliers (|g(lambda) - V-hat| <=
+1e-6, see ``lp.solve_relaxation``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .lp import OccupationMeasure
 from .mdp import ArmModel
 
-TIE_RULE = "descending P, then ascending state index"
+
+def score_order(scores: Any, t: int, S: int) -> np.ndarray:
+    """State visit order for period t: descending score, ties by ascending index.
+
+    Scores may be a PriorityScheme, a full (T, S) array or a per-period
+    (S,) vector.
+    """
+    sc = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
+    if sc.ndim == 2:
+        sc = sc[t - 1]
+    if sc.shape != (S,):
+        raise DimensionMismatch(f"scores for period {t} have shape {sc.shape}, expected ({S},)")
+    return np.lexsort((np.arange(S), -sc))
 
 
 @dataclass
@@ -26,18 +41,15 @@ class PriorityScheme:
     :lam: prices, shape (T,).
     :Q: penalized action values, shape (T, S, 2).
     :P: pull advantage Q[..., 1] - Q[..., 0], shape (T, S).
-    :tie_rule: fixed deterministic ordering description.
     """
 
     lam: np.ndarray
     Q: np.ndarray
     P: np.ndarray
-    tie_rule: str = TIE_RULE
 
     def order(self, t: int) -> np.ndarray:
         """State indices in allocation order for period t (1-based)."""
-        p = self.P[t - 1]
-        return np.lexsort((np.arange(p.size), -p))
+        return score_order(self.P, t, self.P.shape[1])
 
 
 def q_recursion(model: ArmModel, lam) -> PriorityScheme:
@@ -59,61 +71,8 @@ def lambda_from_duals(measure: OccupationMeasure) -> np.ndarray:
     return np.asarray(measure.require_duals(), dtype=np.float64)
 
 
-def penalized_dp(model: ArmModel, lam) -> tuple[float, np.ndarray]:
-    """Value of the lam-penalized single-arm DP from s0, plus greedy actions.
-
-    Ties at the max go to pull (a=1); this affects only the subgradient,
-    never the value.
-    """
-    scheme = q_recursion(model, lam)
-    # argmax with pull preferred on exact ties
-    greedy = (scheme.Q[:, :, 1] >= scheme.Q[:, :, 0]).astype(np.int64)
-    value = float(scheme.Q[0, model.s0].max())
-    return value, greedy
-
-
 def dual_value(model: ArmModel, lam) -> float:
-    """g(lam) = sum_t lam_t alpha_t + penalized DP value; convex in lam."""
+    """g(lam) = sum_t lam_t alpha_t + the lam-penalized DP value from s0; convex in lam."""
     lam = np.asarray(lam, dtype=np.float64)
-    value, _ = penalized_dp(model, lam)
+    value = float(q_recursion(model, lam).Q[0, model.s0].max())
     return float(lam @ model.alpha + value)
-
-
-def _expected_actions(model: ArmModel, greedy: np.ndarray) -> np.ndarray:
-    """E[a_t] under the greedy policy started from s0, one entry per period."""
-    mu = np.zeros(model.S)
-    mu[model.s0] = 1.0
-    out = np.zeros(model.T)
-    for t in range(model.T):
-        acts = greedy[t]
-        out[t] = float(mu @ acts)
-        if t + 1 < model.T:
-            kern = model.P[t][np.arange(model.S), acts]
-            mu = mu @ kern
-    return out
-
-
-def subgradient_solve(model: ArmModel, iterations: int = 500,
-                      step_c: float = 1.0) -> np.ndarray:
-    """Projected subgradient descent on the dual function; best iterate.
-
-    Step k uses size step_c / sqrt(k).  The budget rows are equalities, so
-    the prices are unconstrained and the projection is the identity.  The
-    start point prices each period at its largest immediate pull advantage
-    (clipped at zero), which is already dual-optimal on the worked fixtures.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    lam = np.maximum(0.0, (model.R[:, :, 1] - model.R[:, :, 0]).max(axis=1))
-    best_lam = lam.copy()
-    best_g = dual_value(model, lam)
-    cur = lam
-    for k in range(1, iterations + 1):
-        value, greedy = penalized_dp(model, cur)
-        g = float(cur @ model.alpha + value)
-        if g < best_g:
-            best_g = g
-            best_lam = cur.copy()
-        grad = model.alpha - _expected_actions(model, greedy)
-        cur = cur - (step_c / np.sqrt(k)) * grad
-    return best_lam

@@ -335,48 +335,62 @@ def _violations(pol: CompiledPolicy, ctx, t: int, Z: np.ndarray) -> np.ndarray:
     return violation_rows(Z, pol.partition.codes[t - 1], float(ctx["alphaN"][t - 1]))
 
 
+class _PeriodBook:
+    """Per-chunk bookkeeping both engines share: bracketing-event failures
+    per period and in any period, and the diffusion second moments
+    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N against the policy's
+    measure, summed over the chunk's replications."""
+
+    def __init__(self, pol: CompiledPolicy, ctx, N: int, R: int, T: int,
+                 want_diffusion: bool):
+        self.pol, self.ctx, self.N = pol, ctx, N
+        track_viol = pol.partition is not None
+        self.vc = np.zeros(T, dtype=np.int64) if track_viol else None
+        self.union = np.zeros(R, dtype=bool) if track_viol else None
+        self.dz = np.zeros(T) if want_diffusion else None
+        self.dx = np.zeros(T) if want_diffusion else None
+
+    def record(self, t: int, Z: np.ndarray, X0: np.ndarray, X1: np.ndarray) -> None:
+        if self.vc is not None:
+            v = _violations(self.pol, self.ctx, t, Z)
+            self.vc[t - 1] = int(v.sum())
+            self.union |= v
+        if self.dz is not None:
+            N, sqrtN = self.N, math.sqrt(self.N)
+            zt = self.pol.measure.z[t - 1]
+            xt = self.pol.measure.x[t - 1]
+            self.dz[t - 1] = float((((Z - N * zt) / sqrtN) ** 2).sum())
+            self.dx[t - 1] = float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
+                                   + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+
+    def totals(self):
+        """(per-period failures, replications failing any period, dz, dx)."""
+        uc = int(self.union.sum()) if self.vc is not None else 0
+        return self.vc, uc, self.dz, self.dx
+
+
 def _chunk_counts(model, pol, ctx, N, R, rng, want_diffusion):
     T, S = model.T, model.S
+    book = _PeriodBook(pol, ctx, N, R, T, want_diffusion)
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
     rewards = np.zeros(R)
-    track_viol = pol.partition is not None
-    vc = np.zeros(T, dtype=np.int64) if track_viol else None
-    union = np.zeros(R, dtype=bool) if track_viol else None
-    dz = np.zeros(T) if want_diffusion else None
-    dx = np.zeros(T) if want_diffusion else None
-    sqrtN = math.sqrt(N)
     for t in range(1, T + 1):
         X1 = pol.allocate_batch(t, Z, rng, ctx)
         X0 = Z - X1
         rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
-        if track_viol:
-            v = _violations(pol, ctx, t, Z)
-            vc[t - 1] = int(v.sum())
-            union |= v
-        if want_diffusion:
-            zt = pol.measure.z[t - 1]
-            xt = pol.measure.x[t - 1]
-            dz[t - 1] = float((((Z - N * zt) / sqrtN) ** 2).sum())
-            dx[t - 1] = float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                              + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+        book.record(t, Z, X0, X1)
         if t < T:
             X = np.stack([X0, X1], axis=2)
             Z = pol.step_counts(t, X, rng)
-    uc = int(union.sum()) if track_viol else 0
-    return rewards, vc, uc, dz, dx
+    return (rewards, *book.totals())
 
 
 def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
     T, S = model.T, model.S
+    book = _PeriodBook(pol, ctx, N, R, T, want_diffusion)
     states = np.full((R, N), model.s0, dtype=np.int64)
     rewards = np.zeros(R)
-    track_viol = pol.partition is not None
-    vc = np.zeros(T, dtype=np.int64) if track_viol else None
-    union = np.zeros(R, dtype=bool) if track_viol else None
-    dz = np.zeros(T) if want_diffusion else None
-    dx = np.zeros(T) if want_diffusion else None
-    sqrtN = math.sqrt(N)
     row = np.arange(R)[:, None] * S
     cumP = np.cumsum(model.P, axis=3)
     for t in range(1, T + 1):
@@ -387,23 +401,13 @@ def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
         X1 = X1.reshape(R, S).astype(np.int64)
         X0 = Z - X1
         rewards += model.R[t - 1][states, actions].sum(axis=1)
-        if track_viol:
-            v = _violations(pol, ctx, t, Z)
-            vc[t - 1] = int(v.sum())
-            union |= v
-        if want_diffusion:
-            zt = pol.measure.z[t - 1]
-            xt = pol.measure.x[t - 1]
-            dz[t - 1] = float((((Z - N * zt) / sqrtN) ** 2).sum())
-            dx[t - 1] = float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                              + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+        book.record(t, Z, X0, X1)
         if t < T:
             rows = cumP[t - 1][states, actions]  # (R, N, S)
             u = rng.random((R, N, 1))
             # float dust in the final cumulative entry must not spill past S-1
             states = np.minimum((u > rows).sum(axis=2), S - 1)
-    uc = int(union.sum()) if track_viol else 0
-    return rewards, vc, uc, dz, dx
+    return (rewards, *book.totals())
 
 
 def _per_arm_actions(pol: CompiledPolicy, ctx, t: int, states: np.ndarray,

@@ -13,13 +13,13 @@ import math
 import numpy as np
 
 from fluidbandit.errors import DimensionMismatch
-from fluidbandit.mdp import AllocationPlan
+from fluidbandit.mdp import AllocationPlan, period_budget
 from fluidbandit.occupancy import classify
-from fluidbandit.policies import _budget, score_order
+from fluidbandit.policies import score_order
 
 
 def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float | None = None,
+                            scores: Any, N: int, alpha_t: float,
                             partition: CategoryPartition | None = None) -> AllocationPlan:
     """Priority allocation with neutral-state quotas from the measure.
 
@@ -36,7 +36,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
     part = partition if partition is not None else classify(measure)
     codes = part.codes[t - 1]
     order = score_order(scores, t, S)
-    B = _budget(t, N, alpha_t, measure)
+    B = period_budget(alpha_t, N)
 
     X1 = np.zeros(S, dtype=np.int64)
     undecided = np.zeros(S, dtype=np.int64)
@@ -67,7 +67,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
 
 
 def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float | None = None,
+                            scores: Any, N: int, alpha_t: float,
                             partition: CategoryPartition | None = None) -> AllocationPlan:
     """Relaxed variant: all active arms are pulled even past the budget.
 
@@ -82,7 +82,7 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
     part = partition if partition is not None else classify(measure)
     codes = part.codes[t - 1]
     order = score_order(scores, t, S)
-    B = _budget(t, N, alpha_t, measure)
+    B = period_budget(alpha_t, N)
 
     X1 = np.zeros(S, dtype=np.int64)
     for s in order:

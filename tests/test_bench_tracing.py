@@ -33,6 +33,12 @@ def test_tracer_patches_and_restores_every_name(capsys):
         simulator.simulate(two, "fluid", 2, 10, seed=0)
         # TWO is degenerate at t=2, so the search pins
         assert cli.main(["search-measure", "--gen", "two"]) == 0
+        # the CLI's price commands solve the LP and run the Q-recursion
+        # through the names the tracer patches
+        for command in ("priority", "fluid-index"):
+            before = len(tracer.spans)
+            assert cli.main([command, "--gen", "two"]) == 0
+            assert {"priority.q", "lp.solve"} <= {rec[0] for rec in tracer.spans[before:]}
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is orig for owner, attr, orig in patched)

@@ -199,6 +199,68 @@ def test_backend_option_and_config_key_are_gone(tmp_path, capsys):
     assert err["error"] == "ConfigError" and "backend" in err["message"]
 
 
+def test_subgradient_option_and_config_key_are_gone(tmp_path, capsys):
+    # budget prices come only from the certified LP duals
+    with pytest.raises(SystemExit) as exc:
+        main(["priority", "--gen", "two", "--subgradient", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subgradient": 5}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "priority", "--gen", "two"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "subgradient" in err["message"]
+
+
+def _eval_with_config(tmp_path, cfg, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return main(["--config", str(path), "eval", "--gen", "two", "--policy", "fluid",
+                 "--N", "2", *flags, "-o", str(tmp_path / "r.csv")])
+
+
+def _sidecar_row(tmp_path):
+    return json.loads((tmp_path / "r.json").read_text())["rows"][0]
+
+
+@pytest.mark.parametrize("key, text, flags", [("seed", "3", ["--reps", "5"]),
+                                              ("reps", "50", ["--seed", "1"])])
+def test_config_string_number_is_parsed_like_the_flag(tmp_path, key, text, flags):
+    assert _eval_with_config(tmp_path, {key: text}, *flags) == 0
+    assert _sidecar_row(tmp_path)[key] == int(text)
+
+
+@pytest.mark.parametrize("cfg", [{"seed": "three"}, {"seed": 3.5}, {"reps": None},
+                                 {"reps": True}, {"engine": "perarm"}],
+                         ids=["seed-word", "seed-float", "reps-null", "reps-bool",
+                              "engine-choice"])
+def test_config_value_failing_its_flag_is_config_error(tmp_path, capsys, cfg):
+    flags = [] if "seed" in cfg else ["--seed", "1"]
+    assert _eval_with_config(tmp_path, {"reps": 5, **cfg}, *flags) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and next(iter(cfg)) in err["message"]
+
+
+def test_config_switch_takes_only_a_json_boolean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    base = ["sweep", "--gen", "bernoulli", "--T", "2", "--alpha", "0.3333333333333333",
+            "--policy", "fluid", "--N", "4,8", "--reps", "40", "--seed", "1"]
+    cfg.write_text(json.dumps({"crn": "false"}))
+    assert main(["--config", str(cfg), *base]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "crn" in err["message"]
+    outs = {}
+    for value in (True, False):
+        cfg.write_text(json.dumps({"crn": value}))
+        outs[value] = tmp_path / f"crn-{value}.csv"
+        assert main(["--config", str(cfg), *base, "-o", str(outs[value])]) == 0
+    for value, flag in ((True, ["--crn"]), (False, [])):
+        plain = tmp_path / "plain.csv"
+        assert main([*base, *flag, "-o", str(plain)]) == 0
+        assert plain.read_bytes() == outs[value].read_bytes()
+    assert outs[True].read_bytes() != outs[False].read_bytes()
+
+
 def test_short_flag_beats_config(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     cfg = tmp_path / "cfg.json"

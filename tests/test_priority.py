@@ -1,13 +1,12 @@
-"""Priority scores: Q-recursion, duality identity, subgradient path."""
+"""Priority scores: Q-recursion, duality identity, tie rule."""
 
 import numpy as np
 import pytest
 
 from conftest import make_random_model
-from fluidbandit.mdp import ArmModel, validate_model
+from fluidbandit.mdp import ArmModel
 from fluidbandit.priority import (PriorityScheme, dual_value,
-                                  lambda_from_duals, q_recursion,
-                                  subgradient_solve)
+                                  lambda_from_duals, q_recursion)
 
 
 def test_q_recursion_single_zero_prices(single):
@@ -48,28 +47,6 @@ def test_duality_identity_fixtures(single, single_measure, two, two_measure,
                      (bern2, bern2_measure)]:
         lam = lambda_from_duals(m)
         assert abs(dual_value(model, lam) - m.value) <= 1e-6
-
-
-def test_subgradient_single(single):
-    lam = subgradient_solve(single, iterations=500, step_c=1.0)
-    assert abs(dual_value(single, lam) - 1.0) <= 1e-3
-
-
-def test_subgradient_matches_dual_path(bern2, bern2_measure):
-    # convergence is O(1/sqrt(k)); 8000 steps buy comfortable 1e-3 accuracy
-    lam = subgradient_solve(bern2, iterations=8000, step_c=1.0)
-    target = dual_value(bern2, lambda_from_duals(bern2_measure))
-    assert dual_value(bern2, lam) <= target + 1e-3
-
-
-def test_subgradient_zero_reward_model():
-    P = np.full((2, 2, 2, 2), 0.5)
-    model = ArmModel(T=2, states=["a", "b"], s0=0, P=P,
-                     R=np.zeros((2, 2, 2)), alpha=np.array([0.5, 0.5]),
-                     metadata={})
-    validate_model(model)
-    lam = subgradient_solve(model, iterations=50)
-    assert abs(dual_value(model, lam)) <= 1e-12
 
 
 def test_reward_shift_keeps_priority_order():
