@@ -154,10 +154,9 @@ def _write_sweep(out: str | None, rows) -> None:
 
 
 def _reps_rule(args):
-    if getattr(args, "reps", None) is not None:
-        return int(args.reps)
-    cap = getattr(args, "reps_cap", None) or 200_000
-    return lambda N: min(50 * N, int(cap))
+    if args.reps is not None:
+        return args.reps
+    return lambda N: min(50 * N, args.reps_cap)
 
 
 def _require_ascending(ns: list[int]) -> list[int]:
@@ -287,6 +286,10 @@ def cmd_oracle(args) -> int:
 def _add_model_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="model JSON path")
     p.add_argument("--gen", help="generator: bernoulli|crowd|assort|single|two")
+    _add_generator_flags(p)
+
+
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--m-cap", dest="m_cap", type=int, default=zoo.ASSORT_M_CAP)
@@ -303,38 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated model as JSON")
     p.add_argument("generator", choices=["bernoulli", "crowd", "assort",
                                          "single", "two"])
-    p.add_argument("--T", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m-cap", dest="m_cap", type=int, default=zoo.ASSORT_M_CAP)
-    p.add_argument("--x-cap", dest="x_cap", type=int, default=zoo.ASSORT_X_CAP)
+    _add_generator_flags(p)
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("relax", help="solve the occupation-measure LP")
-    _add_model_source(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_relax)
-
-    p = sub.add_parser("classify", help="print per-period state categories")
-    _add_model_source(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("search-measure",
-                       help="look for a measure with a neutral state per period")
-    _add_model_source(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_search_measure)
-
-    p = sub.add_parser("priority", help="print lambda and ranked states")
-    _add_model_source(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_priority)
-
-    p = sub.add_parser("fluid-index", help="print per-period index values")
-    _add_model_source(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_fluid_index)
+    for name, func, help_ in [
+            ("relax", cmd_relax, "solve the occupation-measure LP"),
+            ("classify", cmd_classify, "print per-period state categories"),
+            ("search-measure", cmd_search_measure,
+             "look for a measure with a neutral state per period"),
+            ("priority", cmd_priority, "print lambda and ranked states"),
+            ("fluid-index", cmd_fluid_index, "print per-period index values")]:
+        p = sub.add_parser(name, help=help_)
+        _add_model_source(p)
+        p.add_argument("--out", "-o")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval", help="Monte Carlo value of one policy at one N")
     _add_model_source(p)

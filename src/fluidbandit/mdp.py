@@ -5,14 +5,14 @@ shared finite state space, two actions (0 = idle, 1 = pull), time-dependent
 kernel and rewards, and a per-period pull-budget fraction.  Periods are
 1-based in the math; arrays are 0-based, so period t lives at index t-1.
 
-The kernel entry ``P[t-1, s, a, s']`` is the probability of moving to s'
-after playing a in state s during period t.  Only rows for t = 1..T-1 drive
-dynamics; the row at t = T must still be row-stochastic (generators may use
-it to fold terminal lookahead rewards) but is never simulated.
-
-:func:`successors` is the one reader of the kernel's sparsity.  The LP's
-flow rows, the count engine's transitions, the exact oracle and
-:func:`reachable_states` all read it, so they agree on what a successor is.
+The kernel is stored once, sparse: period t is a (2S, S) CSR matrix whose
+row 2s+a holds the positive probabilities of the next state after playing
+a in s, targets ascending.  Only periods t = 1..T-1 drive dynamics; the
+period-T matrix must still be row-stochastic (generators may use it to
+fold terminal lookahead rewards) but is never simulated.  Every reader of
+the dynamics takes them from :func:`successors`.  Model JSON version 2
+stores each period's CSR triplets; version 1 (no version field) holds the
+dense (T, S, 2, S) array and still loads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, RangeError, RowSumError, ShapeError
+from .errors import ConfigError, DimensionMismatch, RangeError, RowSumError, ShapeError
 
 # Row-stochasticity and range slack for validation.
 ROW_SUM_TOL = 1e-9
@@ -41,26 +41,32 @@ class BeliefStateAnnotation:
 
     :posterior_mean: mean of the per-arm belief in this state.
     :posterior_sd: standard deviation of that belief.
-    :sampler: draws from the belief; called as sampler(rng, size) -> ndarray.
-    :family: distribution family name, for serialization ("beta", "gamma").
+    :family: "beta" (params a, b) or "gamma" (params shape, rate).
     :params: family parameters as a tuple of floats.
+    :sampler: sampler(rng, size) -> draws from the belief; derived from
+        family and params, a plain attribute afterwards.
     """
 
     posterior_mean: float
     posterior_sd: float
-    sampler: Callable[[np.random.Generator, Any], np.ndarray]
-    family: str = ""
-    params: tuple[float, ...] = ()
+    family: str
+    params: tuple[float, ...]
+    sampler: Callable[[np.random.Generator, Any], np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.sampler = _sampler_for(self.family, self.params)
 
 
-@dataclass
+@dataclass(init=False)
 class ArmModel:
     """Single-arm finite-horizon model shared by all N arms.
 
     :T: number of periods, >= 1.
     :states: hashable labels; index order fixes every array axis.
     :s0: index of the common initial state.
-    :P: kernel, shape (T, S, 2, S), each row a distribution.
+    :kernel: T CSR matrices (2S, S) laid out as the module docstring says;
+        periods may share one.  ``P=`` passes it instead as a dense array
+        P[t-1, s, a, s'] of shape (T, S, 2, S), converted once, not kept.
     :R: rewards, shape (T, S, 2), finite.
     :alpha: pull-budget fractions, shape (T,), each in [0, 1].
     :metadata: free-form dict; generators put name/params/annotations here.
@@ -69,15 +75,18 @@ class ArmModel:
     T: int
     states: list[Any]
     s0: int
-    P: np.ndarray
+    kernel: list[sp.csr_matrix]
     R: np.ndarray
     alpha: np.ndarray
-    metadata: dict[str, Any] = field(default_factory=dict)
+    metadata: dict[str, Any]
 
-    def __post_init__(self) -> None:
-        self.P = np.asarray(self.P, dtype=np.float64)
-        self.R = np.asarray(self.R, dtype=np.float64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+    def __init__(self, T: int, states: list[Any], s0: int, *, R, alpha,
+                 kernel=None, P=None, metadata: dict[str, Any] | None = None) -> None:
+        if (kernel is None) == (P is None):
+            raise TypeError("ArmModel takes exactly one of kernel= and P=")
+        self.T, self.states, self.s0, self.metadata = T, states, s0, metadata or {}
+        self.kernel = list(kernel) if P is None else _kernel_from_dense(P)
+        self.R, self.alpha = np.asarray(R, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
 
     @property
     def S(self) -> int:
@@ -143,27 +152,43 @@ def validate_model(model: ArmModel) -> None:
         raise ShapeError("state list is empty")
     if not (0 <= model.s0 < S):
         raise RangeError(f"s0={model.s0} outside [0, {S})")
-    if model.P.ndim != 4 or model.P.shape[1:] != (S, 2, S) or model.P.shape[0] != model.T:
-        if model.P.ndim == 4 and model.P.shape[1:] == (model.P.shape[1], 2, model.P.shape[1]):
-            raise DimensionMismatch(
-                f"kernel shape {model.P.shape} disagrees with T={model.T}, S={S}")
-        raise ShapeError(f"kernel shape {model.P.shape}, expected ({model.T}, {S}, 2, {S})")
+    shapes = {K.shape if getattr(K, "format", None) == "csr" else None for K in model.kernel}
+    if shapes != {(2 * S, S)} or len(model.kernel) != model.T:
+        if None not in shapes and len(shapes) <= 1 and all(m == 2 * n for m, n in shapes):
+            raise DimensionMismatch(f"kernel of {len(model.kernel)} periods shaped {shapes} "
+                                    f"disagrees with T={model.T}, S={S}")
+        raise ShapeError(f"kernel must be {model.T} CSR matrices of shape ({2 * S}, {S})")
     if model.R.shape != (model.T, S, 2):
         raise ShapeError(f"reward shape {model.R.shape}, expected ({model.T}, {S}, 2)")
     if model.alpha.shape != (model.T,):
         raise ShapeError(f"alpha shape {model.alpha.shape}, expected ({model.T},)")
     if not np.isfinite(model.R).all():
         raise RangeError("rewards must be finite")
-    if not np.isfinite(model.P).all() or (model.P < -ROW_SUM_TOL).any() or (model.P > 1 + ROW_SUM_TOL).any():
-        raise RangeError("kernel entries must lie in [0, 1]")
+    for t, K in enumerate(model.kernel):
+        if not K.has_canonical_format:
+            raise ShapeError(f"kernel period {t + 1} rows need ascending, distinct targets")
+        if K.nnz and (K.indices.min() < 0 or K.indices.max() >= S):
+            raise RangeError(f"kernel period {t + 1} has a target outside [0, {S})")
+        if not ((K.data > 0.0) & (K.data <= 1 + ROW_SUM_TOL)).all():  # NaN fails too
+            raise RangeError("kernel entries must lie in (0, 1]")
     if (model.alpha < 0).any() or (model.alpha > 1).any():
         raise RangeError("alpha entries must lie in [0, 1]")
-    rowsum = model.P.sum(axis=3)
+    rowsum = np.array([K @ np.ones(S) for K in model.kernel])
     bad = np.abs(rowsum - 1.0) > ROW_SUM_TOL
     if bad.any():
-        t, s, a = np.argwhere(bad)[0]
-        raise RowSumError(
-            f"kernel row (t={t + 1}, s={model.states[s]}, a={a}) sums to {rowsum[t, s, a]!r}")
+        t, r = np.argwhere(bad)[0]
+        raise RowSumError(f"kernel row (t={t + 1}, s={model.states[r // 2]}, a={r % 2}) "
+                          f"sums to {rowsum[t, r]!r}")
+
+
+def _kernel_from_dense(P) -> list[sp.csr_matrix]:
+    """Per-period CSR form of a dense (T, S, 2, S) kernel.  Zeros and tolerated
+    dust (>= -ROW_SUM_TOL) are no successors; other entries stay to be validated."""
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 4 or P.shape[2] != 2 or P.shape[1] != P.shape[3]:
+        raise ShapeError(f"dense kernel shape {P.shape}, expected (T, S, 2, S)")
+    P = np.where((P >= -ROW_SUM_TOL) & (P <= 0.0), 0.0, P)
+    return [sp.csr_matrix(Pt.reshape(2 * P.shape[1], P.shape[1])) for Pt in P]
 
 
 def period_budget(alpha_t: float, N: int) -> int:
@@ -179,16 +204,8 @@ def period_budget(alpha_t: float, N: int) -> int:
 
 
 def successors(model: ArmModel) -> list[sp.csr_matrix]:
-    """The kernel's sparse form: one (2S, S) CSR matrix per period t = 1..T-1.
-
-    Row 2s+a of entry t-1 holds the positive entries of P[t-1, s, a] in
-    ascending target order, with no explicit zeros.  Entries <= 0 (the
-    negative dust that validate_model tolerates among them) are not
-    successors.  Every support list in the package derives from this.
-    """
-    S = model.S
-    return [sp.csr_matrix(np.where(Pt > 0.0, Pt, 0.0).reshape(2 * S, S))
-            for Pt in model.P[:-1]]
+    """The stored kernel matrices of the dynamic periods t = 1..T-1."""
+    return model.kernel[:-1]
 
 
 def reachable_states(model: ArmModel) -> list[np.ndarray]:
@@ -206,7 +223,7 @@ def reachable_states(model: ArmModel) -> list[np.ndarray]:
 
 
 def model_to_dict(model: ArmModel) -> dict[str, Any]:
-    """JSON-ready dict; annotations are stored as (family, params) only."""
+    """JSON-ready version-2 dict: CSR triplets per period; annotations as (family, params)."""
     meta = {k: v for k, v in model.metadata.items() if k != "annotations"}
     ann = model.metadata.get("annotations")
     if ann is not None:
@@ -216,10 +233,12 @@ def model_to_dict(model: ArmModel) -> dict[str, Any]:
             for a in ann
         ]
     return {
+        "version": 2,
         "T": int(model.T),
         "states": [list(s) if isinstance(s, tuple) else s for s in model.states],
         "s0": int(model.s0),
-        "P": model.P.tolist(),
+        "kernel": [{"data": K.data.tolist(), "indices": K.indices.tolist(),
+                    "indptr": K.indptr.tolist()} for K in model.kernel],
         "R": model.R.tolist(),
         "alpha": model.alpha.tolist(),
         "metadata": meta,
@@ -237,13 +256,18 @@ def _sampler_for(family: str, params: Sequence[float]):
 
 
 def model_from_dict(payload: dict[str, Any]) -> ArmModel:
+    """Model from a version-2 dict, or a version-1 one (no version field, dense "P")."""
     meta = dict(payload.get("metadata", {}))
     ann_payload = meta.pop("annotations", None)
+    states = [tuple(s) if isinstance(s, list) else s for s in payload["states"]]
+    version, S = payload.get("version", 1), len(states)
+    if version not in (1, 2):
+        raise ConfigError(f"unknown model JSON version {version!r}")
+    kernel = (_kernel_from_dense(payload["P"]) if version == 1 else
+              [sp.csr_matrix((K["data"], K["indices"], K["indptr"]), shape=(2 * S, S),
+                             dtype=np.float64) for K in payload["kernel"]])
     model = ArmModel(
-        T=int(payload["T"]),
-        states=[tuple(s) if isinstance(s, list) else s for s in payload["states"]],
-        s0=int(payload["s0"]),
-        P=np.asarray(payload["P"], dtype=np.float64),
+        T=int(payload["T"]), states=states, s0=int(payload["s0"]), kernel=kernel,
         R=np.asarray(payload["R"], dtype=np.float64),
         alpha=np.asarray(payload["alpha"], dtype=np.float64),
         metadata=meta,
@@ -253,7 +277,6 @@ def model_from_dict(payload: dict[str, Any]) -> ArmModel:
             BeliefStateAnnotation(
                 posterior_mean=float(a["posterior_mean"]),
                 posterior_sd=float(a["posterior_sd"]),
-                sampler=_sampler_for(a["family"], a["params"]),
                 family=a["family"],
                 params=tuple(a["params"]),
             )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SolverFailure
 from .lp import OccupationMeasure, resolve_with_pins, solve_relaxation
-from .mdp import ArmModel
+from .mdp import ArmModel, successors
 from .priority import score_order
 
 # Strict-positivity tolerance, shared with the LP layer's clamping.
@@ -190,7 +190,7 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
         x[t, :, 0] = z - pull
         value += float((model.R[t] * x[t]).sum())
         if t + 1 < model.T:
-            z = np.einsum("sa,sap->p", x[t], model.P[t])
+            z = successors(model)[t].T @ x[t].reshape(-1)
     return x, value
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lp import OccupationMeasure
-from .mdp import ArmModel
+from .mdp import ArmModel, successors
 
 
 def score_order(scores: Any, t: int, S: int) -> np.ndarray:
@@ -61,7 +61,7 @@ def q_recursion(model: ArmModel, lam) -> PriorityScheme:
     Q[T - 1] = model.R[T - 1] - lam[T - 1] * price
     for t in range(T - 2, -1, -1):
         vnext = Q[t + 1].max(axis=1)
-        cont = model.P[t] @ vnext
+        cont = (successors(model)[t] @ vnext).reshape(S, 2)
         Q[t] = model.R[t] - lam[t] * price + cont
     return PriorityScheme(lam=lam, Q=Q, P=Q[:, :, 1] - Q[:, :, 0])
 

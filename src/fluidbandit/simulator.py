@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
@@ -392,7 +393,7 @@ def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
     states = np.full((R, N), model.s0, dtype=np.int64)
     rewards = np.zeros(R)
     row = np.arange(R)[:, None] * S
-    cumP = np.cumsum(model.P, axis=3)
+    tables = [_successor_table(K) for K in pol._support]
     for t in range(1, T + 1):
         Z = np.bincount((states + row).reshape(-1), minlength=R * S).reshape(R, S)
         actions = _per_arm_actions(pol, ctx, t, states, Z, rng)
@@ -403,11 +404,23 @@ def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
         rewards += model.R[t - 1][states, actions].sum(axis=1)
         book.record(t, Z, X0, X1)
         if t < T:
-            rows = cumP[t - 1][states, actions]  # (R, N, S)
+            cdf, targets = tables[t - 1]
+            k = 2 * states + actions
             u = rng.random((R, N, 1))
-            # float dust in the final cumulative entry must not spill past S-1
-            states = np.minimum((u > rows).sum(axis=2), S - 1)
+            slot = np.minimum((u > cdf[k]).sum(axis=2), cdf.shape[1] - 1)
+            states = targets[k, slot]
     return (rewards, *book.totals())
+
+
+def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row CDFs and successor states of one period's kernel matrix, padded
+    to the widest row by repeating each row's last CDF value and successor,
+    so a draw at or above a row's rounded total lands on its last successor."""
+    slot = np.arange(K.nnz) - np.repeat(K.indptr[:-1], np.diff(K.indptr))
+    shape = (K.shape[0], int(slot.max()) + 1)
+    probs = sp.csr_matrix((K.data, slot, K.indptr), shape=shape).toarray()
+    targets = sp.csr_matrix((K.indices.astype(np.int64), slot, K.indptr), shape=shape).toarray()
+    return np.cumsum(probs, axis=1), np.maximum.accumulate(targets, axis=1)
 
 
 def _per_arm_actions(pol: CompiledPolicy, ctx, t: int, states: np.ndarray,

@@ -14,6 +14,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .errors import RangeError
@@ -29,10 +30,14 @@ TRUNCATION_WARN = 1e-4
 def _beta_annotation(a: int, b: int) -> BeliefStateAnnotation:
     mean = a / (a + b)
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
-    return BeliefStateAnnotation(
-        posterior_mean=mean, posterior_sd=sd,
-        sampler=lambda rng, size=None, a=a, b=b: rng.beta(a, b, size),
-        family="beta", params=(float(a), float(b)))
+    return BeliefStateAnnotation(posterior_mean=mean, posterior_sd=sd,
+                                 family="beta", params=(float(a), float(b)))
+
+
+def _kernel(rows: list[dict[int, float]]) -> sp.csr_matrix:
+    """One period's (2S, S) kernel matrix from rows[2s+a] = {target: probability}."""
+    r, c, v = zip(*[(i, j, p) for i, row in enumerate(rows) for j, p in row.items() if p > 0.0])
+    return sp.csr_matrix((v, (r, c)), shape=(len(rows), len(rows) // 2))
 
 
 def bernoulli_bandit(T: int, alpha: float) -> ArmModel:
@@ -48,23 +53,19 @@ def bernoulli_bandit(T: int, alpha: float) -> ArmModel:
     states = [(n, k) for n in range(T) for k in range(n + 1)]
     idx = {s: i for i, s in enumerate(states)}
     S = len(states)
-    P1 = np.zeros((S, 2, S))
+    rows = []
     R1 = np.zeros((S, 2))
     ann = []
     for (n, k), i in idx.items():
         mean = (1 + k) / (2 + n)
-        P1[i, 0, i] = 1.0
-        if n + 1 <= T - 1:
-            P1[i, 1, idx[(n + 1, k + 1)]] = mean
-            P1[i, 1, idx[(n + 1, k)]] = 1.0 - mean
-        else:
-            P1[i, 1, i] = 1.0
+        rows.append({i: 1.0})
+        rows.append({idx[(n + 1, k + 1)]: mean, idx[(n + 1, k)]: 1.0 - mean}
+                    if n + 1 <= T - 1 else {i: 1.0})
         R1[i, 1] = mean
         ann.append(_beta_annotation(1 + k, 1 + n - k))
-    P = np.broadcast_to(P1, (T, S, 2, S))
     R = np.broadcast_to(R1, (T, S, 2))
     model = ArmModel(
-        T=T, states=states, s0=idx[(0, 0)], P=P, R=R,
+        T=T, states=states, s0=idx[(0, 0)], kernel=[_kernel(rows)] * T, R=R,
         alpha=np.full(T, float(alpha)),
         metadata={"name": "bernoulli", "params": {"T": T, "alpha": alpha},
                   "annotations": ann})
@@ -105,18 +106,17 @@ def crowdsourcing(T: int, alpha: float) -> ArmModel:
     def acc(h: int, ell: int) -> float:
         return float(max(w[(h, ell)], w[(ell, h)]) / (w[(h, ell)] + w[(ell, h)]))
 
-    P1 = np.zeros((S, 2, S))
+    rows = []
     up = np.zeros(S)
     for (h, ell), i in idx.items():
-        P1[i, 0, i] = 1.0
+        rows.append({i: 1.0})
         if h + ell < T:
             p_up = float(Fraction(w[(h + 1, ell)] + w[(ell, h + 1)],
                                   w[(h, ell)] + w[(ell, h)]))
             up[i] = p_up
-            P1[i, 1, idx[(h + 1, ell)]] = p_up
-            P1[i, 1, idx[(h, ell + 1)]] = 1.0 - p_up
+            rows.append({idx[(h + 1, ell)]: p_up, idx[(h, ell + 1)]: 1.0 - p_up})
         else:
-            P1[i, 1, i] = 1.0
+            rows.append({i: 1.0})
     R = np.zeros((T, S, 2))
     for (h, ell), i in idx.items():
         R[T - 1, i, 0] = acc(h, ell)
@@ -124,9 +124,8 @@ def crowdsourcing(T: int, alpha: float) -> ArmModel:
             R[T - 1, i, 1] = up[i] * acc(h + 1, ell) + (1.0 - up[i]) * acc(h, ell + 1)
         else:
             R[T - 1, i, 1] = acc(h, ell)
-    P = np.broadcast_to(P1, (T, S, 2, S))
     model = ArmModel(
-        T=T, states=states, s0=idx[(0, 0)], P=P, R=R,
+        T=T, states=states, s0=idx[(0, 0)], kernel=[_kernel(rows)] * T, R=R,
         alpha=np.full(T, float(alpha)),
         metadata={"name": "crowdsourcing", "params": {"T": T, "alpha": alpha}})
     validate_model(model)
@@ -163,47 +162,47 @@ def assortment(T: int, alpha: float, m_cap: int = ASSORT_M_CAP,
     states = [(m, j) for m in range(1, m_cap + 1) for j in range(T + 1)]
     idx = {s: i for i, s in enumerate(states)}
     S = len(states)
-    P1 = np.zeros((S, 2, S))
+    rows = []
     R1 = np.zeros((S, 2))
     ann = []
     divergence = np.zeros(S)  # per-display coupling divergence probability
     for (m, j), i in idx.items():
         a = 0.1 + j
         R1[i, 1] = m / a
-        P1[i, 0, i] = 1.0
+        rows.append({i: 1.0})
+        pull = {}
         if j + 1 <= T:
             pmf = _nb_pmf_row(m, a, x_cap)
             for x, px in enumerate(pmf):
                 if px > 0.0:
                     tgt = idx[(min(m + x, m_cap), j + 1)]
-                    P1[i, 1, tgt] += px
+                    pull[tgt] = pull.get(tgt, 0.0) + px
             tail = float(pmf[-1] - math.exp(
                 gammaln(m + x_cap) - gammaln(m) - gammaln(x_cap + 1)
                 + m * math.log(a / (a + 1.0)) - x_cap * math.log(a + 1.0)))
             overflow = float(pmf[np.arange(x_cap + 1) + m > m_cap].sum())
             divergence[i] = min(1.0, max(tail, 0.0) + overflow)
         else:
-            P1[i, 1, i] = 1.0
-        sd = math.sqrt(m) / a
-        ann.append(BeliefStateAnnotation(
-            posterior_mean=m / a, posterior_sd=sd,
-            sampler=lambda rng, size=None, m=m, a=a: rng.gamma(m, 1.0 / a, size),
-            family="gamma", params=(float(m), float(a))))
+            pull[i] = 1.0
+        rows.append(pull)
+        ann.append(BeliefStateAnnotation(posterior_mean=m / a, posterior_sd=math.sqrt(m) / a,
+                                         family="gamma", params=(float(m), float(a))))
+    K = _kernel(rows)
     # always-display forward flow from (1, 0) accumulates divergence mass
+    display = K[1::2].T
     mu = np.zeros(S)
     mu[idx[(1, 0)]] = 1.0
     trunc_mass = 0.0
     for _ in range(T - 1):
         trunc_mass += float(mu @ divergence)
-        mu = mu @ P1[:, 1, :]
+        mu = display @ mu
     if trunc_mass >= TRUNCATION_WARN:
         warnings.warn(
             f"assortment truncation divergence mass {trunc_mass:.3g} >= {TRUNCATION_WARN} "
             f"at caps (m_cap={m_cap}, x_cap={x_cap})", stacklevel=2)
-    P = np.broadcast_to(P1, (T, S, 2, S))
     R = np.broadcast_to(R1, (T, S, 2))
     model = ArmModel(
-        T=T, states=states, s0=idx[(1, 0)], P=P, R=R,
+        T=T, states=states, s0=idx[(1, 0)], kernel=[K] * T, R=R,
         alpha=np.full(T, float(alpha)),
         metadata={"name": "assortment",
                   "params": {"T": T, "alpha": alpha, "m_cap": m_cap, "x_cap": x_cap},
@@ -214,23 +213,17 @@ def assortment(T: int, alpha: float, m_cap: int = ASSORT_M_CAP,
 
 def fixtures() -> dict[str, ArmModel]:
     """Two hand-checkable instances: SINGLE (one state) and TWO (G/B)."""
-    P1 = np.zeros((2, 1, 2, 1))
-    P1[:, 0, :, 0] = 1.0
     R1 = np.zeros((2, 1, 2))
     R1[:, 0, 1] = 1.0
-    single = ArmModel(T=2, states=["s"], s0=0, P=P1, R=R1,
-                      alpha=np.array([0.5, 0.5]),
+    single = ArmModel(T=2, states=["s"], s0=0, kernel=[_kernel([{0: 1.0}, {0: 1.0}])] * 2,
+                      R=R1, alpha=np.array([0.5, 0.5]),
                       metadata={"name": "SINGLE"})
     # TWO: pulling G keeps it G; idling G drops it to absorbing B
-    P2 = np.zeros((2, 2, 2, 2))
     G, B = 0, 1
-    P2[:, G, 1, G] = 1.0
-    P2[:, G, 0, B] = 1.0
-    P2[:, B, 0, B] = 1.0
-    P2[:, B, 1, B] = 1.0
+    K2 = _kernel([{B: 1.0}, {G: 1.0}, {B: 1.0}, {B: 1.0}])
     R2 = np.zeros((2, 2, 2))
     R2[:, G, 1] = 1.0
-    two = ArmModel(T=2, states=["G", "B"], s0=G, P=P2, R=R2,
+    two = ArmModel(T=2, states=["G", "B"], s0=G, kernel=[K2] * 2, R=R2,
                    alpha=np.array([0.5, 0.5]),
                    metadata={"name": "TWO"})
     validate_model(single)

@@ -122,7 +122,6 @@ def make_random_model(rng, S=None, T=None, annotate=False):
             anns.append(BeliefStateAnnotation(
                 posterior_mean=mean,
                 posterior_sd=sd,
-                sampler=(lambda g, size, a=a, b=b: g.beta(a, b, size)),
                 family="beta",
                 params=(a, b),
             ))
@@ -136,6 +135,11 @@ def make_random_model(rng, S=None, T=None, annotate=False):
 @pytest.fixture()
 def make_model():
     return make_random_model
+
+
+def dense_kernel(model):
+    """The model's kernel as a dense (T, S, 2, S) array, for checks that index it."""
+    return np.stack([K.toarray().reshape(model.S, 2, model.S) for K in model.kernel])
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -1,10 +1,9 @@
 """Loop reference builder for the occupation-measure LP.
 
-The row-by-row assembly that scans the dense kernel state by state.  It
-is the reference that ``fluidbandit.lp.build_lp`` (a block assembly from
-``mdp.successors``) is checked against, bit for bit, on models whose
-kernel entries are all >= 0.  On a kernel with negative dust it keeps
-the dust (``p != 0.0``), which ``build_lp`` does not.
+The row-by-row assembly that scans the dense form of the model's kernel
+(``conftest.dense_kernel``) state by state.  It is the reference that
+``fluidbandit.lp.build_lp`` (a block assembly from ``mdp.successors``) is
+checked against, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from conftest import dense_kernel
 from fluidbandit.lp import LpInstance
 from fluidbandit.mdp import ArmModel, validate_model
 
@@ -21,6 +21,7 @@ def build_lp(model: ArmModel) -> LpInstance:
     validate_model(model)
     T, S = model.T, model.S
     n = T * S * 2
+    P = dense_kernel(model)
 
     def var(t: int, s: int, a: int) -> int:
         return ((t - 1) * S + s) * 2 + a
@@ -39,7 +40,7 @@ def build_lp(model: ArmModel) -> LpInstance:
     r = 0
     # flow balance: mass entering (t, s) equals mass sitting at (t, s)
     for t in range(2, T + 1):
-        Pprev = model.P[t - 2]
+        Pprev = P[t - 2]
         for s in range(S):
             for a in (0, 1):
                 add(r, var(t, s, a), 1.0)

@@ -50,3 +50,17 @@ def test_tracer_patches_and_restores_every_name(capsys):
         assert name in names
     metrics = tracing.layer_metrics(tracer, 0.0)
     assert metrics["policies.alloc_calls"] > 0
+
+
+def test_tracer_sees_the_model_json_names(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    path = str(tmp_path / "two.json")
+    try:
+        tracer.install()
+        assert cli.main(["gen", "two", "-o", path]) == 0
+        assert cli.main(["relax", "--model", path, "-o", str(tmp_path / "relax.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert {"mdp.json_dump", "mdp.json_load"} <= {rec[0] for rec in tracer.spans}
+    assert tracing.layer_metrics(tracer, 0.0)["mdp.json_mb"] > 0

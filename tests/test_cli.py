@@ -293,3 +293,51 @@ def test_simulation_commands_solve_the_relaxation_once(tmp_path, monkeypatch,
                  "--N", "4", "--reps", "20", "--seed", "1",
                  "-o", str(tmp_path / "out.csv")]) == 0
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "violations"])
+def test_reps_cap_zero_fails_like_a_negative_cap(tmp_path, capsys, command):
+    # a cap of 0 once fell back to 200000 and ran uncapped
+    for cap in ("0", "-3"):
+        assert main([command, "--gen", "two", "--policy", "fluid", "--N", "2,4",
+                     "--reps-cap", cap, "--seed", "1",
+                     "-o", str(tmp_path / "out.csv")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
+
+
+def test_gen_and_model_commands_share_generator_flags():
+    from fluidbandit.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+
+    def flags(command):
+        return {a.dest: (a.option_strings, a.type, a.default)
+                for a in sub.choices[command]._actions
+                if a.dest in ("T", "alpha", "m_cap", "x_cap")}
+
+    assert len(flags("gen")) == 4
+    for command in ("relax", "eval", "sweep", "oracle"):
+        assert flags(command) == flags("gen")
+
+
+@pytest.mark.parametrize("breakage, error, code", [
+    ("target", "RangeError", 4),
+    ("indptr", "ConfigError", 2),
+    ("row_sum", "RowSumError", 3),
+])
+def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, error, code):
+    path = tmp_path / "two.json"
+    assert main(["gen", "two", "-o", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2
+    K = payload["kernel"][0]
+    if breakage == "target":
+        K["indices"][0] = 2  # TWO has S = 2 states
+    elif breakage == "indptr":
+        K["indptr"].append(K["indptr"][-1])
+    else:
+        K["data"][0] = 0.7
+    path.write_text(json.dumps(payload))
+    assert main(["relax", "--model", str(path)]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and err["exit_code"] == code

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import fluidbandit.lp as lp
 import reference_lp as ref
-from conftest import make_random_model
+from conftest import dense_kernel, make_random_model
 from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
                                 SolverFailure)
 from fluidbandit.lp import (RESIDUAL_TOL, build_lp, resolve_with_pins,
@@ -36,11 +36,12 @@ def _max_residual(model, x):
     off[model.s0] = False
     if off.any():
         errs.append(float(x[0, off].sum()))
+    P = dense_kernel(model)
     for t in range(T):
         errs.append(abs(float(x[t, :, 1].sum()) - float(model.alpha[t])))
         errs.append(abs(float(x[t].sum()) - 1.0))
         if t + 1 < T:
-            inflow = np.einsum("sa,sap->p", x[t], model.P[t])
+            inflow = np.einsum("sa,sap->p", x[t], P[t])
             errs.append(float(np.abs(x[t + 1].sum(axis=1) - inflow).max()))
     return max(errs)
 

@@ -1,26 +1,37 @@
 """Model container: validation, budgets, reachability, serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import make_random_model
+from conftest import dense_kernel, make_random_model
 from fluidbandit.errors import (DimensionMismatch, RangeError, RowSumError,
                                 ShapeError)
 from fluidbandit.lp import build_lp
 from fluidbandit.mdp import (AllocationPlan, ArmModel, CountState,
-                             model_from_dict, model_to_dict, period_budget,
-                             reachable_states, successors, validate_model)
+                             model_from_dict, model_to_dict, model_to_json,
+                             period_budget, reachable_states, successors,
+                             validate_model)
 from fluidbandit.oracle import _WorkMeter, _successor_distribution
 from fluidbandit.policies import parse_policy
 from fluidbandit.simulator import CompiledPolicy
+from fluidbandit.zoo import assortment
 
 
-def _copy(model):
+def _copy(model, P=None):
+    """A fresh copy of model; with P, its kernel is built from that dense array."""
     return ArmModel(T=model.T, states=list(model.states), s0=model.s0,
-                    P=model.P.copy(), R=model.R.copy(),
+                    kernel=model.kernel if P is None else None, P=P, R=model.R.copy(),
                     alpha=model.alpha.copy(), metadata=dict(model.metadata))
+
+
+def _same_kernel(a, b):
+    assert len(a.kernel) == len(b.kernel)
+    for Ka, Kb in zip(a.kernel, b.kernel):
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(Ka, part), getattr(Kb, part))
 
 
 def test_fixtures_validate(single, two, bern2):
@@ -29,10 +40,10 @@ def test_fixtures_validate(single, two, bern2):
 
 
 def test_row_sum_error(two):
-    m = _copy(two)
-    m.P[0, 0, 1, 0] = 0.7
+    P = dense_kernel(two)
+    P[0, 0, 1, 0] = 0.7
     with pytest.raises(RowSumError) as exc:
-        validate_model(m)
+        validate_model(_copy(two, P))
     assert "0.7" in str(exc.value)
 
 
@@ -47,10 +58,10 @@ def test_range_errors(two):
     with pytest.raises(RangeError):
         validate_model(m)
 
-    m = _copy(two)
-    m.P[0, 0, 0, :] = [1.2, -0.2]
+    P = dense_kernel(two)
+    P[0, 0, 0, :] = [1.2, -0.2]
     with pytest.raises(RangeError):
-        validate_model(m)
+        validate_model(_copy(two, P))
 
     m = _copy(two)
     m.R[1, 0, 1] = np.inf
@@ -64,15 +75,11 @@ def test_shape_errors(two):
     with pytest.raises(ShapeError):
         validate_model(m)
 
-    m = _copy(two)
-    m.P = m.P[:, :, :1, :]
     with pytest.raises(ShapeError):
-        validate_model(m)
+        validate_model(_copy(two, dense_kernel(two)[:, :, :1, :]))
 
-    m = _copy(two)
-    m.P = m.P[:1]
     with pytest.raises((ShapeError, DimensionMismatch)):
-        validate_model(m)
+        validate_model(_copy(two, dense_kernel(two)[:1]))
 
 
 def test_period_budget_exact_fractions():
@@ -110,19 +117,30 @@ def test_successors_are_the_positive_kernel(fix, bern5, crowd7):
         kernels = successors(model)
         assert len(kernels) == model.T - 1
         for t, K in enumerate(kernels):
-            P = model.P[t]
+            assert K is model.kernel[t]
             assert K.shape == (2 * model.S, model.S)
             assert K.has_sorted_indices
             assert (K.data > 0.0).all()
-            np.testing.assert_array_equal(
-                K.toarray(), np.where(P > 0, P, 0).reshape(2 * model.S, model.S))
+    # a dense kernel with zero entries keeps exactly its positive ones
+    for _ in range(10):
+        P = rng.dirichlet(np.ones(4), size=(3, 4, 2))
+        P[P < 0.1] = 0.0
+        P /= P.sum(axis=3, keepdims=True)
+        model = ArmModel(T=3, states=list(range(4)), s0=0, P=P,
+                         R=np.zeros((3, 4, 2)), alpha=np.full(3, 0.5))
+        validate_model(model)
+        for t, K in enumerate(successors(model)):
+            assert K.has_sorted_indices
+            np.testing.assert_array_equal(K.toarray(), P[t].reshape(8, 4))
 
 
 def test_negative_dust_is_no_successor():
     """A kernel entry of -5e-10 passes validation yet is a successor nowhere:
     not in the LP's flow rows, the count engine or the exact oracle."""
-    model = make_random_model(np.random.default_rng(35), S=3, T=3)
-    model.P[0, 1, 0] = [0.6 + 5e-10, 0.4, -5e-10]
+    base = make_random_model(np.random.default_rng(35), S=3, T=3)
+    P = dense_kernel(base)
+    P[0, 1, 0] = [0.6 + 5e-10, 0.4, -5e-10]
+    model = _copy(base, P)
     validate_model(model)
     # flow row of (t=2, s=2) must not see x_1(1, 0)
     inst = build_lp(model)
@@ -142,9 +160,47 @@ def test_json_round_trip(bern2):
     assert back.T == bern2.T
     assert back.states == bern2.states
     assert back.s0 == bern2.s0
-    np.testing.assert_array_equal(back.P, bern2.P)
+    _same_kernel(back, bern2)
     np.testing.assert_array_equal(back.R, bern2.R)
     np.testing.assert_array_equal(back.alpha, bern2.alpha)
+
+
+def _v1_payload(model):
+    """The dense layout model_to_dict wrote before version 2 (no version field)."""
+    payload = model_to_dict(model)
+    del payload["version"], payload["kernel"]
+    payload["P"] = dense_kernel(model).tolist()
+    return payload
+
+
+def _annotations(model):
+    return [(a.posterior_mean, a.posterior_sd, a.family, a.params,
+             a.sampler(np.random.default_rng(4), 3).tolist())
+            for a in model.annotations or ()]
+
+
+def test_json_v1_dense_payload_loads_to_same_model(bern5, crowd3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assort = assortment(3, 0.25, m_cap=15, x_cap=12)
+    for model in (bern5, crowd3, assort):
+        back = model_from_dict(json.loads(json.dumps(_v1_payload(model))))
+        _same_kernel(back, model)
+        np.testing.assert_array_equal(back.R, model.R)
+        np.testing.assert_array_equal(back.alpha, model.alpha)
+        assert back.states == model.states and back.s0 == model.s0
+        assert _annotations(back) == _annotations(model)
+
+
+def test_json_v2_round_trip_is_exact(bern5, crowd3):
+    rng = np.random.default_rng(36)
+    for model in (bern5, crowd3, make_random_model(rng, annotate=True)):
+        payload = json.loads(model_to_json(model))
+        assert payload["version"] == 2 and "P" not in payload
+        back = model_from_dict(payload)
+        _same_kernel(back, model)
+        assert _annotations(back) == _annotations(model)
+        assert model_to_json(back) == model_to_json(model)
 
 
 def test_json_round_trip_rebuilds_samplers(bern2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_model
+from conftest import dense_kernel, make_random_model
 from fluidbandit.errors import DimensionMismatch
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.occupancy import (classify, fluid_consistency_gap,
@@ -92,13 +92,14 @@ def test_fluid_propagate_feasible_and_below_optimum():
         opt = solve_relaxation(model)
         scores = rng.normal(size=(model.T, model.S))
         x, value = fluid_propagate(model, scores)
+        P = dense_kernel(model)
         assert value <= opt.value + 1e-9
         assert x.min() >= -1e-12
         for t in range(model.T):
             assert abs(float(x[t, :, 1].sum()) - float(model.alpha[t])) <= 1e-9
             assert abs(float(x[t].sum()) - 1.0) <= 1e-9
             if t + 1 < model.T:
-                inflow = np.einsum("sa,sap->p", x[t], model.P[t])
+                inflow = np.einsum("sa,sap->p", x[t], P[t])
                 assert np.abs(x[t + 1].sum(axis=1) - inflow).max() <= 1e-9
 
 

@@ -42,7 +42,7 @@ def test_single_flooring_slack(single, single_measure):
 def test_zero_reward_model():
     rng = np.random.default_rng(2)
     model = make_random_model(rng, S=2, T=2)
-    model = ArmModel(T=model.T, states=model.states, s0=model.s0, P=model.P,
+    model = ArmModel(T=model.T, states=model.states, s0=model.s0, kernel=model.kernel,
                      R=np.zeros_like(model.R), alpha=model.alpha, metadata={})
     validate_model(model)
     assert optimal_value(model, 3) == pytest.approx(0.0, abs=1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_random_model
+from conftest import dense_kernel, make_random_model
 from fluidbandit.mdp import ArmModel
 from fluidbandit.priority import (PriorityScheme, dual_value,
                                   lambda_from_duals, q_recursion)
@@ -34,7 +34,7 @@ def test_q_recursion_residual(bern5, bern5_measure):
     np.testing.assert_allclose(scheme.Q[T - 1],
                                bern5.R[T - 1] - lam[T - 1] * price, atol=1e-9)
     for t in range(T - 1):
-        cont = bern5.P[t] @ scheme.Q[t + 1].max(axis=1)
+        cont = dense_kernel(bern5)[t] @ scheme.Q[t + 1].max(axis=1)
         np.testing.assert_allclose(scheme.Q[t],
                                    bern5.R[t] - lam[t] * price + cont, atol=1e-9)
     np.testing.assert_allclose(scheme.P, scheme.Q[:, :, 1] - scheme.Q[:, :, 0],
@@ -56,7 +56,7 @@ def test_reward_shift_keeps_priority_order():
     base = q_recursion(model, lam)
     shift = rng.uniform(-2.0, 2.0, size=3)
     shifted = ArmModel(T=model.T, states=model.states, s0=model.s0,
-                       P=model.P, R=model.R + shift[:, None, None],
+                       kernel=model.kernel, R=model.R + shift[:, None, None],
                        alpha=model.alpha, metadata={})
     moved = q_recursion(shifted, lam)
     for t in range(1, model.T + 1):

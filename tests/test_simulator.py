@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
-from fluidbandit.simulator import (default_reps, gap_sweep, simulate,
+from fluidbandit.mdp import successors
+from fluidbandit.simulator import (_successor_table, default_reps, gap_sweep, simulate,
                                    simulate_per_arm, violation_rate_sweep)
 
 
@@ -118,3 +119,18 @@ def test_violation_rate_sweep_single(single):
 def test_default_reps_rule():
     assert default_reps(100) == 5_000
     assert default_reps(100_000) == 200_000
+
+
+def test_successor_table_draws_like_the_dense_cdf(bern5, crowd7):
+    """The per-arm engine's padded per-row CDF picks the successor that
+    counting the dense row's cumulative sums below the uniform picks."""
+    rng = np.random.default_rng(41)
+    for model in (bern5, crowd7, make_random_model(rng, S=5, T=3)):
+        for K in successors(model):
+            cdf, targets = _successor_table(K)
+            dense = np.cumsum(K.toarray(), axis=1)
+            rows = rng.integers(0, K.shape[0], size=20_000)
+            u = rng.random((20_000, 1))
+            slot = np.minimum((u > cdf[rows]).sum(axis=1), cdf.shape[1] - 1)
+            want = np.minimum((u > dense[rows]).sum(axis=1), model.S - 1)
+            np.testing.assert_array_equal(targets[rows, slot], want)
