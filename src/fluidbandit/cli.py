@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact small-N optimum vs LP bound")
     _add_model_source(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--guard", type=int, default=10**7)
+    p.add_argument("--guard", type=int, default=10**7,
+                   help="work-unit limit: one unit per (count vector, pull vector) pair, "
+                        "per count vector stored and per index-map or continuation-grid entry")
     p.add_argument("--out", "-o")
     p.set_defaults(func=cmd_oracle)
     return ap

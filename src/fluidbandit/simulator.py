@@ -279,7 +279,10 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     ctx = pol.prepare(N)
 
     per_arm_width = N if (engine == "per_arm" or pol.kind in ("rac", "ts")) else 0
-    cell = S + per_arm_width + (S * N if engine == "per_arm" else 0)
+    cell = S + per_arm_width
+    if engine == "per_arm":
+        # the (R, N, W) successor draw of _chunk_per_arm, W the widest kernel row
+        cell += N * max((int(np.diff(K.indptr).max()) for K in pol._support), default=0)
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
 

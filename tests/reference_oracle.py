@@ -1,0 +1,147 @@
+"""Dict-convolution reference for the exact joint-count oracle.
+
+Backward induction and forward propagation that build the successor law
+of every (count vector, action counts) pair by convolving per-state
+multinomial outcome tables in a dictionary.  It is the reference that
+``fluidbandit.oracle.optimal_value`` and ``exact_policy_value`` (one group
+table product per period) are checked against.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from fluidbandit.errors import BudgetExceeded, RangeError
+from fluidbandit.mdp import ArmModel, CountState, period_budget, successors
+from fluidbandit.oracle import (DEFAULT_GUARD, _scalar_allocator, bounded_compositions,
+                                compositions)
+
+
+class _WorkMeter:
+    """Work guard of one oracle call, and that call's memo of multinomial
+    outcome tables keyed by (group size, transition probabilities)."""
+
+    def __init__(self, guard: int):
+        self.guard = guard
+        self.used = 0
+        self.outcomes: dict[tuple[int, tuple[float, ...]], list] = {}
+
+    def spend(self, units: int) -> None:
+        self.used += units
+        if self.used > self.guard:
+            raise BudgetExceeded(f"enumeration exceeded {self.guard} work units")
+
+
+def _group_outcomes(g: int, probs: tuple[float, ...]) -> list[tuple[tuple[int, ...], float]]:
+    """Multinomial outcomes for g arms over len(probs) targets with pmf."""
+    k = len(probs)
+    out = []
+    for comp in compositions(g, k):
+        coef = math.factorial(g)
+        for c in comp:
+            coef //= math.factorial(c)
+        p = float(coef)
+        for c, q in zip(comp, probs):
+            p *= q ** c
+        if p > 0.0:
+            out.append((comp, p))
+    return out
+
+
+def _successor_distribution(K, X: np.ndarray,
+                            meter: _WorkMeter) -> dict[tuple[int, ...], float]:
+    """Distribution of Z_{t+1} given the action counts X at period t,
+    whose kernel K is the period's entry of :func:`mdp.successors`."""
+    dist: dict[tuple[int, ...], float] = {tuple([0] * K.shape[1]): 1.0}
+    for r, g in enumerate(X.reshape(-1).tolist()):
+        if g == 0:
+            continue
+        targets = K.indices[K.indptr[r]:K.indptr[r + 1]].tolist()
+        probs = tuple(K.data[K.indptr[r]:K.indptr[r + 1]].tolist())
+        outcomes = meter.outcomes.get((g, probs))
+        if outcomes is None:
+            outcomes = meter.outcomes[g, probs] = _group_outcomes(g, probs)
+        new: dict[tuple[int, ...], float] = {}
+        meter.spend(len(dist) * len(outcomes))
+        for z, pz in dist.items():
+            for comp, pc in outcomes:
+                nz = list(z)
+                for tgt, cnt in zip(targets, comp):
+                    nz[tgt] += cnt
+                key = tuple(nz)
+                new[key] = new.get(key, 0.0) + pz * pc
+        dist = new
+    return dist
+
+
+def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
+                  return_tables: bool = False):
+    """Exact V*_N by backward induction over joint count vectors."""
+    if N < 1:
+        raise RangeError("N must be >= 1")
+    S, T = model.S, model.T
+    n_comp = math.comb(N + S - 1, S - 1)
+    budgets = [period_budget(float(model.alpha[t]), N) for t in range(T)]
+    rough = n_comp * T * max(math.comb(b + S - 1, S - 1) for b in budgets)
+    if rough > guard * 100:
+        raise BudgetExceeded(
+            f"estimated enumeration {rough} far beyond guard {guard}")
+    meter = _WorkMeter(guard)
+    kernels = successors(model)
+
+    all_Z = list(compositions(N, S))
+    vnext: dict[tuple[int, ...], float] = {z: 0.0 for z in all_Z}
+    tables = []
+    for t in range(T, 0, -1):
+        B = budgets[t - 1]
+        vt: dict[tuple[int, ...], float] = {}
+        for Z in all_Z:
+            best = -math.inf
+            for pulls in bounded_compositions(B, Z):
+                X = np.array([[z - x1, x1] for z, x1 in zip(Z, pulls)], dtype=np.int64)
+                meter.spend(1)
+                val = float((model.R[t - 1] * X).sum())
+                if t < T:
+                    succ = _successor_distribution(kernels[t - 1], X, meter)
+                    val += sum(p * vnext[z2] for z2, p in succ.items())
+                if val > best:
+                    best = val
+            vt[Z] = best
+        if return_tables:
+            tables.append(vt)
+        vnext = vt
+    z1 = tuple(N if s == model.s0 else 0 for s in range(S))
+    value = vnext[z1]
+    if return_tables:
+        return value, list(reversed(tables))
+    return value
+
+
+def exact_policy_value(model: ArmModel, policy, N: int,
+                       guard: int = DEFAULT_GUARD) -> float:
+    """Exact expected total reward of a deterministic policy at arm count N.
+
+    Propagates the full distribution over count vectors forward through
+    the policy's allocations; raises NondeterministicPolicy for RAC/TS.
+    """
+    allocate = _scalar_allocator(model, policy)
+    meter = _WorkMeter(guard)
+    kernels = successors(model)
+    S, T = model.S, model.T
+    z1 = tuple(N if s == model.s0 else 0 for s in range(S))
+    dist: dict[tuple[int, ...], float] = {z1: 1.0}
+    total = 0.0
+    for t in range(1, T + 1):
+        new: dict[tuple[int, ...], float] = {}
+        for Z, pz in dist.items():
+            counts = CountState(t=t, N=N, Z=np.array(Z, dtype=np.int64))
+            plan = allocate(t, counts)
+            total += pz * float((model.R[t - 1] * plan.X).sum())
+            if t < T:
+                succ = _successor_distribution(kernels[t - 1], plan.X, meter)
+                for z2, p2 in succ.items():
+                    new[z2] = new.get(z2, 0.0) + pz * p2
+        dist = new
+    return total

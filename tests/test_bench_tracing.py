@@ -6,6 +6,7 @@ the traced benchmark run; this catches it in well under a second.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 from fluidbandit import cli, oracle, simulator
@@ -50,6 +51,21 @@ def test_tracer_patches_and_restores_every_name(capsys):
         assert name in names
     metrics = tracing.layer_metrics(tracer, 0.0)
     assert metrics["policies.alloc_calls"] > 0
+
+
+def test_tracer_counts_one_pull_sweep_per_count_vector_and_period():
+    # oracle.count_states reads this counter: the optimal DP must keep
+    # enumerating each count vector's pull vectors through the patched name
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    two = fixtures()["TWO"]
+    try:
+        tracer.install()
+        oracle.optimal_value(two, 2)
+    finally:
+        tracer.uninstall()
+    assert "oracle.optimal" in {rec[0] for rec in tracer.spans}
+    assert tracer.counters["oracle.dp_states"] == two.T * math.comb(2 + two.S - 1, two.S - 1)
 
 
 def test_tracer_sees_the_model_json_names(tmp_path):

@@ -14,7 +14,7 @@ from fluidbandit.mdp import (AllocationPlan, ArmModel, CountState,
                              model_from_dict, model_to_dict, model_to_json,
                              period_budget, reachable_states, successors,
                              validate_model)
-from fluidbandit.oracle import _WorkMeter, _successor_distribution
+from fluidbandit.oracle import _Lattice, _WorkMeter
 from fluidbandit.policies import parse_policy
 from fluidbandit.simulator import CompiledPolicy
 from fluidbandit.zoo import assortment
@@ -148,9 +148,9 @@ def test_negative_dust_is_no_successor():
     assert inst.A[row, inst.var(1, 1, 0)] == 0.0
     pol = CompiledPolicy(model, parse_policy("fluid"))
     assert pol._support[0][2 * 1 + 0].indices.tolist() == [0, 1]
-    X = np.array([[0, 0], [3, 0], [0, 0]])
-    dist = _successor_distribution(successors(model)[0], X, _WorkMeter(10 ** 6))
-    assert all(z[2] == 0 for z in dist)
+    # where three idle arms of state 1 land in period 1
+    Y, p = _Lattice(model, 3, _WorkMeter(10 ** 6)).law(1, 0, (0, 3, 0))
+    assert (p > 0).all() and (Y[:, 2] == 0).all()
 
 
 def test_json_round_trip(bern2):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import reference_oracle as ref
 from conftest import make_random_model
 from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy
-from fluidbandit.mdp import ArmModel, validate_model
+from fluidbandit.mdp import AllocationPlan, ArmModel, period_budget, validate_model
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
 from fluidbandit.simulator import simulate
@@ -114,3 +115,101 @@ def test_outcome_memo_lives_for_one_call(monkeypatch):
         runs.append((value.hex(), len(calls)))
     assert runs[0] == runs[1]
     assert runs[0][1] > len(list(real(5, 3)))  # tables were built, not only Z
+
+
+def _with_alpha(model, alpha):
+    return ArmModel(T=model.T, states=model.states, s0=model.s0, kernel=model.kernel,
+                    R=model.R, alpha=np.full(model.T, alpha), metadata={})
+
+
+def _same_optimum(model, N):
+    value, tables = optimal_value(model, N, return_tables=True)
+    want, want_tables = ref.optimal_value(model, N, return_tables=True)
+    assert value == pytest.approx(want, abs=1e-12)
+    assert len(tables) == len(want_tables)
+    for got_t, want_t in zip(tables, want_tables):
+        assert list(got_t) == list(want_t)
+        assert max(abs(got_t[Z] - v) for Z, v in want_t.items()) <= 1e-12
+
+
+def test_optimal_value_matches_reference_on_random_models():
+    # the A2 instance family: S 1-3, T 1-3, N 2-4
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        model = make_random_model(rng, S=int(rng.integers(1, 4)),
+                                  T=int(rng.integers(1, 4)))
+        _same_optimum(model, int(rng.integers(2, 5)))
+
+
+def test_optimal_value_matches_reference_on_fixtures(single, two, bern2):
+    for N in (1, 2, 3):
+        _same_optimum(single, N)
+        _same_optimum(two, N)
+    for N in range(2, 7):
+        _same_optimum(bern2, N)
+
+
+def test_optimal_value_matches_reference_at_the_edges():
+    rng = np.random.default_rng(77)
+    base = make_random_model(rng, S=3, T=3)
+    assert period_budget(0.1, 4) == 0
+    _same_optimum(_with_alpha(base, 0.1), 4)  # B_t = 0: nothing is pulled
+    _same_optimum(_with_alpha(base, 1.0), 4)  # B_t = N: everything is pulled
+    _same_optimum(make_random_model(rng, S=1, T=3), 5)
+    _same_optimum(make_random_model(rng, S=3, T=1), 5)
+
+
+def test_small_pair_blocks_change_nothing(monkeypatch, bern2):
+    # both DPs work through their pairs in blocks; blocks of three pairs
+    # cross every boundary the default size never reaches here
+    import fluidbandit.oracle as oracle
+
+    monkeypatch.setattr(oracle, "PAIR_BLOCK", 3)
+    rng = np.random.default_rng(911)
+    for model in (bern2, make_random_model(rng, S=3, T=3)):
+        _same_optimum(model, 5)
+        got = exact_policy_value(model, "fluid", 5)
+        assert got == pytest.approx(ref.exact_policy_value(model, "fluid", 5), abs=1e-12)
+
+
+def _pull_fewer(model):
+    """Pulls B_t - 1 arms (none when B_t = 0), highest states first."""
+    def allocate(t, counts):
+        left = max(period_budget(float(model.alpha[t - 1]), counts.N) - 1, 0)
+        X = np.zeros((model.S, 2), dtype=np.int64)
+        for s in range(model.S - 1, -1, -1):
+            X[s, 1] = min(left, int(counts.Z[s]))
+            left -= X[s, 1]
+        X[:, 0] = counts.Z - X[:, 1]
+        return AllocationPlan(t=t, X=X, relaxed=True)
+    return allocate
+
+
+def test_exact_policy_value_matches_reference():
+    rng = np.random.default_rng(505)
+    for _ in range(12):
+        model = make_random_model(rng, annotate=True)
+        N = int(rng.integers(2, 6))
+        for policy in ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model)):
+            got = exact_policy_value(model, policy, N)
+            assert got == pytest.approx(ref.exact_policy_value(model, policy, N), abs=1e-12)
+
+
+def test_exact_policy_value_matches_reference_on_bernoulli(bern2, bern5):
+    for N in (2, 3, 5):
+        for policy in ("fluid", "ucb:1.0", _pull_fewer(bern2)):
+            got = exact_policy_value(bern2, policy, N)
+            assert got == pytest.approx(ref.exact_policy_value(bern2, policy, N), abs=1e-12)
+    # S = 15: the group laws stay as sparse as the few states an arm can reach
+    got = exact_policy_value(bern5, "fluid", 8)
+    assert got == pytest.approx(ref.exact_policy_value(bern5, "fluid", 8), abs=1e-12)
+
+
+def test_work_meter_guard(bern2):
+    # the size estimate (90 for bern2 at N=4) passes a guard of 10, so the
+    # work meter is what refuses the first call; the policy DP has no estimate
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded 10 work units"):
+        optimal_value(bern2, 4, guard=10)
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded 2 work units"):
+        exact_policy_value(bern2, "fluid", 4, guard=2)
+    assert optimal_value(bern2, 4) == pytest.approx(ref.optimal_value(bern2, 4), abs=1e-12)
