@@ -183,7 +183,7 @@ def _solve_reduced_min(A: sp.csc_matrix, b: np.ndarray, cmin: np.ndarray):
     return res.x, np.asarray(res.eqlin.marginals), "optimal"
 
 
-def _embed(inst: LpInstance, model: ArmModel, red: _Reduced, x_red: np.ndarray,
+def _embed(inst: LpInstance, red: _Reduced, x_red: np.ndarray,
            duals: np.ndarray | None) -> OccupationMeasure:
     x_full = np.zeros(inst.n_vars)
     x_full[red.keep_cols] = x_red
@@ -193,11 +193,11 @@ def _embed(inst: LpInstance, model: ArmModel, red: _Reduced, x_red: np.ndarray,
     value = float(inst.c @ x_full)
     x = x_full.reshape(inst.T, inst.S, 2)
     measure = OccupationMeasure(x=x, z=x.sum(axis=2), value=value, duals=duals)
-    _check_measure(inst, model, measure)
+    _check_measure(inst, measure)
     return measure
 
 
-def _check_measure(inst: LpInstance, model: ArmModel, measure: OccupationMeasure) -> None:
+def _check_measure(inst: LpInstance, measure: OccupationMeasure) -> None:
     resid = inst.A @ measure.x.reshape(-1) - inst.b
     kinds = np.array([k[0] for k in inst.row_kind])
     worst = {kind: float(np.abs(resid[kinds == kind]).max(initial=0.0))
@@ -225,7 +225,7 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     if status != "optimal":
         raise SolverFailure(f"relaxation solve failed: {status}")
     lam = -np.asarray(y_min)[red.budget_row_pos]
-    measure = _embed(inst, model, red, x_red, lam)
+    measure = _embed(inst, red, x_red, lam)
     from .priority import dual_value  # priority imports this module
 
     gap = abs(dual_value(model, lam) - measure.value)
@@ -265,4 +265,4 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray,
         raise PinInfeasible(f"no optimal measure at pinned value {value}")
     if status != "optimal":
         raise SolverFailure(f"pinned solve failed: {status}")
-    return _embed(inst, model, red, x, None)
+    return _embed(inst, red, x, None)

@@ -3,7 +3,9 @@
 The N-arm system is a single MDP over count vectors (compositions of N
 across states).  Backward induction over that space gives the exact
 optimal value V*_N; forward distribution propagation gives the exact
-value of any deterministic policy.
+value of any deterministic policy, compiled by the simulator's
+``CompiledPolicy`` so that the bound, the oracle and the Monte Carlo
+engines all run one policy.
 
 Both rest on one factorisation.  Split a period's action counts into
 passive counts P and active counts A.  The next count vector is
@@ -26,10 +28,11 @@ import scipy.sparse as sp
 
 from .errors import BudgetExceeded, NondeterministicPolicy, RangeError
 from .mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
-from .occupancy import classify
-from .policies import (PolicySpec, fluid_priority_allocate, budget_relaxed_allocate,
-                       index_allocate, parse_policy, ucb_allocate)
-from .priority import lambda_from_duals, q_recursion
+from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
+from .policies import (budget_relaxed_allocate, fluid_priority_allocate, index_allocate,
+                       parse_policy)
+from .priority import q_recursion  # noqa: F401  bench/tracing.py patches this name
+from .simulator import _resolve_policy
 
 # Work guard: (count vector, pull vector) pairs plus table entries built.
 DEFAULT_GUARD = 10 ** 7
@@ -253,39 +256,26 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
 
 
 def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
-    """Deterministic per-count-state allocation via the public 1-row allocators."""
+    """Deterministic per-count-state allocation: a bare callable as given,
+    anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
+    and applied through the public 1-row allocators."""
+    if callable(policy):
+        return policy
     if isinstance(policy, str):
         policy = parse_policy(policy)
-    if callable(policy) and not isinstance(policy, PolicySpec):
-        return policy
-    kind = policy.kind
-    if kind in ("rac", "ts"):
-        raise NondeterministicPolicy(f"{kind} is randomized; exact evaluation undefined")
-    if kind in ("fluid", "relaxed", "index"):
-        measure = policy.measure
-        if measure is None:
-            from .lp import solve_relaxation
-
-            measure = solve_relaxation(model)
-        scores = policy.scores
-        if scores is None:
-            scores = q_recursion(model, lambda_from_duals(measure))
-        part = classify(measure)
-        if kind == "fluid":
-            return lambda t, c: fluid_priority_allocate(
-                t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]),
-                partition=part)
-        if kind == "relaxed":
-            return lambda t, c: budget_relaxed_allocate(
-                t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]),
-                partition=part)
-        return lambda t, c: index_allocate(
-            t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))
-    if kind == "ucb":
-        ann = model.annotations
-        return lambda t, c: ucb_allocate(
-            t, c, ann, policy.delta, period_budget(float(model.alpha[t - 1]), c.N))
-    raise RangeError(f"unknown policy kind {kind!r}")
+    if getattr(policy, "kind", None) in ("rac", "ts"):
+        raise NondeterministicPolicy(f"{policy.kind} is randomized; exact evaluation undefined")
+    pol = _resolve_policy(model, policy)
+    measure, scores, part = pol.measure, pol.scores, pol.partition
+    if pol.kind == "fluid":
+        return lambda t, c: fluid_priority_allocate(
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+    if pol.kind == "relaxed":
+        return lambda t, c: budget_relaxed_allocate(
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+    # index and ucb: greedy in the compiled score order
+    return lambda t, c: index_allocate(
+        t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))
 
 
 def exact_policy_value(model: ArmModel, policy, N: int,
@@ -294,13 +284,15 @@ def exact_policy_value(model: ArmModel, policy, N: int,
 
     Propagates the full distribution over count vectors forward through
     the policy's allocations, one per reachable count vector; raises
-    NondeterministicPolicy for RAC/TS.  A vector's successor law is the
+    NondeterministicPolicy for RAC/TS and RangeError for N < 1.  A vector's successor law is the
     outer product of its passive and active group-table rows, scattered
     onto the compositions of N; rows are built on first use, since a
     policy may pull other than B_t.  Work units are counted as in
     :func:`optimal_value`, plus one per scattered (passive, active)
     landing pair.
     """
+    if N < 1:
+        raise RangeError("N must be >= 1")
     allocate = _scalar_allocator(model, policy)
     meter = _WorkMeter(guard)
     lattice = _Lattice(model, N, meter)

@@ -113,17 +113,16 @@ class _Factor:
         return w if self.lu is None else self.lu.solve(w, trans="T")
 
 
-def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
-             maxiter: int | None = None) -> SimplexResult:
-    """Two-phase revised simplex on min c'x, Ax=b, x>=0."""
+def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray) -> SimplexResult:
+    """Two-phase revised simplex on min c'x, Ax=b, x>=0; stops with status
+    "iteration_limit" after 50 000 + 20 m pivots."""
     A = sp.csc_matrix(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).copy()
     c = np.asarray(c, dtype=np.float64)
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
-    if maxiter is None:
-        maxiter = 50_000 + 20 * m
+    maxiter = 50_000 + 20 * m
 
     # Normalize to b >= 0 for the artificial start; remember flipped rows.
     flip = b < 0

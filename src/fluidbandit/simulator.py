@@ -7,6 +7,12 @@ conditioning.  The per-arm engine tracks every arm individually and is
 the reference for distributional cross-validation; it is also the
 natural home of genuinely per-arm policies at small N.
 
+``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
+prices, scores, categories); both engines and ``oracle.exact_policy_value``
+run what it compiles.  Its allocations read N off the count rows, so no
+per-N state is carried; one ``_PeriodBook`` per run sums the budget
+bracket failures and diffusion moments chunk by chunk.
+
 Replications are processed in deterministic chunks, vectorized across
 the chunk.  Chunk k of a run draws from a Philox stream seeded by
 SeedSequence(seed, spawn_key=(tag, k)), where the tag hashes the policy
@@ -20,7 +26,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,13 +94,17 @@ class SweepRow:
 
 
 class CompiledPolicy:
-    """Per-(model, spec) engine: precomputed orders, codes and transition
-    supports, with allocation delegated to the kernels in policies."""
+    """Per-(model, spec) engine: the spec's measure, scores and partition,
+    solved or derived only where the policy needs them, plus precomputed
+    orders, codes and transition supports; allocation is delegated to the
+    kernels in policies."""
 
     def __init__(self, model: ArmModel, spec: PolicySpec):
         self.model = model
         self.spec = spec
         self.kind = spec.kind
+        if self.kind not in ("fluid", "relaxed", "index", "rac", "ucb", "ts"):
+            raise RangeError(f"unknown policy kind {self.kind!r}")
         scores = spec.scores
         measure = spec.measure
         uses_measure = (self.kind in ("fluid", "relaxed", "rac")
@@ -131,36 +141,24 @@ class CompiledPolicy:
     def label(self) -> str:
         return self.spec.label
 
-    def prepare(self, N: int) -> dict[str, Any]:
-        """Per-run integers: budgets and neutral quotas at this N."""
-        T, S = self.model.T, self.model.S
-        ctx: dict[str, Any] = {
-            "N": N,
-            "B": np.array([period_budget(float(self.model.alpha[t]), N) for t in range(T)]),
-            "alphaN": self.model.alpha * N,
-        }
-        if self.measure is not None:
-            ctx["quota"] = np.floor(N * self.measure.x[:, :, 1]).astype(np.int64)
-        return ctx
-
-    def allocate_batch(self, t: int, Z: np.ndarray, rng: np.random.Generator,
-                       ctx: dict[str, Any]) -> np.ndarray:
+    def allocate_batch(self, t: int, Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Pull counts (R, S) for count rows Z (R, S) at period t.
 
         Dispatches to this policy's kernel in :mod:`fluidbandit.policies`
-        with the per-period order, codes and the budget and quotas of ctx.
+        with the period's order and codes, the budget ``period_budget``
+        gives at N = Z[0].sum(), and the neutral quotas floor(N * x_t(s, 1)).
         """
-        B = int(ctx["B"][t - 1])
+        N = int(Z[0].sum())
+        B = period_budget(float(self.model.alpha[t - 1]), N)
         if self.kind in ("fluid", "relaxed"):
+            quota = np.floor(N * self.measure.x[t - 1, :, 1]).astype(np.int64)
             return fluid_pulls(Z, self._codes[t - 1], self._orders[t - 1],
-                               ctx["quota"][t - 1], B, relaxed=self.kind == "relaxed")
+                               quota, B, relaxed=self.kind == "relaxed")
         if self.kind in ("index", "ucb"):
             return index_pulls(Z, self._orders[t - 1], B)
         if self.kind == "rac":
             return rac_pulls(Z, activation_probabilities(self.measure, t), B, rng)
-        if self.kind == "ts":
-            return ts_pulls(Z, self.model.annotations, B, rng)
-        raise RangeError(f"unknown policy kind {self.kind!r}")
+        return ts_pulls(Z, self.model.annotations, B, rng)
 
     # ---- batch transitions ----------------------------------------------
 
@@ -275,8 +273,7 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
         raise RangeError("need N >= 1 and reps >= 1")
     t0 = time.perf_counter()
     pol = _resolve_policy(model, policy)
-    T, S = model.T, model.S
-    ctx = pol.prepare(N)
+    S = model.S
 
     per_arm_width = N if (engine == "per_arm" or pol.kind in ("rac", "ts")) else 0
     cell = S + per_arm_width
@@ -285,40 +282,15 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
         cell += N * max((int(np.diff(K.indptr).max()) for K in pol._support), default=0)
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
+    chunk = _chunk_counts if engine == "counts" else _chunk_per_arm
 
     stats = _Welford()
-    viol_counts = np.zeros(T, dtype=np.int64)
-    union_count = 0
-    has_ref = pol.measure is not None
-    diff_z = np.zeros(T)
-    diff_x = np.zeros(T)
-
+    book = _PeriodBook(pol, N, collect_diffusion)
     for chunk_idx, R in enumerate(sizes):
-        rng = _stream(seed, tag, chunk_idx)
-        if engine == "counts":
-            rewards, vc, uc, dz, dx = _chunk_counts(model, pol, ctx, N, R, rng,
-                                                    has_ref and collect_diffusion)
-        else:
-            rewards, vc, uc, dz, dx = _chunk_per_arm(model, pol, ctx, N, R, rng,
-                                                     has_ref and collect_diffusion)
-        stats.add_chunk(rewards)
-        if vc is not None:
-            viol_counts += vc
-            union_count += uc
-        if dz is not None:
-            diff_z += dz
-            diff_x += dx
+        stats.add_chunk(chunk(model, pol, N, R, _stream(seed, tag, chunk_idx), book))
 
     wall = time.perf_counter() - t0
-    if has_ref:
-        per_t = viol_counts / reps
-        union = union_count / reps
-    else:
-        per_t = np.full(T, np.nan)
-        union = float("nan")
-    diffusion = None
-    if has_ref and collect_diffusion:
-        diffusion = {"Z": diff_z / reps, "X": diff_x / reps}
+    per_t, union, diffusion = book.rates(reps)
     return SimulationReport(
         mean_reward=stats.mean,
         ci_halfwidth=stats.ci95(),
@@ -335,71 +307,82 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     )
 
 
-def _violations(pol: CompiledPolicy, ctx, t: int, Z: np.ndarray) -> np.ndarray:
-    return violation_rows(Z, pol.partition.codes[t - 1], float(ctx["alphaN"][t - 1]))
+def _violations(pol: CompiledPolicy, t: int, Z: np.ndarray) -> np.ndarray:
+    N = int(Z[0].sum())
+    return violation_rows(Z, pol.partition.codes[t - 1], float(pol.model.alpha[t - 1] * N))
 
 
 class _PeriodBook:
-    """Per-chunk bookkeeping both engines share: bracketing-event failures
-    per period and in any period, and the diffusion second moments
-    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N against the policy's
-    measure, summed over the chunk's replications."""
+    """Bookkeeping of one run that both engines share: bracketing-event
+    failures per period and in any period, and the diffusion second
+    moments ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N against the
+    policy's measure, summed over the replications chunk by chunk.  Both
+    are kept only when the policy carries a measure, the moments only
+    when asked for."""
 
-    def __init__(self, pol: CompiledPolicy, ctx, N: int, R: int, T: int,
-                 want_diffusion: bool):
-        self.pol, self.ctx, self.N = pol, ctx, N
-        track_viol = pol.partition is not None
-        self.vc = np.zeros(T, dtype=np.int64) if track_viol else None
-        self.union = np.zeros(R, dtype=bool) if track_viol else None
-        self.dz = np.zeros(T) if want_diffusion else None
-        self.dx = np.zeros(T) if want_diffusion else None
+    def __init__(self, pol: CompiledPolicy, N: int, want_diffusion: bool):
+        T = pol.model.T
+        self.pol, self.N, self.T = pol, N, T
+        track = pol.measure is not None
+        self.vc = np.zeros(T, dtype=np.int64) if track else None
+        self.uc = 0
+        self.union = np.zeros(0, dtype=bool)  # failed so far, per replication of the chunk
+        self.dz = np.zeros(T) if track and want_diffusion else None
+        self.dx = np.zeros(T) if track and want_diffusion else None
 
     def record(self, t: int, Z: np.ndarray, X0: np.ndarray, X1: np.ndarray) -> None:
+        """Add period t of a chunk's replications; period 1 opens the chunk."""
         if self.vc is not None:
-            v = _violations(self.pol, self.ctx, t, Z)
-            self.vc[t - 1] = int(v.sum())
+            if t == 1:
+                self.union = np.zeros(len(Z), dtype=bool)
+            v = _violations(self.pol, t, Z)
+            self.vc[t - 1] += int(v.sum())
+            self.uc += int((v & ~self.union).sum())
             self.union |= v
         if self.dz is not None:
             N, sqrtN = self.N, math.sqrt(self.N)
             zt = self.pol.measure.z[t - 1]
             xt = self.pol.measure.x[t - 1]
-            self.dz[t - 1] = float((((Z - N * zt) / sqrtN) ** 2).sum())
-            self.dx[t - 1] = float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                                   + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+            self.dz[t - 1] += float((((Z - N * zt) / sqrtN) ** 2).sum())
+            self.dx[t - 1] += float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
+                                    + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
 
-    def totals(self):
-        """(per-period failures, replications failing any period, dz, dx)."""
-        uc = int(self.union.sum()) if self.vc is not None else 0
-        return self.vc, uc, self.dz, self.dx
+    def rates(self, reps: int):
+        """(per-period failure rate, any-period failure rate, diffusion
+        moments or None); the rates are NaN without a measure."""
+        if self.vc is None:
+            return np.full(self.T, np.nan), float("nan"), None
+        diffusion = None
+        if self.dz is not None:
+            diffusion = {"Z": self.dz / reps, "X": self.dx / reps}
+        return self.vc / reps, self.uc / reps, diffusion
 
 
-def _chunk_counts(model, pol, ctx, N, R, rng, want_diffusion):
+def _chunk_counts(model, pol, N, R, rng, book):
     T, S = model.T, model.S
-    book = _PeriodBook(pol, ctx, N, R, T, want_diffusion)
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
     rewards = np.zeros(R)
     for t in range(1, T + 1):
-        X1 = pol.allocate_batch(t, Z, rng, ctx)
+        X1 = pol.allocate_batch(t, Z, rng)
         X0 = Z - X1
         rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
         book.record(t, Z, X0, X1)
         if t < T:
             X = np.stack([X0, X1], axis=2)
             Z = pol.step_counts(t, X, rng)
-    return (rewards, *book.totals())
+    return rewards
 
 
-def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
+def _chunk_per_arm(model, pol, N, R, rng, book):
     T, S = model.T, model.S
-    book = _PeriodBook(pol, ctx, N, R, T, want_diffusion)
     states = np.full((R, N), model.s0, dtype=np.int64)
     rewards = np.zeros(R)
     row = np.arange(R)[:, None] * S
     tables = [_successor_table(K) for K in pol._support]
     for t in range(1, T + 1):
         Z = np.bincount((states + row).reshape(-1), minlength=R * S).reshape(R, S)
-        actions = _per_arm_actions(pol, ctx, t, states, Z, rng)
+        actions = _per_arm_actions(pol, t, states, Z, rng)
         X1 = np.bincount((states + row).reshape(-1), minlength=R * S,
                          weights=actions.reshape(-1).astype(np.float64))
         X1 = X1.reshape(R, S).astype(np.int64)
@@ -412,7 +395,7 @@ def _chunk_per_arm(model, pol, ctx, N, R, rng, want_diffusion):
             u = rng.random((R, N, 1))
             slot = np.minimum((u > cdf[k]).sum(axis=2), cdf.shape[1] - 1)
             states = targets[k, slot]
-    return (rewards, *book.totals())
+    return rewards
 
 
 def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
@@ -426,14 +409,14 @@ def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(probs, axis=1), np.maximum.accumulate(targets, axis=1)
 
 
-def _per_arm_actions(pol: CompiledPolicy, ctx, t: int, states: np.ndarray,
+def _per_arm_actions(pol: CompiledPolicy, t: int, states: np.ndarray,
                      Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-arm 0/1 actions consistent with the policy's count semantics."""
     R, N = states.shape
     S = Z.shape[1]
+    B = period_budget(float(pol.model.alpha[t - 1]), N)
     if pol.kind == "ts":
         ann = pol.model.annotations
-        B = int(ctx["B"][t - 1])
         if B <= 0:
             return np.zeros((R, N), dtype=np.int64)
         if B >= N:
@@ -453,7 +436,6 @@ def _per_arm_actions(pol: CompiledPolicy, ctx, t: int, states: np.ndarray,
         return act.astype(np.int64)
     if pol.kind == "rac":
         q = activation_probabilities(pol.measure, t)
-        B = int(ctx["B"][t - 1])
         coins = rng.random((R, N)) < q[states]
         keys = rng.random((R, N))
         visit = np.argsort(keys, axis=1)
@@ -464,7 +446,7 @@ def _per_arm_actions(pol: CompiledPolicy, ctx, t: int, states: np.ndarray,
         return act
     # count-level policies: compute the count plan, then tag the first
     # X1[r, s] arms of each state (exchangeable, so any fixed choice works)
-    X1 = pol.allocate_batch(t, Z, rng, ctx)
+    X1 = pol.allocate_batch(t, Z, rng)
     order = np.argsort(states, axis=1, kind="stable")
     st_sorted = np.take_along_axis(states, order, axis=1)
     cumZ_prev = np.concatenate([np.zeros((R, 1), dtype=np.int64),

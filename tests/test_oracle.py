@@ -7,11 +7,12 @@ import pytest
 
 import reference_oracle as ref
 from conftest import make_random_model
-from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy
+from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeError
 from fluidbandit.mdp import AllocationPlan, ArmModel, period_budget, validate_model
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
-from fluidbandit.simulator import simulate
+from fluidbandit.policies import PolicySpec
+from fluidbandit.simulator import CompiledPolicy, simulate
 
 
 def test_compositions():
@@ -86,6 +87,44 @@ def test_nondeterministic_policies_rejected(two, bern2):
         exact_policy_value(two, "rac", 2)
     with pytest.raises(NondeterministicPolicy):
         exact_policy_value(bern2, "ts", 2)
+
+
+def test_exact_policy_value_needs_an_arm(two):
+    # like optimal_value, and like the budget rule every policy spends
+    with pytest.raises(RangeError):
+        exact_policy_value(two, lambda t, c: pytest.fail("allocated at N=0"), 0)
+    with pytest.raises(RangeError):
+        exact_policy_value(two, "fluid", -1)
+
+
+def test_ucb_without_delta_is_a_range_error(bern2):
+    # the oracle compiles policies as the simulator does, so both refuse alike
+    with pytest.raises(RangeError, match="delta"):
+        exact_policy_value(bern2, PolicySpec("ucb"), 2)
+    with pytest.raises(RangeError, match="delta"):
+        simulate(bern2, PolicySpec("ucb"), N=2, reps=10, seed=0)
+
+
+def test_index_with_explicit_scores_solves_no_lp(monkeypatch, bern2):
+    import fluidbandit.lp as lp
+    import fluidbandit.simulator as simulator
+
+    policies = (PolicySpec("index", scores=np.arange(bern2.S, dtype=np.float64)), "ucb:0.5")
+    want = [exact_policy_value(bern2, policy, 3) for policy in policies]
+
+    def refuse(model):
+        raise AssertionError("the relaxation was solved")
+
+    monkeypatch.setattr(lp, "solve_relaxation", refuse)
+    monkeypatch.setattr(simulator, "solve_relaxation", refuse)
+    assert [exact_policy_value(bern2, policy, 3) for policy in policies] == want
+
+
+def test_oracle_takes_a_compiled_policy(bern2):
+    pol = CompiledPolicy(bern2, PolicySpec("fluid"))
+    assert exact_policy_value(bern2, pol, 4) == exact_policy_value(bern2, "fluid", 4)
+    with pytest.raises(NondeterministicPolicy):
+        exact_policy_value(bern2, CompiledPolicy(bern2, PolicySpec("rac")), 2)
 
 
 def test_oracle_agrees_with_simulation(bern2):

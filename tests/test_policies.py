@@ -241,13 +241,12 @@ def test_kernels_match_scalar_reference():
         for N in rng.integers(1, 61, size=4):
             N = int(N)
             Zs = rng.multinomial(N, rng.dirichlet(np.ones(S)), size=16)
-            ctxs = {kind: pol.prepare(N) for kind, pol in pols.items()}
             for t in range(1, T + 1):
                 a_t = float(model.alpha[t - 1])
                 B = period_budget(a_t, N)
-                batch = {kind: pol.allocate_batch(t, Zs, rng, ctxs[kind])
+                batch = {kind: pol.allocate_batch(t, Zs, rng)
                          for kind, pol in pols.items()}
-                viol = _violations(pols["fluid"], ctxs["fluid"], t, Zs)
+                viol = _violations(pols["fluid"], t, Zs)
                 for r, Z in enumerate(Zs):
                     cs = _cs(t, Z)
                     kw = dict(alpha_t=a_t, partition=part)
