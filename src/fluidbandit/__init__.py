@@ -8,7 +8,7 @@ generators.
 """
 
 from .errors import (
-    EXIT_CODES, BudgetExceeded, ConfigError, DimensionMismatch,
+    EXIT_CODES, BudgetExceeded, ConfigError, DegeneratePosterior, DimensionMismatch,
     FluidBanditError, MissingDuals, MissingMetadata, NondeterministicPolicy,
     PinInfeasible, QOutOfRange, RangeError, RowSumError, ShapeError,
     SolverFailure,

@@ -61,6 +61,10 @@ class NondeterministicPolicy(FluidBanditError):
     """The exact policy evaluator was handed a randomized policy."""
 
 
+class DegeneratePosterior(FluidBanditError):
+    """A posterior annotation gives no mass where Thompson sampling placed arms."""
+
+
 EXIT_CODES: dict[type[BaseException], int] = {
     ConfigError: 2,
     RowSumError: 3,
@@ -74,4 +78,5 @@ EXIT_CODES: dict[type[BaseException], int] = {
     MissingMetadata: 11,
     BudgetExceeded: 12,
     NondeterministicPolicy: 13,
+    DegeneratePosterior: 14,
 }

@@ -43,8 +43,10 @@ class BeliefStateAnnotation:
     :posterior_sd: standard deviation of that belief.
     :family: "beta" (params a, b) or "gamma" (params shape, rate).
     :params: family parameters as a tuple of floats.
-    :sampler: sampler(rng, size) -> draws from the belief; derived from
-        family and params, a plain attribute afterwards.
+    :sampler: sampler(rng, size) -> draws from the belief, used by the
+        per-arm engine's TS; derived from family and params, a plain
+        attribute afterwards.  The count engine's TS reads family and
+        params directly.
     """
 
     posterior_mean: float

@@ -11,6 +11,15 @@ make a 1-row call.  Per-state loop forms of the deterministic rules, in
 checked against, row for row.  States are visited in
 ``priority.score_order`` (descending score, ties by ascending index), and
 the period budget is ``mdp.period_budget``.
+
+The randomized rules never draw per arm: ``rac_pulls`` samples the
+per-state law of randomized activation (binomial coins, then a
+multivariate hypergeometric cut to the budget) and ``ts_pulls`` the law
+of Thompson sampling's top-B draws (binomial splitting of a bisected
+value range on the posterior CDFs, the order-statistics method of
+Devroye, *Non-Uniform Random Variate Generation*, 1986).  Their per-arm
+forms in ``tests/reference_policies.py`` are the reference for their
+per-state pull laws.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv
 
-from .errors import DimensionMismatch, MissingMetadata, QOutOfRange
+from .errors import DegeneratePosterior, DimensionMismatch, MissingMetadata, QOutOfRange
 from .lp import OccupationMeasure
 from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
 from .occupancy import CategoryPartition, classify
@@ -111,34 +121,129 @@ def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarra
 
 
 def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
-    """Randomized activation pulls (R, S): visit arms in uniform order, flip
-    q(s) coins.
+    """Randomized activation pulls (R, S): visit arms in uniform order, flip a
+    q(s) coin for each, and stop at the B-th success.
 
-    Pulls stop the moment the budget is exhausted, so a row may spend less
-    than B but never more.  Every arm's coin is drawn independently of the
-    visiting order, which reproduces the sequential law exactly (unvisited
-    arms simply discard their coins).
+    Drawn at count level by the same law: per state, c_s ~ Binomial(Z_s, q_s)
+    successes; a row with sum(c) <= B pulls c, and any other row pulls the
+    B successes visited first, a multivariate hypergeometric draw of B from
+    c (sampled state by state in ascending index).  A row may spend less
+    than B but never more.
     """
-    R, S = Z.shape
-    N = int(Z[0].sum())
-    arm_state = np.repeat(np.tile(np.arange(S), R), Z.reshape(-1)).reshape(R, N)
-    coins = rng.random((R, N)) < q[arm_state]
-    keys = rng.random((R, N))
-    visit = np.argsort(keys, axis=1)
-    succ = np.take_along_axis(coins, visit, axis=1)
-    st = np.take_along_axis(arm_state, visit, axis=1)
-    chosen = succ & (np.cumsum(succ, axis=1) <= B)
-    flat = st[chosen] + S * np.broadcast_to(np.arange(R)[:, None], (R, N))[chosen]
-    return np.bincount(flat, minlength=R * S).reshape(R, S).astype(np.int64)
+    occupied = np.flatnonzero(Z.any(axis=0))
+    X1 = np.zeros(Z.shape, dtype=np.int64)
+    X1[:, occupied] = rng.binomial(Z[:, occupied], q[occupied])
+    over = np.flatnonzero(X1.sum(axis=1) > B)
+    if over.size:
+        c = X1[over]
+        left = c.sum(axis=1)  # successes in this state and the states after it
+        need = np.full(over.size, B, dtype=np.int64)
+        for s in occupied:
+            k = rng.hypergeometric(c[:, s], left - c[:, s], need)
+            left -= c[:, s]
+            c[:, s] = k
+            need -= k
+        X1[over] = c
+    return X1
+
+
+# A TS row whose bracket holds at most this many arms draws them by inverse
+# CDF instead of splitting further.  Two is the fewest a live bracket holds:
+# an inverse-CDF draw costs about as much as several splits, so the
+# smallest leaf is fastest at small N and no slower at N = 1200 or 9600.
+TS_LEAF = 2
+
+
+def _posterior_tables(annotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-state (is_gamma, first, second) parameters of the annotations:
+    Beta(a, b) or Gamma(shape, rate)."""
+    gamma = np.array([a.family == "gamma" for a in annotations])
+    p0, p1 = np.array([a.params for a in annotations], dtype=np.float64).T
+    return gamma, p0, p1
+
+
+def _tails(post, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper posterior masses (F, 1 - F) of states s below and
+    above value coordinate v = x / (1 + x) < 1.  The tail away from the
+    mean is computed directly and the other as its complement, so a small
+    tail keeps its relative precision."""
+    gamma, p0, p1 = post
+    g = gamma[s]
+    if g.any() and not g.all():  # mixed families: one pass per family
+        F, G = np.empty_like(v), np.empty_like(v)
+        for m in (g, ~g):
+            F[m], G[m] = _tails(post, s[m], v[m])
+        return F, G
+    a, c = p0[s], p1[s]
+    if g.any():
+        y = c * v / (1.0 - v)
+        low = y <= a
+        tail = np.where(low, gammainc(a, y), gammaincc(a, y))
+    else:
+        # Beta(a, c) has support v < 1/2; its upper tail at x is the lower
+        # tail of Beta(c, a) at 1 - x = (1 - 2v) / (1 - v)
+        x = np.minimum(v / (1.0 - v), 1.0)
+        low = x * (a + c) <= a
+        tail = betainc(np.where(low, a, c), np.where(low, c, a),
+                       np.where(low, x, np.maximum((1.0 - 2.0 * v) / (1.0 - v), 0.0)))
+    if np.isnan(tail).any():
+        raise DegeneratePosterior(f"the posterior CDF of state {s[np.isnan(tail)][0]} "
+                                  "is not a number")
+    rest = 1.0 - tail
+    return np.where(low, tail, rest), np.where(low, rest, tail)
+
+
+def _mass(s, low, Flo, Glo, Fhi, Ghi) -> np.ndarray:
+    """Posterior mass of each cell's bracket for its state s, from the lower
+    tail where ``low`` holds and from the upper tail elsewhere."""
+    whole = np.where(low, Fhi - Flo, Glo - Ghi)
+    bad = ~(whole > 0.0)
+    if bad.any():
+        raise DegeneratePosterior(f"a TS value bracket holds arms of state {s[bad][0]} "
+                                  "but its posterior gives the bracket no mass")
+    return whole
+
+
+def _truncated_draws(post, s, Flo, Glo, Fhi, Ghi, rng) -> np.ndarray:
+    """One posterior draw x per entry of s, truncated to its bracket, by
+    inverse CDF on the bracket's smaller tail."""
+    gamma, p0, p1 = post
+    a, c, g = p0[s], p1[s], gamma[s]
+    low = Fhi <= Glo
+    u = np.where(low, Flo, Ghi) + rng.random(s.size) * _mass(s, low, Flo, Glo, Fhi, Ghi)
+    x = np.empty_like(u)
+    for m, draw in ((~g & low, lambda m: betaincinv(a[m], c[m], u[m])),
+                    (~g & ~low, lambda m: 1.0 - betaincinv(c[m], a[m], u[m])),
+                    (g & low, lambda m: gammaincinv(a[m], u[m]) / c[m]),
+                    (g & ~low, lambda m: gammainccinv(a[m], u[m]) / c[m])):
+        if m.any():
+            x[m] = draw(m)
+    if np.isnan(x).any():
+        raise DegeneratePosterior(f"the posterior of state {s[np.isnan(x)][0]} "
+                                  "gives draws that are not numbers")
+    return x
 
 
 def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np.ndarray:
-    """Thompson-sampling pulls (R, S): per-arm posterior draws, top B per row.
+    """Thompson-sampling pulls (R, S): every arm draws from its state's
+    posterior, and each row pulls its B largest draws.
 
-    Draws happen state by state in ascending index (one sampler call per
-    occupied state, covering every row).  Equal draws are resolved in
-    ascending state order, which is distribution-neutral by
-    exchangeability of tied arms.
+    Drawn at count level by the same law, without a draw per arm.  Each row
+    bisects the value coordinate v = x / (1 + x) (Beta beliefs live on
+    [0, 1/2), Gamma beliefs on [0, 1)), keeping a bracket [lo, hi) that
+    holds its B-th largest draw.  The state-s arms of a bracket that fall
+    in its upper half number Binomial(n_s, (F_s(hi) - F_s(mid)) /
+    (F_s(hi) - F_s(lo))), F_s the posterior CDF, with masses taken from
+    the smaller tail.  Arms above the kept half are pulled, arms below it
+    are not, and a row whose upper half holds exactly the arms still to
+    pull is done.  Once a bracket holds at most ``TS_LEAF`` arms, or can no
+    longer be halved in floating point, its arms are drawn by inverse CDF
+    truncated to it and the largest ones are pulled.  The posteriors are
+    continuous, so ties have probability 0; draws that floating point
+    cannot tell apart are ordered uniformly at random.  The work per row
+    is O(S log N).  A bracket that holds arms of a state whose posterior
+    gives it no mass, or a posterior CDF that is not a number, raises
+    ``DegeneratePosterior``.
     """
     R, S = Z.shape
     N = int(Z[0].sum())
@@ -146,39 +251,54 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
         return np.zeros((R, S), dtype=np.int64)
     if B >= N:
         return Z.copy()
-    occupied = np.flatnonzero(Z.any(axis=0))
-    if occupied.size == 1:
-        # single occupied state: top-B is any B of its arms
-        X1 = np.zeros((R, S), dtype=np.int64)
-        X1[:, occupied[0]] = np.minimum(Z[:, occupied[0]], B)
+    post = _posterior_tables(annotations)
+    X1 = np.zeros((R, S), dtype=np.int64)
+    lo, hi = np.zeros(R), np.full(R, 1.0 if post[0].any() else 0.5)
+    inside = np.full(R, N, dtype=np.int64)  # arms in [lo, hi)
+    need = np.full(R, B, dtype=np.int64)  # of them still to pull; 1 <= need < inside
+    # live (row, state) cells: their arm counts in the bracket and the
+    # state's tail masses below and above lo and hi
+    r, s = np.nonzero(Z)
+    n = Z[r, s]
+    Flo, Ghi = np.zeros(r.size), np.zeros(r.size)
+    Glo, Fhi = np.ones(r.size), np.ones(r.size)
+    leaves = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        leaf = ((inside <= TS_LEAF) | (mid <= lo) | (mid >= hi))[r]
+        if leaf.any():
+            cells = (r, s, n, Flo, Glo, Fhi, Ghi)
+            leaves.append([a[leaf] for a in cells])
+            r, s, n, Flo, Glo, Fhi, Ghi = (a[~leaf] for a in cells)
+        if not r.size:
+            break
+        Fm, Gm = _tails(post, s, mid[r])
+        low = Fm <= Gm
+        upper = np.where(low, Fhi - Fm, Gm - Ghi)
+        up = rng.binomial(n, np.clip(upper / _mass(s, low, Flo, Glo, Fhi, Ghi), 0.0, 1.0))
+        U = np.bincount(r, weights=up, minlength=R).astype(np.int64)
+        rise = U >= need  # the kept half is the upper one
+        need = np.where(rise, need, need - U)
+        inside = np.where(rise, U, inside - U)
+        lo, hi = np.where(rise, mid, lo), np.where(rise, hi, mid)
+        rc, done = rise[r], (inside == need)[r]
+        X1[r, s] += np.where(rc & ~done, 0, up)
+        n = np.where(rc, up, n - up)
+        keep = (n > 0) & ~done
+        cells = (r, s, n, np.where(rc, Fm, Flo), np.where(rc, Gm, Glo),
+                 np.where(rc, Fhi, Fm), np.where(rc, Ghi, Gm))
+        r, s, n, Flo, Glo, Fhi, Ghi = (a[keep] for a in cells)
+    if not leaves:  # every row was settled by a split
         return X1
-    # rep-major (R, N) sample matrix, filled state block by state block
-    samples = np.empty((R, N), dtype=np.float64)
-    col_start = np.concatenate([np.zeros((R, 1), dtype=np.int64),
-                                np.cumsum(Z, axis=1)[:, :-1]], axis=1)
-    row_base = np.arange(R, dtype=np.int64) * N
-    per_state = {}
-    for s in occupied:
-        zs = Z[:, s]
-        M = int(zs.sum())
-        draws = np.asarray(annotations[s].sampler(rng, M), dtype=np.float64)
-        starts = np.concatenate([[0], np.cumsum(zs)[:-1]])
-        offs = np.arange(M) - np.repeat(starts, zs)
-        flat = np.repeat(row_base + col_start[:, s], zs) + offs
-        samples.reshape(-1)[flat] = draws
-        per_state[s] = (draws, starts, zs)
-    thr = np.partition(samples, N - B, axis=1)[:, N - B]
-    gt = np.zeros((R, S), dtype=np.int64)
-    eq = np.zeros((R, S), dtype=np.int64)
-    for s, (draws, starts, zs) in per_state.items():
-        ends = starts + zs
-        thr_rep = np.repeat(thr, zs)
-        cg = np.concatenate([[0], np.cumsum(draws > thr_rep)])
-        ce = np.concatenate([[0], np.cumsum(draws == thr_rep)])
-        gt[:, s] = cg[ends] - cg[starts]
-        eq[:, s] = ce[ends] - ce[starts]
-    _prefix_clip(gt, range(S), eq.T, B - gt.sum(axis=1))
-    return gt
+    r, s, n, Flo, Glo, Fhi, Ghi = (np.concatenate(a) for a in zip(*leaves))
+    arm = np.repeat(np.arange(r.size), n)
+    x = _truncated_draws(post, s[arm], Flo[arm], Glo[arm], Fhi[arm], Ghi[arm], rng)
+    order = np.lexsort((rng.random(arm.size), -x, r[arm]))  # equal draws in random order
+    rows = r[arm[order]]
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    top = arm[order[rank < need[rows]]]
+    np.add.at(X1, (r[top], s[top]), 1)
+    return X1
 
 
 def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: Any,

@@ -252,9 +252,10 @@ def simulate(model: ArmModel, policy, N: int, reps: int, seed: int,
              crn: bool = False, collect_diffusion: bool = True) -> SimulationReport:
     """Count-based Monte Carlo run; deterministic given all arguments.
 
-    TS and RAC consume O(N) work per replication inside the count engine
-    (their per-arm draws are grouped by state, which is distributionally
-    identical to arm-by-arm execution by exchangeability).
+    Every policy works on per-state counts here: TS and RAC draw their
+    pulls from the count-level laws in :mod:`fluidbandit.policies`, with
+    no coin or posterior sample per arm, so their work per replication and
+    period is O(S) for RAC and O(S log N) for TS, not O(N).
     """
     return _run(model, policy, N, reps, seed, engine="counts",
                 crn=crn, collect_diffusion=collect_diffusion)
@@ -275,11 +276,11 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     pol = _resolve_policy(model, policy)
     S = model.S
 
-    per_arm_width = N if (engine == "per_arm" or pol.kind in ("rac", "ts")) else 0
-    cell = S + per_arm_width
+    cell = S
     if engine == "per_arm":
-        # the (R, N, W) successor draw of _chunk_per_arm, W the widest kernel row
-        cell += N * max((int(np.diff(K.indptr).max()) for K in pol._support), default=0)
+        # the (R, N) arm states and the (R, N, W) successor draw of
+        # _chunk_per_arm, W the widest kernel row
+        cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
     chunk = _chunk_counts if engine == "counts" else _chunk_per_arm

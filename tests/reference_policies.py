@@ -1,9 +1,13 @@
-"""Scalar reference allocators: per-state loop forms of the allocation rules.
+"""Reference allocators: per-state loop forms of the deterministic rules and
+per-arm forms of the randomized ones.
 
 The fluid-priority, budget-relaxed and index rules and the bracketing
 event, one count state at a time (and the index rule on fluid mass).
 They are the reference that the ``fluidbandit.policies`` kernels and the
-1-row public functions are checked against, row for row.
+1-row public functions are checked against, row for row.  ``rac_pulls``
+and ``ts_pulls`` draw a coin or a posterior sample for every arm; the
+count-level samplers in ``fluidbandit.policies`` are checked against
+their per-state pull laws.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from fluidbandit.errors import DimensionMismatch
 from fluidbandit.mdp import AllocationPlan, period_budget
 from fluidbandit.occupancy import classify
-from fluidbandit.policies import score_order
+from fluidbandit.policies import _prefix_clip, score_order
 
 
 def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
@@ -152,3 +156,74 @@ def fluid_greedy_pulls(z: np.ndarray, order: np.ndarray, alpha: float) -> np.nda
         pull[s] = u
         remaining -= u
     return pull
+
+
+def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
+    """Randomized activation pulls (R, S): visit arms in uniform order, flip
+    q(s) coins.
+
+    Pulls stop the moment the budget is exhausted, so a row may spend less
+    than B but never more.  Every arm's coin is drawn independently of the
+    visiting order, which reproduces the sequential law exactly (unvisited
+    arms simply discard their coins).
+    """
+    R, S = Z.shape
+    N = int(Z[0].sum())
+    arm_state = np.repeat(np.tile(np.arange(S), R), Z.reshape(-1)).reshape(R, N)
+    coins = rng.random((R, N)) < q[arm_state]
+    keys = rng.random((R, N))
+    visit = np.argsort(keys, axis=1)
+    succ = np.take_along_axis(coins, visit, axis=1)
+    st = np.take_along_axis(arm_state, visit, axis=1)
+    chosen = succ & (np.cumsum(succ, axis=1) <= B)
+    flat = st[chosen] + S * np.broadcast_to(np.arange(R)[:, None], (R, N))[chosen]
+    return np.bincount(flat, minlength=R * S).reshape(R, S).astype(np.int64)
+
+
+def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np.ndarray:
+    """Thompson-sampling pulls (R, S): per-arm posterior draws, top B per row.
+
+    Draws happen state by state in ascending index (one sampler call per
+    occupied state, covering every row).  Equal draws are resolved in
+    ascending state order, which is distribution-neutral by
+    exchangeability of tied arms.
+    """
+    R, S = Z.shape
+    N = int(Z[0].sum())
+    if B <= 0:
+        return np.zeros((R, S), dtype=np.int64)
+    if B >= N:
+        return Z.copy()
+    occupied = np.flatnonzero(Z.any(axis=0))
+    if occupied.size == 1:
+        # single occupied state: top-B is any B of its arms
+        X1 = np.zeros((R, S), dtype=np.int64)
+        X1[:, occupied[0]] = np.minimum(Z[:, occupied[0]], B)
+        return X1
+    # rep-major (R, N) sample matrix, filled state block by state block
+    samples = np.empty((R, N), dtype=np.float64)
+    col_start = np.concatenate([np.zeros((R, 1), dtype=np.int64),
+                                np.cumsum(Z, axis=1)[:, :-1]], axis=1)
+    row_base = np.arange(R, dtype=np.int64) * N
+    per_state = {}
+    for s in occupied:
+        zs = Z[:, s]
+        M = int(zs.sum())
+        draws = np.asarray(annotations[s].sampler(rng, M), dtype=np.float64)
+        starts = np.concatenate([[0], np.cumsum(zs)[:-1]])
+        offs = np.arange(M) - np.repeat(starts, zs)
+        flat = np.repeat(row_base + col_start[:, s], zs) + offs
+        samples.reshape(-1)[flat] = draws
+        per_state[s] = (draws, starts, zs)
+    thr = np.partition(samples, N - B, axis=1)[:, N - B]
+    gt = np.zeros((R, S), dtype=np.int64)
+    eq = np.zeros((R, S), dtype=np.int64)
+    for s, (draws, starts, zs) in per_state.items():
+        ends = starts + zs
+        thr_rep = np.repeat(thr, zs)
+        cg = np.concatenate([[0], np.cumsum(draws > thr_rep)])
+        ce = np.concatenate([[0], np.cumsum(draws == thr_rep)])
+        gt[:, s] = cg[ends] - cg[starts]
+        eq[:, s] = ce[ends] - ce[starts]
+    _prefix_clip(gt, range(S), eq.T, B - gt.sum(axis=1))
+    return gt

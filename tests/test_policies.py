@@ -5,11 +5,11 @@ import pytest
 
 import reference_policies as ref
 from conftest import make_random_model
-from fluidbandit.errors import MissingMetadata, QOutOfRange
+from fluidbandit.errors import DegeneratePosterior, MissingMetadata, QOutOfRange
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
-from fluidbandit.mdp import CountState, period_budget
+from fluidbandit.mdp import BeliefStateAnnotation, CountState, period_budget
 from fluidbandit.occupancy import classify
-from fluidbandit.policies import (PolicySpec, activation_probabilities,
+from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   budget_relaxed_allocate,
                                   fluid_priority_allocate, index_allocate,
                                   index_pulls, parse_policy, rac_pulls, ts_pulls,
@@ -216,6 +216,104 @@ def test_ts_allocation(bern2):
     assert int(full.sum()) == 6
     none = ts_pulls(_row(Z), ann, 0, np.random.default_rng(4))[0]
     assert int(none.sum()) == 0
+    # one row at a time: some seeds settle the row by bisection alone,
+    # others finish it with truncated draws
+    Z = np.array([30, 20, 10], dtype=np.int64)
+    for seed in range(200):
+        pulls = ts_pulls(_row(Z), ann, 20, np.random.default_rng(seed))[0]
+        assert int(pulls.sum()) == 20 and (pulls <= Z).all()
+
+
+def _law_gap(new, ref):
+    """Per-state (max |mean difference| in standard errors, variance ratios
+    where the reference varies by at least 0.1) of two pull samples (R, S);
+    states where neither sample varies must agree exactly."""
+    R = len(new)
+    vn, vr = new.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
+    flat = (vn == 0.0) & (vr == 0.0)
+    np.testing.assert_array_equal(new[0, flat], ref[0, flat])
+    se = np.sqrt((vn + vr)[~flat] / R)
+    z = np.abs(new.mean(axis=0) - ref.mean(axis=0))[~flat] / se
+    wide = vr >= 0.1
+    return (float(z.max()) if z.size else 0.0), vn[wide] / vr[wide]
+
+
+def _ann(family, *params):
+    return BeliefStateAnnotation(posterior_mean=0.5, posterior_sd=0.1, family=family,
+                                 params=tuple(float(p) for p in params))
+
+
+def _ts_cases(bern5, assort8):
+    """(name, annotations, count row Z) for the TS law tests."""
+    mixed = [_ann("beta", 2, 3), _ann("gamma", 4, 6), _ann("beta", 5, 1), _ann("gamma", 1, 3)]
+    # Gamma(m, 0.1 + j) at (m, j) = (1, 0), (1, 5), (2, 8), (5, 4), (7, 7)
+    gamma = [assort8.annotations[s] for s in (0, 5, 17, 40, 61)]
+    return [
+        ("bern", bern5.annotations, np.r_[[6, 5, 4, 5, 3, 2, 4, 1], np.zeros(7, np.int64)]),
+        ("gamma", gamma, np.array([9, 7, 6, 5, 3])),
+        ("tied", [_ann("beta", 2, 3), _ann("beta", 2, 3), _ann("beta", 3, 2)], np.array([12, 12, 6])),
+        ("mixed", mixed, np.array([8, 8, 4, 10])),
+        ("single", bern5.annotations, np.r_[0, 0, 30, np.zeros(12, np.int64)]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_ts_law_matches_per_arm_reference(case, bern5, assort8):
+    """Count-level TS pulls per state have the reference's mean and
+    variance (4 SE, ratio within 0.85-1.15) at B = 0, 1, N/2, N-1 and N, and
+    every row pulls exactly B arms, none beyond its counts."""
+    name, ann, Z = _ts_cases(bern5, assort8)[case]
+    N = int(Z.sum())
+    Zs = np.tile(Z, (20_000, 1))
+    for B in (0, 1, N // 2, N - 1, N):
+        new = ts_pulls(Zs, ann, B, np.random.default_rng(100 + B))
+        ref_pulls = ref.ts_pulls(Zs, ann, B, np.random.default_rng(200 + B))
+        assert (new.sum(axis=1) == B).all() and (new >= 0).all() and (new <= Zs).all()
+        z, ratios = _law_gap(new, ref_pulls)
+        assert z <= 4.0, (name, B, z)
+        assert ((ratios > 0.85) & (ratios < 1.15)).all(), (name, B, ratios)
+
+
+@pytest.mark.parametrize("B", [4, 15, 40])
+def test_rac_law_matches_per_arm_reference(B):
+    """Count-level RAC pulls per state match the visit-order reference with
+    q in {0, 1, interior}, both where the successes fit the budget (B=40)
+    and where they exceed it; no row pulls more than B or more than Z."""
+    q = np.array([0.0, 1.0, 0.3, 0.8])
+    Zs = np.tile([6, 5, 10, 8], (20_000, 1))
+    new = rac_pulls(Zs, q, B, np.random.default_rng(300 + B))
+    ref_pulls = ref.rac_pulls(Zs, q, B, np.random.default_rng(400 + B))
+    assert (new.sum(axis=1) <= B).all() and (new >= 0).all() and (new <= Zs).all()
+    assert (new[:, 0] == 0).all()
+    z, ratios = _law_gap(new, ref_pulls)
+    assert z <= 4.0
+    assert ((ratios > 0.85) & (ratios < 1.15)).all(), ratios
+
+
+def test_ts_draws_no_arm_at_large_n(bern5, monkeypatch):
+    """At N = 10**6 the count-level TS still places exactly B pulls without
+    calling any per-arm posterior sampler."""
+    def no_draws(rng, size=None):
+        raise AssertionError("per-arm posterior draw")
+
+    for a in bern5.annotations:
+        monkeypatch.setattr(a, "sampler", no_draws)
+    rng = np.random.default_rng(5)
+    N, B = 10**6, 333_333
+    Zs = rng.multinomial(N, np.r_[np.full(6, 1 / 6), np.zeros(9)], size=2)
+    pulls = ts_pulls(Zs, bern5.annotations, B, rng)
+    assert (pulls.sum(axis=1) == B).all() and (pulls <= Zs).all()
+
+
+def test_ts_degenerate_posterior_is_typed():
+    ann = [_ann("beta", 2, 3), _ann("beta", float("nan"), 3)]
+    for n in (1, 25):  # two arms go straight to the leaf; fifty are split first
+        with pytest.raises(DegeneratePosterior):
+            ts_pulls(np.array([[n, n]]), ann, n, np.random.default_rng(0))
+    # a bracket that holds arms of a state with no mass in it
+    s, low, empty = np.array([1]), np.array([True]), np.array([0.25])
+    with pytest.raises(DegeneratePosterior):
+        _mass(s, low, empty, 1.0 - empty, empty, 1.0 - empty)
 
 
 def test_kernels_match_scalar_reference():
