@@ -12,14 +12,15 @@ checked against, row for row.  States are visited in
 ``priority.score_order`` (descending score, ties by ascending index), and
 the period budget is ``mdp.period_budget``.
 
-The randomized rules never draw per arm: ``rac_pulls`` samples the
-per-state law of randomized activation (binomial coins, then a
-multivariate hypergeometric cut to the budget) and ``ts_pulls`` the law
-of Thompson sampling's top-B draws (binomial splitting of a bisected
-value range on the posterior CDFs, the order-statistics method of
-Devroye, *Non-Uniform Random Variate Generation*, 1986).  Their per-arm
-forms in ``tests/reference_policies.py`` are the reference for their
-per-state pull laws.
+The randomized rules draw no coin or sample for every arm:
+``rac_pulls`` samples the per-state law of randomized activation
+(binomial coins, then a multivariate hypergeometric cut to the budget)
+and ``ts_pulls`` the law of Thompson sampling's top-B draws (binomial
+splitting of a bisected value range on the posterior CDFs, the
+order-statistics method of Devroye, *Non-Uniform Random Variate
+Generation*, 1986).  Their per-arm forms in
+``tests/reference_policies.py`` are the reference for their per-state
+pull laws.
 """
 
 from __future__ import annotations

@@ -305,6 +305,19 @@ def test_ts_draws_no_arm_at_large_n(bern5, monkeypatch):
     assert (pulls.sum(axis=1) == B).all() and (pulls <= Zs).all()
 
 
+def test_ts_unsplittable_bracket_goes_to_leaf():
+    """Posteriors with sd near 3e-18 pile a thousand arms into a bracket that
+    floating point cannot halve; those go to the leaf step whatever their
+    number, and their indistinguishable draws are ordered at random, so
+    two identical states share the pulls evenly."""
+    for family in ("beta", "gamma"):
+        ann = [_ann(family, 1e35, 1e35)] * 2
+        Zs = np.tile([1000, 1000], (200, 1))
+        pulls = ts_pulls(Zs, ann, 700, np.random.default_rng(7))
+        assert (pulls.sum(axis=1) == 700).all() and (pulls <= Zs).all()
+        assert abs(pulls[:, 0].mean() - 350.0) <= 4.0, pulls.mean(axis=0)
+
+
 def test_ts_degenerate_posterior_is_typed():
     ann = [_ann("beta", 2, 3), _ann("beta", float("nan"), 3)]
     for n in (1, 25):  # two arms go straight to the leaf; fifty are split first
