@@ -13,7 +13,8 @@ then the initial-state row, then the total-mass row.
 Columns come in period blocks of 2S with (s, a) at offset 2s+a, the row
 of (s, a) in the period's kernel K_t from ``mdp.successors``.  So the
 flow rows of period t are kron(I_S, [1, 1]) on block t beside -K_{t-1}^T
-on block t-1, and the budget rows are kron(I_T, [0, 1] * S).
+on block t-1, and the budget rows are kron(I_T, [0, 1] * S);
+``build_lp`` writes the entries of these blocks as one triplet list.
 """
 
 from __future__ import annotations
@@ -105,17 +106,24 @@ def build_lp(model: ArmModel) -> LpInstance:
     """Assemble the full-size relaxation (no reachability pruning here)."""
     validate_model(model)
     T, S = model.T, model.S
-    pair, first = np.ones((1, 2)), sp.eye(1, T)
-    # kron in csr: scipy's default bsr would keep explicit zeros
-    A = sp.vstack([
-        # flow: mass sitting at (t, s) minus the mass K_{t-1} moves into it
-        sp.kron(sp.eye(T - 1, T, k=1), sp.kron(sp.identity(S), pair), "csr")
-        - sp.block_diag([K.T for K in successors(model)] + [sp.csr_matrix((0, 2 * S))]),
-        sp.kron(sp.identity(T), np.tile([0.0, 1.0], S), "csr"),          # budget
-        sp.kron(first, sp.kron(sp.eye(1, S, k=model.s0), pair), "csr"),  # initial
-        sp.kron(first, np.ones((1, 2 * S)), "csr"),                      # mass
-    ], format="csr")
-    b = np.concatenate([np.zeros((T - 1) * S), model.alpha, [1.0, 1.0]])
+    F = (T - 1) * S  # flow rows; budget rows follow, then initial and mass
+    # flow row of (t, s) at (t-2)S + s: +1 on both actions of (t, s) ...
+    rows = [np.repeat(np.arange(F), 2)]
+    cols = [2 * S + np.arange(2 * F)]
+    vals = [np.ones(2 * F)]
+    # ... and -K_{t-1}[2s'+a, s] on (t-1, s', a)
+    for u, K in enumerate(successors(model)):
+        rows.append(u * S + K.indices)
+        cols.append(u * 2 * S + np.repeat(np.arange(2 * S), np.diff(K.indptr)))
+        vals.append(-K.data)
+    # budget rows pull on every (t, s); initial on (1, s0); mass on all of period 1
+    rows += [F + np.arange(T * S) // S, np.full(2, F + T), np.full(2 * S, F + T + 1)]
+    cols += [2 * np.arange(T * S) + 1, 2 * model.s0 + np.arange(2), np.arange(2 * S)]
+    vals += [np.ones(T * S), np.ones(2), np.ones(2 * S)]
+    # the triplets are distinct, and CSR conversion sorts each row's columns
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(F + T + 2, 2 * T * S))
+    b = np.concatenate([np.zeros(F), model.alpha, [1.0, 1.0]])
     row_kind = ([("flow", t, s) for t in range(2, T + 1) for s in range(S)]
                 + [("budget", t) for t in range(1, T + 1)] + [("initial",), ("mass",)])
     c = model.R.reshape(-1).astype(np.float64).copy()

@@ -27,19 +27,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, NondeterministicPolicy, RangeError
-from .mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
+from .mdp import ArmModel, CountState, period_budget, successors
 from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
-from .policies import (budget_relaxed_allocate, fluid_priority_allocate, index_allocate,
-                       parse_policy)
+from .policies import fluid_priority_allocate  # noqa: F401  bench/tracing.py patches this name
+from .policies import parse_policy
 from .priority import q_recursion  # noqa: F401  bench/tracing.py patches this name
 from .simulator import _resolve_policy
 
-# Work guard: (count vector, pull vector) pairs plus table entries built.
+# Work guard: grid cells valued plus table entries built.
 DEFAULT_GUARD = 10 ** 7
-# Vectorized block size: the optimal DP values about this many (count
-# vector, pull vector) pairs at a time, and the policy DP folds its
-# scattered successors once about this many have landed, so memory does
-# not grow with the pairs.
+# The policy DP folds its scattered successors once about this many have
+# landed, so memory does not grow with the (passive, active) landing pairs.
 PAIR_BLOCK = 1 << 14
 
 
@@ -56,7 +54,8 @@ def compositions(total: int, parts: int):
 
 def bounded_compositions(total: int, bounds):
     """Compositions of `total` with per-coordinate upper bounds, in
-    lexicographic order."""
+    lexicographic order: the pull vectors of a count vector.  The DPs
+    here value all of a period's pull vectors at once and do not call it."""
     # coordinates bounded by 0 stay 0, so only the others are walked
     support = [i for i, b in enumerate(bounds) if b > 0]
     caps = [bounds[i] for i in support]
@@ -193,18 +192,20 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
                   return_tables: bool = False):
     """Exact V*_N by backward induction over joint count vectors.
 
-    Each period t < T takes one matrix product: entry (P, A) of
-    M0 @ G @ M1.T is the expected V_{t+1} after passive counts P and
-    active counts A, where M0 and M1 are the period's passive and active
-    group tables over the compositions of N - B_t and B_t, and
-    G[y_p, y_a] = V_{t+1}(y_p + y_a).  V_t(Z) is the best immediate reward
-    plus that entry over Z's pull vectors.
+    A period's (count vector, pull vector) pairs are exactly the cells
+    (P, A) of the grid (compositions of N - B_t) x (compositions of B_t),
+    with count vector Z = P + A; the index map ``sums`` puts each cell's
+    Z.  A cell is worth its immediate reward plus, for t < T, entry
+    (P, A) of M0 @ G @ M1.T, the expected V_{t+1} after passive counts P
+    and active counts A, where M0 and M1 are the period's passive and
+    active group tables and G[y_p, y_a] = V_{t+1}(y_p + y_a).  V_t is one
+    scatter-max of the cells onto their Z.
 
-    One work unit of `guard` is one (count vector, pull vector) pair, one
-    count vector stored (a composition of some total, or a landing
-    vector while a group law is built) or one entry of an index map or
-    of a period's continuation grid.  A size estimate beyond 100 times
-    the guard is refused before any work.
+    One work unit of `guard` is one grid cell, one count vector stored (a
+    composition of some total, or a landing vector while a group law is
+    built) or one entry of an index map or of a period's continuation
+    grid; every period, t = T included, builds its index map.  A size
+    estimate beyond 100 times the guard is refused before any work.
     """
     if N < 1:
         raise RangeError("N must be >= 1")
@@ -218,64 +219,46 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     meter = _WorkMeter(guard)
     lattice = _Lattice(model, N, meter)
 
-    Y = lattice.level(N)
-    all_Z = list(map(tuple, Y.tolist()))
-    vnext = np.zeros(len(all_Z))
+    vnext = np.zeros(lattice.size(N))
     tables = []
     for t in range(T, 0, -1):
         B = budgets[t - 1]
+        idx = lattice.sums(N - B, B)
+        meter.spend(idx.size)
+        val = ((lattice.level(N - B) @ model.R[t - 1, :, 0])[:, None]
+               + (lattice.level(B) @ model.R[t - 1, :, 1])[None, :])
         if t < T:
-            G = vnext[lattice.sums(N - B, B)]
+            G = vnext[idx]
             meter.spend(G.size)
-            cont = lattice.table(t, 0, N - B) @ (lattice.table(t, 1, B) @ G.T).T
-        best = []
-        pulls: list[tuple[int, ...]] = []
-        counts: list[int] = []
-        first = 0
-        for i, Z in enumerate(all_Z):
-            before = len(pulls)
-            pulls.extend(bounded_compositions(B, Z))
-            counts.append(len(pulls) - before)
-            if len(pulls) < PAIR_BLOCK and i + 1 < len(all_Z):
-                continue
-            meter.spend(len(pulls))
-            A = np.array(pulls, dtype=np.int64).reshape(-1, S)
-            P = np.repeat(Y[first:i + 1], counts, axis=0) - A
-            val = P @ model.R[t - 1, :, 0] + A @ model.R[t - 1, :, 1]
-            if t < T:
-                val += cont[lattice.rank(P, N - B), lattice.rank(A, B)]
-            best.append(np.maximum.reduceat(val, np.cumsum(counts) - counts))
-            pulls, counts, first = [], [], i + 1
-        vnext = np.concatenate(best)
+            val += lattice.table(t, 0, N - B) @ (lattice.table(t, 1, B) @ G.T).T
+        vnext = np.full(len(vnext), -np.inf)
+        np.maximum.at(vnext, idx.ravel(), val.ravel())
         if return_tables:
-            tables.append(dict(zip(all_Z, vnext.tolist())))
+            tables.append(dict(zip(map(tuple, lattice.level(N).tolist()), vnext.tolist())))
     value = float(vnext[lattice.rank(lattice.unit[model.s0] * N, N)])
     if return_tables:
         return value, list(reversed(tables))
     return value
 
 
-def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
-    """Deterministic per-count-state allocation: a bare callable as given,
+def _batch_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Deterministic action counts (R, S, 2) of count rows Z (R, S): a
+    bare callable ``(t, CountState) -> AllocationPlan`` row by row,
     anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
-    and applied through the public 1-row allocators."""
+    and applied by one ``allocate_batch`` call."""
     if callable(policy):
-        return policy
+        return lambda t, Z: np.stack([policy(t, CountState(t=t, N=int(z.sum()), Z=z.copy())).X
+                                      for z in Z])
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if getattr(policy, "kind", None) in ("rac", "ts"):
         raise NondeterministicPolicy(f"{policy.kind} is randomized; exact evaluation undefined")
     pol = _resolve_policy(model, policy)
-    measure, scores, part = pol.measure, pol.scores, pol.partition
-    if pol.kind == "fluid":
-        return lambda t, c: fluid_priority_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
-    if pol.kind == "relaxed":
-        return lambda t, c: budget_relaxed_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
-    # index and ucb: greedy in the compiled score order
-    return lambda t, c: index_allocate(
-        t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))
+
+    def allocate(t: int, Z: np.ndarray) -> np.ndarray:
+        X1 = pol.allocate_batch(t, Z, None)
+        return np.stack([Z - X1, X1], axis=2)
+    return allocate
 
 
 def exact_policy_value(model: ArmModel, policy, N: int,
@@ -283,17 +266,18 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     """Exact expected total reward of a deterministic policy at arm count N.
 
     Propagates the full distribution over count vectors forward through
-    the policy's allocations, one per reachable count vector; raises
-    NondeterministicPolicy for RAC/TS and RangeError for N < 1.  A vector's successor law is the
-    outer product of its passive and active group-table rows, scattered
-    onto the compositions of N; rows are built on first use, since a
-    policy may pull other than B_t.  Work units are counted as in
-    :func:`optimal_value`, plus one per scattered (passive, active)
-    landing pair.
+    the policy's allocations, made by one ``allocate_batch`` call per
+    period over every reachable count vector; raises
+    NondeterministicPolicy for RAC/TS and RangeError for N < 1.  A
+    vector's successor law is the outer product of its passive and
+    active group-table rows, scattered onto the compositions of N; rows
+    are built on first use, since a policy may pull other than B_t.
+    Work units are counted as in :func:`optimal_value`, plus one per
+    scattered (passive, active) landing pair.
     """
     if N < 1:
         raise RangeError("N must be >= 1")
-    allocate = _scalar_allocator(model, policy)
+    allocate = _batch_allocator(model, policy)
     meter = _WorkMeter(guard)
     lattice = _Lattice(model, N, meter)
     S, T = model.S, model.T
@@ -302,24 +286,27 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     prob = np.ones(1)
     total = 0.0
     for t in range(1, T + 1):
+        X = allocate(t, reach)
+        reward = (model.R[t - 1] * X).reshape(len(X), -1).sum(axis=1)
+        # row by row: a dot product would sum in another order
+        for pz, r in zip(prob.tolist(), reward.tolist()):
+            total += pz * r
+        if t == T:
+            break
         succ_Y, succ_p = [], []
         pending = limit = PAIR_BLOCK
-        for Z, pz in zip(reach, prob.tolist()):
-            plan = allocate(t, CountState(t=t, N=N, Z=Z.copy()))
-            total += pz * float((model.R[t - 1] * plan.X).sum())
-            if t < T:
-                (Y0, p0), (Y1, p1) = (lattice.law(t, a, tuple(x)) for a, x in
-                                      enumerate(plan.X.T.tolist()))
-                meter.spend(len(Y0) * len(Y1))
-                succ_Y.append((Y0[:, None, :] + Y1[None, :, :]).reshape(-1, S))
-                succ_p.append(pz * np.outer(p0, p1).ravel())
-                pending -= len(succ_p[-1])
-                if pending < 0:
-                    # fold what has landed so far: memory holds distinct vectors
-                    Yf, pf = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
-                    succ_Y, succ_p = [Yf], [pf]
-                    limit = max(limit, 2 * len(pf))
-                    pending = limit - len(pf)
-        if t < T:
-            reach, prob = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
+        for pz, X0, X1 in zip(prob.tolist(), map(tuple, X[:, :, 0].tolist()),
+                              map(tuple, X[:, :, 1].tolist())):
+            (Y0, p0), (Y1, p1) = lattice.law(t, 0, X0), lattice.law(t, 1, X1)
+            meter.spend(len(Y0) * len(Y1))
+            succ_Y.append((Y0[:, None, :] + Y1[None, :, :]).reshape(-1, S))
+            succ_p.append(pz * np.outer(p0, p1).ravel())
+            pending -= len(succ_p[-1])
+            if pending < 0:
+                # fold what has landed so far: memory holds distinct vectors
+                Yf, pf = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
+                succ_Y, succ_p = [Yf], [pf]
+                limit = max(limit, 2 * len(pf))
+                pending = limit - len(pf)
+        reach, prob = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
     return total

@@ -3,7 +3,9 @@
 The row-by-row assembly that scans the dense form of the model's kernel
 (``conftest.dense_kernel``) state by state.  It is the reference that
 ``fluidbandit.lp.build_lp`` (a block assembly from ``mdp.successors``) is
-checked against, bit for bit.
+checked against, bit for bit.  ``build_lp_kron`` keeps the Kronecker
+block form that ``build_lp`` used before it assembled its triplets
+directly; the two are checked for identical arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import scipy.sparse as sp
 
 from conftest import dense_kernel
 from fluidbandit.lp import LpInstance
-from fluidbandit.mdp import ArmModel, validate_model
+from fluidbandit.mdp import ArmModel, successors, validate_model
 
 
 def build_lp(model: ArmModel) -> LpInstance:
@@ -76,3 +78,19 @@ def build_lp(model: ArmModel) -> LpInstance:
     A = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
     c = model.R.reshape(-1).astype(np.float64).copy()
     return LpInstance(c=c, A=A, b=np.asarray(rhs), row_kind=row_kind, T=T, S=S)
+
+
+def build_lp_kron(model: ArmModel) -> sp.csr_matrix:
+    """Constraint matrix of the relaxation from Kronecker blocks: flow
+    rows kron(I_S, [1, 1]) on block t beside -K_{t-1}^T on block t-1,
+    budget rows kron(I_T, [0, 1] * S), then the initial and mass rows."""
+    T, S = model.T, model.S
+    pair, first = np.ones((1, 2)), sp.eye(1, T)
+    # kron in csr: scipy's default bsr would keep explicit zeros
+    return sp.vstack([
+        sp.kron(sp.eye(T - 1, T, k=1), sp.kron(sp.identity(S), pair), "csr")
+        - sp.block_diag([K.T for K in successors(model)] + [sp.csr_matrix((0, 2 * S))]),
+        sp.kron(sp.identity(T), np.tile([0.0, 1.0], S), "csr"),
+        sp.kron(first, sp.kron(sp.eye(1, S, k=model.s0), pair), "csr"),
+        sp.kron(first, np.ones((1, 2 * S)), "csr"),
+    ], format="csr")

@@ -4,19 +4,24 @@ Backward induction and forward propagation that build the successor law
 of every (count vector, action counts) pair by convolving per-state
 multinomial outcome tables in a dictionary.  It is the reference that
 ``fluidbandit.oracle.optimal_value`` and ``exact_policy_value`` (one group
-table product per period) are checked against.
+table product per period) are checked against.  Its policy evaluation
+allocates one count vector at a time through the public 1-row
+allocators, so the cross-check does not rest on ``allocate_batch``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from fluidbandit.errors import BudgetExceeded, RangeError
-from fluidbandit.mdp import ArmModel, CountState, period_budget, successors
-from fluidbandit.oracle import (DEFAULT_GUARD, _scalar_allocator, bounded_compositions,
-                                compositions)
+from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeError
+from fluidbandit.mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
+from fluidbandit.oracle import DEFAULT_GUARD, bounded_compositions, compositions
+from fluidbandit.policies import (budget_relaxed_allocate, fluid_priority_allocate,
+                                  index_allocate, parse_policy)
+from fluidbandit.simulator import _resolve_policy
 
 
 class _WorkMeter:
@@ -117,6 +122,29 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     if return_tables:
         return value, list(reversed(tables))
     return value
+
+
+def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
+    """Deterministic per-count-state allocation: a bare callable as given,
+    anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
+    and applied through the public 1-row allocators."""
+    if callable(policy):
+        return policy
+    if isinstance(policy, str):
+        policy = parse_policy(policy)
+    if getattr(policy, "kind", None) in ("rac", "ts"):
+        raise NondeterministicPolicy(f"{policy.kind} is randomized; exact evaluation undefined")
+    pol = _resolve_policy(model, policy)
+    measure, scores, part = pol.measure, pol.scores, pol.partition
+    if pol.kind == "fluid":
+        return lambda t, c: fluid_priority_allocate(
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+    if pol.kind == "relaxed":
+        return lambda t, c: budget_relaxed_allocate(
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+    # index and ucb: greedy in the compiled score order
+    return lambda t, c: index_allocate(
+        t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))
 
 
 def exact_policy_value(model: ArmModel, policy, N: int,

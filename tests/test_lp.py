@@ -1,5 +1,7 @@
 """Per-arm relaxation: frozen fixture solutions, invariants, duality, pins."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -176,6 +178,31 @@ def test_build_lp_matches_loop_reference(fix, bern5, crowd7, assort8):
         np.testing.assert_array_equal(got.b, want.b)
         np.testing.assert_array_equal(got.c, want.c)
         assert got.row_kind == want.row_kind
+
+
+def test_build_lp_matches_kron_blocks():
+    """The triplet assembly gives the arrays the Kronecker block form gave."""
+    from fluidbandit.mdp import ArmModel
+    from fluidbandit.zoo import assortment, bernoulli_bandit, crowdsourcing
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # assort3's truncation warning
+        models = [bernoulli_bandit(15, 1.0 / 3.0), crowdsourcing(7, 0.25),
+                  assortment(3, 0.25), bernoulli_bandit(24, 1.0 / 3.0)]
+    rng = np.random.default_rng(8)
+    for _ in range(40):  # dense random models, S 3-4 and T 3-4
+        S, T = int(rng.integers(3, 5)), int(rng.integers(3, 5))
+        models.append(ArmModel(T=T, states=[f"s{k}" for k in range(S)], s0=0,
+                               P=rng.dirichlet(np.ones(S), size=(T, S, 2)),
+                               R=rng.uniform(size=(T, S, 2)),
+                               alpha=rng.uniform(0.2, 0.9, size=T), metadata={}))
+    for model in models:
+        got, want = build_lp(model).A, ref.build_lp_kron(model)
+        assert got.shape == want.shape and got.has_sorted_indices
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def test_solve_certifies_strong_duality(bern5, monkeypatch):

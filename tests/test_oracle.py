@@ -11,7 +11,7 @@ from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeErro
 from fluidbandit.mdp import AllocationPlan, ArmModel, period_budget, validate_model
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
-from fluidbandit.policies import PolicySpec
+from fluidbandit.policies import PolicySpec, fluid_priority_allocate
 from fluidbandit.simulator import CompiledPolicy, simulate
 
 
@@ -199,8 +199,8 @@ def test_optimal_value_matches_reference_at_the_edges():
 
 
 def test_small_pair_blocks_change_nothing(monkeypatch, bern2):
-    # both DPs work through their pairs in blocks; blocks of three pairs
-    # cross every boundary the default size never reaches here
+    # the policy DP folds its landed successors in blocks; blocks of three
+    # pairs cross every boundary the default size never reaches here
     import fluidbandit.oracle as oracle
 
     monkeypatch.setattr(oracle, "PAIR_BLOCK", 3)
@@ -209,6 +209,59 @@ def test_small_pair_blocks_change_nothing(monkeypatch, bern2):
         _same_optimum(model, 5)
         got = exact_policy_value(model, "fluid", 5)
         assert got == pytest.approx(ref.exact_policy_value(model, "fluid", 5), abs=1e-12)
+
+
+def test_optimal_dp_enumerates_no_pull_vectors(monkeypatch, bern2):
+    # a period's (count vector, pull vector) pairs are the cells of its
+    # (passive, active) grid, so no pull vector is enumerated one by one
+    import fluidbandit.oracle as oracle
+
+    rng = np.random.default_rng(606)
+    models = [(bern2, 5), (make_random_model(rng, S=3, T=3), 5),
+              (_with_alpha(make_random_model(rng, S=3, T=2), 1.0), 4)]  # B_t = N
+    want = [ref.optimal_value(model, N, return_tables=True) for model, N in models]
+
+    def refuse(*args):
+        raise AssertionError("bounded_compositions was called")
+
+    monkeypatch.setattr(oracle, "bounded_compositions", refuse)
+    for (model, N), (value, tables) in zip(models, want):
+        got, got_tables = optimal_value(model, N, return_tables=True)
+        assert got == pytest.approx(value, abs=1e-12)
+        assert [list(tab) for tab in got_tables] == [list(tab) for tab in tables]
+
+
+def test_policy_dp_allocates_once_per_period(monkeypatch, bern2):
+    # one allocate_batch call per period covers every reachable count vector
+    calls = []
+    real = CompiledPolicy.allocate_batch
+
+    def counted(self, t, Z, rng):
+        calls.append((t, len(Z)))
+        return real(self, t, Z, rng)
+
+    monkeypatch.setattr(CompiledPolicy, "allocate_batch", counted)
+    model = make_random_model(np.random.default_rng(707), S=3, T=4, annotate=True)
+    for m, policy in ((bern2, "fluid"), (model, "relaxed"), (model, "index"),
+                      (model, "ucb:0.5")):
+        calls.clear()
+        exact_policy_value(m, policy, 5)
+        assert [t for t, _ in calls] == list(range(1, m.T + 1))
+        assert calls[0][1] == 1 and max(rows for _, rows in calls) > 1
+
+
+def test_callable_policy_equals_its_spec(bern2):
+    # a bare callable goes row by row through the public 1-row allocator;
+    # the spec goes through one batch call per period
+    pol = CompiledPolicy(bern2, PolicySpec("fluid"))
+
+    def fluid(t, counts):
+        return fluid_priority_allocate(t, counts, pol.measure, pol.scores, counts.N,
+                                       alpha_t=float(bern2.alpha[t - 1]),
+                                       partition=pol.partition)
+
+    for N in (2, 3, 5, 6):
+        assert exact_policy_value(bern2, fluid, N) == exact_policy_value(bern2, pol, N)
 
 
 def _pull_fewer(model):
