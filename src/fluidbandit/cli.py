@@ -1,15 +1,24 @@
 """Command-line front end: generation, relaxation, diagnosis, evaluation.
 
+Every subcommand has one shape: a ``cmd_*(model, args)`` function returns
+its result, and its subparser registers that function and a writer.
+:func:`main` parses, loads the model (``gen`` builds the one it names),
+runs the command and writes what it returns.  JSON commands write one
+object.  ``eval``, ``sweep`` and ``violations`` write a CSV; beside an
+``-o`` file they also write a JSON sidecar (seeds, replication counts,
+wall-clock time) of the same base name, so stdout carries only the CSV.
+
 Every float printed to CSV or JSON goes through a 12-significant-digit
 round-trip so reruns of the same config are byte-identical (wall-clock
-time lives only in the JSON sidecar).  Config files are JSON objects
-whose keys mirror the long flags; each value is checked like the flag it
+time lives only in the sidecar).  Config files are JSON objects whose
+keys mirror the long flags; each value is checked like the flag it
 stands for, and explicit flags win over file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,15 +29,17 @@ import numpy as np
 from .errors import EXIT_CODES, ConfigError, FluidBanditError
 from .lp import solve_relaxation
 from .mdp import ArmModel, model_from_json, model_to_json
-from .occupancy import classify, search_nondegenerate
-from .oracle import optimal_value
+from .occupancy import CLASSIFY_TOL, classify, search_nondegenerate
+from .oracle import DEFAULT_GUARD, optimal_value
 from .policies import parse_policy
 from .priority import lambda_from_duals, q_recursion, score_order
-from .simulator import CompiledPolicy, gap_sweep, violation_rate_sweep
+from .simulator import (REPS_CAP, CompiledPolicy, default_reps, gap_sweep,
+                        violation_rate_sweep)
 from . import zoo
 
 CSV_COLUMNS = ["N", "policy", "upper_bound", "mean", "ci95", "gap",
                "violation_rate_max"]
+GENERATORS = ["bernoulli", "crowd", "assort", "single", "two"]
 
 
 def _fmt(x: Any) -> str:
@@ -72,6 +83,10 @@ def _emit_json(payload: dict, path: str | None) -> None:
                                  allow_nan=True) + "\n")
 
 
+def _write_model(model: ArmModel, path: str | None) -> None:
+    _write_text(path, model_to_json(model) + "\n")
+
+
 def _load_model(args) -> ArmModel:
     if getattr(args, "model", None):
         try:
@@ -85,34 +100,23 @@ def _load_model(args) -> ArmModel:
             raise
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad model JSON {args.model!r}: {exc}") from exc
-    gen = getattr(args, "gen", None)
-    if not gen:
+    if not args.gen:
         raise ConfigError("need --model FILE or --gen NAME")
-    return _generate(gen, args)
+    return _generate(args.gen, args)
 
 
 def _generate(name: str, args) -> ArmModel:
-    T = getattr(args, "T", None)
-    alpha = getattr(args, "alpha", None)
-    fix = zoo.fixtures()
     if name in ("single", "two"):
-        return fix[name.upper()]
-    if T is None or alpha is None:
+        return zoo.fixtures()[name.upper()]
+    if args.T is None or args.alpha is None:
         raise ConfigError(f"generator {name!r} needs --T and --alpha")
     if name == "bernoulli":
-        return zoo.bernoulli_bandit(T, alpha)
+        return zoo.bernoulli_bandit(args.T, args.alpha)
     if name == "crowd":
-        return zoo.crowdsourcing(T, alpha)
+        return zoo.crowdsourcing(args.T, args.alpha)
     if name == "assort":
-        return zoo.assortment(T, alpha, m_cap=args.m_cap, x_cap=args.x_cap)
+        return zoo.assortment(args.T, args.alpha, m_cap=args.m_cap, x_cap=args.x_cap)
     raise ConfigError(f"unknown generator {name!r}")
-
-
-def _sidecar_path(out: str | None) -> str | None:
-    if not out:
-        return None
-    base, _ = os.path.splitext(out)
-    return base + ".json"
 
 
 def _csv_row(rep, upper_bound: float) -> str:
@@ -141,28 +145,22 @@ def _report_sidecar(rep) -> dict:
     }
 
 
-def _write_reports(out: str | None, reports, upper_bounds) -> None:
-    """CSV of reports against their upper bounds, plus the JSON sidecar."""
+def _write_reports(result, path: str | None) -> None:
+    """CSV of reports against their upper bounds; beside an -o file, the
+    JSON sidecar."""
+    reports, upper_bounds = result
     lines = [",".join(CSV_COLUMNS)]
     lines += [_csv_row(rep, ub) for rep, ub in zip(reports, upper_bounds)]
-    _write_text(out, "\n".join(lines) + "\n")
-    _emit_json({"rows": [_report_sidecar(rep) for rep in reports]}, _sidecar_path(out))
-
-
-def _write_sweep(out: str | None, rows) -> None:
-    _write_reports(out, [r.report for r in rows], [r.upper_bound for r in rows])
+    _write_text(path, "\n".join(lines) + "\n")
+    if path:
+        _emit_json({"rows": [_report_sidecar(rep) for rep in reports]},
+                   os.path.splitext(path)[0] + ".json")
 
 
 def _reps_rule(args):
     if args.reps is not None:
         return args.reps
-    return lambda N: min(50 * N, args.reps_cap)
-
-
-def _require_ascending(ns: list[int]) -> list[int]:
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("N list must be strictly ascending")
-    return ns
+    return functools.partial(default_reps, cap=args.reps_cap)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -170,35 +168,25 @@ def _parse_n_list(text: str) -> list[int]:
         ns = [int(p) for p in text.replace(";", ",").split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad N list {text!r}") from exc
-    return _require_ascending(ns)
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError("N list must be strictly ascending")
+    return ns
 
 
-def cmd_gen(args) -> int:
-    model = _generate(args.generator, args)
-    _write_text(args.out, model_to_json(model) + "\n")
-    return 0
+def _policy(model: ArmModel, args) -> CompiledPolicy:
+    return CompiledPolicy(model, parse_policy(args.policy))
 
 
-def cmd_relax(args) -> int:
-    model = _load_model(args)
+def cmd_relax(model: ArmModel, args) -> dict:
     meas = solve_relaxation(model)
-    trips = []
-    T, S = model.T, model.S
-    for t in range(T):
-        for s in range(S):
-            for a in (0, 1):
-                v = float(meas.x[t, s, a])
-                if v > 1e-9:
-                    trips.append([t + 1, s, a, _round12(v)])
-    lam = lambda_from_duals(meas)
-    _emit_json({"value": meas.value, "lambda": lam, "x": trips}, args.out)
-    return 0
+    # (t, s, a) order, as np.argwhere walks the measure
+    trips = [[t + 1, s, a, meas.x[t, s, a]]
+             for t, s, a in np.argwhere(meas.x > CLASSIFY_TOL).tolist()]
+    return {"value": meas.value, "lambda": lambda_from_duals(meas), "x": trips}
 
 
-def cmd_classify(args) -> int:
-    model = _load_model(args)
-    meas = solve_relaxation(model)
-    part = classify(meas)
+def cmd_classify(model: ArmModel, args) -> dict:
+    part = classify(solve_relaxation(model))
     periods = []
     for t in range(1, model.T + 1):
         periods.append({
@@ -207,13 +195,10 @@ def cmd_classify(args) -> int:
             "neutral": sorted(part.neutral(t)),
             "inactive": sorted(part.inactive(t)),
         })
-    _emit_json({"periods": periods,
-                "neutral_counts": part.neutral_counts()}, args.out)
-    return 0
+    return {"periods": periods, "neutral_counts": part.neutral_counts()}
 
 
-def cmd_search_measure(args) -> int:
-    model = _load_model(args)
+def cmd_search_measure(model: ArmModel, args) -> dict:
     report = search_nondegenerate(model)
     payload = {
         "nondegenerate": report.nondegenerate,
@@ -224,76 +209,60 @@ def cmd_search_measure(args) -> int:
     }
     if report.witness is not None:
         payload["witness_value"] = report.witness.value
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def _ranked_priorities(args):
+def _ranked_priorities(model: ArmModel):
     """Priority scheme at the LP's budget duals and each period's state ranking."""
-    model = _load_model(args)
     scheme = q_recursion(model, lambda_from_duals(solve_relaxation(model)))
     return scheme, [score_order(scheme, t, model.S) for t in range(1, model.T + 1)]
 
 
-def cmd_priority(args) -> int:
-    scheme, orders = _ranked_priorities(args)
-    _emit_json({"lambda": scheme.lam, "ranked_states": orders}, args.out)
-    return 0
+def cmd_priority(model: ArmModel, args) -> dict:
+    scheme, orders = _ranked_priorities(model)
+    return {"lambda": scheme.lam, "ranked_states": orders}
 
 
-def cmd_fluid_index(args) -> int:
-    scheme, orders = _ranked_priorities(args)
+def cmd_fluid_index(model: ArmModel, args) -> dict:
+    scheme, orders = _ranked_priorities(model)
     index = [[[s, p[s]] for s in order] for p, order in zip(scheme.P, orders)]
-    _emit_json({"lambda": scheme.lam, "index": index}, args.out)
-    return 0
+    return {"lambda": scheme.lam, "index": index}
 
 
-def cmd_eval(args) -> int:
-    model = _load_model(args)
-    pol = CompiledPolicy(model, parse_policy(args.policy))
+def cmd_eval(model: ArmModel, args):
     engine = "per_arm" if args.engine == "per-arm" else "counts"
-    _write_sweep(args.out, gap_sweep(model, pol, [args.N], args.reps,
-                                     seed=args.seed, engine=engine))
-    return 0
+    rows = gap_sweep(model, _policy(model, args), [args.N], args.reps,
+                     seed=args.seed, engine=engine)
+    return [r.report for r in rows], [r.upper_bound for r in rows]
 
 
-def cmd_sweep(args) -> int:
-    model = _load_model(args)
-    pol = CompiledPolicy(model, parse_policy(args.policy))
-    _write_sweep(args.out, gap_sweep(model, pol, _parse_n_list(args.N), _reps_rule(args),
-                                     seed=args.seed, crn=args.crn))
-    return 0
+def cmd_sweep(model: ArmModel, args):
+    rows = gap_sweep(model, _policy(model, args), _parse_n_list(args.N), _reps_rule(args),
+                     seed=args.seed, crn=args.crn)
+    return [r.report for r in rows], [r.upper_bound for r in rows]
 
 
-def cmd_violations(args) -> int:
-    model = _load_model(args)
-    pol = CompiledPolicy(model, parse_policy(args.policy))
+def cmd_violations(model: ArmModel, args):
+    pol = _policy(model, args)
     reports = violation_rate_sweep(model, pol, _parse_n_list(args.N),
                                    _reps_rule(args), seed=args.seed)
-    _write_reports(args.out, reports, [rep.N * pol.measure.value for rep in reports])
-    return 0
+    return reports, [rep.N * pol.measure.value for rep in reports]
 
 
-def cmd_oracle(args) -> int:
-    model = _load_model(args)
+def cmd_oracle(model: ArmModel, args) -> dict:
     vstar = optimal_value(model, args.N, guard=args.guard)
     vhat = solve_relaxation(model).value
-    _emit_json({"N": args.N, "V_star": vstar, "NVhat": args.N * vhat,
-                "gap": _round12(args.N * vhat) - _round12(vstar)}, args.out)
-    return 0
-
-
-def _add_model_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--gen", help="generator: bernoulli|crowd|assort|single|two")
-    _add_generator_flags(p)
+    return {"N": args.N, "V_star": vstar, "NVhat": args.N * vhat,
+            "gap": _round12(args.N * vhat) - _round12(vstar)}
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
+    """The generator's flags and --out, which every subcommand takes."""
     p.add_argument("--T", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--m-cap", dest="m_cap", type=int, default=zoo.ASSORT_M_CAP)
     p.add_argument("--x-cap", dest="x_cap", type=int, default=zoo.ASSORT_X_CAP)
+    p.add_argument("--out", "-o")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,66 +273,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a generated model as JSON")
-    p.add_argument("generator", choices=["bernoulli", "crowd", "assort",
-                                         "single", "two"])
+    p.add_argument("gen", choices=GENERATORS)
     _add_generator_flags(p)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(run=lambda model, args: model, write=_write_model)
 
-    for name, func, help_ in [
+    def command(name, run, help_, write=_emit_json):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--model", help="model JSON path")
+        p.add_argument("--gen", help="generator: " + "|".join(GENERATORS))
+        _add_generator_flags(p)
+        p.set_defaults(run=run, write=write)
+        return p
+
+    for name, run, help_ in [
             ("relax", cmd_relax, "solve the occupation-measure LP"),
             ("classify", cmd_classify, "print per-period state categories"),
             ("search-measure", cmd_search_measure,
              "look for a measure with a neutral state per period"),
             ("priority", cmd_priority, "print lambda and ranked states"),
             ("fluid-index", cmd_fluid_index, "print per-period index values")]:
-        p = sub.add_parser(name, help=help_)
-        _add_model_source(p)
-        p.add_argument("--out", "-o")
-        p.set_defaults(func=func)
+        command(name, run, help_)
 
-    p = sub.add_parser("eval", help="Monte Carlo value of one policy at one N")
-    _add_model_source(p)
-    p.add_argument("--policy", required=True,
-                   help="fluid|relaxed|index|rac|ucb:<delta>|ts")
+    sims = {}
+    for name, run, help_, policy in [
+            ("eval", cmd_eval, "Monte Carlo value of one policy at one N", None),
+            ("sweep", cmd_sweep, "gap sweep across an N list", None),
+            ("violations", cmd_violations, "budget-bracket failure rates vs N", "fluid")]:
+        p = sims[name] = command(name, run, help_, _write_reports)
+        p.add_argument("--policy", required=policy is None, default=policy,
+                       help="fluid|relaxed|index|rac|ucb:<delta>|ts")
+        p.add_argument("--reps", type=int,
+                       help=f"fixed replication count (default min(50N, cap), "
+                            f"cap --reps-cap or {REPS_CAP})")
+        p.add_argument("--seed", type=int)
+    sims["eval"].add_argument("--N", type=int, required=True)
+    sims["eval"].add_argument("--engine", choices=["count", "per-arm"], default="count")
+    for name in ("sweep", "violations"):
+        sims[name].add_argument("--N", required=True, help="comma-separated ascending list")
+        sims[name].add_argument("--reps-cap", dest="reps_cap", type=int, default=REPS_CAP)
+    sims["sweep"].add_argument("--crn", action="store_true",
+                               help="share random streams across policies")
+
+    p = command("oracle", cmd_oracle, "exact small-N optimum vs LP bound")
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--engine", choices=["count", "per-arm"], default="count")
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="gap sweep across an N list")
-    _add_model_source(p)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--N", required=True, help="comma-separated ascending list")
-    p.add_argument("--reps", type=int,
-                   help="fixed replication count (default min(50N, reps-cap))")
-    p.add_argument("--reps-cap", dest="reps_cap", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--crn", action="store_true",
-                   help="share random streams across policies")
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("violations", help="budget-bracket failure rates vs N")
-    _add_model_source(p)
-    p.add_argument("--policy", default="fluid")
-    p.add_argument("--N", required=True)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--reps-cap", dest="reps_cap", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_violations)
-
-    p = sub.add_parser("oracle", help="exact small-N optimum vs LP bound")
-    _add_model_source(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--guard", type=int, default=10**7,
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                    help="work-unit limit: one unit per (count vector, pull vector) pair, "
                         "per count vector stored and per index-map or continuation-grid entry")
-    p.add_argument("--out", "-o")
-    p.set_defaults(func=cmd_oracle)
     return ap
 
 
@@ -423,16 +378,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _parse(parser, argv)
-        if getattr(args, "seed", None) is None and args.command in (
-                "eval", "sweep", "violations"):
+        if "seed" in args and args.seed is None:
             raise ConfigError("--seed is mandatory for simulation commands")
-        return args.func(args)
+        args.write(args.run(_load_model(args), args), args.out)
     except FluidBanditError as exc:
         code = EXIT_CODES.get(type(exc), 1)
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__, "message": str(exc),
             "exit_code": code}) + "\n")
         return code
+    return 0
 
 
 if __name__ == "__main__":

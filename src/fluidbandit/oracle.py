@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BudgetExceeded, NondeterministicPolicy, RangeError
+from .errors import BudgetExceeded, DimensionMismatch, NondeterministicPolicy, RangeError
 from .mdp import ArmModel, CountState, period_budget, successors
 from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
 from .policies import fluid_priority_allocate  # noqa: F401  bench/tracing.py patches this name
@@ -243,12 +243,22 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
 
 def _batch_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.ndarray]:
     """Deterministic action counts (R, S, 2) of count rows Z (R, S): a
-    bare callable ``(t, CountState) -> AllocationPlan`` row by row,
-    anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
-    and applied by one ``allocate_batch`` call."""
+    bare callable ``(t, CountState) -> AllocationPlan`` row by row, each
+    plan checked to split its row's counts, anything else compiled by
+    :class:`~fluidbandit.simulator.CompiledPolicy` and applied by one
+    ``allocate_batch`` call."""
     if callable(policy):
-        return lambda t, Z: np.stack([policy(t, CountState(t=t, N=int(z.sum()), Z=z.copy())).X
-                                      for z in Z])
+        def plan(t: int, z: np.ndarray) -> np.ndarray:
+            X = policy(t, CountState(t=t, N=int(z.sum()), Z=z.copy())).X
+            if X.shape != (model.S, 2):
+                raise DimensionMismatch(
+                    f"period {t} plan has shape {X.shape}, expected ({model.S}, 2)")
+            # a negative count would never finish peeling in _Lattice.law
+            if (X < 0).any() or (X.sum(axis=1) != z).any():
+                raise RangeError(f"period {t} plan {X.tolist()} does not split "
+                                 f"counts {z.tolist()} into passive and active arms")
+            return X
+        return lambda t, Z: np.stack([plan(t, z) for z in Z])
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if getattr(policy, "kind", None) in ("rac", "ts"):

@@ -55,7 +55,7 @@ class PolicySpec:
 
     @property
     def label(self) -> str:
-        if self.kind == "ucb":
+        if self.kind == "ucb" and self.delta is not None:
             return f"ucb:{self.delta:g}"
         return self.kind
 

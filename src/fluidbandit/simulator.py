@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MissingMetadata, RangeError
+from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
 from .mdp import ArmModel, period_budget, successors
 from .occupancy import CategoryPartition, classify
@@ -46,11 +46,13 @@ Z95 = 1.959963984540054
 CHUNK_CELL_BUDGET = 1 << 21
 # Below this replication count the normal CI is flagged unreliable.
 CI_MIN_REPS = 1000
+# Replication cap of the default rule.
+REPS_CAP = 200_000
 
 
-def default_reps(N: int) -> int:
-    """Desk-scale default replication rule."""
-    return min(50 * N, 200_000)
+def default_reps(N: int, cap: int = REPS_CAP) -> int:
+    """Desk-scale default replication rule: min(50 N, cap)."""
+    return min(50 * N, cap)
 
 
 @dataclass
@@ -105,8 +107,15 @@ class CompiledPolicy:
         self.kind = spec.kind
         if self.kind not in ("fluid", "relaxed", "index", "rac", "ucb", "ts"):
             raise RangeError(f"unknown policy kind {self.kind!r}")
+        T, S = model.T, model.S
         scores = spec.scores
         measure = spec.measure
+        if measure is not None and measure.x.shape != (T, S, 2):
+            raise DimensionMismatch(
+                f"measure has shape {measure.x.shape}, expected ({T}, {S}, 2)")
+        score_shape = np.shape(getattr(scores, "P", scores))
+        if len(score_shape) == 2 and score_shape != (T, S):
+            raise DimensionMismatch(f"scores have shape {score_shape}, expected ({T}, {S})")
         uses_measure = (self.kind in ("fluid", "relaxed", "rac")
                         or (self.kind == "index" and scores is None))
         if uses_measure and measure is None:
@@ -128,7 +137,6 @@ class CompiledPolicy:
         if self.kind == "ts" and not model.annotations:
             raise MissingMetadata("TS needs per-state posterior annotations")
 
-        T, S = model.T, model.S
         if self.kind in ("ts", "rac"):
             self._orders = None
         else:
@@ -474,12 +482,16 @@ def _reps_for(reps_per_N, N: int) -> int:
     raise RangeError(f"cannot interpret reps rule {reps_per_N!r}")
 
 
+def _check_n_list(N_list: Sequence[int]) -> None:
+    if not N_list or list(N_list) != sorted(set(N_list)):
+        raise RangeError("N_list must be nonempty, ascending, duplicate-free")
+
+
 def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
               seed: int = 0, engine: str = "counts",
               crn: bool = False) -> list[SweepRow]:
     """Optimality-gap upper bounds across N: N*V-hat minus simulated mean."""
-    if not N_list or list(N_list) != sorted(set(N_list)):
-        raise RangeError("N_list must be nonempty, ascending, duplicate-free")
+    _check_n_list(N_list)
     pol = _resolve_policy(model, policy)
     vhat = (pol.relaxation if pol.relaxation is not None
             else solve_relaxation(model)).value
@@ -498,6 +510,7 @@ def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
 def violation_rate_sweep(model: ArmModel, policy, N_list: Sequence[int],
                          reps, seed: int = 0) -> list[SimulationReport]:
     """Budget-bracket failure rates per (N, t); policy must carry a measure."""
+    _check_n_list(N_list)
     pol = _resolve_policy(model, policy)
     if pol.partition is None:
         raise RangeError("violation sweep needs a measure-carrying policy")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from fluidbandit.cli import _round12, main
+from fluidbandit.cli import CSV_COLUMNS, _round12, main
 
 
 def _read_csv(path):
@@ -125,6 +125,39 @@ def test_violations_even_parity(tmp_path):
     assert [r["N"] for r in rows] == ["2", "4"]
     assert all(float(r["violation_rate_max"]) == 0.0 for r in rows)
 
+
+
+@pytest.mark.parametrize("command, n_flag", [("eval", "4"), ("sweep", "2,4"),
+                                             ("violations", "2,4")])
+def test_stdout_is_the_csv_alone_and_repeats(tmp_path, monkeypatch, capsys, command, n_flag):
+    # the sidecar, whose wall-clock time differs run to run, is written
+    # only beside an -o file
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--gen", "bernoulli", "--T", "2", "--alpha", "0.3333333333333333",
+            "--policy", "fluid", "--N", n_flag, "--reps", "50", "--seed", "1"]
+    outs = []
+    for _ in range(2):
+        assert main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [row.split(",")[0] for row in lines[1:]] == n_flag.split(",")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reps_default_to_the_simulator_rule(tmp_path):
+    out = tmp_path / "r.csv"
+
+    def sidecar_reps():
+        return [row["reps"] for row in json.loads((tmp_path / "r.json").read_text())["rows"]]
+
+    assert main(["eval", "--gen", "two", "--policy", "fluid", "--N", "3",
+                 "--seed", "1", "-o", str(out)]) == 0
+    assert sidecar_reps() == [150]
+    assert main(["sweep", "--gen", "two", "--policy", "fluid", "--N", "2,4",
+                 "--reps-cap", "150", "--seed", "1", "-o", str(out)]) == 0
+    assert sidecar_reps() == [100, 150]
 
 def test_seed_mandatory_for_simulation(capsys):
     code = main(["eval", "--gen", "two", "--policy", "fluid", "--N", "2"])

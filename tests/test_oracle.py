@@ -7,7 +7,8 @@ import pytest
 
 import reference_oracle as ref
 from conftest import make_random_model
-from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeError
+from fluidbandit.errors import (BudgetExceeded, DimensionMismatch, NondeterministicPolicy,
+                               RangeError)
 from fluidbandit.mdp import AllocationPlan, ArmModel, period_budget, validate_model
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
@@ -263,6 +264,27 @@ def test_callable_policy_equals_its_spec(bern2):
     for N in (2, 3, 5, 6):
         assert exact_policy_value(bern2, fluid, N) == exact_policy_value(bern2, pol, N)
 
+
+
+@pytest.mark.parametrize("edit, error", [("negative", RangeError), ("overdraw", RangeError),
+                                         ("shape", DimensionMismatch)])
+def test_callable_plan_must_split_the_counts(two, edit, error):
+    # a -1 count once sent the group-law peel into an endless loop, and a
+    # plan pulling more arms than a state holds was valued as if possible
+    def allocate(t, counts):
+        Z = counts.Z
+        s = int(np.argmax(Z))
+        X = np.stack([Z, np.zeros_like(Z)], axis=1)
+        if edit == "negative":
+            X[s] = [Z[s] + 1, -1]
+        elif edit == "overdraw":
+            X[s] = [0, Z[s] + 1]
+        else:
+            X = np.zeros((two.S + 1, 2), dtype=np.int64)
+        return AllocationPlan(t=t, X=X, relaxed=True)
+
+    with pytest.raises(error):
+        exact_policy_value(two, allocate, 2)
 
 def _pull_fewer(model):
     """Pulls B_t - 1 arms (none when B_t = 0), highest states first."""

@@ -402,3 +402,8 @@ def test_parse_policy():
         parse_policy("ucb:half")
     with pytest.raises(ConfigError):
         parse_policy("bogus")
+
+
+def test_ucb_label_without_a_delta_prints():
+    assert PolicySpec("ucb").label == "ucb"
+    assert PolicySpec("ucb", delta=0.5).label == "ucb:0.5"

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_random_model
+from fluidbandit.errors import DimensionMismatch, RangeError
 from fluidbandit.mdp import successors
-from fluidbandit.simulator import (_successor_table, default_reps, gap_sweep, simulate,
-                                   simulate_per_arm, violation_rate_sweep)
+from fluidbandit.policies import PolicySpec
+from fluidbandit.simulator import (CompiledPolicy, _successor_table, default_reps, gap_sweep,
+                                   simulate, simulate_per_arm, violation_rate_sweep)
+from fluidbandit.zoo import bernoulli_bandit
 
 
 def test_two_fluid_deterministic(two):
@@ -120,6 +123,48 @@ def test_default_reps_rule():
     assert default_reps(100) == 5_000
     assert default_reps(100_000) == 200_000
 
+
+
+def test_default_reps_takes_a_cap():
+    assert default_reps(4, cap=300) == 200
+    assert default_reps(100, cap=300) == 300
+
+
+@pytest.mark.parametrize("N_list", [[6, 3, 3], [], [3, 3]])
+def test_both_sweeps_refuse_a_bad_n_list(two, N_list):
+    with pytest.raises(RangeError, match="N_list"):
+        gap_sweep(two, "fluid", N_list, reps_per_N=5, seed=0)
+    with pytest.raises(RangeError, match="N_list"):
+        violation_rate_sweep(two, "fluid", N_list, reps=5, seed=0)
+
+
+def test_one_replication_has_a_zero_ci(bern2):
+    rep = simulate(bern2, "fluid", N=3, reps=1, seed=0)
+    assert rep.reps == 1 and rep.ci_halfwidth == 0.0 and not rep.ci_reliable
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_per_arm_ts_at_no_budget_and_full_budget(alpha):
+    # B = 0 pulls no arm and B = N every arm, so TS draws no sample and,
+    # on common random numbers, makes the transitions an index rule makes
+    model = bernoulli_bandit(3, alpha)
+    ts = simulate_per_arm(model, "ts", N=4, reps=300, seed=2, crn=True)
+    ucb = simulate_per_arm(model, "ucb:1", N=4, reps=300, seed=2, crn=True)
+    assert ts.mean_reward == ucb.mean_reward
+    assert (ts.mean_reward > 0.0) == (alpha == 1.0)
+
+
+@pytest.mark.parametrize("kind", ["fluid", "rac", "index"])
+def test_spec_measure_of_another_model_is_refused(bern2, bern5_measure, kind):
+    # fluid and rac once failed with a raw IndexError; index ran silently
+    with pytest.raises(DimensionMismatch, match="measure"):
+        CompiledPolicy(bern2, PolicySpec(kind, measure=bern5_measure))
+
+
+def test_score_table_of_another_horizon_is_refused(bern2):
+    CompiledPolicy(bern2, PolicySpec("index", scores=np.zeros((bern2.T, bern2.S))))
+    with pytest.raises(DimensionMismatch, match="scores"):
+        CompiledPolicy(bern2, PolicySpec("index", scores=np.zeros((5, bern2.S))))
 
 def test_successor_table_draws_like_the_dense_cdf(bern5, crowd7):
     """The per-arm engine's padded per-row CDF picks the successor that
