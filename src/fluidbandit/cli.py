@@ -108,15 +108,15 @@ def _load_model(args) -> ArmModel:
 def _generate(name: str, args) -> ArmModel:
     if name in ("single", "two"):
         return zoo.fixtures()[name.upper()]
+    if name not in GENERATORS:
+        raise ConfigError(f"unknown generator {name!r}")
     if args.T is None or args.alpha is None:
         raise ConfigError(f"generator {name!r} needs --T and --alpha")
     if name == "bernoulli":
         return zoo.bernoulli_bandit(args.T, args.alpha)
     if name == "crowd":
         return zoo.crowdsourcing(args.T, args.alpha)
-    if name == "assort":
-        return zoo.assortment(args.T, args.alpha, m_cap=args.m_cap, x_cap=args.x_cap)
-    raise ConfigError(f"unknown generator {name!r}")
+    return zoo.assortment(args.T, args.alpha, m_cap=args.m_cap, x_cap=args.x_cap)
 
 
 def _csv_row(rep, upper_bound: float) -> str:
@@ -153,8 +153,11 @@ def _write_reports(result, path: str | None) -> None:
     lines += [_csv_row(rep, ub) for rep, ub in zip(reports, upper_bounds)]
     _write_text(path, "\n".join(lines) + "\n")
     if path:
-        _emit_json({"rows": [_report_sidecar(rep) for rep in reports]},
-                   os.path.splitext(path)[0] + ".json")
+        _emit_json({"rows": [_report_sidecar(rep) for rep in reports]}, _sidecar_path(path))
+
+
+def _sidecar_path(path: str) -> str:
+    return os.path.splitext(path)[0] + ".json"
 
 
 def _reps_rule(args):
@@ -380,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(parser, argv)
         if "seed" in args and args.seed is None:
             raise ConfigError("--seed is mandatory for simulation commands")
+        if "seed" in args and args.out and _sidecar_path(args.out) == args.out:
+            raise ConfigError(f"-o {args.out!r} is the path of its own JSON sidecar; "
+                              "give the CSV another extension")
         args.write(args.run(_load_model(args), args), args.out)
     except FluidBanditError as exc:
         code = EXIT_CODES.get(type(exc), 1)

@@ -5,7 +5,9 @@ per-state arm counts (cost independent of N for count-level policies)
 and samples transitions as grouped multinomials via sequential binomial
 conditioning.  The per-arm engine tracks every arm individually and is
 the reference for distributional cross-validation; it is also the
-natural home of genuinely per-arm policies at small N.
+natural home of genuinely per-arm policies at small N.  Its per-period
+pull tagging, Thompson draws and successor draws work in one stable
+by-state order of the arms, so each is O(N) per replication.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
@@ -286,8 +288,11 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
 
     cell = S
     if engine == "per_arm":
-        # the (R, N) arm states and the (R, N, W) successor draw of
-        # _chunk_per_arm, W the widest kernel row
+        # N * (1 + W) cells per replication, W the widest kernel row: the
+        # size of an (R, N, W) successor tensor, which _chunk_per_arm does
+        # not build.  The width stays because chunk k draws from
+        # _stream(seed, tag, k), so another width would move every per-arm
+        # result.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
@@ -390,20 +395,17 @@ def _chunk_per_arm(model, pol, N, R, rng, book):
     row = np.arange(R)[:, None] * S
     tables = [_successor_table(K) for K in pol._support]
     for t in range(1, T + 1):
-        Z = np.bincount((states + row).reshape(-1), minlength=R * S).reshape(R, S)
+        cells = (states + row).reshape(-1)
+        Z = np.bincount(cells, minlength=R * S).reshape(R, S)
         actions = _per_arm_actions(pol, t, states, Z, rng)
-        X1 = np.bincount((states + row).reshape(-1), minlength=R * S,
-                         weights=actions.reshape(-1).astype(np.float64))
+        X1 = np.bincount(cells, minlength=R * S, weights=actions.reshape(-1).astype(np.float64))
         X1 = X1.reshape(R, S).astype(np.int64)
         X0 = Z - X1
-        rewards += model.R[t - 1][states, actions].sum(axis=1)
+        k = 2 * states + actions  # row 2s+a of the period's kernel and of R[t-1]
+        rewards += np.take(model.R[t - 1], k).sum(axis=1)
         book.record(t, Z, X0, X1)
         if t < T:
-            cdf, targets = tables[t - 1]
-            k = 2 * states + actions
-            u = rng.random((R, N, 1))
-            slot = np.minimum((u > cdf[k]).sum(axis=2), cdf.shape[1] - 1)
-            states = targets[k, slot]
+            states = _next_states(*tables[t - 1], k, rng)
     return rewards
 
 
@@ -418,24 +420,64 @@ def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(probs, axis=1), np.maximum.accumulate(targets, axis=1)
 
 
+def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Each arm's successor from one uniform u: slot w of its successor-table
+    row k = 2s+a, w the count of the row's first W-1 CDF values below u (a
+    padded row is nondecreasing, so the last slot takes the rest)."""
+    W = cdf.shape[1]
+    u = rng.random(k.shape)
+    slot = k * W
+    for w in range(W - 1):
+        slot += u > np.take(cdf[:, w], k)
+    return np.take(targets, slot)
+
+
+def _by_state(states: np.ndarray, S: int) -> np.ndarray:
+    """Stable order of the arms by state along the last axis, keyed on the
+    smallest integer type that holds S - 1 (radix-sorted at 8 or 16 bits)."""
+    return np.argsort(states.astype(np.min_scalar_type(S - 1)), axis=-1, kind="stable")
+
+
+def _tag_pulls(states: np.ndarray, Z: np.ndarray, X1: np.ndarray) -> np.ndarray:
+    """Actions pulling the first X1[r, s] arms of state s in row r, in index
+    order (arms are exchangeable, so any fixed choice works): in by-state
+    order that is X1[r, s] ones then Z[r, s] - X1[r, s] zeros, s ascending."""
+    R, N = states.shape
+    at = _by_state(states, Z.shape[1])
+    at += np.arange(0, R * N, N)[:, None]
+    act = np.empty(R * N, dtype=np.int64)
+    act[at.reshape(-1)] = np.repeat(np.tile([1, 0], Z.size),
+                                    np.stack([X1, Z - X1], axis=2).reshape(-1))
+    return act.reshape(R, N)
+
+
+def _ts_draws(annotations, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One posterior draw per arm.  Each occupied state's sampler is called
+    once, in ascending s, for all its arms in row-major order; the draws are
+    scattered back through the by-state order of the flattened states."""
+    flat = states.reshape(-1)
+    counts = np.bincount(flat, minlength=len(annotations))
+    ends = np.cumsum(counts)
+    by_state = np.empty(flat.size, dtype=np.float64)
+    for s in np.flatnonzero(counts):
+        by_state[ends[s] - counts[s]:ends[s]] = annotations[s].sampler(rng, int(counts[s]))
+    draws = np.empty(flat.size, dtype=np.float64)
+    draws[_by_state(flat, len(annotations))] = by_state
+    return draws.reshape(states.shape)
+
+
 def _per_arm_actions(pol: CompiledPolicy, t: int, states: np.ndarray,
                      Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-arm 0/1 actions consistent with the policy's count semantics."""
     R, N = states.shape
-    S = Z.shape[1]
     B = period_budget(float(pol.model.alpha[t - 1]), N)
     if pol.kind == "ts":
-        ann = pol.model.annotations
         if B <= 0:
             return np.zeros((R, N), dtype=np.int64)
         if B >= N:
             return np.ones((R, N), dtype=np.int64)
-        draws = np.empty((R, N), dtype=np.float64)
-        for s in range(S):
-            mask = states == s
-            cnt = int(mask.sum())
-            if cnt:
-                draws[mask] = np.asarray(ann[s].sampler(rng, cnt), dtype=np.float64)
+        draws = _ts_draws(pol.model.annotations, states, rng)
         thr = np.partition(draws, N - B, axis=1)[:, N - B][:, None]
         act = draws > thr
         need = B - act.sum(axis=1)
@@ -453,20 +495,7 @@ def _per_arm_actions(pol: CompiledPolicy, t: int, states: np.ndarray,
         act = np.zeros((R, N), dtype=np.int64)
         np.put_along_axis(act, visit, chosen.astype(np.int64), axis=1)
         return act
-    # count-level policies: compute the count plan, then tag the first
-    # X1[r, s] arms of each state (exchangeable, so any fixed choice works)
-    X1 = pol.allocate_batch(t, Z, rng)
-    order = np.argsort(states, axis=1, kind="stable")
-    st_sorted = np.take_along_axis(states, order, axis=1)
-    cumZ_prev = np.concatenate([np.zeros((R, 1), dtype=np.int64),
-                                np.cumsum(Z, axis=1)[:, :-1]], axis=1)
-    start = np.take_along_axis(cumZ_prev, st_sorted, axis=1)
-    quota = np.take_along_axis(X1, st_sorted, axis=1)
-    pos = np.arange(N)[None, :]
-    chosen_sorted = (pos - start) < quota
-    act = np.zeros((R, N), dtype=np.int64)
-    np.put_along_axis(act, order, chosen_sorted.astype(np.int64), axis=1)
-    return act
+    return _tag_pulls(states, Z, pol.allocate_batch(t, Z, rng))
 
 
 # ---- sweeps ----------------------------------------------------------------

@@ -84,3 +84,19 @@ def test_tracer_sees_the_model_json_names(tmp_path):
         tracer.uninstall()
     assert {"mdp.json_dump", "mdp.json_load"} <= {rec[0] for rec in tracer.spans}
     assert tracing.layer_metrics(tracer, 0.0)["mdp.json_mb"] > 0
+
+
+def test_tracer_counts_the_per_arm_ts_samplers():
+    # the per-arm engine's TS draws through each annotation's sampler, the
+    # name the tracer wraps, once per occupied state and period
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    model = bernoulli_bandit(3, 1.0 / 3.0)
+    try:
+        tracer.install(models=[model])
+        simulator.simulate_per_arm(model, "ts", N=6, reps=20, seed=1)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, 0.0)
+    assert metrics["zoo.sampler_calls"] > 0
+    assert metrics["zoo.sampler_s"] > 0

@@ -201,6 +201,33 @@ def test_unknown_generator_is_config_error(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_unknown_generator_is_named_before_its_flags(capsys):
+    # the name was once checked after --T/--alpha, so the message asked
+    # for flags that no generator of that name takes
+    assert main(["relax", "--gen", "bogus"]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message == "unknown generator 'bogus'"
+
+
+@pytest.mark.parametrize("command, n_flag", [("eval", "2"), ("sweep", "2,4"),
+                                             ("violations", "2,4")])
+def test_output_path_that_is_its_own_sidecar_is_refused(tmp_path, monkeypatch, capsys,
+                                                        command, n_flag):
+    # the sidecar once overwrote the CSV it was written beside, with exit 0
+    import fluidbandit.simulator as simulator
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(simulator, "_run", no_run)
+    out = tmp_path / "r.json"
+    assert main([command, "--gen", "two", "--policy", "fluid", "--N", n_flag,
+                 "--reps", "10", "--seed", "1", "-o", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(out) in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_model_file_is_config_error(capsys, tmp_path):
     assert main(["relax", "--model", str(tmp_path / "nope.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

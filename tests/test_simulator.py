@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import fluidbandit.simulator as simulator
+import reference_simulator as ref
 from conftest import make_random_model
 from fluidbandit.errors import DimensionMismatch, RangeError
 from fluidbandit.mdp import successors
-from fluidbandit.policies import PolicySpec
+from fluidbandit.policies import PolicySpec, parse_policy
 from fluidbandit.simulator import (CompiledPolicy, _successor_table, default_reps, gap_sweep,
                                    simulate, simulate_per_arm, violation_rate_sweep)
 from fluidbandit.zoo import bernoulli_bandit
@@ -179,3 +181,96 @@ def test_successor_table_draws_like_the_dense_cdf(bern5, crowd7):
             slot = np.minimum((u > cdf[rows]).sum(axis=1), cdf.shape[1] - 1)
             want = np.minimum((u > dense[rows]).sum(axis=1), model.S - 1)
             np.testing.assert_array_equal(targets[rows, slot], want)
+
+
+def _random_states(rng, R, N, S):
+    # some states left empty, so the helpers meet unoccupied states too
+    live = rng.choice(S, size=max(1, S // 2), replace=False)
+    return rng.choice(live, size=(R, N)).astype(np.int64)
+
+
+def _counts(states, S):
+    R = len(states)
+    return np.bincount((states + np.arange(R)[:, None] * S).ravel(),
+                       minlength=R * S).reshape(R, S)
+
+
+@pytest.mark.parametrize("S, N", [(1, 5), (3, 1), (7, 40), (20, 300)])
+def test_tag_pulls_match_the_reference(S, N):
+    rng = np.random.default_rng(S * 1000 + N)
+    states = _random_states(rng, 9, N, S)
+    Z = _counts(states, S)
+    # no pull (B = 0), every arm pulled (B = N) and random quotas
+    for X1 in (np.zeros_like(Z), Z, rng.integers(0, Z + 1)):
+        act = simulator._tag_pulls(states, Z, X1)
+        np.testing.assert_array_equal(act, ref._tag_pulls(states, Z, X1))
+        assert act.dtype == np.int64
+        np.testing.assert_array_equal(_counts(np.where(act == 1, states, S), S + 1)[:, :S], X1)
+
+
+@pytest.mark.parametrize("N", [1, 6, 200])
+def test_ts_draws_match_the_reference(bern5, N):
+    ann = bern5.annotations
+    for S in (1, len(ann)):
+        rng = np.random.default_rng(N + S)
+        states = _random_states(rng, 11, N, S)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        draws = simulator._ts_draws(ann[:S], states, a)
+        np.testing.assert_array_equal(draws, ref._ts_draws(ann[:S], states, b))
+        # both left the stream at the same place
+        assert a.random() == b.random()
+
+
+def test_next_states_match_the_reference(bern5, crowd7):
+    rng = np.random.default_rng(43)
+    for model in (bern5, crowd7, make_random_model(rng, S=5, T=3)):
+        for K in successors(model):
+            cdf, targets = _successor_table(K)
+            states = _random_states(rng, 13, 70, model.S)
+            k = 2 * states + rng.integers(0, 2, size=states.shape)
+            a, b = np.random.default_rng(6), np.random.default_rng(6)
+            nxt = simulator._next_states(cdf, targets, k, a)
+            np.testing.assert_array_equal(nxt, ref._next_states(cdf, targets, k, b))
+            assert a.random() == b.random()
+    # rows whose totals fall short of 1: a uniform above a row's total
+    # takes the row's last slot, not a slot of the next row
+    cdf, targets = np.array([[0.25, 0.5], [0.5, 0.5]]), np.array([[0, 1], [2, 2]])
+    k = rng.integers(0, 2, size=(13, 70))
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    np.testing.assert_array_equal(simulator._next_states(cdf, targets, k, a),
+                                  ref._next_states(cdf, targets, k, b))
+
+
+@pytest.mark.parametrize("policy", ["fluid", "relaxed", "index", "rac", "ucb:0.5", "ts"])
+def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
+    # a cell budget of 500 splits the 60 replications into six chunks
+    monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 500)
+    pol = CompiledPolicy(bern5, parse_policy(policy))
+    assert simulator._chunk_sizes(60, bern5.S + 9 * 3) == [11] * 5 + [5]
+    new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
+    for name in ("_tag_pulls", "_ts_draws", "_next_states"):
+        monkeypatch.setattr(simulator, name, getattr(ref, name))
+    old = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
+    for name, value in vars(new).items():
+        if name == "wall_time":
+            continue
+        if isinstance(value, dict):
+            assert value.keys() == vars(old)[name].keys()
+            for key in value:
+                np.testing.assert_array_equal(value[key], vars(old)[name][key])
+        else:
+            np.testing.assert_array_equal(value, vars(old)[name])
+
+
+def test_per_arm_chunk_sizes_are_pinned(bern15, monkeypatch):
+    # chunk k draws from stream (seed, tag, k), so a change of the per-arm
+    # chunk width N * (1 + W) would move every per-arm result
+    seen = []
+
+    def no_work(model, pol, N, R, rng, book):
+        seen.append(R)
+        return np.zeros(R)
+
+    monkeypatch.setattr(simulator, "_chunk_per_arm", no_work)
+    simulate_per_arm(bern15, "ucb:0.5", N=1200, reps=4000, seed=0)
+    assert seen == [563] * 7 + [59]
