@@ -143,7 +143,9 @@ class AllocationPlan:
 
 
 def validate_model(model: ArmModel) -> None:
-    """Check shapes, ranges, and row sums; raise a typed error on failure.
+    """Check shapes, ranges, row sums and posterior annotations (one per
+    state, with a finite mean, a finite sd >= 0 and finite params > 0);
+    raise a typed error on failure.
 
     Raises ShapeError / DimensionMismatch / RangeError / RowSumError.
     """
@@ -173,8 +175,20 @@ def validate_model(model: ArmModel) -> None:
             raise RangeError(f"kernel period {t + 1} has a target outside [0, {S})")
         if not ((K.data > 0.0) & (K.data <= 1 + ROW_SUM_TOL)).all():  # NaN fails too
             raise RangeError("kernel entries must lie in (0, 1]")
-    if (model.alpha < 0).any() or (model.alpha > 1).any():
+    if not ((model.alpha >= 0) & (model.alpha <= 1)).all():  # NaN fails too
         raise RangeError("alpha entries must lie in [0, 1]")
+    ann = model.annotations
+    if ann is not None:
+        if len(ann) != S:
+            raise DimensionMismatch(f"{len(ann)} posterior annotations for {S} states")
+        mean, sd = np.array([(a.posterior_mean, a.posterior_sd) for a in ann],
+                            dtype=np.float64).T
+        params = np.array([a.params for a in ann], dtype=np.float64)
+        ok = (np.isfinite(mean) & (sd >= 0) & (sd < np.inf)
+              & ((params > 0) & (params < np.inf)).all(axis=1))  # NaN fails too
+        if not ok.all():
+            raise RangeError(f"annotation of state {model.states[np.argmin(ok)]!r} needs a "
+                             "finite mean, a finite sd >= 0 and finite params > 0")
     rowsum = np.array([K @ np.ones(S) for K in model.kernel])
     bad = np.abs(rowsum - 1.0) > ROW_SUM_TOL
     if bad.any():

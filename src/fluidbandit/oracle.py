@@ -20,6 +20,7 @@ of hanging or exhausting memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -74,44 +75,44 @@ def bounded_compositions(total: int, bounds):
         yield from rec(0, total)
 
 
-class _WorkMeter:
-    """Work guard of one oracle call, and that call's memo of group laws
-    keyed by (period, action, composition); periods that share a kernel
-    matrix are keyed by the first of them."""
+class _Lattice:
+    """One oracle call: its work guard, its count vectors with their index
+    within the compositions of their total (lexicographic, as
+    :func:`compositions` yields them), and its memo of group laws keyed
+    by (period, action, composition).  Periods whose kernel matrices are
+    equal (the same ``indptr``, ``indices`` and ``data``) are keyed by
+    the first of them, so they share their laws however the model was
+    built.  Levels, index maps and laws are built on first use and
+    charged to the guard before they are allocated."""
 
-    def __init__(self, guard: int):
-        self.guard = guard
-        self.used = 0
-        self.outcomes: dict[tuple[int, int, tuple[int, ...]], np.ndarray] = {}
+    def __init__(self, model: ArmModel, N: int, guard: int):
+        if N < 1:
+            raise RangeError("N must be >= 1")
+        self.S, self.N = model.S, N
+        self.guard, self.used = guard, 0
+        self.kernels = successors(model)
+        first: dict[tuple, int] = {}
+        self.first = [first.setdefault((K.dtype.str, K.indptr.tobytes(), K.indices.tobytes(),
+                                        K.data.tobytes()), u)
+                      for u, K in enumerate(self.kernels)]
+        self.laws: dict[tuple[int, int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.unit = np.eye(self.S, dtype=np.int64)
+        self._levels: dict[int, np.ndarray] = {}
+        self._sums: dict[tuple[int, int], np.ndarray] = {}
+
+    @functools.cached_property
+    def count(self) -> np.ndarray:
+        """count[j, m]: compositions of m into j + 1 parts, capped where no
+        level the guard lets through can reach; built on first use, so
+        the size estimate of :func:`optimal_value` refuses a huge N first."""
+        cap = np.iinfo(np.int64).max // 4
+        return np.array([[min(math.comb(m + j, j), cap) for m in range(self.N + 1)]
+                         for j in range(self.S)], dtype=np.int64)
 
     def spend(self, units: int) -> None:
         self.used += units
         if self.used > self.guard:
             raise BudgetExceeded(f"enumeration exceeded {self.guard} work units")
-
-
-class _Lattice:
-    """Count vectors of one oracle call: their index within the
-    compositions of their total (lexicographic, as :func:`compositions`
-    yields them), and the group laws built on them.  Levels, index maps
-    and laws are built on first use and charged to the call's meter
-    before they are allocated."""
-
-    def __init__(self, model: ArmModel, N: int, meter: _WorkMeter):
-        self.S = S = model.S
-        self.kernels = successors(model)
-        # periods that share one kernel matrix share its group laws
-        self.owner = [next(u for u, K2 in enumerate(self.kernels) if K2 is K)
-                      for K in self.kernels]
-        self.meter = meter
-        # count[j, m]: compositions of m into j + 1 parts, capped where no
-        # level the meter lets through can reach
-        cap = np.iinfo(np.int64).max // 4
-        self.count = np.array([[min(math.comb(m + j, j), cap) for m in range(N + 1)]
-                               for j in range(S)], dtype=np.int64)
-        self.unit = np.eye(S, dtype=np.int64)
-        self._levels: dict[int, np.ndarray] = {}
-        self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     def size(self, n: int) -> int:
         return int(self.count[self.S - 1, n])
@@ -120,7 +121,7 @@ class _Lattice:
         """The compositions of n, one row each."""
         Y = self._levels.get(n)
         if Y is None:
-            self.meter.spend(self.size(n))
+            self.spend(self.size(n))
             Y = self._levels[n] = np.array(list(compositions(n, self.S)),
                                            dtype=np.int64).reshape(-1, self.S)
         return Y
@@ -149,7 +150,7 @@ class _Lattice:
         composition y0 of n0 (rows) and y1 of n1 (columns)."""
         idx = self._sums.get((n0, n1))
         if idx is None:
-            self.meter.spend(self.size(n0) * self.size(n1))
+            self.spend(self.size(n0) * self.size(n1))
             Y0 = self.level(n0)
             idx = self._sums[n0, n1] = np.stack(
                 [self.rank(Y0 + y1, n0 + n1) for y1 in self.level(n1)], axis=1)
@@ -159,22 +160,21 @@ class _Lattice:
         """Where the arms of composition P land under action a in period t:
         the count vectors reached (rows, in lexicographic order) and their
         probabilities, one row of that period's group table kept sparse."""
-        memo = self.meter.outcomes
-        t = self.owner[t - 1] + 1
+        memo, u = self.laws, self.first[t - 1]
         chain = []
-        while (t, a, P) not in memo and any(P):
+        while (u, a, P) not in memo and any(P):
             # peel one arm off the last occupied state
             s = max(i for i, c in enumerate(P) if c)
             chain.append((P, s))
             P = P[:s] + (P[s] - 1,) + P[s + 1:]
-        Y, p = memo[t, a, P] if any(P) else (np.zeros((1, self.S), dtype=np.int64), np.ones(1))
-        K = self.kernels[t - 1]
+        Y, p = memo[u, a, P] if any(P) else (np.zeros((1, self.S), dtype=np.int64), np.ones(1))
+        K = self.kernels[u]
         for P, s in reversed(chain):
             lo, hi = K.indptr[2 * s + a], K.indptr[2 * s + a + 1]
             # the peeled arm lands in each target j: every vector gains e_j
             moved = Y[None] + self.unit[K.indices[lo:hi], None]
-            self.meter.spend(moved.shape[0] * moved.shape[1])
-            Y, p = memo[t, a, P] = self.merge(moved.reshape(-1, self.S),
+            self.spend(moved.shape[0] * moved.shape[1])
+            Y, p = memo[u, a, P] = self.merge(moved.reshape(-1, self.S),
                                               np.outer(K.data[lo:hi], p).ravel())
         return Y, p
 
@@ -207,8 +207,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     grid; every period, t = T included, builds its index map.  A size
     estimate beyond 100 times the guard is refused before any work.
     """
-    if N < 1:
-        raise RangeError("N must be >= 1")
+    lattice = _Lattice(model, N, guard)
     S, T = model.S, model.T
     n_comp = math.comb(N + S - 1, S - 1)
     budgets = [period_budget(float(model.alpha[t]), N) for t in range(T)]
@@ -216,20 +215,18 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     if rough > guard * 100:
         raise BudgetExceeded(
             f"estimated enumeration {rough} far beyond guard {guard}")
-    meter = _WorkMeter(guard)
-    lattice = _Lattice(model, N, meter)
 
     vnext = np.zeros(lattice.size(N))
     tables = []
     for t in range(T, 0, -1):
         B = budgets[t - 1]
         idx = lattice.sums(N - B, B)
-        meter.spend(idx.size)
+        lattice.spend(idx.size)
         val = ((lattice.level(N - B) @ model.R[t - 1, :, 0])[:, None]
                + (lattice.level(B) @ model.R[t - 1, :, 1])[None, :])
         if t < T:
             G = vnext[idx]
-            meter.spend(G.size)
+            lattice.spend(G.size)
             val += lattice.table(t, 0, N - B) @ (lattice.table(t, 1, B) @ G.T).T
         vnext = np.full(len(vnext), -np.inf)
         np.maximum.at(vnext, idx.ravel(), val.ravel())
@@ -285,11 +282,8 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     Work units are counted as in :func:`optimal_value`, plus one per
     scattered (passive, active) landing pair.
     """
-    if N < 1:
-        raise RangeError("N must be >= 1")
+    lattice = _Lattice(model, N, guard)
     allocate = _batch_allocator(model, policy)
-    meter = _WorkMeter(guard)
-    lattice = _Lattice(model, N, meter)
     S, T = model.S, model.T
     reach = np.zeros((1, S), dtype=np.int64)
     reach[0, model.s0] = N
@@ -308,7 +302,7 @@ def exact_policy_value(model: ArmModel, policy, N: int,
         for pz, X0, X1 in zip(prob.tolist(), map(tuple, X[:, :, 0].tolist()),
                               map(tuple, X[:, :, 1].tolist())):
             (Y0, p0), (Y1, p1) = lattice.law(t, 0, X0), lattice.law(t, 1, X1)
-            meter.spend(len(Y0) * len(Y1))
+            lattice.spend(len(Y0) * len(Y1))
             succ_Y.append((Y0[:, None, :] + Y1[None, :, :]).reshape(-1, S))
             succ_p.append(pz * np.outer(p0, p1).ravel())
             pending -= len(succ_p[-1])

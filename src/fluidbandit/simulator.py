@@ -125,8 +125,8 @@ class CompiledPolicy:
         if self.kind in ("fluid", "relaxed", "index") and scores is None:
             scores = q_recursion(model, lambda_from_duals(measure))
         if self.kind == "ucb":
-            if spec.delta is None:
-                raise RangeError("UCB policy needs a delta")
+            if spec.delta is None or not np.isfinite(spec.delta):
+                raise RangeError(f"UCB policy needs a finite delta, got {spec.delta!r}")
             scores = ucb_scores(model.annotations, spec.delta)
         self.scores = scores
         # the relaxation behind this policy; gap_sweep reads V-hat off it
@@ -521,6 +521,8 @@ def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
               crn: bool = False) -> list[SweepRow]:
     """Optimality-gap upper bounds across N: N*V-hat minus simulated mean."""
     _check_n_list(N_list)
+    if engine not in ("counts", "per_arm"):
+        raise RangeError(f"unknown engine {engine!r}; use 'counts' or 'per_arm'")
     pol = _resolve_policy(model, policy)
     vhat = (pol.relaxation if pol.relaxation is not None
             else solve_relaxation(model)).value

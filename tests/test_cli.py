@@ -2,10 +2,12 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
 from fluidbandit.cli import CSV_COLUMNS, _round12, main
+from fluidbandit.mdp import model_from_json
 
 
 def _read_csv(path):
@@ -401,3 +403,56 @@ def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, er
     assert main(["relax", "--model", str(path)]) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and err["exit_code"] == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relax"], "need --model FILE or --gen NAME"),
+    (["relax", "--gen", "bernoulli"], "needs --T and --alpha"),
+    (["sweep", "--gen", "two", "--policy", "fluid", "--N", "3,x", "--seed", "1"],
+     "bad N list"),
+    (["--config", "{tmp}/missing.json", "relax", "--gen", "two"], "cannot read config"),
+    (["--config", "{tmp}/list.json", "relax", "--gen", "two"], "must hold a JSON object"),
+], ids=["no-model", "generator-without-flags", "bad-n-list", "unreadable-config",
+        "config-list"])
+def test_config_errors_exit_2(tmp_path, capsys, argv, message):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and message in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["relax", "--gen", "bernoulli", "--T", "3", "--alpha", "nan"], "alpha"),
+    (["eval", "--gen", "bernoulli", "--T", "3", "--alpha", "0.3", "--policy", "ucb:nan",
+      "--N", "6", "--reps", "5", "--seed", "1"], "finite delta"),
+    (["eval", "--gen", "bernoulli", "--T", "3", "--alpha", "0.3", "--policy", "ucb:inf",
+      "--N", "6", "--reps", "5", "--seed", "1"], "finite delta"),
+], ids=["alpha-nan", "ucb-nan", "ucb-inf"])
+def test_non_finite_numbers_exit_4(capsys, argv, message):
+    # NaN alpha once died with a raw traceback; a NaN or infinite UCB delta
+    # printed a CSV row and exited 0
+    assert main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "RangeError" and err["exit_code"] == 4
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("crowd", []),
+    ("assort", ["--m-cap", "12", "--x-cap", "6"]),
+])
+def test_gen_writes_a_model_file(tmp_path, name, flags):
+    path = tmp_path / f"{name}.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # assortment truncation mass
+        assert main(["gen", name, "--T", "2", "--alpha", "0.3", "-o", str(path)] + flags) == 0
+    model = model_from_json(path.read_text())
+    assert model.T == 2 and model.metadata["params"]["alpha"] == 0.3
+
+
+def test_search_measure_single(capsys):
+    assert main(["search-measure", "--gen", "single"]) == 0
+    payload = _stdout_json(capsys)
+    assert payload["nondegenerate"] is True and payload["witness_value"] == 1.0

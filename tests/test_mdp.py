@@ -14,7 +14,7 @@ from fluidbandit.mdp import (AllocationPlan, ArmModel, CountState,
                              model_from_dict, model_to_dict, model_to_json,
                              period_budget, reachable_states, successors,
                              validate_model)
-from fluidbandit.oracle import _Lattice, _WorkMeter
+from fluidbandit.oracle import _Lattice
 from fluidbandit.policies import parse_policy
 from fluidbandit.simulator import CompiledPolicy
 from fluidbandit.zoo import assortment
@@ -80,6 +80,36 @@ def test_shape_errors(two):
 
     with pytest.raises((ShapeError, DimensionMismatch)):
         validate_model(_copy(two, dense_kernel(two)[:1]))
+
+
+def test_non_finite_alpha_is_a_range_error(two):
+    # NaN fails both range comparisons, so a NaN alpha once passed
+    m = _copy(two)
+    m.alpha[0] = np.nan
+    with pytest.raises(RangeError, match="alpha"):
+        validate_model(m)
+    payload = model_to_dict(two)
+    payload["alpha"][1] = float("nan")
+    with pytest.raises(RangeError, match="alpha"):
+        model_from_dict(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda anns: anns.pop(), DimensionMismatch),
+    (lambda anns: anns[0].update(posterior_mean=float("nan")), RangeError),
+    (lambda anns: anns[1].update(posterior_sd=-0.1), RangeError),
+    (lambda anns: anns[1].update(posterior_sd=float("inf")), RangeError),
+    (lambda anns: anns[2].update(params=[-1.0, 2.0]), RangeError),
+    (lambda anns: anns[2].update(params=[1.0, float("nan")]), RangeError),
+], ids=["one-short", "nan-mean", "negative-sd", "infinite-sd", "negative-param",
+        "nan-param"])
+def test_bad_annotations_are_refused_on_load(bern2, edit, error):
+    # each once loaded: TS then raised a raw IndexError (one short) or
+    # ValueError (per-arm Beta draws), or UCB ran on a NaN score
+    payload = json.loads(json.dumps(model_to_dict(bern2)))
+    edit(payload["metadata"]["annotations"])
+    with pytest.raises(error, match="annotation"):
+        model_from_dict(payload)
 
 
 def test_period_budget_exact_fractions():
@@ -149,7 +179,7 @@ def test_negative_dust_is_no_successor():
     pol = CompiledPolicy(model, parse_policy("fluid"))
     assert pol._support[0][2 * 1 + 0].indices.tolist() == [0, 1]
     # where three idle arms of state 1 land in period 1
-    Y, p = _Lattice(model, 3, _WorkMeter(10 ** 6)).law(1, 0, (0, 3, 0))
+    Y, p = _Lattice(model, 3, 10 ** 6).law(1, 0, (0, 3, 0))
     assert (p > 0).all() and (Y[:, 2] == 0).all()
 
 

@@ -9,6 +9,7 @@ from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.occupancy import (classify, fluid_consistency_gap,
                                    fluid_propagate, is_nondegenerate,
                                    search_nondegenerate)
+from fluidbandit.priority import score_order
 
 
 def test_classify_single(single_measure):
@@ -107,3 +108,13 @@ def test_fluid_consistency_gap_basics(two_measure):
     assert fluid_consistency_gap(two_measure.x, two_measure.x) == 0.0
     with pytest.raises(DimensionMismatch):
         fluid_consistency_gap(two_measure.x, two_measure.x[:1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: score_order(np.zeros(m.S + 1), 1, m.S),
+    lambda m: score_order(np.zeros((m.T, m.S - 1)), 2, m.S),
+    lambda m: fluid_propagate(m, np.zeros((2, 2))),
+], ids=["score-order-vector", "score-order-table", "fluid-propagate"])
+def test_scores_of_the_wrong_shape_are_refused(bern2, call):
+    with pytest.raises(DimensionMismatch, match="scores"):
+        call(bern2)

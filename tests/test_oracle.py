@@ -9,7 +9,8 @@ import reference_oracle as ref
 from conftest import make_random_model
 from fluidbandit.errors import (BudgetExceeded, DimensionMismatch, NondeterministicPolicy,
                                RangeError)
-from fluidbandit.mdp import AllocationPlan, ArmModel, period_budget, validate_model
+from fluidbandit.mdp import (AllocationPlan, ArmModel, model_from_json, model_to_json,
+                             period_budget, validate_model)
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
 from fluidbandit.policies import PolicySpec, fluid_priority_allocate
@@ -327,3 +328,31 @@ def test_work_meter_guard(bern2):
     with pytest.raises(BudgetExceeded, match="enumeration exceeded 2 work units"):
         exact_policy_value(bern2, "fluid", 4, guard=2)
     assert optimal_value(bern2, 4) == pytest.approx(ref.optimal_value(bern2, 4), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, N, optimal_units, fluid_units", [
+    ("bern2", 4, 156, 7),
+    ("bern5", 6, 3_679_415, 256),
+])
+def test_work_units_are_pinned(monkeypatch, request, name, N, optimal_units, fluid_units):
+    # a refused call is user-visible (exit 12), so a refactor must not move
+    # the count, and a model read from JSON, which holds one equal matrix
+    # per period, must spend what the generated model spends
+    import fluidbandit.oracle as oracle
+
+    spent = []
+    real = oracle._Lattice.spend
+
+    def spend(self, units):
+        spent.append(units)
+        real(self, units)
+
+    monkeypatch.setattr(oracle._Lattice, "spend", spend)
+    model = request.getfixturevalue(name)
+    for m in (model, model_from_json(model_to_json(model))):
+        spent.clear()
+        optimal_value(m, N)
+        assert sum(spent) == optimal_units
+        spent.clear()
+        exact_policy_value(m, "fluid", N)
+        assert sum(spent) == fluid_units

@@ -6,8 +6,9 @@ import pytest
 import fluidbandit.simulator as simulator
 import reference_simulator as ref
 from conftest import make_random_model
-from fluidbandit.errors import DimensionMismatch, RangeError
+from fluidbandit.errors import DimensionMismatch, MissingMetadata, RangeError
 from fluidbandit.mdp import successors
+from fluidbandit.oracle import exact_policy_value
 from fluidbandit.policies import PolicySpec, parse_policy
 from fluidbandit.simulator import (CompiledPolicy, _successor_table, default_reps, gap_sweep,
                                    simulate, simulate_per_arm, violation_rate_sweep)
@@ -138,6 +139,44 @@ def test_both_sweeps_refuse_a_bad_n_list(two, N_list):
         gap_sweep(two, "fluid", N_list, reps_per_N=5, seed=0)
     with pytest.raises(RangeError, match="N_list"):
         violation_rate_sweep(two, "fluid", N_list, reps=5, seed=0)
+
+
+@pytest.mark.parametrize("engine", ["count", "per-arm", "bogus"])
+def test_gap_sweep_refuses_an_unknown_engine(two, engine):
+    # "count" is the CLI's spelling; it and any other name once ran the
+    # per-arm engine silently
+    with pytest.raises(RangeError, match="engine"):
+        gap_sweep(two, "fluid", [2], reps_per_N=5, seed=1, engine=engine)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+def test_ucb_delta_must_be_finite(bern2, delta):
+    # the one check in CompiledPolicy covers both engines and the oracle
+    spec = PolicySpec("ucb", delta=delta)
+    with pytest.raises(RangeError, match="finite delta"):
+        simulate(bern2, spec, N=2, reps=5, seed=0)
+    with pytest.raises(RangeError, match="finite delta"):
+        simulate_per_arm(bern2, spec, N=2, reps=5, seed=0)
+    with pytest.raises(RangeError, match="finite delta"):
+        exact_policy_value(bern2, spec, 2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda bern2, crowd3: CompiledPolicy(bern2, PolicySpec("bogus")), RangeError,
+     "policy kind"),
+    (lambda bern2, crowd3: CompiledPolicy(crowd3, PolicySpec("ts")), MissingMetadata,
+     "annotations"),
+    (lambda bern2, crowd3: simulate(bern2, 42, N=2, reps=5, seed=0), RangeError,
+     "interpret policy"),
+    (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N="x", seed=0),
+     RangeError, "reps rule"),
+    (lambda bern2, crowd3: violation_rate_sweep(bern2, "index", [2], reps=5, seed=0),
+     RangeError, "measure-carrying"),
+], ids=["unknown-kind", "ts-without-annotations", "policy-42", "reps-rule-x",
+        "violations-of-index"])
+def test_simulator_refusals(bern2, crowd3, call, error, match):
+    with pytest.raises(error, match=match):
+        call(bern2, crowd3)
 
 
 def test_one_replication_has_a_zero_ci(bern2):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_kernel
-from fluidbandit.mdp import model_from_dict, model_to_dict, validate_model
+from fluidbandit.errors import ConfigError, RangeError
+from fluidbandit.mdp import (BeliefStateAnnotation, model_from_dict, model_to_dict,
+                             period_budget, validate_model)
 from fluidbandit.zoo import assortment, bernoulli_bandit, crowdsourcing, fixtures
 
 
@@ -151,3 +153,19 @@ def test_fixture_values_documented(single, two):
     assert set(fx) == {"SINGLE", "TWO"}
     np.testing.assert_array_equal(dense_kernel(fx["TWO"]), dense_kernel(two))
     np.testing.assert_array_equal(fx["SINGLE"].R, single.R)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: period_budget(0.5, 0), RangeError, "N must"),
+    (lambda: bernoulli_bandit(0, 0.3), RangeError, "T must"),
+    (lambda: crowdsourcing(0, 0.3), RangeError, "T must"),
+    (lambda: assortment(0, 0.3), RangeError, "T must"),
+    (lambda: assortment(2, 0.3, m_cap=0), RangeError, "caps"),
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "version": 3}),
+     ConfigError, "version"),
+    (lambda: BeliefStateAnnotation(0.5, 0.1, "normal", (0.5, 0.1)), RangeError, "family"),
+], ids=["budget-at-no-arm", "bernoulli-T0", "crowd-T0", "assort-T0", "assort-m-cap-0",
+        "json-version-3", "normal-family"])
+def test_model_building_refusals(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
