@@ -16,13 +16,18 @@ passive group table, which has a row for every composition of |P|, and
 likewise for Y_A.  The tables grow combinatorially in N and S, so they
 only fit tiny instances; a work guard rejects anything larger instead
 of hanging or exhausting memory.
+
+The interpreted work is per batch, not per count vector: group laws are
+built one composition level at a time, count vectors are ranked one
+state column at a time, and the policy DP merges its (passive, active)
+landing pairs by rank in blocks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +42,8 @@ from .simulator import _resolve_policy
 
 # Work guard: grid cells valued plus table entries built.
 DEFAULT_GUARD = 10 ** 7
-# The policy DP folds its scattered successors once about this many have
-# landed, so memory does not grow with the (passive, active) landing pairs.
+# The policy DP folds its (passive, active) landing pairs in blocks of
+# about this many, so memory does not grow with the pairs.
 PAIR_BLOCK = 1 << 14
 
 
@@ -75,15 +80,41 @@ def bounded_compositions(total: int, bounds):
         yield from rec(0, total)
 
 
+def _grid(major: np.ndarray, minor: np.ndarray):
+    """Every cell of the grids major[e] x minor[e], grid by grid, each in
+    row-major order: its grid e, row and column."""
+    m = major * minor
+    e = np.repeat(np.arange(len(m)), m)
+    return (e, *np.divmod(np.arange(len(e)) - np.repeat(np.cumsum(m) - m, m), minor[e]))
+
+
+def _fold(key: np.ndarray, w: np.ndarray):
+    """Distinct keys in ascending order, the sum of each key's weights in
+    input order (as ``bincount`` adds them), and the index of each key's
+    first occurrence."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    return key[new], np.bincount(np.cumsum(new) - 1, weights=w[order]), order[new]
+
+
 class _Lattice:
-    """One oracle call: its work guard, its count vectors with their index
+    """One oracle call: its work guard, its count vectors with their rank
     within the compositions of their total (lexicographic, as
     :func:`compositions` yields them), and its memo of group laws keyed
     by (period, action, composition).  Periods whose kernel matrices are
     equal (the same ``indptr``, ``indices`` and ``data``) are keyed by
     the first of them, so they share their laws however the model was
     built.  Levels, index maps and laws are built on first use and
-    charged to the guard before they are allocated."""
+    charged to the guard before they are allocated.
+
+    A group law is stored as the columns (S, rows) of its landing vectors
+    in lexicographic order, and their probabilities.  The law of a
+    composition P is its parent's law, the parent being P with one arm
+    peeled off its last occupied state, with the peeled arm moved to each
+    kernel target; the laws a request needs are built one composition
+    level at a time, each level in one batch."""
 
     def __init__(self, model: ArmModel, N: int, guard: int):
         if N < 1:
@@ -95,19 +126,20 @@ class _Lattice:
         self.first = [first.setdefault((K.dtype.str, K.indptr.tobytes(), K.indices.tobytes(),
                                         K.data.tobytes()), u)
                       for u, K in enumerate(self.kernels)]
-        self.laws: dict[tuple[int, int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
-        self.unit = np.eye(self.S, dtype=np.int64)
+        self.memo: dict[tuple[int, int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        # the law of no arms: one empty landing vector
+        self.zero = (np.zeros((self.S, 1), dtype=np.int64), np.ones(1))
         self._levels: dict[int, np.ndarray] = {}
         self._sums: dict[tuple[int, int], np.ndarray] = {}
 
     @functools.cached_property
     def count(self) -> np.ndarray:
-        """count[j, m]: compositions of m into j + 1 parts, capped where no
-        level the guard lets through can reach; built on first use, so
-        the size estimate of :func:`optimal_value` refuses a huge N first."""
-        cap = np.iinfo(np.int64).max // 4
-        return np.array([[min(math.comb(m + j, j), cap) for m in range(self.N + 1)]
-                         for j in range(self.S)], dtype=np.int64)
+        """count[j * (N + 1) + m]: compositions of m into j + 1 parts, as
+        int64 while every batch key (entry, rank), below size(N) ** 2,
+        fits and as exact Python ints beyond; built on first use, so the
+        size estimate of :func:`optimal_value` refuses a huge N first."""
+        table = [math.comb(m + j, j) for j in range(self.S) for m in range(self.N + 1)]
+        return np.array(table, dtype=np.int64 if table[-1] ** 2 < 2 ** 63 else object)
 
     def spend(self, units: int) -> None:
         self.used += units
@@ -115,7 +147,7 @@ class _Lattice:
             raise BudgetExceeded(f"enumeration exceeded {self.guard} work units")
 
     def size(self, n: int) -> int:
-        return int(self.count[self.S - 1, n])
+        return int(self.count[(self.S - 1) * (self.N + 1) + n])
 
     def level(self, n: int) -> np.ndarray:
         """The compositions of n, one row each."""
@@ -126,24 +158,21 @@ class _Lattice:
                                            dtype=np.int64).reshape(-1, self.S)
         return Y
 
-    def rank(self, Y: np.ndarray, total: int) -> np.ndarray:
-        """Index of each count vector (last axis of Y) within the
-        compositions of `total`."""
-        rem = total - np.cumsum(Y, axis=-1) + Y  # arms left from state i on
-        parts = np.arange(self.S - 1, -1, -1)
-        # per state i, the vectors that agree before i and hold fewer arms
-        # in i (none at the last state, whose count the rest fixes)
-        return (self.count[parts, rem] - self.count[parts, rem - Y]).sum(axis=-1)
-
-    @staticmethod
-    def merge(Y: np.ndarray, p: np.ndarray):
-        """Distinct rows of Y in lexicographic order, each with the sum of
-        its probabilities in p."""
-        order = np.lexsort(Y.T[::-1])
-        Y = Y[order]
-        new = np.ones(len(Y), dtype=bool)
-        new[1:] = (Y[1:] != Y[:-1]).any(axis=1)
-        return Y[new], np.bincount(np.cumsum(new) - 1, weights=p[order])
+    def rank(self, cols: Iterable[np.ndarray], total: int, size: int) -> np.ndarray:
+        """Index within the compositions of `total` of `size` count vectors,
+        given as their state columns (1-D arrays, state 0 first; the last
+        is never read, since the others fix it).  Per state it adds the
+        vectors that agree before it and hold fewer arms in it, one column
+        at a time by a flat take into the count table: a true rank at any
+        S, where a radix key (N + 1) ** S overflows int64 at S = 32, N = 3."""
+        stride, count = self.N + 1, self.count
+        out = np.zeros(size, dtype=count.dtype)
+        rem = total  # arms left from this state on
+        for parts, y in zip(range(self.S - 1, 0, -1), cols):
+            at = parts * stride + rem
+            out += count.take(at) - count.take(at - y)
+            rem = rem - y
+        return out
 
     def sums(self, n0: int, n1: int) -> np.ndarray:
         """Index within the compositions of n0 + n1 of y0 + y1, for every
@@ -151,41 +180,67 @@ class _Lattice:
         idx = self._sums.get((n0, n1))
         if idx is None:
             self.spend(self.size(n0) * self.size(n1))
-            Y0 = self.level(n0)
-            idx = self._sums[n0, n1] = np.stack(
-                [self.rank(Y0 + y1, n0 + n1) for y1 in self.level(n1)], axis=1)
+            Y0, Y1 = self.level(n0), self.level(n1)
+            grid = (np.add.outer(Y0[:, i], Y1[:, i]).ravel() for i in range(self.S))
+            idx = self._sums[n0, n1] = self.rank(grid, n0 + n1, Y0.shape[0] * Y1.shape[0]
+                                                 ).reshape(Y0.shape[0], Y1.shape[0])
         return idx
 
-    def law(self, t: int, a: int, P: tuple[int, ...]):
-        """Where the arms of composition P land under action a in period t:
-        the count vectors reached (rows, in lexicographic order) and their
-        probabilities, one row of that period's group table kept sparse."""
-        memo, u = self.laws, self.first[t - 1]
-        chain = []
-        while (u, a, P) not in memo and any(P):
-            # peel one arm off the last occupied state
-            s = max(i for i, c in enumerate(P) if c)
-            chain.append((P, s))
-            P = P[:s] + (P[s] - 1,) + P[s + 1:]
-        Y, p = memo[u, a, P] if any(P) else (np.zeros((1, self.S), dtype=np.int64), np.ones(1))
+    def laws(self, t: int, a: int, comps: Iterable[tuple[int, ...]]):
+        """Where the arms of each composition in `comps` land under action a
+        in period t, one row of that period's group table each, kept
+        sparse: the laws' landing columns (S, rows) and probabilities
+        concatenated in request order, and each law's row count."""
+        memo, u = self.memo, self.first[t - 1]
+        comps = list(comps)
+        todo: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
+        for P in comps:
+            n = sum(P)
+            while n and (u, a, P) not in memo and P not in todo.get(n, ()):
+                # peel one arm off the last occupied state
+                s = max(i for i, c in enumerate(P) if c)
+                Q = P[:s] + (P[s] - 1,) + P[s + 1:]
+                todo.setdefault(n, {})[P] = s, Q
+                P, n = Q, n - 1
+        for n in sorted(todo):
+            self._build(u, a, n, todo[n])
+        got = [memo[u, a, P] if any(P) else self.zero for P in comps]
+        return (np.concatenate([Y for Y, _ in got], axis=1), np.concatenate([p for _, p in got]),
+                np.array([len(p) for _, p in got]))
+
+    def _build(self, u: int, a: int, n: int,
+               peel: dict[tuple[int, ...], tuple[int, tuple[int, ...]]]) -> None:
+        """The laws of the compositions P of n in `peel`, each given its
+        peeled state s and parent Q, in one batch: every parent row r gains
+        e_j for each target j of kernel row 2s + a (j major, r minor), and
+        the landing vectors are merged per P by the key (entry, rank)."""
         K = self.kernels[u]
-        for P, s in reversed(chain):
-            lo, hi = K.indptr[2 * s + a], K.indptr[2 * s + a + 1]
-            # the peeled arm lands in each target j: every vector gains e_j
-            moved = Y[None] + self.unit[K.indices[lo:hi], None]
-            self.spend(moved.shape[0] * moved.shape[1])
-            Y, p = memo[u, a, P] = self.merge(moved.reshape(-1, self.S),
-                                              np.outer(K.data[lo:hi], p).ravel())
-        return Y, p
+        parents = [self.memo[u, a, Q] if any(Q) else self.zero for _, Q in peel.values()]
+        L = np.array([len(p) for _, p in parents])
+        rows = 2 * np.array([s for s, _ in peel.values()]) + a
+        lo = K.indptr[rows]
+        targets = K.indptr[rows + 1] - lo
+        self.spend(int((targets * L).sum()))
+        entry, j, r = _grid(targets, L)
+        g = (np.cumsum(L) - L)[entry] + r
+        hit = lo[entry] + j
+        Y = np.concatenate([Y for Y, _ in parents], axis=1)[:, g]
+        Y[K.indices[hit], np.arange(len(g))] += 1
+        w = K.data[hit] * np.concatenate([p for _, p in parents])[g]
+        key = entry.astype(self.count.dtype) * self.size(n) + self.rank(Y, n, len(g))
+        _, p, first = _fold(key, w)
+        Y = Y[:, first]
+        counts = np.bincount(entry[first], minlength=len(L))
+        ends = np.cumsum(counts)
+        for P, i, k in zip(peel, (ends - counts).tolist(), ends.tolist()):
+            self.memo[u, a, P] = Y[:, i:k], p[i:k]
 
     def table(self, t: int, a: int, n: int) -> sp.csr_matrix:
         """Group table of period t under action a: the law of every
         composition of n, one row each."""
-        laws = [self.law(t, a, P) for P in map(tuple, self.level(n).tolist())]
-        indptr = np.cumsum([0] + [len(p) for _, p in laws])
-        Y = np.concatenate([Y for Y, _ in laws])
-        return sp.csr_matrix((np.concatenate([p for _, p in laws]), self.rank(Y, n), indptr),
-                             shape=(len(laws), len(laws)))
+        Y, p, rows = self.laws(t, a, map(tuple, self.level(n).tolist()))
+        indptr = np.concatenate([[0], np.cumsum(rows)])
+        return sp.csr_matrix((p, self.rank(Y, n, len(p)), indptr), shape=(len(rows), len(rows)))
 
 
 def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
@@ -232,7 +287,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
         np.maximum.at(vnext, idx.ravel(), val.ravel())
         if return_tables:
             tables.append(dict(zip(map(tuple, lattice.level(N).tolist()), vnext.tolist())))
-    value = float(vnext[lattice.rank(lattice.unit[model.s0] * N, N)])
+    value = float(vnext[lattice.rank(np.eye(S, dtype=np.int64)[:, [model.s0]] * N, N, 1)[0]])
     if return_tables:
         return value, list(reversed(tables))
     return value
@@ -250,7 +305,7 @@ def _batch_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.
             if X.shape != (model.S, 2):
                 raise DimensionMismatch(
                     f"period {t} plan has shape {X.shape}, expected ({model.S}, 2)")
-            # a negative count would never finish peeling in _Lattice.law
+            # a negative count would never finish peeling in _Lattice.laws
             if (X < 0).any() or (X.sum(axis=1) != z).any():
                 raise RangeError(f"period {t} plan {X.tolist()} does not split "
                                  f"counts {z.tolist()} into passive and active arms")
@@ -277,10 +332,14 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     period over every reachable count vector; raises
     NondeterministicPolicy for RAC/TS and RangeError for N < 1.  A
     vector's successor law is the outer product of its passive and
-    active group-table rows, scattered onto the compositions of N; rows
-    are built on first use, since a policy may pull other than B_t.
-    Work units are counted as in :func:`optimal_value`, plus one per
-    scattered (passive, active) landing pair.
+    active group-table rows, scattered onto the compositions of N; a
+    period's passive laws and its active laws are each built in one
+    request, since a policy may pull other than B_t.  The (passive,
+    active) landing pairs are index arrays ranked from their gathered
+    columns and folded in blocks of about ``PAIR_BLOCK`` pairs, so memory
+    holds distinct vectors; a vector is formed only for each rank's
+    first pair.  Work units are counted as in :func:`optimal_value`,
+    plus one per landing pair.
     """
     lattice = _Lattice(model, N, guard)
     allocate = _batch_allocator(model, policy)
@@ -297,20 +356,28 @@ def exact_policy_value(model: ArmModel, policy, N: int,
             total += pz * r
         if t == T:
             break
-        succ_Y, succ_p = [], []
-        pending = limit = PAIR_BLOCK
-        for pz, X0, X1 in zip(prob.tolist(), map(tuple, X[:, :, 0].tolist()),
-                              map(tuple, X[:, :, 1].tolist())):
-            (Y0, p0), (Y1, p1) = lattice.law(t, 0, X0), lattice.law(t, 1, X1)
-            lattice.spend(len(Y0) * len(Y1))
-            succ_Y.append((Y0[:, None, :] + Y1[None, :, :]).reshape(-1, S))
-            succ_p.append(pz * np.outer(p0, p1).ravel())
-            pending -= len(succ_p[-1])
-            if pending < 0:
-                # fold what has landed so far: memory holds distinct vectors
-                Yf, pf = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
-                succ_Y, succ_p = [Yf], [pf]
-                limit = max(limit, 2 * len(pf))
-                pending = limit - len(pf)
-        reach, prob = lattice.merge(np.concatenate(succ_Y), np.concatenate(succ_p))
+        Y0, p0, L0 = lattice.laws(t, 0, map(tuple, X[:, :, 0].tolist()))
+        Y1, p1, L1 = lattice.laws(t, 1, map(tuple, X[:, :, 1].tolist()))
+        # each row's landing pairs, passive landing major, ranked from their
+        # gathered columns and folded a block of rows at a time: bincount
+        # adds a key's terms in input order, so the folds sum as one merge
+        pairs = L0 * L1
+        lattice.spend(int(pairs.sum()))
+        ends, off0, off1 = np.cumsum(pairs), np.cumsum(L0) - L0, np.cumsum(L1) - L1
+        key = np.zeros(0, dtype=lattice.count.dtype)
+        w, g0, g1 = np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        lo = 0
+        while lo < len(pairs):
+            # about a block of new pairs, and never fewer than the vectors held
+            cap = ends[lo] - pairs[lo] + max(PAIR_BLOCK, len(key))
+            hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
+            z, i0, i1 = _grid(L0[lo:hi], L1[lo:hi])
+            z += lo
+            b0, b1 = off0[z] + i0, off1[z] + i1
+            landed = (Y0[i].take(b0) + Y1[i].take(b1) for i in range(S))
+            key, w, first = _fold(np.concatenate([key, lattice.rank(landed, N, len(z))]),
+                                  np.concatenate([w, prob[z] * (p0[b0] * p1[b1])]))
+            g0, g1 = np.concatenate([g0, b0])[first], np.concatenate([g1, b1])[first]
+            lo = hi
+        reach, prob = np.ascontiguousarray((Y0[:, g0] + Y1[:, g1]).T), w
     return total

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
-from .mdp import ArmModel, period_budget, successors
+from .mdp import ArmModel, period_budget, successors, validate_model
 from .occupancy import CategoryPartition, classify
 from .policies import (PolicySpec, activation_probabilities, fluid_pulls, index_pulls,
                        parse_policy, rac_pulls, score_order, ts_pulls, ucb_scores,
@@ -118,6 +118,11 @@ class CompiledPolicy:
         score_shape = np.shape(getattr(scores, "P", scores))
         if len(score_shape) == 2 and score_shape != (T, S):
             raise DimensionMismatch(f"scores have shape {score_shape}, expected ({T}, {S})")
+        if self.kind == "ts" and not model.annotations:
+            raise MissingMetadata("TS needs per-state posterior annotations")
+        if self.kind in ("ucb", "ts"):
+            # nothing else validates the model for these: they solve no relaxation
+            validate_model(model)
         uses_measure = (self.kind in ("fluid", "relaxed", "rac")
                         or (self.kind == "index" and scores is None))
         if uses_measure and measure is None:
@@ -135,9 +140,6 @@ class CompiledPolicy:
         self.measure = measure if self.kind in ("fluid", "relaxed", "rac") else None
         self.partition: CategoryPartition | None = (
             classify(self.measure) if self.measure is not None else None)
-
-        if self.kind == "ts" and not model.annotations:
-            raise MissingMetadata("TS needs per-state posterior annotations")
 
         if self.kind in ("ts", "rac"):
             self._orders = None

@@ -1,4 +1,4 @@
-"""Dict-convolution reference for the exact joint-count oracle.
+"""References for the exact joint-count oracle.
 
 Backward induction and forward propagation that build the successor law
 of every (count vector, action counts) pair by convolving per-state
@@ -7,6 +7,10 @@ multinomial outcome tables in a dictionary.  It is the reference that
 table product per period) are checked against.  Its policy evaluation
 allocates one count vector at a time through the public 1-row
 allocators, so the cross-check does not rest on ``allocate_batch``.
+
+:class:`ChainLaws` builds the oracle's group laws one composition at a
+time, each by a lexsort merge, so that the oracle's level batches can be
+held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +41,57 @@ class _WorkMeter:
         self.used += units
         if self.used > self.guard:
             raise BudgetExceeded(f"enumeration exceeded {self.guard} work units")
+
+
+class ChainLaws:
+    """The group laws of ``fluidbandit.oracle._Lattice``, one composition at
+    a time: the law of P is its parent's law (P with one arm peeled off
+    its last occupied state) with the peeled arm moved to each kernel
+    target, the landing vectors merged by a lexsort.  Memo keys (period
+    keyed by the first equal kernel matrix, action, composition) and
+    work units (one per landing vector before the merge) are the
+    oracle's; rows are landing vectors in lexicographic order."""
+
+    def __init__(self, model: ArmModel):
+        self.S = model.S
+        self.kernels = successors(model)
+        first: dict[tuple, int] = {}
+        self.first = [first.setdefault((K.dtype.str, K.indptr.tobytes(), K.indices.tobytes(),
+                                        K.data.tobytes()), u)
+                      for u, K in enumerate(self.kernels)]
+        self.memo: dict[tuple[int, int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.used = 0
+        self.unit = np.eye(self.S, dtype=np.int64)
+
+    @staticmethod
+    def merge(Y: np.ndarray, p: np.ndarray):
+        """Distinct rows of Y in lexicographic order, each with the sum of
+        its probabilities in p."""
+        order = np.lexsort(Y.T[::-1])
+        Y = Y[order]
+        new = np.ones(len(Y), dtype=bool)
+        new[1:] = (Y[1:] != Y[:-1]).any(axis=1)
+        return Y[new], np.bincount(np.cumsum(new) - 1, weights=p[order])
+
+    def law(self, t: int, a: int, P: tuple[int, ...]):
+        """Where the arms of composition P land under action a in period t:
+        the count vectors reached (rows) and their probabilities."""
+        memo, u = self.memo, self.first[t - 1]
+        chain = []
+        while (u, a, P) not in memo and any(P):
+            s = max(i for i, c in enumerate(P) if c)
+            chain.append((P, s))
+            P = P[:s] + (P[s] - 1,) + P[s + 1:]
+        Y, p = memo[u, a, P] if any(P) else (np.zeros((1, self.S), dtype=np.int64), np.ones(1))
+        K = self.kernels[u]
+        for P, s in reversed(chain):
+            lo, hi = K.indptr[2 * s + a], K.indptr[2 * s + a + 1]
+            # the peeled arm lands in each target j: every vector gains e_j
+            moved = Y[None] + self.unit[K.indices[lo:hi], None]
+            self.used += moved.shape[0] * moved.shape[1]
+            Y, p = memo[u, a, P] = self.merge(moved.reshape(-1, self.S),
+                                              np.outer(K.data[lo:hi], p).ravel())
+        return Y, p
 
 
 def _group_outcomes(g: int, probs: tuple[float, ...]) -> list[tuple[tuple[int, ...], float]]:

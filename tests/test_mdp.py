@@ -179,8 +179,8 @@ def test_negative_dust_is_no_successor():
     pol = CompiledPolicy(model, parse_policy("fluid"))
     assert pol._support[0][2 * 1 + 0].indices.tolist() == [0, 1]
     # where three idle arms of state 1 land in period 1
-    Y, p = _Lattice(model, 3, 10 ** 6).law(1, 0, (0, 3, 0))
-    assert (p > 0).all() and (Y[:, 2] == 0).all()
+    Y, p, _ = _Lattice(model, 3, 10 ** 6).laws(1, 0, [(0, 3, 0)])
+    assert (p > 0).all() and (Y[2] == 0).all()
 
 
 def test_json_round_trip(bern2):

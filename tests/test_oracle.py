@@ -330,6 +330,11 @@ def test_work_meter_guard(bern2):
     assert optimal_value(bern2, 4) == pytest.approx(ref.optimal_value(bern2, 4), abs=1e-12)
 
 
+# units of a bare callable that pulls B_t - 1 arms: its laws are requested
+# out of level order, from partly memoised chains
+FEWER_UNITS = {"bern2": 5, "bern5": 45}
+
+
 @pytest.mark.parametrize("name, N, optimal_units, fluid_units", [
     ("bern2", 4, 156, 7),
     ("bern5", 6, 3_679_415, 256),
@@ -356,3 +361,118 @@ def test_work_units_are_pinned(monkeypatch, request, name, N, optimal_units, flu
         spent.clear()
         exact_policy_value(m, "fluid", N)
         assert sum(spent) == fluid_units
+        spent.clear()
+        exact_policy_value(m, _pull_fewer(m), N)
+        assert sum(spent) == FEWER_UNITS[name]
+
+
+def _laws_match_the_chain(monkeypatch, model, run):
+    """Run `run()`, recording every group-law request of each oracle call,
+    then replay each call's requests through the per-composition chain of
+    the reference: every request must cost the same work units, and each
+    call's memo must hold the same keys, rows and probability bits."""
+    import fluidbandit.oracle as oracle
+
+    requests = []
+    real = oracle._Lattice.laws
+
+    def laws(self, t, a, comps):
+        comps, used = list(comps), self.used
+        out = real(self, t, a, comps)
+        requests.append((self, t, a, comps, self.used - used))
+        return out
+
+    monkeypatch.setattr(oracle._Lattice, "laws", laws)
+    run()
+    chains = {}
+    for lattice, t, a, comps, units in requests:
+        chain = chains.setdefault(lattice, ref.ChainLaws(model))
+        used = chain.used
+        for P in comps:
+            chain.law(t, a, P)
+        assert chain.used - used == units
+    assert chains
+    for lattice, chain in chains.items():
+        assert set(lattice.memo) == set(chain.memo)
+        for key, (Y, p) in chain.memo.items():
+            cols, q = lattice.memo[key]
+            np.testing.assert_array_equal(cols.T, Y)
+            assert q.tobytes() == p.tobytes()
+
+
+def _oracle_calls(model, N, policies):
+    def run():
+        optimal_value(model, N, return_tables=True)
+        for policy in policies:
+            exact_policy_value(model, policy, N)
+    return run
+
+
+def test_batched_laws_match_the_chain_on_random_models(monkeypatch):
+    rng = np.random.default_rng(1515)
+    for _ in range(6):
+        model = make_random_model(rng, annotate=True)
+        _laws_match_the_chain(monkeypatch, model, _oracle_calls(
+            model, int(rng.integers(2, 7)),
+            ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model))))
+
+
+def test_batched_laws_match_the_chain_on_bern5(monkeypatch, bern5):
+    _laws_match_the_chain(monkeypatch, bern5, _oracle_calls(bern5, 6, ("fluid",)))
+    _laws_match_the_chain(monkeypatch, bern5, lambda: [
+        exact_policy_value(bern5, policy, 8) for policy in ("fluid", _pull_fewer(bern5))])
+
+
+def test_batched_laws_match_the_chain_after_json(monkeypatch, crowd3):
+    # every period of a model read from JSON holds its own equal matrix
+    model = model_from_json(model_to_json(crowd3))
+    _laws_match_the_chain(monkeypatch, model, _oracle_calls(
+        model, 4, ("fluid", _pull_fewer(model))))
+
+
+def test_batched_laws_match_the_chain_in_blocks_of_three(monkeypatch):
+    # folding the landing pairs in blocks adds each vector's terms in the
+    # one-shot order, so the policy value keeps its bits
+    import fluidbandit.oracle as oracle
+
+    model = make_random_model(np.random.default_rng(1616), S=3, T=4, annotate=True)
+    policies = ("fluid", "ucb:0.5", _pull_fewer(model))
+    want = [exact_policy_value(model, policy, 6) for policy in policies]
+    monkeypatch.setattr(oracle, "PAIR_BLOCK", 3)
+    got = []
+    _laws_match_the_chain(monkeypatch, model, lambda: got.extend(
+        exact_policy_value(model, policy, 6) for policy in policies))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _sparse_model(S, T, seed):
+    """Each (state, action) moves to two random states."""
+    rng = np.random.default_rng(seed)
+    P = np.zeros((T, S, 2, S))
+    for t, s, a in np.ndindex(T, S, 2):
+        P[t, s, a, rng.choice(S, size=2, replace=False)] = rng.dirichlet(np.ones(2))
+    return ArmModel(T=T, states=[f"s{k}" for k in range(S)], s0=0, P=P,
+                    R=rng.uniform(0.0, 1.0, size=(T, S, 2)), alpha=np.full(T, 0.4),
+                    metadata={})
+
+
+def test_rank_is_exact_where_a_radix_key_overflows():
+    # a mixed-radix key (N + 1) ** S = 4 ** 32 does not fit int64
+    import fluidbandit.oracle as oracle
+
+    model = _sparse_model(32, 2, 3232)
+    validate_model(model)
+    Y = np.array(list(compositions(3, 32)))
+    ranks = oracle._Lattice(model, 3, 10 ** 6).rank(Y.T, 3, len(Y))
+    assert ranks.tolist() == list(range(len(Y)))
+    assert optimal_value(model, 3) == pytest.approx(ref.optimal_value(model, 3), abs=1e-12)
+    for policy in ("fluid", _pull_fewer(model)):
+        assert exact_policy_value(model, policy, 3) == pytest.approx(
+            ref.exact_policy_value(model, policy, 3), abs=1e-12)
+    # past int64 altogether: the compositions of 12 into 40 parts square
+    # to more than 2 ** 63, so the ranks run on Python ints
+    model = _sparse_model(40, 3, 4040)
+    scores = PolicySpec("index", scores=np.arange(40, dtype=np.float64))
+    assert oracle._Lattice(model, 12, 1).count.dtype == object
+    assert exact_policy_value(model, scores, 12) == pytest.approx(
+        ref.exact_policy_value(model, scores, 12), abs=1e-12)

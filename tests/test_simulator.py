@@ -161,6 +161,20 @@ def test_ucb_delta_must_be_finite(bern2, delta):
         exact_policy_value(bern2, spec, 2)
 
 
+def test_ucb_and_ts_validate_a_model_built_in_code():
+    # ucb and ts solve no relaxation, so compiling them validates the model
+    model = make_random_model(np.random.default_rng(1), annotate=True)
+    model.annotations[0].posterior_mean = float("nan")
+    with pytest.raises(RangeError, match="finite mean"):
+        simulate(model, "ucb:0.5", N=6, reps=5, seed=1)
+    model = make_random_model(np.random.default_rng(1), annotate=True)
+    model.annotations.pop()
+    with pytest.raises(DimensionMismatch, match="annotations"):
+        simulate(model, "ts", N=6, reps=5, seed=1)
+    with pytest.raises(DimensionMismatch, match="annotations"):
+        simulate_per_arm(model, "ts", N=6, reps=5, seed=1)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda bern2, crowd3: CompiledPolicy(bern2, PolicySpec("bogus")), RangeError,
      "policy kind"),
