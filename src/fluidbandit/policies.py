@@ -16,15 +16,18 @@ The randomized rules draw no coin or sample for every arm:
 ``rac_pulls`` samples the per-state law of randomized activation
 (binomial coins, then a multivariate hypergeometric cut to the budget)
 and ``ts_pulls`` the law of Thompson sampling's top-B draws (binomial
-splitting of a bisected value range on the posterior CDFs, the
-order-statistics method of Devroye, *Non-Uniform Random Variate
-Generation*, 1986).  Their per-arm forms in
+splitting of the value range on the posterior CDFs, the order-statistics
+method of Devroye, *Non-Uniform Random Variate Generation*, 1986, with
+each split aimed at the B-th largest draw: first at the pooled expected
+quantile from a tail table cached per set of annotations, then by regula
+falsi on the bracket).  Their per-arm forms in
 ``tests/reference_policies.py`` are the reference for their per-state
 pull laws.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
@@ -149,18 +152,61 @@ def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) ->
 
 
 # A TS row whose bracket holds at most this many arms draws them by inverse
-# CDF instead of splitting further.  Two is the fewest a live bracket holds:
-# an inverse-CDF draw costs about as much as several splits, so the
-# smallest leaf is fastest at small N and no slower at N = 1200 or 9600.
+# CDF instead of splitting further.  Two is the fewest a live bracket holds.
+# Each arm drawn at a leaf costs a ``betaincinv``, about four times the
+# ``betainc`` a split costs per cell.  Under the aimed splits, a leaf of 4
+# timed the same as 2 within noise on bern15 at N = 8, 1200 and 9600, and a
+# leaf of 8 made simulate(bern15, "ts", 8, 2000) about a quarter slower.
 TS_LEAF = 2
+# Interior points of the value grid on which the tail table of a set of
+# annotations aims each row's first split.
+TS_GRID = 64
+# Each later split keeps at least this share of its bracket on either side.
+TS_CLIP = 0.05
+# Floats ts_pulls holds at once per live (row, state) cell, at most: its cell
+# arrays and their temporaries (23.5 and 25.5 per cell, by tracemalloc, on
+# 2000 bern15 rows at N = 1200 and 9600).
+TS_CELL_FLOATS = 26
 
 
-def _posterior_tables(annotations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-state (is_gamma, first, second) parameters of the annotations:
-    Beta(a, b) or Gamma(shape, rate)."""
-    gamma = np.array([a.family == "gamma" for a in annotations])
-    p0, p1 = np.array([a.params for a in annotations], dtype=np.float64).T
-    return gamma, p0, p1
+@dataclass(frozen=True)
+class _Posterior:
+    """Per-state Beta(a, b) or Gamma(shape, rate) parameters (is_gamma, p0,
+    p1) of a set of annotations; the top of their value range v = x / (1 + x)
+    (1/2 for Beta, 1 once a state is Gamma); and the upper-tail table
+    ``tail[s, k] = 1 - F_s(k * step)`` on the grid k = 0 .. TS_GRID + 1 of
+    spacing ``step = top / (TS_GRID + 1)``."""
+
+    gamma: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+    top: float
+    tail: np.ndarray
+
+    @property
+    def step(self) -> float:
+        return self.top / (TS_GRID + 1)
+
+
+def _posterior(annotations) -> _Posterior:
+    """The posterior tables of these annotations, built once per set of
+    (family, params) pairs."""
+    return _posterior_of(tuple((a.family, tuple(a.params)) for a in annotations))
+
+
+@functools.lru_cache(maxsize=16)
+def _posterior_of(key) -> _Posterior:
+    S = len(key)
+    gamma = np.array([family == "gamma" for family, _ in key])
+    p0, p1 = np.array([params for _, params in key], dtype=np.float64).T
+    post = _Posterior(gamma, p0, p1, 1.0 if gamma.any() else 0.5, np.zeros((S, TS_GRID + 2)))
+    post.tail[:, 0] = 1.0
+    v = np.arange(1, TS_GRID + 1) * post.step
+    post.tail[:, 1:-1] = _tails(post, np.repeat(np.arange(S), TS_GRID),
+                                np.tile(v, S))[1].reshape(S, TS_GRID)
+    for a in (gamma, p0, p1, post.tail):  # every later call shares them
+        a.flags.writeable = False
+    return post
 
 
 def _tails(post, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,14 +214,13 @@ def _tails(post, s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     above value coordinate v = x / (1 + x) < 1.  The tail away from the
     mean is computed directly and the other as its complement, so a small
     tail keeps its relative precision."""
-    gamma, p0, p1 = post
-    g = gamma[s]
+    g = post.gamma[s]
     if g.any() and not g.all():  # mixed families: one pass per family
         F, G = np.empty_like(v), np.empty_like(v)
         for m in (g, ~g):
             F[m], G[m] = _tails(post, s[m], v[m])
         return F, G
-    a, c = p0[s], p1[s]
+    a, c = post.p0[s], post.p1[s]
     if g.any():
         y = c * v / (1.0 - v)
         low = y <= a
@@ -208,8 +253,7 @@ def _mass(s, low, Flo, Glo, Fhi, Ghi) -> np.ndarray:
 def _truncated_draws(post, s, Flo, Glo, Fhi, Ghi, rng) -> np.ndarray:
     """One posterior draw x per entry of s, truncated to its bracket, by
     inverse CDF on the bracket's smaller tail."""
-    gamma, p0, p1 = post
-    a, c, g = p0[s], p1[s], gamma[s]
+    a, c, g = post.p0[s], post.p1[s], post.gamma[s]
     low = Fhi <= Glo
     u = np.where(low, Flo, Ghi) + rng.random(s.size) * _mass(s, low, Flo, Glo, Fhi, Ghi)
     x = np.empty_like(u)
@@ -225,26 +269,50 @@ def _truncated_draws(post, s, Flo, Glo, Fhi, Ghi, rng) -> np.ndarray:
     return x
 
 
+def _first_split(post: _Posterior, Z: np.ndarray, B: int) -> np.ndarray:
+    """Each row's first split point: where the expected number of its arms
+    above v, linear between grid points of the tail table, falls to B."""
+    occ = np.flatnonzero(Z.any(axis=0))
+    E = Z[:, occ] @ post.tail[occ]  # N at v = 0, 0 at the top
+    k = np.argmax(E < B, axis=1)  # the first grid point below B: E[:, k - 1] >= B
+    rows = np.arange(len(Z))
+    above, below = E[rows, k - 1], E[rows, k]
+    return (k - 1 + (above - B) / (above - below)) * post.step
+
+
 def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np.ndarray:
     """Thompson-sampling pulls (R, S): every arm draws from its state's
     posterior, and each row pulls its B largest draws.
 
     Drawn at count level by the same law, without a draw per arm.  Each row
-    bisects the value coordinate v = x / (1 + x) (Beta beliefs live on
-    [0, 1/2), Gamma beliefs on [0, 1)), keeping a bracket [lo, hi) that
-    holds its B-th largest draw.  The state-s arms of a bracket that fall
-    in its upper half number Binomial(n_s, (F_s(hi) - F_s(mid)) /
-    (F_s(hi) - F_s(lo))), F_s the posterior CDF, with masses taken from
-    the smaller tail.  Arms above the kept half are pulled, arms below it
-    are not, and a row whose upper half holds exactly the arms still to
-    pull is done.  Once a bracket holds at most ``TS_LEAF`` arms, or can no
-    longer be halved in floating point, its arms are drawn by inverse CDF
-    truncated to it and the largest ones are pulled.  The posteriors are
-    continuous, so ties have probability 0; draws that floating point
-    cannot tell apart are ordered uniformly at random.  The work per row
-    is O(S log N).  A bracket that holds arms of a state whose posterior
-    gives it no mass, or a posterior CDF that is not a number, raises
-    ``DegeneratePosterior``.
+    keeps a bracket [lo, hi) of the value coordinate v = x / (1 + x) (Beta
+    beliefs live on [0, 1/2), Gamma beliefs on [0, 1)) that holds its B-th
+    largest draw, and splits it at a point m aimed at that draw.  The
+    state-s arms of a bracket that fall above m number Binomial(n_s,
+    (F_s(hi) - F_s(m)) / (F_s(hi) - F_s(lo))), F_s the posterior CDF, with
+    masses taken from the smaller tail.  Arms above the kept part are
+    pulled, arms below it are not, and a row whose upper part holds exactly
+    the arms still to pull is done.
+
+    The law is exact wherever m falls, as long as it depends only on Z, B
+    and the draws already made.  The first m is where the row's expected
+    number of arms above v, sum_s Z_s (1 - F_s(v)), falls to B: a product
+    with the tail table of the annotations (built once per set of
+    annotations), interpolated linearly between its grid points.  Each
+    later m is where the need-th largest of the bracket's arms would sit if
+    they were spread evenly over it (regula falsi), at least ``TS_CLIP`` of
+    the bracket from either end.  Once a bracket holds at most ``TS_LEAF``
+    arms, or can no longer be split in floating point, its arms are drawn
+    by inverse CDF truncated to it and the largest ones are pulled.  The
+    posteriors are continuous, so ties have probability 0; draws that
+    floating point cannot tell apart are ordered uniformly at random.
+
+    The work per row is one table product plus O(S) per split.  The number
+    of splits grows slowly with N but has no log2 N bound: on bern15 a row
+    takes 2.1 splits per period on average at N = 8, 4.6 at N = 1200 and
+    5.5 at N = 9600.  A bracket that holds arms of a state whose
+    posterior gives it no mass, or a posterior CDF that is not a number,
+    raises ``DegeneratePosterior``.
     """
     R, S = Z.shape
     N = int(Z[0].sum())
@@ -252,9 +320,10 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
         return np.zeros((R, S), dtype=np.int64)
     if B >= N:
         return Z.copy()
-    post = _posterior_tables(annotations)
+    post = _posterior(annotations)
     X1 = np.zeros((R, S), dtype=np.int64)
-    lo, hi = np.zeros(R), np.full(R, 1.0 if post[0].any() else 0.5)
+    lo, hi = np.zeros(R), np.full(R, post.top)
+    mid = _first_split(post, Z, B)
     inside = np.full(R, N, dtype=np.int64)  # arms in [lo, hi)
     need = np.full(R, B, dtype=np.int64)  # of them still to pull; 1 <= need < inside
     # live (row, state) cells: their arm counts in the bracket and the
@@ -265,7 +334,6 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
     Glo, Fhi = np.ones(r.size), np.ones(r.size)
     leaves = []
     while True:
-        mid = 0.5 * (lo + hi)
         leaf = ((inside <= TS_LEAF) | (mid <= lo) | (mid >= hi))[r]
         if leaf.any():
             cells = (r, s, n, Flo, Glo, Fhi, Ghi)
@@ -289,6 +357,7 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
         cells = (r, s, n, np.where(rc, Fm, Flo), np.where(rc, Gm, Glo),
                  np.where(rc, Fhi, Fm), np.where(rc, Ghi, Gm))
         r, s, n, Flo, Glo, Fhi, Ghi = (a[keep] for a in cells)
+        mid = lo + np.clip(1.0 - need / inside, TS_CLIP, 1.0 - TS_CLIP) * (hi - lo)
     if not leaves:  # every row was settled by a split
         return X1
     r, s, n, Flo, Glo, Fhi, Ghi = (np.concatenate(a) for a in zip(*leaves))

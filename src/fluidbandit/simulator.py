@@ -37,9 +37,9 @@ from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
 from .mdp import ArmModel, period_budget, successors, validate_model
 from .occupancy import CategoryPartition, classify
-from .policies import (PolicySpec, activation_probabilities, fluid_pulls, index_pulls,
-                       parse_policy, rac_pulls, score_order, ts_pulls, ucb_scores,
-                       violation_rows)
+from .policies import (TS_CELL_FLOATS, TS_GRID, PolicySpec, activation_probabilities,
+                       fluid_pulls, index_pulls, parse_policy, rac_pulls, score_order,
+                       ts_pulls, ucb_scores, violation_rows)
 from .priority import lambda_from_duals, q_recursion
 
 # 95% two-sided normal quantile.
@@ -101,7 +101,8 @@ class CompiledPolicy:
     """Per-(model, spec) engine: the spec's measure, scores and partition,
     solved or derived only where the policy needs them, plus precomputed
     orders, codes and transition supports; allocation is delegated to the
-    kernels in policies."""
+    kernels in policies.  Every compile validates the model exactly once:
+    through ``solve_relaxation`` when it solves the LP, directly otherwise."""
 
     def __init__(self, model: ArmModel, spec: PolicySpec):
         self.model = model
@@ -120,13 +121,12 @@ class CompiledPolicy:
             raise DimensionMismatch(f"scores have shape {score_shape}, expected ({T}, {S})")
         if self.kind == "ts" and not model.annotations:
             raise MissingMetadata("TS needs per-state posterior annotations")
-        if self.kind in ("ucb", "ts"):
-            # nothing else validates the model for these: they solve no relaxation
-            validate_model(model)
         uses_measure = (self.kind in ("fluid", "relaxed", "rac")
                         or (self.kind == "index" and scores is None))
         if uses_measure and measure is None:
-            measure = solve_relaxation(model)
+            measure = solve_relaxation(model)  # which validates the model
+        else:
+            validate_model(model)
         if self.kind in ("fluid", "relaxed", "index") and scores is None:
             scores = q_recursion(model, lambda_from_duals(measure))
         if self.kind == "ucb":
@@ -267,7 +267,8 @@ def simulate(model: ArmModel, policy, N: int, reps: int, seed: int,
     Every policy works on per-state counts here: TS and RAC draw their
     pulls from the count-level laws in :mod:`fluidbandit.policies`, with
     no coin or posterior sample per arm, so their work per replication and
-    period is O(S) for RAC and O(S log N) for TS, not O(N).
+    period is O(S) for RAC and O(S) per split for TS (a few splits, slowly
+    growing with N), not O(N).
     """
     return _run(model, policy, N, reps, seed, engine="counts",
                 crn=crn, collect_diffusion=collect_diffusion)
@@ -296,6 +297,10 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
         # _stream(seed, tag, k), so another width would move every per-arm
         # result.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
+    elif pol.kind == "ts":
+        # ts_pulls works on each row's live cells, at most min(S, N), and on
+        # two arrays over the tail grid for the first split
+        cell += TS_CELL_FLOATS * min(S, N) + 2 * (TS_GRID + 2)
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
     chunk = _chunk_counts if engine == "counts" else _chunk_per_arm

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fluidbandit.policies as policies
 import reference_policies as ref
 from conftest import make_random_model
 from fluidbandit.errors import DegeneratePosterior, MissingMetadata, QOutOfRange
@@ -14,7 +15,7 @@ from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   fluid_priority_allocate, index_allocate,
                                   index_pulls, parse_policy, rac_pulls, ts_pulls,
                                   ucb_allocate, ucb_scores, violation_event)
-from fluidbandit.simulator import CompiledPolicy, _violations
+from fluidbandit.simulator import CompiledPolicy, _violations, simulate
 
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 
@@ -327,6 +328,62 @@ def test_ts_degenerate_posterior_is_typed():
     s, low, empty = np.array([1]), np.array([True]), np.array([0.25])
     with pytest.raises(DegeneratePosterior):
         _mass(s, low, empty, 1.0 - empty, empty, 1.0 - empty)
+
+
+@pytest.mark.parametrize("case", ["bern15", "mixed"])
+def test_ts_law_matches_per_arm_reference_at_larger_n(case, bern15, assort8):
+    """About 300 arms spread over many states, where rows take several
+    aimed splits: the per-state pull laws still match the per-arm reference
+    (4 SE, variance ratio within 0.85-1.15) at B = 1, N/3 and N-1."""
+    if case == "bern15":
+        ann = bern15.annotations
+        Z = np.r_[np.resize([9, 1, 6, 3, 7, 2, 5, 4], 60), np.zeros(60, np.int64)]
+    else:
+        ann = bern15.annotations[:20] + [assort8.annotations[s] for s in range(0, 80, 8)]
+        Z = np.resize([12, 3, 8, 1, 15, 6], 30)
+    N = int(Z.sum())
+    Zs = np.tile(Z, (20_000, 1))
+    for B in (1, N // 3, N - 1):
+        new = ts_pulls(Zs, ann, B, np.random.default_rng(500 + B))
+        ref_pulls = ref.ts_pulls(Zs, ann, B, np.random.default_rng(600 + B))
+        assert (new.sum(axis=1) == B).all() and (new >= 0).all() and (new <= Zs).all()
+        z, ratios = _law_gap(new, ref_pulls)
+        assert z <= 4.0, (case, B, z)
+        assert ((ratios > 0.85) & (ratios < 1.15)).all(), (case, B, ratios)
+
+
+def test_ts_tail_table_is_built_once_per_annotation_set(bern5):
+    """Calls on one set of annotations, in the same list or an equal one,
+    share one posterior table; another set gets its own."""
+    policies._posterior_of.cache_clear()
+    Zs = np.tile(np.r_[[6, 5, 4, 5, 3, 2, 4, 1], np.zeros(7, np.int64)], (50, 1))
+    rng = np.random.default_rng(8)
+    for B in (3, 10, 20):
+        ts_pulls(Zs, bern5.annotations, B, rng)
+        ts_pulls(Zs, list(bern5.annotations), B, rng)
+    simulate(bern5, "ts", N=30, reps=40, seed=3)
+    info = policies._posterior_of.cache_info()
+    assert (info.misses, info.hits) == (1, 5 + bern5.T)
+    other = [_ann("beta", 2, 3)] * bern5.S
+    ts_pulls(Zs, other, 10, rng)
+    assert policies._posterior_of.cache_info().misses == 2
+
+
+def test_ts_cdf_cells_are_pinned(bern15, monkeypatch):
+    """The CDF evaluations of simulate(bern15, "ts", 1200, 50, 103), the
+    table included, stay at or below a recorded ceiling: 63 757 when
+    recorded (120 767 when every split halved its bracket)."""
+    cells = []
+    tails = policies._tails
+
+    def counted(post, s, v):
+        cells.append(s.size)
+        return tails(post, s, v)
+
+    monkeypatch.setattr(policies, "_tails", counted)
+    policies._posterior_of.cache_clear()
+    simulate(bern15, "ts", 1200, 50, 103)
+    assert sum(cells) <= 66_000, sum(cells)
 
 
 def test_kernels_match_scalar_reference():

@@ -7,6 +7,7 @@ import fluidbandit.simulator as simulator
 import reference_simulator as ref
 from conftest import make_random_model
 from fluidbandit.errors import DimensionMismatch, MissingMetadata, RangeError
+from fluidbandit.lp import solve_relaxation
 from fluidbandit.mdp import successors
 from fluidbandit.oracle import exact_policy_value
 from fluidbandit.policies import PolicySpec, parse_policy
@@ -173,6 +174,45 @@ def test_ucb_and_ts_validate_a_model_built_in_code():
         simulate(model, "ts", N=6, reps=5, seed=1)
     with pytest.raises(DimensionMismatch, match="annotations"):
         simulate_per_arm(model, "ts", N=6, reps=5, seed=1)
+
+
+def test_every_compile_validates_the_model_once(monkeypatch, bern2, bern2_measure):
+    """Each kind, with or without a given measure or scores, validates the
+    model exactly once per compile, directly or through the LP build."""
+    import fluidbandit.lp as lp
+
+    calls = []
+    validate = simulator.validate_model
+
+    def counted(model):
+        calls.append(model)
+        validate(model)
+
+    monkeypatch.setattr(simulator, "validate_model", counted)
+    monkeypatch.setattr(lp, "validate_model", counted)
+    scores = np.arange(bern2.S, dtype=np.float64)
+    specs = [PolicySpec(kind) for kind in ("fluid", "relaxed", "index", "rac", "ts")]
+    specs += [PolicySpec(kind, measure=bern2_measure)
+              for kind in ("fluid", "relaxed", "index", "rac")]
+    specs += [PolicySpec("index", scores=scores), PolicySpec("ucb", delta=0.5),
+              PolicySpec("fluid", measure=bern2_measure, scores=scores)]
+    for spec in specs:
+        calls.clear()
+        CompiledPolicy(bern2, spec)
+        assert len(calls) == 1, spec
+
+
+def test_a_nan_reward_is_refused_with_a_given_measure_or_scores():
+    model = make_random_model(np.random.default_rng(1), annotate=True)
+    measure = solve_relaxation(model)
+    model.R[0, 0, 0] = np.nan
+    for spec in (PolicySpec("index", scores=np.arange(model.S, dtype=np.float64)),
+                 PolicySpec("fluid", measure=measure), PolicySpec("rac", measure=measure)):
+        with pytest.raises(RangeError, match="rewards must be finite"):
+            simulate(model, spec, N=6, reps=5, seed=1)
+        if spec.kind != "rac":
+            with pytest.raises(RangeError, match="rewards must be finite"):
+                exact_policy_value(model, spec, 3)
 
 
 @pytest.mark.parametrize("call, error, match", [
