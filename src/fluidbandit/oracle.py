@@ -19,8 +19,8 @@ of hanging or exhausting memory.
 
 The interpreted work is per batch, not per count vector: group laws are
 built one composition level at a time, count vectors are ranked one
-state column at a time, and the policy DP merges its (passive, active)
-landing pairs by rank in blocks.
+state column at a time, and the policy DP lands each period's (passive,
+active) pairs with one sparse matrix product.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from .simulator import _resolve_policy
 
 # Work guard: grid cells valued plus table entries built.
 DEFAULT_GUARD = 10 ** 7
-# The policy DP folds its (passive, active) landing pairs in blocks of
-# about this many, so memory does not grow with the pairs.
-PAIR_BLOCK = 1 << 14
 
 
 def compositions(total: int, parts: int):
@@ -158,10 +155,11 @@ class _Lattice:
                                            dtype=np.int64).reshape(-1, self.S)
         return Y
 
-    def rank(self, cols: Iterable[np.ndarray], total: int, size: int) -> np.ndarray:
+    def rank(self, cols: Iterable[np.ndarray], total: int | np.ndarray, size: int) -> np.ndarray:
         """Index within the compositions of `total` of `size` count vectors,
         given as their state columns (1-D arrays, state 0 first; the last
-        is never read, since the others fix it).  Per state it adds the
+        is never read, since the others fix it); `total` is one int or an
+        array of each vector's total.  Per state it adds the
         vectors that agree before it and hold fewer arms in it, one column
         at a time by a flat take into the count table: a true rank at any
         S, where a radix key (N + 1) ** S overflows int64 at S = 32, N = 3."""
@@ -293,6 +291,18 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     return value
 
 
+def _landings(lattice: _Lattice, Y: np.ndarray, p: np.ndarray, L: np.ndarray):
+    """Laws given as :meth:`_Lattice.laws` returns them, one per row, as a
+    CSR matrix over their distinct landing vectors, and the columns
+    (S, distinct) of those vectors.  Rows may land different numbers of
+    arms, so a vector is keyed by (total, rank)."""
+    n = Y.sum(axis=0)
+    key = n.astype(lattice.count.dtype) * lattice.size(lattice.N) + lattice.rank(Y, n, len(p))
+    _, first, col = np.unique(key, return_index=True, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(L)])
+    return sp.csr_matrix((p, col, indptr), shape=(len(L), len(first))), Y[:, first]
+
+
 def _batch_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.ndarray]:
     """Deterministic action counts (R, S, 2) of count rows Z (R, S): a
     bare callable ``(t, CountState) -> AllocationPlan`` row by row, each
@@ -334,12 +344,13 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     vector's successor law is the outer product of its passive and
     active group-table rows, scattered onto the compositions of N; a
     period's passive laws and its active laws are each built in one
-    request, since a policy may pull other than B_t.  The (passive,
-    active) landing pairs are index arrays ranked from their gathered
-    columns and folded in blocks of about ``PAIR_BLOCK`` pairs, so memory
-    holds distinct vectors; a vector is formed only for each rank's
-    first pair.  Work units are counted as in :func:`optimal_value`,
-    plus one per landing pair.
+    request, since a policy may pull other than B_t.  With M0 the passive
+    laws weighted by each vector's probability and M1 the active laws,
+    rows by count vector and columns by distinct landing vector, entry
+    (u0, u1) of M0.T @ M1 is the mass landing on u0 + u1; its nonzeros,
+    ranked and folded, are the next period's law.  Work units are
+    counted as in :func:`optimal_value`, plus one per landing pair, the
+    product's multiply-adds.
     """
     lattice = _Lattice(model, N, guard)
     allocate = _batch_allocator(model, policy)
@@ -351,33 +362,17 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     for t in range(1, T + 1):
         X = allocate(t, reach)
         reward = (model.R[t - 1] * X).reshape(len(X), -1).sum(axis=1)
-        # row by row: a dot product would sum in another order
-        for pz, r in zip(prob.tolist(), reward.tolist()):
-            total += pz * r
+        total += float(prob @ reward)
         if t == T:
             break
         Y0, p0, L0 = lattice.laws(t, 0, map(tuple, X[:, :, 0].tolist()))
         Y1, p1, L1 = lattice.laws(t, 1, map(tuple, X[:, :, 1].tolist()))
-        # each row's landing pairs, passive landing major, ranked from their
-        # gathered columns and folded a block of rows at a time: bincount
-        # adds a key's terms in input order, so the folds sum as one merge
-        pairs = L0 * L1
-        lattice.spend(int(pairs.sum()))
-        ends, off0, off1 = np.cumsum(pairs), np.cumsum(L0) - L0, np.cumsum(L1) - L1
-        key = np.zeros(0, dtype=lattice.count.dtype)
-        w, g0, g1 = np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        lo = 0
-        while lo < len(pairs):
-            # about a block of new pairs, and never fewer than the vectors held
-            cap = ends[lo] - pairs[lo] + max(PAIR_BLOCK, len(key))
-            hi = max(lo + 1, int(np.searchsorted(ends, cap, "right")))
-            z, i0, i1 = _grid(L0[lo:hi], L1[lo:hi])
-            z += lo
-            b0, b1 = off0[z] + i0, off1[z] + i1
-            landed = (Y0[i].take(b0) + Y1[i].take(b1) for i in range(S))
-            key, w, first = _fold(np.concatenate([key, lattice.rank(landed, N, len(z))]),
-                                  np.concatenate([w, prob[z] * (p0[b0] * p1[b1])]))
-            g0, g1 = np.concatenate([g0, b0])[first], np.concatenate([g1, b1])[first]
-            lo = hi
-        reach, prob = np.ascontiguousarray((Y0[:, g0] + Y1[:, g1]).T), w
+        lattice.spend(int((L0 * L1).sum()))
+        M0, V0 = _landings(lattice, Y0, np.repeat(prob, L0) * p0, L0)
+        M1, V1 = _landings(lattice, Y1, p1, L1)
+        # entry (u0, u1) is the mass landing on V0[:, u0] + V1[:, u1]
+        C = (M0.T @ M1).tocoo()
+        landed = (V0[i].take(C.row) + V1[i].take(C.col) for i in range(S))
+        _, prob, first = _fold(lattice.rank(landed, N, C.nnz), C.data)
+        reach = np.ascontiguousarray((V0[:, C.row[first]] + V1[:, C.col[first]]).T)
     return total

@@ -200,19 +200,6 @@ def test_optimal_value_matches_reference_at_the_edges():
     _same_optimum(make_random_model(rng, S=3, T=1), 5)
 
 
-def test_small_pair_blocks_change_nothing(monkeypatch, bern2):
-    # the policy DP folds its landed successors in blocks; blocks of three
-    # pairs cross every boundary the default size never reaches here
-    import fluidbandit.oracle as oracle
-
-    monkeypatch.setattr(oracle, "PAIR_BLOCK", 3)
-    rng = np.random.default_rng(911)
-    for model in (bern2, make_random_model(rng, S=3, T=3)):
-        _same_optimum(model, 5)
-        got = exact_policy_value(model, "fluid", 5)
-        assert got == pytest.approx(ref.exact_policy_value(model, "fluid", 5), abs=1e-12)
-
-
 def test_optimal_dp_enumerates_no_pull_vectors(monkeypatch, bern2):
     # a period's (count vector, pull vector) pairs are the cells of its
     # (passive, active) grid, so no pull vector is enumerated one by one
@@ -287,10 +274,11 @@ def test_callable_plan_must_split_the_counts(two, edit, error):
     with pytest.raises(error):
         exact_policy_value(two, allocate, 2)
 
-def _pull_fewer(model):
-    """Pulls B_t - 1 arms (none when B_t = 0), highest states first."""
+def _pull_fewer(model, rows=lambda Z: True):
+    """Pulls B_t - 1 arms (none when B_t = 0) in the rows Z where rows(Z)
+    holds and B_t in the others, highest states first."""
     def allocate(t, counts):
-        left = max(period_budget(float(model.alpha[t - 1]), counts.N) - 1, 0)
+        left = max(period_budget(float(model.alpha[t - 1]), counts.N) - bool(rows(counts.Z)), 0)
         X = np.zeros((model.S, 2), dtype=np.int64)
         for s in range(model.S - 1, -1, -1):
             X[s, 1] = min(left, int(counts.Z[s]))
@@ -318,6 +306,15 @@ def test_exact_policy_value_matches_reference_on_bernoulli(bern2, bern5):
     # S = 15: the group laws stay as sparse as the few states an arm can reach
     got = exact_policy_value(bern5, "fluid", 8)
     assert got == pytest.approx(ref.exact_policy_value(bern5, "fluid", 8), abs=1e-12)
+
+
+def test_exact_policy_value_matches_reference_at_n14():
+    # a dense model where one period's rows pull different totals, so their
+    # landing vectors of one action have different totals too
+    model = make_random_model(np.random.default_rng(1414), S=3, T=4)
+    for policy in ("relaxed", _pull_fewer(model, lambda Z: Z[0] % 2)):
+        got = exact_policy_value(model, policy, 14)
+        assert got == pytest.approx(ref.exact_policy_value(model, policy, 14), abs=1e-12)
 
 
 def test_work_meter_guard(bern2):
@@ -410,11 +407,12 @@ def _oracle_calls(model, N, policies):
 
 def test_batched_laws_match_the_chain_on_random_models(monkeypatch):
     rng = np.random.default_rng(1515)
-    for _ in range(6):
-        model = make_random_model(rng, annotate=True)
+    cases = [(make_random_model(rng, annotate=True), int(rng.integers(2, 7)))
+             for _ in range(6)]
+    cases.append((make_random_model(np.random.default_rng(1616), S=3, T=4, annotate=True), 6))
+    for model, N in cases:
         _laws_match_the_chain(monkeypatch, model, _oracle_calls(
-            model, int(rng.integers(2, 7)),
-            ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model))))
+            model, N, ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model))))
 
 
 def test_batched_laws_match_the_chain_on_bern5(monkeypatch, bern5):
@@ -428,21 +426,6 @@ def test_batched_laws_match_the_chain_after_json(monkeypatch, crowd3):
     model = model_from_json(model_to_json(crowd3))
     _laws_match_the_chain(monkeypatch, model, _oracle_calls(
         model, 4, ("fluid", _pull_fewer(model))))
-
-
-def test_batched_laws_match_the_chain_in_blocks_of_three(monkeypatch):
-    # folding the landing pairs in blocks adds each vector's terms in the
-    # one-shot order, so the policy value keeps its bits
-    import fluidbandit.oracle as oracle
-
-    model = make_random_model(np.random.default_rng(1616), S=3, T=4, annotate=True)
-    policies = ("fluid", "ucb:0.5", _pull_fewer(model))
-    want = [exact_policy_value(model, policy, 6) for policy in policies]
-    monkeypatch.setattr(oracle, "PAIR_BLOCK", 3)
-    got = []
-    _laws_match_the_chain(monkeypatch, model, lambda: got.extend(
-        exact_policy_value(model, policy, 6) for policy in policies))
-    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _sparse_model(S, T, seed):
