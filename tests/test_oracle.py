@@ -407,12 +407,11 @@ def _oracle_calls(model, N, policies):
 
 def test_batched_laws_match_the_chain_on_random_models(monkeypatch):
     rng = np.random.default_rng(1515)
-    cases = [(make_random_model(rng, annotate=True), int(rng.integers(2, 7)))
-             for _ in range(6)]
-    cases.append((make_random_model(np.random.default_rng(1616), S=3, T=4, annotate=True), 6))
-    for model, N in cases:
+    for _ in range(6):
+        model = make_random_model(rng, annotate=True)
         _laws_match_the_chain(monkeypatch, model, _oracle_calls(
-            model, N, ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model))))
+            model, int(rng.integers(2, 7)),
+            ("fluid", "relaxed", "index", "ucb:0.5", _pull_fewer(model))))
 
 
 def test_batched_laws_match_the_chain_on_bern5(monkeypatch, bern5):
@@ -426,6 +425,21 @@ def test_batched_laws_match_the_chain_after_json(monkeypatch, crowd3):
     model = model_from_json(model_to_json(crowd3))
     _laws_match_the_chain(monkeypatch, model, _oracle_calls(
         model, 4, ("fluid", _pull_fewer(model))))
+
+
+def test_batched_laws_match_the_chain_in_blocks_of_three(monkeypatch):
+    # three policies on a model whose periods land many pairs: the sparse
+    # product adds each vector's terms in a fixed order, so a repeated call
+    # keeps its bits, and the value matches the reference oracle
+    model = make_random_model(np.random.default_rng(1616), S=3, T=4, annotate=True)
+    policies = ("fluid", "ucb:0.5", _pull_fewer(model))
+    want = [exact_policy_value(model, policy, 6) for policy in policies]
+    got = []
+    _laws_match_the_chain(monkeypatch, model, lambda: got.extend(
+        exact_policy_value(model, policy, 6) for policy in policies))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    for policy, v in zip(policies, got):
+        assert v == pytest.approx(ref.exact_policy_value(model, policy, 6), abs=1e-12)
 
 
 def _sparse_model(S, T, seed):
