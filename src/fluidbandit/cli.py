@@ -185,7 +185,8 @@ def cmd_relax(model: ArmModel, args) -> dict:
     # (t, s, a) order, as np.argwhere walks the measure
     trips = [[t + 1, s, a, meas.x[t, s, a]]
              for t, s, a in np.argwhere(meas.x > CLASSIFY_TOL).tolist()]
-    return {"value": meas.value, "lambda": lambda_from_duals(meas), "x": trips}
+    return {"value": meas.value, "lambda": lambda_from_duals(meas), "x": trips,
+            "pivots": meas.pivots, "rows": meas.rows}
 
 
 def cmd_classify(model: ArmModel, args) -> dict:

@@ -15,11 +15,15 @@ of (s, a) in the period's kernel K_t from ``mdp.successors``.  So the
 flow rows of period t are kron(I_S, [1, 1]) on block t beside -K_{t-1}^T
 on block t-1, and the budget rows are kron(I_T, [0, 1] * S);
 ``build_lp`` writes the entries of these blocks as one triplet list.
+
+Every LP goes to the package's exact simplex (``simplex.solve_lp``), which
+returns basic vertices whose nonbasic entries are identically 0, as the
+1e-9 category threshold needs.  It starts at the fluid-priority vertex of
+the myopic scores (``_crash_basis``), a feasible basis of the relaxation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,22 +33,10 @@ from . import simplex
 from .errors import DimensionMismatch, MissingDuals, PinInfeasible, SolverFailure
 from .mdp import ArmModel, reachable_states, successors, validate_model
 
-# Entries of a solved measure may undershoot zero by at most this much
-# before being clamped; anything worse is a solver failure.
-NEG_TOL = 1e-9
 # Residual tolerances for the solved-measure invariants.
 RESIDUAL_TOL = 1e-7
 # Strong-duality residual |dual_value(lambda) - value| a solve may leave.
 DUALITY_TOL = 1e-6
-# The one engine choice: an LP with at most this many reduced rows goes to
-# the exact simplex, a larger one to HiGHS.  Own simplex (sparse LU,
-# single-threaded): ~0.5 s at 696 rows (bern15), ~3.6 s at 2590 (assort8)
-# and 2625 (bern24), where HiGHS takes 19 s and 0.3 s.  The simplex
-# returns exact basic vertices (nonbasic entries identically 0), which the
-# 1e-9 category threshold needs; HiGHS leaves 1e-8-scale junk at its
-# default tolerances.  Keep every instance that classification cares
-# about on the exact path and defer only truly large ones.
-AUTO_SIMPLEX_MAX_ROWS = 2600
 
 
 @dataclass
@@ -85,16 +77,20 @@ class LpInstance:
 class OccupationMeasure:
     """Solved relaxation: fractions of arms per (period, state, action).
 
-    :x: shape (T, S, 2), entries >= 0 (clamped within NEG_TOL).
+    :x: shape (T, S, 2), entries >= 0.
     :z: state marginals, z[t, s] = sum_a x[t, s, a].
     :value: optimal per-arm value of the relaxation.
     :duals: budget-row duals, shape (T,), or None for pinned re-solves.
+    :pivots: simplex pivots of the solve (0 when not solved, e.g. combined).
+    :rows: rows of the reduced LP the solve ran on (0 when not solved).
     """
 
     x: np.ndarray
     z: np.ndarray
     value: float
     duals: np.ndarray | None
+    pivots: int = 0
+    rows: int = 0
 
     def require_duals(self) -> np.ndarray:
         if self.duals is None:
@@ -139,6 +135,7 @@ class _Reduced:
     c: np.ndarray
     keep_cols: np.ndarray
     budget_row_pos: np.ndarray  # rows of A that are budget rows
+    basis: np.ndarray  # crash start of the simplex, see _crash_basis
 
 
 def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
@@ -150,57 +147,63 @@ def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
     A = sp.csc_matrix(inst.A[keep_rows][:, keep_cols])
     budget_pos = int(masks[1:].sum()) + np.arange(inst.T)
     return _Reduced(A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
-                    keep_cols=keep_cols, budget_row_pos=budget_pos)
+                    keep_cols=keep_cols, budget_row_pos=budget_pos,
+                    basis=_crash_basis(model, masks, keep_cols, keep_rows.size))
 
 
-def _solve_reduced_min(A: sp.csc_matrix, b: np.ndarray, cmin: np.ndarray):
-    """min cmin'x s.t. Ax = b, x >= 0; returns (x, y, status).
+def _crash_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray,
+                 n_rows: int) -> np.ndarray:
+    """Simplex start basis of the reduced LP at a fluid-priority vertex.
 
-    The row count alone picks the engine: the exact simplex up to
-    AUTO_SIMPLEX_MAX_ROWS rows, HiGHS above.
+    Each period walks its reachable states in descending myopic advantage
+    R[t, :, 1] - R[t, :, 0] (``score_order``).  The boundary is the first
+    state the fluid limit leaves idle mass in, or the last state if none:
+    states before it take their active column, states after it their
+    passive column, and the boundary takes both.  Each period's diagonal
+    block (its flow rows and budget row) then has determinant +-1, and the
+    basis is block lower-triangular in time, so it is nonsingular; its
+    values are the ``fluid_propagate`` measure, so it is feasible.  Period
+    1 holds only s0, so the initial row duplicates the mass row and keeps
+    its artificial.
     """
-    if A.shape[0] <= AUTO_SIMPLEX_MAX_ROWS:
-        res = simplex.solve_lp(A, b, cmin)
-        return res.x, res.y, res.status
-    from scipy.optimize import linprog
+    from .occupancy import fluid_propagate  # both import this module
+    from .priority import score_order
 
-    # HiGHS defaults allow 1e-7 primal slop; the measure invariant
-    # requires raw entries >= -1e-9, so tighten the solver, backing
-    # off only when it reports numerical trouble at a tolerance, and
-    # saying so when a looser tolerance is accepted.
-    failed = []
-    for tol in (1e-10, 1e-9, None):
-        opts = ({} if tol is None else
-                {"primal_feasibility_tolerance": tol,
-                 "dual_feasibility_tolerance": tol})
-        res = linprog(cmin, A_eq=A, b_eq=b, bounds=[(0, None)] * A.shape[1],
-                      method="highs", options=opts)
-        if res.status != 4:
-            break
-        failed.append(tol)
-    if failed and res.status != 4:
-        tried = ", ".join(f"{t:g}" for t in failed)
-        accepted = "HiGHS default" if tol is None else f"{tol:g}"
-        warnings.warn(f"HiGHS reported numerical trouble (status 4) at tolerance "
-                      f"{tried}; accepted tolerance {accepted}",
-                      RuntimeWarning, stacklevel=2)
-    if res.status == 2:
-        return None, None, "infeasible"
-    if res.status != 0:
-        return None, None, f"highs status {res.status}"
-    return res.x, np.asarray(res.eqlin.marginals), "optimal"
+    scores = model.R[:, :, 1] - model.R[:, :, 0]
+    x, _ = fluid_propagate(model, scores)
+    pick = np.zeros((model.T, model.S, 2), dtype=bool)
+    for t in range(model.T):
+        order = score_order(scores, t + 1, model.S)
+        order = order[masks[t][order]]
+        idle = np.flatnonzero(x[t, order, 0] > 0.0)
+        k = int(idle[0]) if idle.size else order.size - 1
+        pick[t, order[:k + 1], 1] = True
+        pick[t, order[k:], 0] = True
+    cols = np.searchsorted(keep_cols, np.flatnonzero(pick))
+    # the initial row is the second last; its artificial is column n + row
+    return np.append(cols, keep_cols.size + n_rows - 2)
 
 
-def _embed(inst: LpInstance, red: _Reduced, x_red: np.ndarray,
+def _solve_reduced_min(red: _Reduced, A: sp.csc_matrix, b: np.ndarray,
+                       cmin: np.ndarray) -> simplex.SimplexResult:
+    """min cmin'x s.t. Ax = b, x >= 0 by the exact simplex from the crash
+    basis; A is red.A with any extra rows (the pin row) below, and each
+    extra row starts on its artificial."""
+    extra = A.shape[1] + np.arange(red.A.shape[0], A.shape[0])
+    return simplex.solve_lp(A, b, cmin, np.concatenate([red.basis, extra]))
+
+
+def _embed(inst: LpInstance, red: _Reduced, res: simplex.SimplexResult,
            duals: np.ndarray | None) -> OccupationMeasure:
     x_full = np.zeros(inst.n_vars)
-    x_full[red.keep_cols] = x_red
-    if x_full.min() < -NEG_TOL:
-        raise SolverFailure(f"negative mass {x_full.min():.3e} beyond tolerance")
-    np.maximum(x_full, 0.0, out=x_full)
-    value = float(inst.c @ x_full)
+    x_full[red.keep_cols] = res.x  # the simplex returns no negative entry
+    # numpy's own sum, not a BLAS dot, which threads above 10 000 entries
+    # (bern24's grid) and then rounds by the thread count
+    value = float((inst.c * x_full).sum())
     x = x_full.reshape(inst.T, inst.S, 2)
-    measure = OccupationMeasure(x=x, z=x.sum(axis=2), value=value, duals=duals)
+    # one dual per row of the LP solved
+    measure = OccupationMeasure(x=x, z=x.sum(axis=2), value=value, duals=duals,
+                                pivots=res.iterations, rows=res.y.size)
     _check_measure(inst, measure)
     return measure
 
@@ -228,12 +231,11 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     """
     inst = build_lp(model)
     red = _reduce(inst, model)
-    cmin = -red.c  # max r'x == -min(-r)'x
-    x_red, y_min, status = _solve_reduced_min(red.A, red.b, cmin)
-    if status != "optimal":
-        raise SolverFailure(f"relaxation solve failed: {status}")
-    lam = -np.asarray(y_min)[red.budget_row_pos]
-    measure = _embed(inst, red, x_red, lam)
+    res = _solve_reduced_min(red, red.A, red.b, -red.c)  # max r'x == -min(-r)'x
+    if res.status != "optimal":
+        raise SolverFailure(f"relaxation solve failed: {res.status}")
+    lam = -res.y[red.budget_row_pos]
+    measure = _embed(inst, red, res, lam)
     from .priority import dual_value  # priority imports this module
 
     gap = abs(dual_value(model, lam) - measure.value)
@@ -267,10 +269,9 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray,
         raise DimensionMismatch(
             f"functional has {f.size} entries, expected T*S*2 = {inst.n_vars}")
     A = sp.vstack([red.A, sp.csr_matrix(red.c)], format="csc")
-    x, _, status = _solve_reduced_min(A, np.concatenate([red.b, [value]]),
-                                      f[red.keep_cols])
-    if status == "infeasible":
+    res = _solve_reduced_min(red, A, np.concatenate([red.b, [value]]), f[red.keep_cols])
+    if res.status == "infeasible":
         raise PinInfeasible(f"no optimal measure at pinned value {value}")
-    if status != "optimal":
-        raise SolverFailure(f"pinned solve failed: {status}")
-    return _embed(inst, red, x, None)
+    if res.status != "optimal":
+        raise SolverFailure(f"pinned solve failed: {res.status}")
+    return _embed(inst, red, res, None)

@@ -18,7 +18,7 @@ from .lp import OccupationMeasure, resolve_with_pins, solve_relaxation
 from .mdp import ArmModel, successors
 from .priority import score_order
 
-# Strict-positivity tolerance, shared with the LP layer's clamping.
+# Strict-positivity tolerance of the category split.
 CLASSIFY_TOL = 1e-9
 # A pinned minimum within this of the incumbent activity mass certifies
 # the period as permanently degenerate (no further progress possible).

@@ -8,9 +8,10 @@ and then the etas in order; BTRAN is the etas in reverse and then the
 transposed LU solve.  The factor is rebuilt from the basis columns every
 REFACTOR_EVERY pivots.  No dense m x m array is kept; the BLAS work left is
 length-m dot products and SuperLU's kernels on its small supernodal
-blocks, too small for OpenBLAS to split across threads, so the pivot
-sequence, the returned vertex and the solve time do not depend on the BLAS
-thread count (tests/test_simplex.py checks one against two threads).
+blocks, too small for OpenBLAS to split across threads (its dot product
+threads above 10 000 entries), so up to that many rows the pivot sequence,
+the returned vertex and the solve time do not depend on the BLAS thread
+count (tests/test_simplex.py checks one against two threads).
 
 Pricing is sparse, with Dantzig's entering rule and a permanent switch to
 Bland's rule after a long degenerate streak.  Artificial variables are
@@ -18,9 +19,11 @@ unit columns that are retained and never re-enter, so redundant rows need
 no preprocessing; an artificial that is basic at zero is forced out the
 moment an entering column crosses its row.
 
-This is the package's LP engine up to ``lp.AUTO_SIMPLEX_MAX_ROWS`` reduced
-rows; scipy's HiGHS solves larger instances, and the tests hold the
-cross-check of the two engines on the same LPs.
+A caller may pass a start basis; ``lp`` passes the fluid-priority vertex
+of each relaxation (a structural crash start, Bixby 1992), so phase 1
+only has artificials left that start above zero, such as a pin row's.
+This is the package's only LP engine; the tests cross-check it against
+scipy's HiGHS on the same LPs.
 """
 
 from __future__ import annotations
@@ -113,9 +116,17 @@ class _Factor:
         return w if self.lu is None else self.lu.solve(w, trans="T")
 
 
-def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray) -> SimplexResult:
+def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
+             basis: np.ndarray | None = None) -> SimplexResult:
     """Two-phase revised simplex on min c'x, Ax=b, x>=0; stops with status
-    "iteration_limit" after 50 000 + 20 m pivots."""
+    "iteration_limit" after 50 000 + 20 m pivots.
+
+    ``basis`` names m start columns, j < n for structural j and n + i for
+    the artificial of row i; the default is the all-artificial basis.  Its
+    basic solution must be nonnegative on its structural columns, and
+    phase 1 then only drives out the artificials that start above zero.
+    A start basis the sparse LU finds singular is status "singular_basis".
+    """
     A = sp.csc_matrix(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64).copy()
     c = np.asarray(c, dtype=np.float64)
@@ -124,19 +135,37 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray) -> SimplexResult:
         raise ValueError("inconsistent LP dimensions")
     maxiter = 50_000 + 20 * m
 
-    # Normalize to b >= 0 for the artificial start; remember flipped rows.
-    flip = b < 0
-    if flip.any():
-        A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
-        b = np.abs(b)
-    AT = sp.csr_matrix(A.T)  # fast A'y products for pricing
+    start = basis is not None
+    basis = np.array(basis, dtype=np.intp) if start else np.arange(n, n + m)
+    if basis.shape != (m,):
+        raise ValueError("a start basis needs one column per row")
+    art = basis >= n
     Aext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")  # + artificials
-    col_ind, col_ptr, col_val = A.indices, A.indptr, A.data
-
-    basis = np.arange(n, n + m)  # start from the all-artificial basis
     factor = _Factor()
-    xB = b.copy()
+    try:
+        if start:
+            factor.refactor(Aext, basis)
+        xB = factor.ftran(b.copy())
+        # Flip the rows whose artificial starts basic below zero (for the
+        # all-artificial start, the rows with b < 0), which negates just
+        # that artificial's value; remember flipped rows.
+        flip = np.zeros(m, dtype=bool)
+        flip[basis[art] - n] = xB[art] < 0
+        if flip.any():
+            A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
+            b = np.where(flip, -b, b)
+            Aext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
+            if start:
+                factor.refactor(Aext, basis)
+    except _SingularBasis:
+        return SimplexResult("singular_basis", np.zeros(n), np.zeros(m), float("nan"),
+                             0, basis)
+    xB[art] = np.abs(xB[art])
+    np.maximum(xB, 0.0, out=xB)
+    AT = sp.csr_matrix(A.T)  # fast A'y products for pricing
+    col_ind, col_ptr, col_val = A.indices, A.indptr, A.data
     in_basis = np.zeros(n, dtype=bool)
+    in_basis[basis[~art]] = True
 
     iterations = 0
     bland = False

@@ -30,6 +30,9 @@ def test_gen_relax_pipeline(tmp_path):
     assert abs(payload["value"] - 13.0 / 36.0) <= 1e-9
     assert len(payload["lambda"]) == 2
     assert all(triple[3] > 1e-9 for triple in payload["x"])
+    # solver diagnostics: 3 reachable period-2 flow rows, 2 budget rows,
+    # initial and mass; the crash start is already optimal
+    assert (payload["pivots"], payload["rows"]) == (0, 7)
 
 
 def test_environment_holds_no_cli_option(tmp_path, monkeypatch):

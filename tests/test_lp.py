@@ -1,27 +1,61 @@
-"""Per-arm relaxation: frozen fixture solutions, invariants, duality, pins."""
+"""Per-arm relaxation: frozen fixture solutions, invariants, duality, pins,
+and the simplex's crash start at the fluid-priority vertex."""
 
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 import fluidbandit.lp as lp
 import reference_lp as ref
 from conftest import dense_kernel, make_random_model
+from fluidbandit import simplex
 from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
                                 SolverFailure)
-from fluidbandit.lp import (RESIDUAL_TOL, build_lp, resolve_with_pins,
+from fluidbandit.lp import (RESIDUAL_TOL, OccupationMeasure, build_lp, resolve_with_pins,
                             solve_relaxation, upper_bound)
-from fluidbandit.priority import dual_value, lambda_from_duals
+from fluidbandit.mdp import ArmModel
+from fluidbandit.occupancy import fluid_propagate
+from fluidbandit.priority import dual_value, lambda_from_duals, score_order
+from fluidbandit.zoo import bernoulli_bandit
 
+# "simplex" is the package's solve; "highs" solves the same reduced LP with
+# scipy's HiGHS here in the test, as a reference.
 ENGINES = ["simplex", "highs"]
 
 
-def _use(monkeypatch, engine):
-    """Send every LP of the test to one engine through the row threshold."""
-    rows = {"simplex": 10 ** 9, "highs": 0}[engine]
-    monkeypatch.setattr(lp, "AUTO_SIMPLEX_MAX_ROWS", rows)
+def _highs(model, functional=None, value=None):
+    """HiGHS reference for the relaxation or, given a functional and a
+    value, for the pinned re-solve; a measure embedded like the package's."""
+    inst = build_lp(model)
+    red = lp._reduce(inst, model)
+    A, b, c = red.A, red.b, -red.c
+    if functional is not None:
+        A = sp.vstack([A, sp.csr_matrix(red.c)], format="csc")
+        b = np.append(b, value)
+        c = np.asarray(functional, dtype=np.float64).reshape(-1)[red.keep_cols]
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    x = np.zeros(inst.n_vars)
+    x[red.keep_cols] = np.maximum(res.x, 0.0)
+    duals = None if functional is not None else -res.eqlin.marginals[red.budget_row_pos]
+    x = x.reshape(inst.T, inst.S, 2)
+    return OccupationMeasure(x=x, z=x.sum(axis=2), value=float(inst.c @ x.reshape(-1)),
+                             duals=duals)
+
+
+def _relax(model, engine):
+    return solve_relaxation(model) if engine == "simplex" else _highs(model)
+
+
+def _pin(model, functional, value, engine):
+    if engine == "simplex":
+        return resolve_with_pins(model, functional, value)
+    return _highs(model, functional, value)
 
 
 def _indicator(model, t, s, a):
@@ -49,18 +83,16 @@ def _max_residual(model, x):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_single_frozen(single, engine, monkeypatch):
-    _use(monkeypatch, engine)
-    m = solve_relaxation(single)
+def test_single_frozen(single, engine):
+    m = _relax(single, engine)
     assert abs(m.value - 1.0) <= 1e-10
     np.testing.assert_allclose(m.x, 0.5, atol=1e-9)
     np.testing.assert_allclose(m.duals, [1.0, 1.0], atol=1e-8)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_two_frozen(two, engine, monkeypatch):
-    _use(monkeypatch, engine)
-    m = solve_relaxation(two)
+def test_two_frozen(two, engine):
+    m = _relax(two, engine)
     assert abs(m.value - 1.0) <= 1e-10
     want = np.array([
         [[0.5, 0.5], [0.0, 0.0]],
@@ -74,60 +106,11 @@ def test_bern2_frozen(bern2_measure):
     np.testing.assert_allclose(bern2_measure.duals, [7.0 / 12.0, 0.5], atol=1e-8)
 
 
-def test_backends_agree(bern5, monkeypatch):
-    _use(monkeypatch, "simplex")
+def test_backends_agree(bern5):
     a = solve_relaxation(bern5)
-    _use(monkeypatch, "highs")
-    b = solve_relaxation(bern5)
+    b = _highs(bern5)
     assert abs(a.value - b.value) <= 1e-8
     np.testing.assert_allclose(a.duals, b.duals, atol=1e-6)
-
-
-def test_highs_tolerance_retry_is_reported(monkeypatch, bern5):
-    import scipy.optimize
-
-    real = scipy.optimize.linprog
-    calls = []
-
-    def trouble_once(*args, **kwargs):
-        calls.append(kwargs["options"])
-        res = real(*args, **kwargs)
-        if len(calls) == 1:
-            res.status = 4
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", trouble_once)
-    _use(monkeypatch, "highs")
-    with pytest.warns(RuntimeWarning, match=r"at tolerance 1e-10; accepted tolerance 1e-09"):
-        m = solve_relaxation(bern5)
-    assert [c["primal_feasibility_tolerance"] for c in calls] == [1e-10, 1e-9]
-    _use(monkeypatch, "simplex")
-    assert abs(m.value - solve_relaxation(bern5).value) <= 1e-8
-
-
-def test_row_count_alone_picks_the_engine(monkeypatch):
-    import scipy.optimize
-
-    from fluidbandit import simplex
-
-    calls = []
-
-    def simplex_stub(A, b, c):
-        calls.append(("simplex", A.shape[0]))
-        return simplex.SimplexResult(status="infeasible", x=None, y=None, obj=0.0,
-                                     iterations=0, basis=None)
-
-    def highs_stub(c, A_eq, b_eq, **kwargs):
-        calls.append(("highs", A_eq.shape[0]))
-        return scipy.optimize.OptimizeResult(status=2)
-
-    monkeypatch.setattr(simplex, "solve_lp", simplex_stub)
-    monkeypatch.setattr(scipy.optimize, "linprog", highs_stub)
-    for m in (lp.AUTO_SIMPLEX_MAX_ROWS, lp.AUTO_SIMPLEX_MAX_ROWS + 1):
-        A = sp.identity(m, format="csc")
-        lp._solve_reduced_min(A, np.ones(m), np.ones(m))
-    assert calls == [("simplex", lp.AUTO_SIMPLEX_MAX_ROWS),
-                     ("highs", lp.AUTO_SIMPLEX_MAX_ROWS + 1)]
 
 
 def test_measure_invariants(single_measure, two_measure, bern2_measure,
@@ -208,11 +191,10 @@ def test_build_lp_matches_kron_blocks():
 def test_solve_certifies_strong_duality(bern5, monkeypatch):
     orig = lp._solve_reduced_min
 
-    def perturbed(A, b, cmin):
-        x, y, status = orig(A, b, cmin)
-        y = np.array(y, dtype=np.float64)
-        y[A.shape[0] - bern5.T - 2] -= 0.5  # first budget row
-        return x, y, status
+    def perturbed(red, A, b, cmin):
+        res = orig(red, A, b, cmin)
+        res.y[A.shape[0] - bern5.T - 2] -= 0.5  # first budget row
+        return res
 
     monkeypatch.setattr(lp, "_solve_reduced_min", perturbed)
     with pytest.raises(SolverFailure, match="duality residual"):
@@ -226,13 +208,24 @@ def test_pin_functional_size_is_checked(two, two_measure):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_pins_two_exact_min_and_max(two, two_measure, engine, monkeypatch):
-    _use(monkeypatch, engine)
+def test_pins_two_exact_min_and_max(two, two_measure, engine):
     f = _indicator(two, 2, 0, 1)  # mass on pull of state G at t=2
-    lo = resolve_with_pins(two, f, two_measure.value)
+    lo = _pin(two, f, two_measure.value, engine)
     assert abs(float(lo.x[1, 0, 1]) - 0.5) <= 1e-9
-    hi = resolve_with_pins(two, -f, two_measure.value)  # max f == min -f
+    hi = _pin(two, -f, two_measure.value, engine)  # max f == min -f
     assert abs(float(hi.x[1, 0, 1]) - 0.5) <= 1e-9
+
+
+def test_pins_below_the_crash_value():
+    # the pin row's artificial starts at value - r'x_crash, below zero for
+    # these values, so the simplex flips that row before phase 1
+    model = bernoulli_bandit(3, 1.0 / 3.0)
+    crash = fluid_propagate(model, model.R[:, :, 1] - model.R[:, :, 0])[1]
+    f = _indicator(model, 2, 0, 1)
+    for value in (crash - 0.1, crash - 0.05):
+        m = resolve_with_pins(model, f, value)
+        assert abs(m.value - value) <= 1e-9
+        assert abs(float(m.x[1, 0, 1]) - float(_highs(model, f, value).x[1, 0, 1])) <= 1e-9
 
 
 def test_pinned_measure_is_feasible_and_dualless(two, two_measure):
@@ -247,3 +240,50 @@ def test_pin_infeasible(two, two_measure):
     f = _indicator(two, 2, 0, 1)
     with pytest.raises(PinInfeasible):
         resolve_with_pins(two, f, two_measure.value + 0.5)
+
+
+def test_crash_start_pivot_counts(bern5_measure, bern15_measure):
+    # the all-artificial start took 58 and 1418 pivots on these
+    assert bern5_measure.pivots == 0
+    assert bern15_measure.pivots < 100
+    assert (bern15_measure.rows, bern5_measure.rows) == (696, 41)
+
+
+def _edge_alphas(model, rng):
+    """A copy of the model with one period at alpha 0, one at alpha 1, and
+    the last one's budget exactly the mass of its first k crash-order states."""
+    T, S = model.T, model.S
+    alpha = model.alpha.copy()
+    t0, t1 = rng.choice(T - 1, size=2, replace=False)
+    alpha[t0], alpha[t1] = 0.0, 1.0
+    scores = model.R[:, :, 1] - model.R[:, :, 0]
+    edged = ArmModel(T, model.states, model.s0, R=model.R, alpha=alpha,
+                     kernel=model.kernel, metadata=model.metadata)
+    z = fluid_propagate(edged, scores)[0][-1].sum(axis=1)
+    order = score_order(scores, T, S)
+    alpha[-1] = min(float(np.cumsum(z[order])[int(rng.integers(0, S - 1))]), 1.0)
+    return ArmModel(T, model.states, model.s0, R=model.R, alpha=alpha,
+                    kernel=model.kernel, metadata=model.metadata)
+
+
+def test_crash_basis_is_the_fluid_vertex(fix, bern5, bern15, crowd7, assort8):
+    """The crash basis factors, its values are the myopic fluid measure, and
+    it leaves phase 1 nothing to do."""
+    rng = np.random.default_rng(44)
+    models = list(fix.values()) + [bern5, bern15, crowd7, assort8]
+    edged = [_edge_alphas(make_random_model(rng, T=int(rng.integers(3, 5))), rng)
+             for _ in range(30)]
+    for model in models + edged:
+        red = lp._reduce(build_lp(model), model)
+        assert np.unique(red.basis).size == red.A.shape[0]
+        # phase 1 ignores the cost, and a zero cost leaves phase 2 nothing
+        # to price, so this solve's pivots are the relaxation's phase-1 pivots
+        res = simplex.solve_lp(red.A, red.b, np.zeros(red.c.size), red.basis)
+        assert res.status == "optimal" and res.iterations == 0
+        x = np.zeros(model.T * model.S * 2)
+        x[red.keep_cols] = res.x
+        fluid, _ = fluid_propagate(model, model.R[:, :, 1] - model.R[:, :, 0])
+        np.testing.assert_allclose(x.reshape(fluid.shape), fluid, rtol=0, atol=1e-12)
+    for model in edged:
+        m = solve_relaxation(model)
+        assert abs(m.value - _highs(model).value) <= 1e-9

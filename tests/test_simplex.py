@@ -116,7 +116,31 @@ def test_nonbasic_entries_exactly_zero():
     assert ((res.x == 0.0) | (res.x > 1e-9)).all()
 
 
-LONG_SOLVES = ["bern15", "crowd7"]
+# bern15 and crowd7 start from the all-artificial basis, which keeps a long
+# eta file in play; bern24 starts from the crash basis, as the package does
+def test_start_basis():
+    # x0 + x1 = 1 and x0 - x1 = 0.5 from the basis {x0, artificial of row 1}:
+    # that artificial starts at -0.5, so row 1 is flipped and phase 1
+    # drives the artificial out
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    b, c = np.array([1.0, 0.5]), np.array([1.0, 2.0])
+    res = solve_lp(sp.csc_matrix(A), b, c, np.array([0, 3]))
+    assert res.status == "optimal" and res.iterations == 1
+    np.testing.assert_allclose(res.x, [0.75, 0.25], atol=1e-12)
+    np.testing.assert_allclose(A.T @ res.y, c, atol=1e-12)  # duals in the rows' own signs
+    assert solve_lp(sp.csc_matrix(A), b, c, np.array([0, 0])).status == "singular_basis"
+    with pytest.raises(ValueError, match="one column per row"):
+        solve_lp(sp.csc_matrix(A), b, c, np.array([0]))
+
+
+LONG_SOLVES = ["bern15", "crowd7", "bern24"]
+
+
+@pytest.fixture(scope="module")
+def bern24():
+    from fluidbandit.zoo import bernoulli_bandit
+
+    return bernoulli_bandit(24, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("name", LONG_SOLVES)
@@ -126,7 +150,7 @@ def test_long_solve_exact_vertex(name, request):
     model = request.getfixturevalue(name)
     red = lp._reduce(lp.build_lp(model), model)
     A, b, c = red.A, red.b, -red.c
-    res = solve_lp(A, b, c)
+    res = solve_lp(A, b, c, red.basis if name == "bern24" else None)
     assert res.status == "optimal"
     assert res.iterations > simplex.REFACTOR_EVERY
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
@@ -148,7 +172,8 @@ def counted(*args, **kwargs):
 simplex.solve_lp = counted
 out = {}
 for name, model in [("bern15", zoo.bernoulli_bandit(15, 1.0 / 3.0)),
-                    ("crowd7", zoo.crowdsourcing(7, 0.25))]:
+                    ("crowd7", zoo.crowdsourcing(7, 0.25)),
+                    ("bern24", zoo.bernoulli_bandit(24, 1.0 / 3.0))]:
     iterations.clear()
     m = lp.solve_relaxation(model)
     out[name] = [hashlib.sha256(m.x.tobytes()).hexdigest(),
@@ -160,7 +185,8 @@ print(json.dumps(out))
 
 def test_results_do_not_depend_on_blas_threads():
     # a threaded BLAS call may sum in another order, and one changed bit
-    # can send the pivot path, and so the vertex, elsewhere
+    # can send the pivot path, and so the vertex, elsewhere; bern24's
+    # pivots run past REFACTOR_EVERY, so in-loop refactors take part
     src = str(Path(__file__).resolve().parent.parent / "src")
     runs = {}
     for threads in ("1", "2"):
