@@ -72,8 +72,11 @@ def _clean(obj: Any) -> Any:
 
 def _write_text(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

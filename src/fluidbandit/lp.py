@@ -184,15 +184,6 @@ def _crash_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray,
     return np.append(cols, keep_cols.size + n_rows - 2)
 
 
-def _solve_reduced_min(red: _Reduced, A: sp.csc_matrix, b: np.ndarray,
-                       cmin: np.ndarray) -> simplex.SimplexResult:
-    """min cmin'x s.t. Ax = b, x >= 0 by the exact simplex from the crash
-    basis; A is red.A with any extra rows (the pin row) below, and each
-    extra row starts on its artificial."""
-    extra = A.shape[1] + np.arange(red.A.shape[0], A.shape[0])
-    return simplex.solve_lp(A, b, cmin, np.concatenate([red.basis, extra]))
-
-
 def _embed(inst: LpInstance, red: _Reduced, res: simplex.SimplexResult,
            duals: np.ndarray | None) -> OccupationMeasure:
     x_full = np.zeros(inst.n_vars)
@@ -231,7 +222,7 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     """
     inst = build_lp(model)
     red = _reduce(inst, model)
-    res = _solve_reduced_min(red, red.A, red.b, -red.c)  # max r'x == -min(-r)'x
+    res = simplex.solve_lp(red.A, red.b, -red.c, red.basis)  # max r'x == -min(-r)'x
     if res.status != "optimal":
         raise SolverFailure(f"relaxation solve failed: {res.status}")
     lam = -res.y[red.budget_row_pos]
@@ -269,7 +260,9 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray,
         raise DimensionMismatch(
             f"functional has {f.size} entries, expected T*S*2 = {inst.n_vars}")
     A = sp.vstack([red.A, sp.csr_matrix(red.c)], format="csc")
-    res = _solve_reduced_min(red, A, np.concatenate([red.b, [value]]), f[red.keep_cols])
+    # the pin row starts on its artificial, the last column
+    res = simplex.solve_lp(A, np.concatenate([red.b, [value]]), f[red.keep_cols],
+                           np.append(red.basis, sum(A.shape) - 1))
     if res.status == "infeasible":
         raise PinInfeasible(f"no optimal measure at pinned value {value}")
     if res.status != "optimal":

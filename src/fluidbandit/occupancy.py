@@ -73,18 +73,18 @@ class DegeneracyReport:
     stages: int = 0
 
 
-def classify(measure: OccupationMeasure, tol: float = CLASSIFY_TOL) -> CategoryPartition:
+def classify(measure: OccupationMeasure) -> CategoryPartition:
     """Split states per period: pulled fully, partially, or not at all.
 
-    States with pull mass <= tol are inactive regardless of idle mass, so
-    the three categories partition S.
+    States with pull mass <= CLASSIFY_TOL are inactive regardless of idle
+    mass, so the three categories partition S.
     """
     pull = measure.x[:, :, 1]
     idle = measure.x[:, :, 0]
     codes = np.full(pull.shape, -1, dtype=np.int8)
-    pulled = pull > tol
-    codes[pulled & (idle > tol)] = 0
-    codes[pulled & (idle <= tol)] = 1
+    pulled = pull > CLASSIFY_TOL
+    codes[pulled & (idle > CLASSIFY_TOL)] = 0
+    codes[pulled & (idle <= CLASSIFY_TOL)] = 1
     return CategoryPartition(codes=codes)
 
 

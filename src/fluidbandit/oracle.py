@@ -86,14 +86,11 @@ def _grid(major: np.ndarray, minor: np.ndarray):
 
 
 def _fold(key: np.ndarray, w: np.ndarray):
-    """Distinct keys in ascending order, the sum of each key's weights in
-    input order (as ``bincount`` adds them), and the index of each key's
-    first occurrence."""
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    new = np.ones(len(key), dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    return key[new], np.bincount(np.cumsum(new) - 1, weights=w[order]), order[new]
+    """The sum of each distinct key's weights in input order (as
+    ``bincount`` adds them) and the index of each key's first occurrence,
+    keys in ascending order."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return np.bincount(inverse, weights=w), first
 
 
 class _Lattice:
@@ -226,7 +223,7 @@ class _Lattice:
         Y[K.indices[hit], np.arange(len(g))] += 1
         w = K.data[hit] * np.concatenate([p for _, p in parents])[g]
         key = entry.astype(self.count.dtype) * self.size(n) + self.rank(Y, n, len(g))
-        _, p, first = _fold(key, w)
+        p, first = _fold(key, w)
         Y = Y[:, first]
         counts = np.bincount(entry[first], minlength=len(L))
         ends = np.cumsum(counts)
@@ -373,6 +370,6 @@ def exact_policy_value(model: ArmModel, policy, N: int,
         # entry (u0, u1) is the mass landing on V0[:, u0] + V1[:, u1]
         C = (M0.T @ M1).tocoo()
         landed = (V0[i].take(C.row) + V1[i].take(C.col) for i in range(S))
-        _, prob, first = _fold(lattice.rank(landed, N, C.nnz), C.data)
+        prob, first = _fold(lattice.rank(landed, N, C.nnz), C.data)
         reach = np.ascontiguousarray((V0[:, C.row[first]] + V1[:, C.col[first]]).T)
     return total

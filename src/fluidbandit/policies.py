@@ -412,14 +412,13 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
 
 
 def violation_event(t: int, counts: CountState, partition: CategoryPartition,
-                    alpha_t: float, N: int | None = None) -> bool:
+                    alpha_t: float) -> bool:
     """True iff the real-budget bracketing event fails at (t, Z).
 
-    A 1-row call of :func:`violation_rows` at target alpha_t * N.
+    A 1-row call of :func:`violation_rows` at target alpha_t * counts.N.
     """
-    if N is None:
-        N = counts.N
-    return bool(violation_rows(counts.Z[None, :], partition.codes[t - 1], alpha_t * N)[0])
+    return bool(violation_rows(counts.Z[None, :], partition.codes[t - 1],
+                               alpha_t * counts.N)[0])
 
 
 def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> AllocationPlan:
@@ -433,15 +432,14 @@ def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> Allocatio
     return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=bool(X1.sum() < B))
 
 
-def activation_probabilities(measure: OccupationMeasure, t: int,
-                             tol: float = 1e-9) -> np.ndarray:
-    """q_t(s) = x_t(s,1) / z_t(s), zero where the fluid mass vanishes."""
+def activation_probabilities(measure: OccupationMeasure, t: int) -> np.ndarray:
+    """q_t(s) = x_t(s,1) / z_t(s), zero where the fluid mass is at most 1e-9."""
     z = measure.z[t - 1]
     x1 = measure.x[t - 1, :, 1]
     q = np.zeros_like(z)
-    occ = z > tol
+    occ = z > 1e-9
     q[occ] = x1[occ] / z[occ]
-    if (q < -tol).any() or (q > 1.0 + 1e-9).any():
+    if (q < -1e-9).any() or (q > 1.0 + 1e-9).any():
         raise QOutOfRange(f"activation probabilities outside [0,1]: min {q.min()}, max {q.max()}")
     return np.clip(q, 0.0, 1.0)
 

@@ -19,9 +19,10 @@ unit columns that are retained and never re-enter, so redundant rows need
 no preprocessing; an artificial that is basic at zero is forced out the
 moment an entering column crosses its row.
 
-A caller may pass a start basis; ``lp`` passes the fluid-priority vertex
-of each relaxation (a structural crash start, Bixby 1992), so phase 1
-only has artificials left that start above zero, such as a pin row's.
+Every solve starts from a basis its caller names.  ``lp`` passes the
+fluid-priority vertex of each relaxation (a structural crash start, Bixby
+1992), so phase 1 only has artificials left that start above zero, such as
+a pin row's; the columns n + arange(m) are the all-artificial start.
 This is the package's only LP engine; the tests cross-check it against
 scipy's HiGHS on the same LPs.
 """
@@ -63,7 +64,6 @@ class SimplexResult:
     :y: row duals for the min problem, original row order and sign.
     :obj: c'x at the final point.
     :iterations: total pivots across both phases.
-    :basis: final basic variable indices (artificials >= n may appear).
     """
 
     status: str
@@ -71,7 +71,6 @@ class SimplexResult:
     y: np.ndarray
     obj: float
     iterations: int
-    basis: np.ndarray
 
 
 class _SingularBasis(Exception):
@@ -81,15 +80,8 @@ class _SingularBasis(Exception):
 class _Factor:
     """B^{-1} = E_k ... E_1 B_0^{-1}: an LU factor of B_0 and k etas.
 
-    ``lu`` is None while B_0 is the all-artificial start basis, the
-    identity, so small LPs that never refactor during phase 1 pay for no
-    factorisation there.  Eta (r, d) replaces basis row r by a column whose
-    FTRAN was d.
+    Eta (r, d) replaces basis row r by a column whose FTRAN was d.
     """
-
-    def __init__(self) -> None:
-        self.lu = None
-        self.etas: list[tuple[int, np.ndarray]] = []
 
     def refactor(self, Aext: sp.csc_matrix, basis: np.ndarray) -> None:
         try:
@@ -100,8 +92,7 @@ class _Factor:
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """B^{-1} v; v may be overwritten."""
-        if self.lu is not None:
-            v = self.lu.solve(v)
+        v = self.lu.solve(v)
         for r, d in self.etas:
             vr = v[r] / d[r]
             if vr != 0.0:
@@ -113,16 +104,16 @@ class _Factor:
         """B^{-T} w; w may be overwritten."""
         for r, d in reversed(self.etas):
             w[r] -= (d @ w - w[r]) / d[r]
-        return w if self.lu is None else self.lu.solve(w, trans="T")
+        return self.lu.solve(w, trans="T")
 
 
 def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
-             basis: np.ndarray | None = None) -> SimplexResult:
+             basis: np.ndarray) -> SimplexResult:
     """Two-phase revised simplex on min c'x, Ax=b, x>=0; stops with status
     "iteration_limit" after 50 000 + 20 m pivots.
 
     ``basis`` names m start columns, j < n for structural j and n + i for
-    the artificial of row i; the default is the all-artificial basis.  Its
+    the artificial of row i; n + arange(m) is the all-artificial start.  Its
     basic solution must be nonnegative on its structural columns, and
     phase 1 then only drives out the artificials that start above zero.
     A start basis the sparse LU finds singular is status "singular_basis".
@@ -135,16 +126,14 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
         raise ValueError("inconsistent LP dimensions")
     maxiter = 50_000 + 20 * m
 
-    start = basis is not None
-    basis = np.array(basis, dtype=np.intp) if start else np.arange(n, n + m)
+    basis = np.array(basis, dtype=np.intp)
     if basis.shape != (m,):
         raise ValueError("a start basis needs one column per row")
     art = basis >= n
     Aext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")  # + artificials
     factor = _Factor()
     try:
-        if start:
-            factor.refactor(Aext, basis)
+        factor.refactor(Aext, basis)
         xB = factor.ftran(b.copy())
         # Flip the rows whose artificial starts basic below zero (for the
         # all-artificial start, the rows with b < 0), which negates just
@@ -155,11 +144,9 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
             A = sp.csc_matrix(sp.diags(np.where(flip, -1.0, 1.0)) @ A)
             b = np.where(flip, -b, b)
             Aext = sp.hstack([A, sp.identity(m, format="csc")], format="csc")
-            if start:
-                factor.refactor(Aext, basis)
+            factor.refactor(Aext, basis)
     except _SingularBasis:
-        return SimplexResult("singular_basis", np.zeros(n), np.zeros(m), float("nan"),
-                             0, basis)
+        return SimplexResult("singular_basis", np.zeros(n), np.zeros(m), float("nan"), 0)
     xB[art] = np.abs(xB[art])
     np.maximum(xB, 0.0, out=xB)
     AT = sp.csr_matrix(A.T)  # fast A'y products for pricing
@@ -250,8 +237,7 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
                 refactor()
 
     def result(status: str) -> SimplexResult:
-        return SimplexResult(status, np.zeros(n), np.zeros(m), float("nan"),
-                             iterations, basis.copy())
+        return SimplexResult(status, np.zeros(n), np.zeros(m), float("nan"), iterations)
 
     try:
         status = run_phase(np.zeros(n), phase_two=False)
@@ -284,4 +270,4 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
     x = np.zeros(n)
     x[basis[struct]] = np.where(xB[struct] > ZERO_TOL, xB[struct], 0.0)
     y = np.where(flip, -y, y)
-    return SimplexResult(status, x, y, float(c @ x), iterations, basis.copy())
+    return SimplexResult(status, x, y, float(c @ x), iterations)

@@ -285,6 +285,8 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
          crn: bool, collect_diffusion: bool) -> SimulationReport:
     if N < 1 or reps < 1:
         raise RangeError("need N >= 1 and reps >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise RangeError(f"seed must be a nonnegative integer, got {seed!r}")
     t0 = time.perf_counter()
     pol = _resolve_policy(model, policy)
     S = model.S

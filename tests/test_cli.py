@@ -343,16 +343,16 @@ def test_short_flag_beats_config(tmp_path):
 @pytest.mark.parametrize("command", ["eval", "sweep"])
 def test_simulation_commands_solve_the_relaxation_once(tmp_path, monkeypatch,
                                                        command, policy):
-    import fluidbandit.lp as lp
+    import fluidbandit.simplex as simplex
 
     solves = []
-    solve = lp._solve_reduced_min
+    solve = simplex.solve_lp
 
     def counted(*args):
         solves.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(lp, "_solve_reduced_min", counted)
+    monkeypatch.setattr(simplex, "solve_lp", counted)
     assert main([command, "--gen", "bernoulli", "--T", "2",
                  "--alpha", "0.3333333333333333", "--policy", policy,
                  "--N", "4", "--reps", "20", "--seed", "1",
@@ -440,6 +440,31 @@ def test_non_finite_numbers_exit_4(capsys, argv, message):
     err = json.loads(out.err)
     assert err["error"] == "RangeError" and err["exit_code"] == 4
     assert message in err["message"]
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({}, ["--seed", "-1"]),
+    ({"seed": -1}, []),
+], ids=["flag", "config"])
+def test_negative_seed_exits_4(tmp_path, capsys, config, flags):
+    # a negative seed once died in SeedSequence with a raw traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "eval", "--gen", "two", "--policy", "fluid",
+                 "--N", "2", "--reps", "5", *flags]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RangeError" and "seed" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["relax", "--gen", "two"],
+    ["eval", "--gen", "two", "--policy", "fluid", "--N", "2", "--reps", "5", "--seed", "1"],
+], ids=["json", "csv-and-sidecar"])
+def test_output_in_a_missing_directory_is_config_error(tmp_path, capsys, argv):
+    # open() once raised FileNotFoundError through main
+    assert main([*argv, "-o", str(tmp_path / "missing" / "out.csv")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "cannot write" in err["message"]
 
 
 @pytest.mark.parametrize("name, flags", [

@@ -1,0 +1,29 @@
+"""Every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fluidbandit"
+# imported only so that bench/tracing.py can patch them on this module
+TRACER_ONLY = {"oracle.py": {"classify", "fluid_priority_allocate", "q_recursion"}}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return imported - used
+
+
+# __init__.py imports the public surface in order to export it
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == TRACER_ONLY.get(path.name, set())

@@ -189,14 +189,14 @@ def test_build_lp_matches_kron_blocks():
 
 
 def test_solve_certifies_strong_duality(bern5, monkeypatch):
-    orig = lp._solve_reduced_min
+    orig = simplex.solve_lp
 
-    def perturbed(red, A, b, cmin):
-        res = orig(red, A, b, cmin)
+    def perturbed(A, b, cmin, basis):
+        res = orig(A, b, cmin, basis)
         res.y[A.shape[0] - bern5.T - 2] -= 0.5  # first budget row
         return res
 
-    monkeypatch.setattr(lp, "_solve_reduced_min", perturbed)
+    monkeypatch.setattr(simplex, "solve_lp", perturbed)
     with pytest.raises(SolverFailure, match="duality residual"):
         solve_relaxation(bern5)
 

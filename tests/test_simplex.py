@@ -17,8 +17,14 @@ from fluidbandit.errors import SolverFailure
 from fluidbandit.simplex import solve_lp
 
 
+def _cold(A, b, c):
+    """solve_lp from the all-artificial basis."""
+    m, n = A.shape
+    return solve_lp(sp.csc_matrix(A), b, c, n + np.arange(m))
+
+
 def _check_against_scipy(A, b, c):
-    res = solve_lp(sp.csc_matrix(A), b, c)
+    res = _cold(A, b, c)
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert res.status == "optimal"
@@ -69,7 +75,7 @@ def test_redundant_rows():
     A = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([-1.0, 0.0])
-    res = solve_lp(sp.csc_matrix(A), b, c)
+    res = _cold(A, b, c)
     assert res.status == "optimal"
     assert abs(res.obj - (-1.0)) <= 1e-9
     np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
@@ -85,7 +91,7 @@ def test_anticycling_classic_example():
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    res = solve_lp(sp.csc_matrix(A), b, c)
+    res = _cold(A, b, c)
     assert res.status == "optimal"
     assert abs(res.obj - (-0.05)) <= 1e-9
 
@@ -94,14 +100,14 @@ def test_infeasible():
     A = np.array([[1.0, 1.0]])
     b = np.array([-1.0])
     c = np.zeros(2)
-    assert solve_lp(sp.csc_matrix(A), b, c).status == "infeasible"
+    assert _cold(A, b, c).status == "infeasible"
 
 
 def test_unbounded():
     A = np.array([[1.0, -1.0]])
     b = np.array([0.0])
     c = np.array([-1.0, 0.0])
-    assert solve_lp(sp.csc_matrix(A), b, c).status == "unbounded"
+    assert _cold(A, b, c).status == "unbounded"
 
 
 def test_nonbasic_entries_exactly_zero():
@@ -111,7 +117,7 @@ def test_nonbasic_entries_exactly_zero():
     A = rng.normal(size=(5, 12))
     b = A @ rng.uniform(0.5, 2.0, size=12)
     c = rng.uniform(0.0, 1.0, size=12)
-    res = solve_lp(sp.csc_matrix(A), b, c)
+    res = _cold(A, b, c)
     assert res.status == "optimal"
     assert ((res.x == 0.0) | (res.x > 1e-9)).all()
 
@@ -150,7 +156,7 @@ def test_long_solve_exact_vertex(name, request):
     model = request.getfixturevalue(name)
     red = lp._reduce(lp.build_lp(model), model)
     A, b, c = red.A, red.b, -red.c
-    res = solve_lp(A, b, c, red.basis if name == "bern24" else None)
+    res = solve_lp(A, b, c, red.basis) if name == "bern24" else _cold(A, b, c)
     assert res.status == "optimal"
     assert res.iterations > simplex.REFACTOR_EVERY
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
@@ -205,7 +211,7 @@ def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
 
     monkeypatch.setattr(simplex, "splu", singular)
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    res = solve_lp(sp.csc_matrix(A), np.array([1.0, 1.0]), np.array([1.0, 2.0, 1.0]))
+    res = _cold(A, np.array([1.0, 1.0]), np.array([1.0, 2.0, 1.0]))
     assert res.status == "singular_basis"
     with pytest.raises(SolverFailure, match="singular_basis"):
         lp.solve_relaxation(bern5)

@@ -162,6 +162,15 @@ def test_ucb_delta_must_be_finite(bern2, delta):
         exact_policy_value(bern2, spec, 2)
 
 
+@pytest.mark.parametrize("seed", [-3, 1.5, "7"])
+def test_seed_must_be_a_nonnegative_integer(two, seed):
+    # SeedSequence once raised its own ValueError or TypeError here
+    with pytest.raises(RangeError, match="seed"):
+        simulate(two, "fluid", 2, 5, seed)
+    with pytest.raises(RangeError, match="seed"):
+        simulate_per_arm(two, "fluid", 2, 5, seed)
+
+
 def test_ucb_and_ts_validate_a_model_built_in_code():
     # ucb and ts solve no relaxation, so compiling them validates the model
     model = make_random_model(np.random.default_rng(1), annotate=True)
