@@ -18,6 +18,7 @@ stands for, and explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import os
@@ -189,7 +190,7 @@ def cmd_relax(model: ArmModel, args) -> dict:
     trips = [[t + 1, s, a, meas.x[t, s, a]]
              for t, s, a in np.argwhere(meas.x > CLASSIFY_TOL).tolist()]
     return {"value": meas.value, "lambda": lambda_from_duals(meas), "x": trips,
-            "pivots": meas.pivots, "rows": meas.rows}
+            "pivots": meas.pivots, "rows": meas.rows, "lu_nnz": meas.lu_nnz}
 
 
 def cmd_classify(model: ArmModel, args) -> dict:
@@ -272,6 +273,7 @@ def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", "-o")
 
 
+@functools.cache  # one parser per process; _parse never mutates it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fluidbandit",
@@ -352,7 +354,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
 
     argparse then makes explicit flags win in every form it accepts.  Keys
     of another subcommand are ignored, so one file serves them all; a key
-    that is an option of no subcommand is a ConfigError.
+    that is an option of no subcommand is a ConfigError.  The defaults go
+    on a copy of ``parser``, so one call's file never reaches the next.
     """
     args = parser.parse_args(argv)
     if not args.config:
@@ -364,6 +367,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    parser = copy.deepcopy(parser)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = {a.dest for p in sub.choices.values() for a in p._actions}
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)

@@ -83,6 +83,8 @@ class OccupationMeasure:
     :duals: budget-row duals, shape (T,), or None for pinned re-solves.
     :pivots: simplex pivots of the solve (0 when not solved, e.g. combined).
     :rows: rows of the reduced LP the solve ran on (0 when not solved).
+    :lu_nnz: nonzeros of L + U in the solve's last basis factor (0 when
+        not solved).
     """
 
     x: np.ndarray
@@ -91,6 +93,7 @@ class OccupationMeasure:
     duals: np.ndarray | None
     pivots: int = 0
     rows: int = 0
+    lu_nnz: int = 0
 
     def require_duals(self) -> np.ndarray:
         if self.duals is None:
@@ -194,7 +197,7 @@ def _embed(inst: LpInstance, red: _Reduced, res: simplex.SimplexResult,
     x = x_full.reshape(inst.T, inst.S, 2)
     # one dual per row of the LP solved
     measure = OccupationMeasure(x=x, z=x.sum(axis=2), value=value, duals=duals,
-                                pivots=res.iterations, rows=res.y.size)
+                                pivots=res.iterations, rows=res.y.size, lu_nnz=res.lu_nnz)
     _check_measure(inst, measure)
     return measure
 

@@ -185,6 +185,7 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
     value = 0.0
     for t in range(model.T):
         order = score_order(P, t + 1, model.S)
+        order = order[z[order] > 0.0]  # an empty state takes nothing
         pull = index_pulls(z[None, :], order, float(model.alpha[t]))[0]
         x[t, :, 1] = pull
         x[t, :, 0] = z - pull

@@ -6,12 +6,25 @@ basis at the last refactorisation, from ``scipy.sparse.linalg.splu``,
 followed by one eta (leave row, d) per pivot since.  FTRAN is the LU solve
 and then the etas in order; BTRAN is the etas in reverse and then the
 transposed LU solve.  The factor is rebuilt from the basis columns every
-REFACTOR_EVERY pivots.  No dense m x m array is kept; the BLAS work left is
-length-m dot products and SuperLU's kernels on its small supernodal
-blocks, too small for OpenBLAS to split across threads (its dot product
-threads above 10 000 entries), so up to that many rows the pivot sequence,
-the returned vertex and the solve time do not depend on the BLAS thread
-count (tests/test_simplex.py checks one against two threads).
+REFACTOR_EVERY pivots.
+
+SuperLU factors the basis columns in the order they sit in the basis
+(``permc_spec="NATURAL"``), not in COLAMD's fill-reducing order.  The
+caller's start basis arrives in time-staircase order, block
+lower-triangular, and a pivot puts its entering column in the leaving
+column's place, so the order mostly survives; an LU that keeps a nearly
+triangular LP basis in its own order fills little (Suhl & Suhl 1990).
+COLAMD breaks the staircase: on bern24's last basis L + U holds about
+99 000 nonzeros under COLAMD and 13 000 in the basis's own order
+(tests/test_simplex.py bounds the fill).  SuperLU's partial row pivoting
+still picks each pivot by magnitude, so the factor stays stable.
+
+No dense m x m array is kept; the BLAS work left is length-m dot products
+and SuperLU's kernels on its small supernodal blocks, too small for
+OpenBLAS to split across threads (its dot product threads above 10 000
+entries), so up to that many rows the pivot sequence, the returned vertex
+and the solve time do not depend on the BLAS thread count
+(tests/test_simplex.py checks one against two threads).
 
 Pricing is sparse, with Dantzig's entering rule and a permanent switch to
 Bland's rule after a long degenerate streak.  Artificial variables are
@@ -64,6 +77,8 @@ class SimplexResult:
     :y: row duals for the min problem, original row order and sign.
     :obj: c'x at the final point.
     :iterations: total pivots across both phases.
+    :lu_nnz: nonzeros of L + U in the last factor; 0 when the solve stops
+        before phase 2 ends.
     """
 
     status: str
@@ -71,6 +86,7 @@ class SimplexResult:
     y: np.ndarray
     obj: float
     iterations: int
+    lu_nnz: int = 0
 
 
 class _SingularBasis(Exception):
@@ -85,7 +101,7 @@ class _Factor:
 
     def refactor(self, Aext: sp.csc_matrix, basis: np.ndarray) -> None:
         try:
-            self.lu = splu(Aext[:, basis])
+            self.lu = splu(Aext[:, basis], permc_spec="NATURAL")
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise _SingularBasis(str(exc)) from exc
         self.etas = []
@@ -270,4 +286,5 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
     x = np.zeros(n)
     x[basis[struct]] = np.where(xB[struct] > ZERO_TOL, xB[struct], 0.0)
     y = np.where(flip, -y, y)
-    return SimplexResult(status, x, y, float(c @ x), iterations)
+    lu_nnz = factor.lu.L.nnz + factor.lu.U.nnz  # builds L and U, once per solve
+    return SimplexResult(status, x, y, float(c @ x), iterations, lu_nnz)

@@ -33,6 +33,8 @@ def test_gen_relax_pipeline(tmp_path):
     # solver diagnostics: 3 reachable period-2 flow rows, 2 budget rows,
     # initial and mass; the crash start is already optimal
     assert (payload["pivots"], payload["rows"]) == (0, 7)
+    # the last basis factor: L and U each hold the diagonal, at most dense
+    assert 2 * 7 <= payload["lu_nnz"] <= 7 * 8
 
 
 def test_environment_holds_no_cli_option(tmp_path, monkeypatch):
@@ -184,6 +186,19 @@ def test_config_file_supplies_seed_flags_win(tmp_path):
     assert main(base + ["--seed", "4"]) == 0
     sidecar = json.loads((tmp_path / "r.json").read_text())
     assert sidecar["rows"][0]["seed"] == 4
+
+
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    # main reuses one parser; a config's seed must not become the next
+    # call's default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    base = ["eval", "--gen", "two", "--policy", "fluid", "--N", "2", "--reps", "5"]
+    assert main(["--config", str(cfg), *base, "-o", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert main(base) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "--seed" in err["message"]
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):

@@ -205,6 +205,25 @@ def test_results_do_not_depend_on_blas_threads():
     assert runs["1"] == runs["2"]
 
 
+def test_basis_factor_keeps_the_staircase_sparse(monkeypatch, bern24):
+    # the crash basis is block lower-triangular in time and pivots mostly
+    # keep that order, so an LU in the basis's own column order stays
+    # within 2.04x of the basis nonzeros; COLAMD's reordering reads 16.4x
+    splu = simplex.splu
+    fills = []
+
+    def recorded(B, **kwargs):
+        lu = splu(B, **kwargs)
+        fills.append((B.nnz, lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(simplex, "splu", recorded)
+    measure = lp.solve_relaxation(bern24)
+    assert len(fills) > 2  # start, in-loop and closing refactors
+    assert all(lu_nnz <= 3 * b_nnz for b_nnz, lu_nnz in fills), fills
+    assert measure.lu_nnz == fills[-1][1]
+
+
 def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
