@@ -2,9 +2,10 @@
 
 Public surface: model containers and validation, the occupation-measure
 LP relaxation with duals, category classification and degeneracy search,
-Lagrangian priority scores, count-state allocation policies, count-based
-and per-arm Monte Carlo simulators, a small-N exact oracle, and problem
-generators.
+Lagrangian priority scores, policy specs that ``CompiledPolicy`` compiles
+onto the batch allocation kernels of ``policies`` (plus the 1-row
+``fluid_priority_allocate``), count-based and per-arm Monte Carlo
+simulators, a small-N exact oracle, and problem generators.
 """
 
 from .errors import (
@@ -23,14 +24,13 @@ from .lp import (
     resolve_with_pins, solve_relaxation, upper_bound,
 )
 from .occupancy import (
-    CategoryPartition, DegeneracyReport, classify, fluid_consistency_gap,
-    fluid_propagate, is_nondegenerate, search_nondegenerate,
+    CategoryPartition, DegeneracyReport, classify, fluid_propagate,
+    is_nondegenerate, search_nondegenerate,
 )
 from .priority import PriorityScheme, dual_value, lambda_from_duals, q_recursion
 from .policies import (
-    PolicySpec, activation_probabilities, budget_relaxed_allocate,
-    fluid_priority_allocate, index_allocate, parse_policy, score_order,
-    ucb_allocate, ucb_scores, violation_event,
+    PolicySpec, activation_probabilities, fluid_priority_allocate, parse_policy,
+    score_order, ucb_scores,
 )
 from .simulator import (
     CompiledPolicy, SimulationReport, SweepRow, default_reps, gap_sweep,

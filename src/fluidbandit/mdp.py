@@ -30,9 +30,9 @@ from .errors import ConfigError, DimensionMismatch, RangeError, RowSumError, Sha
 # Row-stochasticity and range slack for validation.
 ROW_SUM_TOL = 1e-9
 
-# Relative slack used when flooring alpha*N, so that a fraction stored in
-# binary (1/3, say) still yields the exact integer budget it denotes.
-BUDGET_FLOOR_SLACK = 1e-9
+# Slack in ulps of alpha*N added before flooring it, so that a fraction
+# stored in binary (1/3, say) still yields the exact integer budget it denotes.
+BUDGET_FLOOR_ULPS = 8
 
 
 @dataclass
@@ -125,9 +125,9 @@ class AllocationPlan:
 
     :t: 1-based period.
     :X: counts, shape (S, 2); X[s, a] arms of state s playing action a.
-    :relaxed: True when the plan may overspend or underspend the budget
-        (budget-relaxed plans, and index plans that run out of arms), False
-        when it spends floor(alpha_t * N) exactly.
+    :relaxed: True when the plan may miss floor(alpha_t * N) pulls.  No
+        package rule sets it; the reference allocators and bare-callable
+        policies may.
     """
 
     t: int
@@ -211,12 +211,15 @@ def period_budget(alpha_t: float, N: int) -> int:
     """floor(alpha_t * N), robust to binary representation dust.
 
     A fraction like 1/3 stored as a float times N = 9600 lands a hair below
-    3200; the floor must still be 3200.  The slack never crosses a genuine
-    integer boundary because it is far below 1/N for any feasible N.
+    3200, which must still floor to 3200.  Storing alpha_t and rounding the
+    product move x = alpha_t * N by about one ulp of x, so x + 8 ulp(x) is
+    floored: an integer closer than that above x is one that alpha_t's own
+    rounding cannot tell from x.
     """
     if N < 1:
         raise RangeError(f"N must be >= 1, got {N}")
-    return int(math.floor(alpha_t * N + BUDGET_FLOOR_SLACK * max(1.0, alpha_t * N) + 1e-12))
+    x = alpha_t * N
+    return int(math.floor(x + BUDGET_FLOOR_ULPS * math.ulp(x)))
 
 
 def successors(model: ArmModel) -> list[sp.csr_matrix]:

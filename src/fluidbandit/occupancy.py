@@ -194,11 +194,3 @@ def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
             z = successors(model)[t].T @ x[t].reshape(-1)
     return x, value
 
-
-def fluid_consistency_gap(x_policy: np.ndarray, x_opt: np.ndarray) -> float:
-    """L1 distance between two occupation arrays of identical shape."""
-    a = np.asarray(x_policy, dtype=np.float64)
-    b = np.asarray(x_opt, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())

@@ -4,9 +4,9 @@ Each rule exists once, as a batch kernel over a count matrix Z (R, S)
 that returns pulls X1 (R, S): ``fluid_pulls`` (strict and relaxed),
 ``index_pulls`` (index and UCB), ``rac_pulls`` and ``ts_pulls``, plus
 ``violation_rows`` for the bracketing event.  The simulator's
-``CompiledPolicy`` dispatches to them; the deterministic public functions
-(``fluid_priority_allocate`` and friends) validate one count state and
-make a 1-row call.  Per-state loop forms of the deterministic rules, in
+``CompiledPolicy`` dispatches to them (for the simulators and the exact
+oracle); ``fluid_priority_allocate`` is the one 1-row form, for a single
+count state.  Per-state loop forms of the deterministic rules, in
 ``tests/reference_policies.py``, are the reference the kernels are
 checked against, row for row.  States are visited in
 ``priority.score_order`` (descending score, ties by ascending index), and
@@ -371,9 +371,14 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
     return X1
 
 
-def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: Any,
-                N: int, alpha_t: float, partition: CategoryPartition | None,
-                relaxed: bool) -> AllocationPlan:
+def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
+                            scores: Any, N: int, alpha_t: float,
+                            partition: CategoryPartition | None = None) -> AllocationPlan:
+    """Priority allocation with neutral-state quotas from the measure.
+
+    A 1-row call of :func:`fluid_pulls`, for callers that allocate one
+    count state at a time.  Exactly floor(alpha_t * N) arms are pulled.
+    """
     Z = counts.Z
     S = Z.size
     if counts.N != N or int(Z.sum()) != N:
@@ -381,55 +386,10 @@ def _fluid_plan(t: int, counts: CountState, measure: OccupationMeasure, scores: 
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
     part = partition if partition is not None else classify(measure)
-    order = score_order(scores, t, S)
-    B = period_budget(alpha_t, N)
     quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
-    X1 = fluid_pulls(Z[None, :], part.codes[t - 1], order, quota, B, relaxed)[0]
-    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=relaxed)
-
-
-def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
-    """Priority allocation with neutral-state quotas from the measure.
-
-    A 1-row call of :func:`fluid_pulls`.  Exactly floor(alpha_t * N) arms
-    are pulled.
-    """
-    return _fluid_plan(t, counts, measure, scores, N, alpha_t, partition, relaxed=False)
-
-
-def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
-    """Relaxed variant: all active arms are pulled even past the budget.
-
-    A 1-row call of :func:`fluid_pulls` with ``relaxed=True``.  If the
-    active pass spends (or overspends) the budget, no neutral arm is
-    pulled; inactive arms never are.  The plan is flagged relaxed.
-    """
-    return _fluid_plan(t, counts, measure, scores, N, alpha_t, partition, relaxed=True)
-
-
-def violation_event(t: int, counts: CountState, partition: CategoryPartition,
-                    alpha_t: float) -> bool:
-    """True iff the real-budget bracketing event fails at (t, Z).
-
-    A 1-row call of :func:`violation_rows` at target alpha_t * counts.N.
-    """
-    return bool(violation_rows(counts.Z[None, :], partition.codes[t - 1],
-                               alpha_t * counts.N)[0])
-
-
-def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> AllocationPlan:
-    """Greedy: pull arms in descending state score until B is spent.
-
-    A 1-row call of :func:`index_pulls`; the plan is flagged relaxed when
-    the arms run out before the budget does.
-    """
-    Z = counts.Z
-    X1 = index_pulls(Z[None, :], score_order(scores, t, Z.size), int(B))[0]
-    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1), relaxed=bool(X1.sum() < B))
+    X1 = fluid_pulls(Z[None, :], part.codes[t - 1], score_order(scores, t, S), quota,
+                     period_budget(alpha_t, N))[0]
+    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1))
 
 
 def activation_probabilities(measure: OccupationMeasure, t: int) -> np.ndarray:
@@ -453,12 +413,6 @@ def _require_annotations(annotations) -> list[BeliefStateAnnotation]:
 def ucb_scores(annotations, delta: float) -> np.ndarray:
     ann = _require_annotations(annotations)
     return np.array([a.posterior_mean + delta * a.posterior_sd for a in ann])
-
-
-def ucb_allocate(t: int, counts: CountState, annotations, delta: float,
-                 B: int) -> AllocationPlan:
-    """Index allocation by posterior mean plus delta posterior sd."""
-    return index_allocate(t, counts, ucb_scores(annotations, delta), B)
 
 
 def parse_policy(text: str) -> PolicySpec:

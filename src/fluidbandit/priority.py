@@ -47,10 +47,6 @@ class PriorityScheme:
     Q: np.ndarray
     P: np.ndarray
 
-    def order(self, t: int) -> np.ndarray:
-        """State indices in allocation order for period t (1-based)."""
-        return score_order(self.P, t, self.P.shape[1])
-
 
 def q_recursion(model: ArmModel, lam) -> PriorityScheme:
     """Backward penalized action values; kernel at period t is p_t."""

@@ -259,7 +259,8 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
         status = run_phase(np.zeros(n), phase_two=False)
         if status != "optimal":
             return result(status)
-        refactor()
+        if iterations:  # else the start basis's factor and xB stand
+            refactor()
         art_mass = float(xB[basis >= n].sum())
         if art_mass > FEAS_TOL:
             return result("infeasible")

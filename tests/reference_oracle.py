@@ -5,8 +5,9 @@ of every (count vector, action counts) pair by convolving per-state
 multinomial outcome tables in a dictionary.  It is the reference that
 ``fluidbandit.oracle.optimal_value`` and ``exact_policy_value`` (one group
 table product per period) are checked against.  Its policy evaluation
-allocates one count vector at a time through the public 1-row
-allocators, so the cross-check does not rest on ``allocate_batch``.
+allocates one count vector at a time through the per-state loop forms of
+``reference_policies``, so the cross-check runs none of the package's
+allocation code.
 
 :class:`ChainLaws` builds the oracle's group laws one composition at a
 time, each by a lexsort merge, so that the oracle's level batches can be
@@ -23,9 +24,9 @@ import numpy as np
 from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeError
 from fluidbandit.mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
 from fluidbandit.oracle import DEFAULT_GUARD, bounded_compositions, compositions
-from fluidbandit.policies import (budget_relaxed_allocate, fluid_priority_allocate,
-                                  index_allocate, parse_policy)
+from fluidbandit.policies import parse_policy
 from fluidbandit.simulator import _resolve_policy
+from reference_policies import budget_relaxed_allocate, fluid_priority_allocate, index_allocate
 
 
 class _WorkMeter:
@@ -182,7 +183,7 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
 def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
     """Deterministic per-count-state allocation: a bare callable as given,
     anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
-    and applied through the public 1-row allocators."""
+    and applied through the loop forms of ``reference_policies``."""
     if callable(policy):
         return policy
     if isinstance(policy, str):

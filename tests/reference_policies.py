@@ -3,8 +3,9 @@ per-arm forms of the randomized ones.
 
 The fluid-priority, budget-relaxed and index rules and the bracketing
 event, one count state at a time (and the index rule on fluid mass).
-They are the reference that the ``fluidbandit.policies`` kernels and the
-1-row public functions are checked against, row for row.  ``rac_pulls``
+They are the reference that the ``fluidbandit.policies`` kernels and
+``fluid_priority_allocate`` are checked against, row for row, and the
+allocators of ``reference_oracle``'s policy evaluation.  ``rac_pulls``
 and ``ts_pulls`` draw a coin or a posterior sample for every arm; the
 count-level samplers in ``fluidbandit.policies`` are checked against
 their per-state pull laws.

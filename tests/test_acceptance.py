@@ -15,13 +15,10 @@ import pytest
 import conftest
 from conftest import make_random_model
 from fluidbandit.lp import solve_relaxation
-from fluidbandit.mdp import CountState
 from fluidbandit.occupancy import (classify, fluid_propagate,
                                    is_nondegenerate, search_nondegenerate)
 from fluidbandit.oracle import exact_policy_value, optimal_value
-from fluidbandit.policies import (PolicySpec, budget_relaxed_allocate,
-                                  fluid_priority_allocate, ucb_scores,
-                                  violation_event)
+from fluidbandit.policies import PolicySpec, ucb_scores, violation_rows
 from fluidbandit.priority import dual_value, lambda_from_duals
 from fluidbandit.simulator import (CompiledPolicy, gap_sweep, simulate,
                                    simulate_per_arm, violation_rate_sweep)
@@ -204,23 +201,20 @@ def test_a08_policy_identity_off_violation():
     while states < 10_000:
         model = make_random_model(rng)
         measure = solve_relaxation(model)
-        part = classify(measure)
         scores = rng.normal(size=(model.T, model.S))
+        strict = CompiledPolicy(model, PolicySpec("fluid", measure=measure, scores=scores))
+        relaxed = CompiledPolicy(model, PolicySpec("relaxed", measure=measure, scores=scores))
         for _ in range(40):
             t = int(rng.integers(1, model.T + 1))
             N = int(rng.integers(1, 60))
-            Z = rng.multinomial(N, rng.dirichlet(np.ones(model.S)))
+            Z = rng.multinomial(N, rng.dirichlet(np.ones(model.S)))[None, :]
             states += 1
-            cs = CountState(t=t, N=N, Z=Z.astype(np.int64))
             a_t = float(model.alpha[t - 1])
-            if violation_event(t, cs, part, a_t):
+            if violation_rows(Z, strict.partition.codes[t - 1], a_t * N)[0]:
                 continue
-            strict = fluid_priority_allocate(t, cs, measure, scores, N,
-                                             alpha_t=a_t, partition=part)
-            relaxed = budget_relaxed_allocate(t, cs, measure, scores, N,
-                                              alpha_t=a_t, partition=part)
             compared += 1
-            if not np.array_equal(strict.X, relaxed.X):
+            if not np.array_equal(strict.allocate_batch(t, Z, None),
+                                  relaxed.allocate_batch(t, Z, None)):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and compared > 1000

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module or a test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fluidbandit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fluidbandit"
 # imported only so that bench/tracing.py can patch them on this module
 TRACER_ONLY = {"oracle.py": {"classify", "fluid_priority_allocate", "q_recursion"}}
 
@@ -22,8 +23,9 @@ def _unused_imports(path: Path) -> set[str]:
     return imported - used
 
 
-# __init__.py imports the public surface in order to export it
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+# __init__.py imports the public surface in order to export it; no file
+# name occurs in both directories, so the names alone identify the cases
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == TRACER_ONLY.get(path.name, set())

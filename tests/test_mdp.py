@@ -122,6 +122,15 @@ def test_period_budget_exact_fractions():
     assert period_budget(0.3333, 300) == 99
 
 
+def test_period_budget_does_not_cross_a_genuine_integer():
+    # alpha * N just below an integer: a slack relative to alpha * N once
+    # rounded each of these up
+    assert period_budget(0.123457, 58814) == 7260  # 7260.999998
+    assert period_budget(0.61803, 53533) == 33084  # 33084.99999
+    assert period_budget(1.0 / 3.0, 3 * 10**9 + 1) == 10**9
+    assert period_budget(1.0 / 3.0, 10**10) == 3_333_333_333
+
+
 def test_budget_monotone_in_n():
     prev = 0
     for n in range(1, 200):

@@ -11,10 +11,10 @@ from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.mdp import BeliefStateAnnotation, CountState, period_budget
 from fluidbandit.occupancy import classify
 from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
-                                  budget_relaxed_allocate,
-                                  fluid_priority_allocate, index_allocate,
-                                  index_pulls, parse_policy, rac_pulls, ts_pulls,
-                                  ucb_allocate, ucb_scores, violation_event)
+                                  fluid_priority_allocate, fluid_pulls, index_pulls,
+                                  parse_policy, rac_pulls, ts_pulls, ucb_scores,
+                                  violation_rows)
+from fluidbandit.priority import score_order
 from fluidbandit.simulator import CompiledPolicy, _violations, simulate
 
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -27,6 +27,26 @@ def _cs(t, Z):
 
 def _row(Z):
     return np.asarray(Z, dtype=np.int64)[None, :]
+
+
+def _relaxed_pulls(t, Z, measure, scores, alpha_t, partition=None):
+    """The budget-relaxed rule's pulls for one count row, as
+    ``CompiledPolicy.allocate_batch`` computes them."""
+    N = int(np.sum(Z))
+    part = partition if partition is not None else classify(measure)
+    quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
+    return fluid_pulls(_row(Z), part.codes[t - 1], score_order(scores, t, len(Z)), quota,
+                       period_budget(alpha_t, N), relaxed=True)[0]
+
+
+def _violated(t, Z, partition, alpha_t):
+    """The bracketing event at one count row, at budget mass alpha_t * N."""
+    return bool(violation_rows(_row(Z), partition.codes[t - 1], alpha_t * int(np.sum(Z)))[0])
+
+
+def _index_pulls(t, Z, scores, B):
+    """The index rule's pulls for one count row, in the scores' order."""
+    return index_pulls(_row(Z), score_order(scores, t, len(Z)), B)[0]
 
 
 def test_fluid_two_t1_neutral_quota(two, two_measure):
@@ -49,30 +69,27 @@ def test_fluid_two_t2_active_first(two, two_measure):
 
 
 def test_relaxed_two_overspends_on_active(two, two_measure):
-    plan = budget_relaxed_allocate(2, _cs(2, [2, 0]), two_measure, G_FIRST,
-                                   N=2, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.pulls, [2, 0])
-    assert plan.relaxed is True
+    pulls = _relaxed_pulls(2, [2, 0], two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(pulls, [2, 0])
 
 
 def test_relaxed_two_never_pulls_inactive(two, two_measure):
-    plan = budget_relaxed_allocate(2, _cs(2, [0, 2]), two_measure, G_FIRST,
-                                   N=2, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.pulls, [0, 0])
+    pulls = _relaxed_pulls(2, [0, 2], two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(pulls, [0, 0])
 
 
 def test_violation_event_two(two_measure):
     part = classify(two_measure)
-    assert violation_event(2, _cs(2, [1, 3]), part, 0.5) is True
-    assert violation_event(2, _cs(2, [3, 1]), part, 0.5) is True
-    assert violation_event(2, _cs(2, [2, 2]), part, 0.5) is False
+    assert _violated(2, [1, 3], part, 0.5) is True
+    assert _violated(2, [3, 1], part, 0.5) is True
+    assert _violated(2, [2, 2], part, 0.5) is False
 
 
 def test_violation_event_single_never(single_measure):
     part = classify(single_measure)
     for n in (1, 3, 10, 17):
-        assert violation_event(1, _cs(1, [n]), part, 0.5) is False
-        assert violation_event(2, _cs(2, [n]), part, 0.5) is False
+        assert _violated(1, [n], part, 0.5) is False
+        assert _violated(2, [n], part, 0.5) is False
 
 
 def test_fluid_fixed_point(two, two_measure, single, single_measure):
@@ -119,25 +136,21 @@ def test_relaxed_equals_fluid_off_violation():
         N = int(rng.integers(2, 40))
         for t in range(1, model.T + 1):
             Z = rng.multinomial(N, np.full(model.S, 1.0 / model.S))
-            cs = _cs(t, Z)
             a_t = float(model.alpha[t - 1])
-            if violation_event(t, cs, part, a_t):
+            if _violated(t, Z, part, a_t):
                 continue
-            strict = fluid_priority_allocate(t, cs, measure, scores, N,
+            strict = fluid_priority_allocate(t, _cs(t, Z), measure, scores, N,
                                              alpha_t=a_t, partition=part)
-            relaxed = budget_relaxed_allocate(t, cs, measure, scores, N,
-                                              alpha_t=a_t, partition=part)
-            np.testing.assert_array_equal(strict.X, relaxed.X)
+            relaxed = _relaxed_pulls(t, Z, measure, scores, a_t, partition=part)
+            np.testing.assert_array_equal(strict.pulls, relaxed)
             checked += 1
     assert checked > 30
 
 
 def test_index_allocate_traces():
     scores = np.array([1.0, 0.0])
-    plan = index_allocate(2, _cs(2, [3, 1]), scores, B=2)
-    np.testing.assert_array_equal(plan.pulls, [2, 0])
-    plan = index_allocate(2, _cs(2, [1, 3]), scores, B=2)
-    np.testing.assert_array_equal(plan.pulls, [1, 1])
+    np.testing.assert_array_equal(_index_pulls(2, [3, 1], scores, B=2), [2, 0])
+    np.testing.assert_array_equal(_index_pulls(2, [1, 3], scores, B=2), [1, 1])
 
 
 def test_index_argsort_invariance():
@@ -146,9 +159,9 @@ def test_index_argsort_invariance():
         S = 4
         scores = rng.normal(size=S)
         Z = rng.multinomial(12, np.full(S, 0.25))
-        a = index_allocate(1, _cs(1, Z), scores, B=5)
-        b = index_allocate(1, _cs(1, Z), 3.0 * scores + 11.0, B=5)
-        np.testing.assert_array_equal(a.X, b.X)
+        a = _index_pulls(1, Z, scores, B=5)
+        b = _index_pulls(1, Z, 3.0 * scores + 11.0, B=5)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_activation_probabilities(single_measure, two_measure):
@@ -192,17 +205,16 @@ def test_ucb_scores_and_allocation(bern2):
     np.testing.assert_allclose(ucb_scores(ann, 0.0), means, atol=0)
     np.testing.assert_allclose(means, [0.5, 1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     Z = np.array([2, 2, 2], dtype=np.int64)
-    a = ucb_allocate(2, _cs(2, Z), ann, delta=0.0, B=3)
-    b = index_allocate(2, _cs(2, Z), means, B=3)
-    np.testing.assert_array_equal(a.X, b.X)
+    a = _index_pulls(2, Z, ucb_scores(ann, 0.0), B=3)
+    b = _index_pulls(2, Z, means, B=3)
+    np.testing.assert_array_equal(a, b)
     # state (1,1) outranks (0,0) outranks (1,0) on posterior mean
-    np.testing.assert_array_equal(a.pulls, [1, 0, 2])
+    np.testing.assert_array_equal(a, [1, 0, 2])
 
 
 def test_ucb_requires_annotations(crowd3):
     with pytest.raises(MissingMetadata):
-        ucb_allocate(1, _cs(1, [3] + [0] * (crowd3.S - 1)), crowd3.annotations,
-                     delta=0.5, B=1)
+        ucb_scores(crowd3.annotations, 0.5)
 
 
 def test_ts_allocation(bern2):
@@ -387,8 +399,9 @@ def test_ts_cdf_cells_are_pinned(bern15, monkeypatch):
 
 
 def test_kernels_match_scalar_reference():
-    """Batch kernels and the 1-row public functions equal the scalar loops
-    row for row: fluid, relaxed, index, ucb:0.5 and the bracketing event."""
+    """Batch kernels and the 1-row fluid_priority_allocate equal the scalar
+    loops row for row: fluid, relaxed, index, ucb:0.5 and the bracketing
+    event."""
     rng = np.random.default_rng(29)
     rows = 0
     for i in range(40):
@@ -418,23 +431,18 @@ def test_kernels_match_scalar_reference():
                 for r, Z in enumerate(Zs):
                     cs = _cs(t, Z)
                     kw = dict(alpha_t=a_t, partition=part)
-                    cases = {
-                        "fluid": (ref.fluid_priority_allocate(t, cs, measure, scores, N, **kw),
-                                  fluid_priority_allocate(t, cs, measure, scores, N, **kw)),
-                        "relaxed": (ref.budget_relaxed_allocate(t, cs, measure, scores, N, **kw),
-                                    budget_relaxed_allocate(t, cs, measure, scores, N, **kw)),
-                        "index": (ref.index_allocate(t, cs, scores, B),
-                                  index_allocate(t, cs, scores, B)),
-                        "ucb": (ref.index_allocate(t, cs, ucb, B),
-                                ucb_allocate(t, cs, model.annotations, 0.5, B)),
+                    want = {
+                        "fluid": ref.fluid_priority_allocate(t, cs, measure, scores, N, **kw),
+                        "relaxed": ref.budget_relaxed_allocate(t, cs, measure, scores, N, **kw),
+                        "index": ref.index_allocate(t, cs, scores, B),
+                        "ucb": ref.index_allocate(t, cs, ucb, B),
                     }
-                    for kind, (want, got) in cases.items():
-                        np.testing.assert_array_equal(got.X, want.X)
-                        assert got.relaxed is want.relaxed
-                        np.testing.assert_array_equal(batch[kind][r], want.pulls)
-                    event = ref.violation_event(t, cs, part, a_t)
-                    assert violation_event(t, cs, part, a_t) is event
-                    assert bool(viol[r]) is event
+                    got = fluid_priority_allocate(t, cs, measure, scores, N, **kw)
+                    np.testing.assert_array_equal(got.X, want["fluid"].X)
+                    assert got.relaxed is want["fluid"].relaxed
+                    for kind, plan in want.items():
+                        np.testing.assert_array_equal(batch[kind][r], plan.pulls)
+                    assert bool(viol[r]) is ref.violation_event(t, cs, part, a_t)
                     rows += 1
     assert rows >= 5000
 

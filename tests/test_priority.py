@@ -1,12 +1,11 @@
 """Priority scores: Q-recursion, duality identity, tie rule."""
 
 import numpy as np
-import pytest
 
 from conftest import dense_kernel, make_random_model
 from fluidbandit.mdp import ArmModel
-from fluidbandit.priority import (PriorityScheme, dual_value,
-                                  lambda_from_duals, q_recursion)
+from fluidbandit.priority import (PriorityScheme, dual_value, lambda_from_duals,
+                                  q_recursion, score_order)
 
 
 def test_q_recursion_single_zero_prices(single):
@@ -60,7 +59,8 @@ def test_reward_shift_keeps_priority_order():
                        alpha=model.alpha, metadata={})
     moved = q_recursion(shifted, lam)
     for t in range(1, model.T + 1):
-        np.testing.assert_array_equal(base.order(t), moved.order(t))
+        np.testing.assert_array_equal(score_order(base, t, model.S),
+                                      score_order(moved, t, model.S))
 
 
 def test_q_recursion_bitwise_deterministic(bern5):
@@ -75,4 +75,4 @@ def test_order_breaks_ties_by_state_index():
     scheme = PriorityScheme(lam=np.zeros(1),
                             Q=np.zeros((1, 3, 2)),
                             P=np.array([[2.0, 2.0, 1.0]]))
-    assert scheme.order(1).tolist() == [0, 1, 2]
+    assert score_order(scheme, 1, 3).tolist() == [0, 1, 2]
