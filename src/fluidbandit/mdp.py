@@ -10,9 +10,13 @@ row 2s+a holds the positive probabilities of the next state after playing
 a in s, targets ascending.  Only periods t = 1..T-1 drive dynamics; the
 period-T matrix must still be row-stochastic (generators may use it to
 fold terminal lookahead rewards) but is never simulated.  Every reader of
-the dynamics takes them from :func:`successors`.  Model JSON version 2
-stores each period's CSR triplets; version 1 (no version field) holds the
-dense (T, S, 2, S) array and still loads.
+the dynamics takes them from :func:`successors`.  Model JSON version 3
+stores each distinct kernel matrix once as CSR triplets, and each distinct
+reward slab R[t] once, with index lists ``kernel_of_period`` and
+``reward_of_period`` mapping every period to its entry; "distinct" is byte
+equality (:func:`distinct_periods`).  Version 2 (one CSR triplet and one
+reward slab per period) and version 1 (no version field, the dense
+(T, S, 2, S) array) still load.
 """
 
 from __future__ import annotations
@@ -168,7 +172,10 @@ def validate_model(model: ArmModel) -> None:
         raise ShapeError(f"alpha shape {model.alpha.shape}, expected ({model.T},)")
     if not np.isfinite(model.R).all():
         raise RangeError("rewards must be finite")
-    for t, K in enumerate(model.kernel):
+    # a matrix shared by periods is checked once, under the first period using it
+    periods, _ = distinct_periods(model.kernel, key=id)
+    for t in periods:
+        K = model.kernel[t]
         if not K.has_canonical_format:
             raise ShapeError(f"kernel period {t + 1} rows need ascending, distinct targets")
         if K.nnz and (K.indices.min() < 0 or K.indices.max() >= S):
@@ -189,12 +196,12 @@ def validate_model(model: ArmModel) -> None:
         if not ok.all():
             raise RangeError(f"annotation of state {model.states[np.argmin(ok)]!r} needs a "
                              "finite mean, a finite sd >= 0 and finite params > 0")
-    rowsum = np.array([K @ np.ones(S) for K in model.kernel])
+    rowsum = np.array([model.kernel[t] @ np.ones(S) for t in periods])
     bad = np.abs(rowsum - 1.0) > ROW_SUM_TOL
     if bad.any():
-        t, r = np.argwhere(bad)[0]
-        raise RowSumError(f"kernel row (t={t + 1}, s={model.states[r // 2]}, a={r % 2}) "
-                          f"sums to {rowsum[t, r]!r}")
+        u, r = np.argwhere(bad)[0]
+        raise RowSumError(f"kernel row (t={periods[u] + 1}, s={model.states[r // 2]}, "
+                          f"a={r % 2}) sums to {rowsum[u, r]!r}")
 
 
 def _kernel_from_dense(P) -> list[sp.csr_matrix]:
@@ -241,8 +248,35 @@ def reachable_states(model: ArmModel) -> list[np.ndarray]:
     return masks
 
 
+def _period_key(x) -> tuple:
+    """Two periods' data are equal when this key is: a kernel matrix's dtype
+    and the bytes of its indptr, indices and data, or an array's dtype,
+    shape and bytes.  Bytes keep -0.0 apart from 0.0."""
+    if sp.issparse(x):
+        return x.dtype.str, x.indptr.tobytes(), x.indices.tobytes(), x.data.tobytes()
+    return x.dtype.str, x.shape, x.tobytes()
+
+
+def distinct_periods(items: Sequence[Any], key: Callable[[Any], Any] = _period_key
+                     ) -> tuple[list[int], list[int]]:
+    """Per-period items grouped by equal key (by default equal data, the
+    rule model files and the oracle's law memo share): the first period of
+    each group, and each period's group, groups numbered in order of first
+    appearance."""
+    group: dict[Any, int] = {}
+    firsts, index = [], []
+    for t, x in enumerate(items):
+        g = group.setdefault(key(x), len(group))
+        if g == len(firsts):
+            firsts.append(t)
+        index.append(g)
+    return firsts, index
+
+
 def model_to_dict(model: ArmModel) -> dict[str, Any]:
-    """JSON-ready version-2 dict: CSR triplets per period; annotations as (family, params)."""
+    """JSON-ready version-3 dict: each distinct kernel matrix once as CSR
+    triplets and each distinct reward slab once, with the entry of every
+    period; annotations as (family, params)."""
     meta = {k: v for k, v in model.metadata.items() if k != "annotations"}
     ann = model.metadata.get("annotations")
     if ann is not None:
@@ -251,14 +285,19 @@ def model_to_dict(model: ArmModel) -> dict[str, Any]:
              "family": a.family, "params": list(a.params)}
             for a in ann
         ]
+    firsts, kernel_of_period = distinct_periods(model.kernel)
+    kernels = [model.kernel[t] for t in firsts]
+    firsts, reward_of_period = distinct_periods(model.R)
     return {
-        "version": 2,
+        "version": 3,
         "T": int(model.T),
         "states": [list(s) if isinstance(s, tuple) else s for s in model.states],
         "s0": int(model.s0),
         "kernel": [{"data": K.data.tolist(), "indices": K.indices.tolist(),
-                    "indptr": K.indptr.tolist()} for K in model.kernel],
-        "R": model.R.tolist(),
+                    "indptr": K.indptr.tolist()} for K in kernels],
+        "kernel_of_period": kernel_of_period,
+        "R": model.R[firsts].tolist(),
+        "reward_of_period": reward_of_period,
         "alpha": model.alpha.tolist(),
         "metadata": meta,
     }
@@ -274,20 +313,40 @@ def _sampler_for(family: str, params: Sequence[float]):
     raise RangeError(f"unknown annotation family {family!r}")
 
 
+def _period_index(payload: dict[str, Any], name: str, entries: int, T: int) -> list[int]:
+    """A version-3 index list, checked: T ints that use each of `entries` stored
+    entries.  An out-of-range or negative index would fail or wrap when
+    indexed, and an unused entry would never be validated."""
+    index = payload[name]
+    if (not isinstance(index, list) or len(index) != T
+            or not all(type(g) is int and 0 <= g < entries for g in index)
+            or len(set(index)) != entries):
+        raise ConfigError(f"{name} must list {T} indices in [0, {entries}), "
+                          "using each stored entry")
+    return index
+
+
 def model_from_dict(payload: dict[str, Any]) -> ArmModel:
-    """Model from a version-2 dict, or a version-1 one (no version field, dense "P")."""
+    """Model from a version-3 or version-2 dict, or a version-1 one (no version
+    field, dense "P").  Periods that share a version-3 kernel entry share
+    one matrix object."""
     meta = dict(payload.get("metadata", {}))
     ann_payload = meta.pop("annotations", None)
     states = [tuple(s) if isinstance(s, list) else s for s in payload["states"]]
-    version, S = payload.get("version", 1), len(states)
-    if version not in (1, 2):
+    version, S, T = payload.get("version", 1), len(states), int(payload["T"])
+    if version not in (1, 2, 3):
         raise ConfigError(f"unknown model JSON version {version!r}")
-    kernel = (_kernel_from_dense(payload["P"]) if version == 1 else
-              [sp.csr_matrix((K["data"], K["indices"], K["indptr"]), shape=(2 * S, S),
-                             dtype=np.float64) for K in payload["kernel"]])
+    R = np.asarray(payload["R"], dtype=np.float64)
+    if version == 1:
+        kernel = _kernel_from_dense(payload["P"])
+    else:
+        kernel = [sp.csr_matrix((K["data"], K["indices"], K["indptr"]), shape=(2 * S, S),
+                                dtype=np.float64) for K in payload["kernel"]]
+    if version == 3:
+        kernel = [kernel[g] for g in _period_index(payload, "kernel_of_period", len(kernel), T)]
+        R = R[_period_index(payload, "reward_of_period", len(R), T)]
     model = ArmModel(
-        T=int(payload["T"]), states=states, s0=int(payload["s0"]), kernel=kernel,
-        R=np.asarray(payload["R"], dtype=np.float64),
+        T=T, states=states, s0=int(payload["s0"]), kernel=kernel, R=R,
         alpha=np.asarray(payload["alpha"], dtype=np.float64),
         metadata=meta,
     )

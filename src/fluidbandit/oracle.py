@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, DimensionMismatch, NondeterministicPolicy, RangeError
-from .mdp import ArmModel, CountState, period_budget, successors
+from .mdp import ArmModel, CountState, distinct_periods, period_budget, successors
 from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
 from .policies import fluid_priority_allocate  # noqa: F401  bench/tracing.py patches this name
 from .policies import parse_policy
@@ -98,8 +98,8 @@ class _Lattice:
     within the compositions of their total (lexicographic, as
     :func:`compositions` yields them), and its memo of group laws keyed
     by (period, action, composition).  Periods whose kernel matrices are
-    equal (the same ``indptr``, ``indices`` and ``data``) are keyed by
-    the first of them, so they share their laws however the model was
+    equal (:func:`~fluidbandit.mdp.distinct_periods`) are keyed by the
+    first of them, so they share their laws however the model was
     built.  Levels, index maps and laws are built on first use and
     charged to the guard before they are allocated.
 
@@ -116,10 +116,8 @@ class _Lattice:
         self.S, self.N = model.S, N
         self.guard, self.used = guard, 0
         self.kernels = successors(model)
-        first: dict[tuple, int] = {}
-        self.first = [first.setdefault((K.dtype.str, K.indptr.tobytes(), K.indices.tobytes(),
-                                        K.data.tobytes()), u)
-                      for u, K in enumerate(self.kernels)]
+        firsts, index = distinct_periods(self.kernels)
+        self.first = [firsts[g] for g in index]
         self.memo: dict[tuple[int, int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
         # the law of no arms: one empty landing vector
         self.zero = (np.zeros((self.S, 1), dtype=np.int64), np.ones(1))

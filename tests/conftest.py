@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fluidbandit.lp import solve_relaxation
-from fluidbandit.mdp import ArmModel, BeliefStateAnnotation, validate_model
+from fluidbandit.mdp import ArmModel, BeliefStateAnnotation, model_to_dict, validate_model
 from fluidbandit.zoo import bernoulli_bandit, crowdsourcing, fixtures
 
 
@@ -140,6 +140,25 @@ def make_model():
 def dense_kernel(model):
     """The model's kernel as a dense (T, S, 2, S) array, for checks that index it."""
     return np.stack([K.toarray().reshape(model.S, 2, model.S) for K in model.kernel])
+
+
+def v2_payload(model):
+    """The layout model_to_dict wrote before version 3: one CSR triplet and
+    one reward slab per period."""
+    payload = model_to_dict(model)
+    del payload["kernel_of_period"], payload["reward_of_period"]
+    payload.update(version=2, R=model.R.tolist(), kernel=[
+        {"data": K.data.tolist(), "indices": K.indices.tolist(), "indptr": K.indptr.tolist()}
+        for K in model.kernel])
+    return payload
+
+
+def v1_payload(model):
+    """The dense layout model_to_dict wrote before version 2 (no version field)."""
+    payload = v2_payload(model)
+    del payload["version"], payload["kernel"]
+    payload["P"] = dense_kernel(model).tolist()
+    return payload
 
 
 ACCEPTANCE_LINES: list[str] = []

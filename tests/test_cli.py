@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from conftest import v2_payload
 from fluidbandit.cli import CSV_COLUMNS, _round12, main
 from fluidbandit.mdp import model_from_json
 
@@ -408,8 +409,7 @@ def test_gen_and_model_commands_share_generator_flags():
 def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, error, code):
     path = tmp_path / "two.json"
     assert main(["gen", "two", "-o", str(path)]) == 0
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2
+    payload = v2_payload(model_from_json(path.read_text()))
     K = payload["kernel"][0]
     if breakage == "target":
         K["indices"][0] = 2  # TWO has S = 2 states
@@ -421,6 +421,45 @@ def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, er
     assert main(["relax", "--model", str(path)]) == code
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error and err["exit_code"] == code
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(kernel_of_period=[0, 5]),
+    lambda p: p.update(kernel_of_period=[0, True]),
+    lambda p: p.update(kernel_of_period=[0, -1]),
+    lambda p: p.update(kernel_of_period=[0, 0.0]),
+    lambda p: p.update(kernel_of_period=[0]),
+    lambda p: p.update(kernel_of_period=None),
+    lambda p: p["kernel"].append(p["kernel"][0]),
+    lambda p: p.update(reward_of_period=[0, 1]),
+    lambda p: p.update(reward_of_period=[-1, 0]),
+    lambda p: p["R"].append(p["R"][0]),
+], ids=["kernel-out-of-range", "kernel-bool", "kernel-negative", "kernel-float",
+        "kernel-short", "kernel-not-a-list", "kernel-unused-entry", "reward-out-of-range",
+        "reward-negative", "reward-unused-entry"])
+def test_malformed_v3_index_list_is_a_config_error(tmp_path, capsys, edit):
+    # TWO stores one kernel matrix and one reward slab for its 2 periods;
+    # indexed unchecked, an index past the end would escape main as an
+    # IndexError, a negative one would wrap to the last entry, and an unused
+    # entry would never be validated
+    path = tmp_path / "two.json"
+    assert main(["gen", "two", "-o", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 3
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["relax", "--model", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "_of_period" in err["message"]
+
+
+def test_gen_stores_the_shared_kernel_once(tmp_path):
+    # bern24's version-2 file, one kernel and reward slab per period, was
+    # 1.33 MB; the version-3 file stores each once
+    path = tmp_path / "bern24.json"
+    assert main(["gen", "bernoulli", "--T", "24", "--alpha", "0.3333333333333333",
+                 "-o", str(path)]) == 0
+    assert path.stat().st_size < 0.25e6
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_kernel, make_random_model
+from conftest import dense_kernel, make_random_model, v1_payload, v2_payload
 from fluidbandit.errors import (DimensionMismatch, RangeError, RowSumError,
                                 ShapeError)
 from fluidbandit.lp import build_lp
@@ -45,6 +45,21 @@ def test_row_sum_error(two):
     with pytest.raises(RowSumError) as exc:
         validate_model(_copy(two, P))
     assert "0.7" in str(exc.value)
+
+
+def test_shared_bad_matrix_is_named_by_its_first_period(bern5):
+    # validate_model checks a matrix shared by periods once; its error
+    # still names the first period that uses it
+    K = bern5.kernel[0]
+    short = K.copy()
+    short.data[0] *= 0.5
+    stray = K.copy()
+    stray.indices[-1] = bern5.S
+    for bad, error, where in ((short, RowSumError, r"t=3,"), (stray, RangeError, "period 3 ")):
+        m = ArmModel(T=bern5.T, states=bern5.states, s0=bern5.s0, kernel=[K, K, bad, K, bad],
+                     R=bern5.R, alpha=bern5.alpha)
+        with pytest.raises(error, match=where):
+            validate_model(m)
 
 
 def test_range_errors(two):
@@ -204,14 +219,6 @@ def test_json_round_trip(bern2):
     np.testing.assert_array_equal(back.alpha, bern2.alpha)
 
 
-def _v1_payload(model):
-    """The dense layout model_to_dict wrote before version 2 (no version field)."""
-    payload = model_to_dict(model)
-    del payload["version"], payload["kernel"]
-    payload["P"] = dense_kernel(model).tolist()
-    return payload
-
-
 def _annotations(model):
     return [(a.posterior_mean, a.posterior_sd, a.family, a.params,
              a.sampler(np.random.default_rng(4), 3).tolist())
@@ -223,7 +230,7 @@ def test_json_v1_dense_payload_loads_to_same_model(bern5, crowd3):
         warnings.simplefilter("ignore")
         assort = assortment(3, 0.25, m_cap=15, x_cap=12)
     for model in (bern5, crowd3, assort):
-        back = model_from_dict(json.loads(json.dumps(_v1_payload(model))))
+        back = model_from_dict(json.loads(json.dumps(v1_payload(model))))
         _same_kernel(back, model)
         np.testing.assert_array_equal(back.R, model.R)
         np.testing.assert_array_equal(back.alpha, model.alpha)
@@ -231,15 +238,57 @@ def test_json_v1_dense_payload_loads_to_same_model(bern5, crowd3):
         assert _annotations(back) == _annotations(model)
 
 
-def test_json_v2_round_trip_is_exact(bern5, crowd3):
+def test_json_v3_round_trip_is_exact(bern5, crowd3):
     rng = np.random.default_rng(36)
     for model in (bern5, crowd3, make_random_model(rng, annotate=True)):
         payload = json.loads(model_to_json(model))
-        assert payload["version"] == 2 and "P" not in payload
+        assert payload["version"] == 3 and "P" not in payload
         back = model_from_dict(payload)
         _same_kernel(back, model)
+        np.testing.assert_array_equal(back.R, model.R)
         assert _annotations(back) == _annotations(model)
         assert model_to_json(back) == model_to_json(model)
+
+
+def test_json_v2_round_trip_is_exact(bern5, crowd3):
+    # a version-2 file loads to the same model, and re-saved it is the
+    # version-3 file written from that model, byte for byte: equal period
+    # data share an entry however the model was built
+    rng = np.random.default_rng(36)
+    for model in (bern5, crowd3, make_random_model(rng, annotate=True)):
+        back = model_from_dict(json.loads(json.dumps(v2_payload(model))))
+        _same_kernel(back, model)
+        np.testing.assert_array_equal(back.R, model.R)
+        np.testing.assert_array_equal(back.alpha, model.alpha)
+        assert back.states == model.states and back.s0 == model.s0
+        assert _annotations(back) == _annotations(model)
+        assert model_to_json(back) == model_to_json(model)
+
+
+def test_json_v3_stores_shared_period_data_once(bern5, assort8):
+    # every zoo generator shares one kernel matrix and one reward slab
+    # across its periods; the file stores each once, and the loaded model
+    # shares one matrix object again
+    for model in (bern5, assort8):
+        payload = json.loads(model_to_json(model))
+        assert len(payload["kernel"]) == len(payload["R"]) == 1
+        assert payload["kernel_of_period"] == payload["reward_of_period"] == [0] * model.T
+        back = model_from_dict(payload)
+        assert back.kernel[0] is back.kernel[-1]
+        _same_kernel(back, model)
+        np.testing.assert_array_equal(back.R, model.R)
+
+
+def test_json_v3_keeps_negative_zero_apart():
+    # equal period data means equal bytes: a reward slab holding -0.0
+    # is its own entry, so the loaded rewards keep their sign bits
+    model = make_random_model(np.random.default_rng(5), S=3, T=3)
+    model.R[:] = model.R[0]
+    model.R[:, 0, 0] = [0.0, 0.0, -0.0]
+    payload = json.loads(model_to_json(model))
+    assert payload["reward_of_period"] == [0, 0, 1]
+    back = model_from_dict(payload)
+    assert np.signbit(back.R).tolist() == np.signbit(model.R).tolist()
 
 
 def test_json_round_trip_rebuilds_samplers(bern2):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import reference_oracle as ref
-from conftest import make_random_model
+from conftest import make_random_model, v2_payload
 from fluidbandit.errors import (BudgetExceeded, DimensionMismatch, NondeterministicPolicy,
                                RangeError)
-from fluidbandit.mdp import (AllocationPlan, ArmModel, model_from_json, model_to_json,
-                             period_budget, validate_model)
+from fluidbandit.mdp import (AllocationPlan, ArmModel, model_from_dict, period_budget,
+                             validate_model)
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
 from fluidbandit.policies import PolicySpec, fluid_priority_allocate
@@ -338,8 +338,8 @@ FEWER_UNITS = {"bern2": 5, "bern5": 45}
 ])
 def test_work_units_are_pinned(monkeypatch, request, name, N, optimal_units, fluid_units):
     # a refused call is user-visible (exit 12), so a refactor must not move
-    # the count, and a model read from JSON, which holds one equal matrix
-    # per period, must spend what the generated model spends
+    # the count, and a model read from a version-2 file, which holds one
+    # equal matrix per period, must spend what the generated model spends
     import fluidbandit.oracle as oracle
 
     spent = []
@@ -351,7 +351,7 @@ def test_work_units_are_pinned(monkeypatch, request, name, N, optimal_units, flu
 
     monkeypatch.setattr(oracle._Lattice, "spend", spend)
     model = request.getfixturevalue(name)
-    for m in (model, model_from_json(model_to_json(model))):
+    for m in (model, model_from_dict(v2_payload(model))):
         spent.clear()
         optimal_value(m, N)
         assert sum(spent) == optimal_units
@@ -421,8 +421,10 @@ def test_batched_laws_match_the_chain_on_bern5(monkeypatch, bern5):
 
 
 def test_batched_laws_match_the_chain_after_json(monkeypatch, crowd3):
-    # every period of a model read from JSON holds its own equal matrix
-    model = model_from_json(model_to_json(crowd3))
+    # every period of a model read from a version-2 file holds its own
+    # equal matrix
+    model = model_from_dict(v2_payload(crowd3))
+    assert model.kernel[0] is not model.kernel[1]
     _laws_match_the_chain(monkeypatch, model, _oracle_calls(
         model, 4, ("fluid", _pull_fewer(model))))
 

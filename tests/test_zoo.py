@@ -161,11 +161,11 @@ def test_fixture_values_documented(single, two):
     (lambda: crowdsourcing(0, 0.3), RangeError, "T must"),
     (lambda: assortment(0, 0.3), RangeError, "T must"),
     (lambda: assortment(2, 0.3, m_cap=0), RangeError, "caps"),
-    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "version": 3}),
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "version": 4}),
      ConfigError, "version"),
     (lambda: BeliefStateAnnotation(0.5, 0.1, "normal", (0.5, 0.1)), RangeError, "family"),
 ], ids=["budget-at-no-arm", "bernoulli-T0", "crowd-T0", "assort-T0", "assort-m-cap-0",
-        "json-version-3", "normal-family"])
+        "json-version-4", "normal-family"])
 def test_model_building_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()
