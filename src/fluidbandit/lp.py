@@ -18,8 +18,10 @@ on block t-1, and the budget rows are kron(I_T, [0, 1] * S);
 
 Every LP goes to the package's exact simplex (``simplex.solve_lp``), which
 returns basic vertices whose nonbasic entries are identically 0, as the
-1e-9 category threshold needs.  It starts at the fluid-priority vertex of
-the myopic scores (``_crash_basis``), a feasible basis of the relaxation.
+1e-9 category threshold needs.  It starts at a feasible basis of the
+relaxation, the fluid-priority vertex (``_vertex_basis``) at scores that a
+few price rounds on the fluid limit bring near the budget duals
+(``_price_rounds``); on the zoo models the simplex then makes 0-5 pivots.
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class _Reduced:
     c: np.ndarray
     keep_cols: np.ndarray
     budget_row_pos: np.ndarray  # rows of A that are budget rows
-    basis: np.ndarray  # crash start of the simplex, see _crash_basis
+    basis: np.ndarray  # crash start: _vertex_basis at the scores of _price_rounds
 
 
 def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
@@ -151,29 +153,57 @@ def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
     budget_pos = int(masks[1:].sum()) + np.arange(inst.T)
     return _Reduced(A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
                     keep_cols=keep_cols, budget_row_pos=budget_pos,
-                    basis=_crash_basis(model, masks, keep_cols, keep_rows.size))
+                    basis=_vertex_basis(model, masks, keep_cols, keep_rows.size,
+                                        *_price_rounds(model)))
 
 
-def _crash_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray,
-                 n_rows: int) -> np.ndarray:
-    """Simplex start basis of the reduced LP at a fluid-priority vertex.
+def _price_rounds(model: ArmModel) -> tuple[np.ndarray, np.ndarray]:
+    """Scores near the LP's budget prices and their fluid measure, found by
+    price rounds on the fluid limit.
 
-    Each period walks its reachable states in descending myopic advantage
-    R[t, :, 1] - R[t, :, 0] (``score_order``).  The boundary is the first
-    state the fluid limit leaves idle mass in, or the last state if none:
-    states before it take their active column, states after it their
-    passive column, and the boundary takes both.  Each period's diagonal
-    block (its flow rows and budget row) then has determinant +-1, and the
-    basis is block lower-triangular in time, so it is nonsingular; its
-    values are the ``fluid_propagate`` measure, so it is feasible.  Period
-    1 holds only s0, so the initial row duplicates the mass row and keeps
+    Round 0 is the fluid pass at the myopic advantage R[t, :, 1] - R[t, :, 0],
+    and lambda_t is the score of period t's boundary state, the first state
+    the pass leaves idle mass in.  Each later round runs the pass at the
+    advantage P of ``q_recursion(model, lambda)`` and adds P_t at the new
+    boundary to lambda_t, which moves the prices toward the budget duals,
+    where the boundary state is neutral.  The rounds stop at the first one
+    whose fluid value does not rise, and the best round's (scores, x) are
+    returned.  When the measure is non-degenerate, the fluid limit at the
+    dual prices is an optimal vertex, so the simplex then has few pivots
+    left.
+    """
+    from .occupancy import _fluid_pass  # both import this module
+    from .priority import q_recursion
+
+    periods = np.arange(model.T)
+    scores = model.R[:, :, 1] - model.R[:, :, 0]
+    x, value, boundary = _fluid_pass(model, scores)
+    lam = scores[periods, boundary]
+    while True:
+        P = q_recursion(model, lam).P
+        x_next, value_next, boundary = _fluid_pass(model, P)
+        if not value_next > value:
+            return scores, x
+        scores, x, value = P, x_next, value_next
+        lam = lam + P[periods, boundary]
+
+
+def _vertex_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray, n_rows: int,
+                  scores: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Basis of the reduced LP at x, the fluid-priority measure of scores.
+
+    Each period walks its reachable states in ``score_order``.  The
+    boundary is the first state the fluid limit leaves idle mass in, or
+    the last state if none: states before it take their active column,
+    states after it their passive column, and the boundary takes both.
+    Each period's diagonal block (its flow rows and budget row) then has
+    determinant +-1, and the basis is block lower-triangular in time, so
+    it is nonsingular; its values are x, so it is feasible.  Period 1
+    holds only s0, so the initial row duplicates the mass row and keeps
     its artificial.
     """
-    from .occupancy import fluid_propagate  # both import this module
-    from .priority import score_order
+    from .priority import score_order  # priority imports this module
 
-    scores = model.R[:, :, 1] - model.R[:, :, 0]
-    x, _ = fluid_propagate(model, scores)
     pick = np.zeros((model.T, model.S, 2), dtype=bool)
     for t in range(model.T):
         order = score_order(scores, t + 1, model.S)

@@ -330,6 +330,8 @@ def model_from_dict(payload: dict[str, Any]) -> ArmModel:
     """Model from a version-3 or version-2 dict, or a version-1 one (no version
     field, dense "P").  Periods that share a version-3 kernel entry share
     one matrix object."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"a model file holds a JSON object, not {type(payload).__name__}")
     meta = dict(payload.get("metadata", {}))
     ann_payload = meta.pop("annotations", None)
     states = [tuple(s) if isinstance(s, list) else s for s in payload["states"]]

@@ -102,11 +102,7 @@ def fluid_pulls(Z: np.ndarray, codes: np.ndarray, order: np.ndarray, quota: np.n
 
 
 def index_pulls(Z: np.ndarray, order: np.ndarray, B) -> np.ndarray:
-    """Greedy pulls (R, S): states in score order until B is spent.
-
-    Z may also hold fluid mass (floats) with a fractional budget B, which
-    is how ``occupancy.fluid_propagate`` takes the fluid limit of the rule.
-    """
+    """Greedy pulls (R, S): states in score order until B is spent."""
     X1 = np.zeros_like(Z)
     _prefix_clip(X1, order, Z.T[order], B)
     return X1

@@ -56,7 +56,7 @@ def q_recursion(model: ArmModel, lam) -> PriorityScheme:
     price = np.array([0.0, 1.0])
     Q[T - 1] = model.R[T - 1] - lam[T - 1] * price
     for t in range(T - 2, -1, -1):
-        vnext = Q[t + 1].max(axis=1)
+        vnext = np.maximum(Q[t + 1, :, 0], Q[t + 1, :, 1])
         cont = (successors(model)[t] @ vnext).reshape(S, 2)
         Q[t] = model.R[t] - lam[t] * price + cont
     return PriorityScheme(lam=lam, Q=Q, P=Q[:, :, 1] - Q[:, :, 0])

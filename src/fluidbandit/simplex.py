@@ -14,10 +14,11 @@ caller's start basis arrives in time-staircase order, block
 lower-triangular, and a pivot puts its entering column in the leaving
 column's place, so the order mostly survives; an LU that keeps a nearly
 triangular LP basis in its own order fills little (Suhl & Suhl 1990).
-COLAMD breaks the staircase: on bern24's last basis L + U holds about
-99 000 nonzeros under COLAMD and 13 000 in the basis's own order
-(tests/test_simplex.py bounds the fill).  SuperLU's partial row pivoting
-still picks each pivot by magnitude, so the factor stays stable.
+COLAMD breaks the staircase: on bern24's last basis after 89 pivots from
+its myopic vertex, L + U holds about 99 000 nonzeros under COLAMD and
+13 000 in the basis's own order (tests/test_simplex.py bounds the fill).
+SuperLU's partial row pivoting still picks each pivot by magnitude, so
+the factor stays stable.
 
 No dense m x m array is kept; the BLAS work left is length-m dot products
 and SuperLU's kernels on its small supernodal blocks, too small for
@@ -32,10 +33,11 @@ unit columns that are retained and never re-enter, so redundant rows need
 no preprocessing; an artificial that is basic at zero is forced out the
 moment an entering column crosses its row.
 
-Every solve starts from a basis its caller names.  ``lp`` passes the
-fluid-priority vertex of each relaxation (a structural crash start, Bixby
-1992), so phase 1 only has artificials left that start above zero, such as
-a pin row's; the columns n + arange(m) are the all-artificial start.
+Every solve starts from a basis its caller names.  ``lp`` passes a
+fluid-priority vertex of each relaxation at scores near its budget duals
+(a structural crash start, Bixby 1992), so phase 1 only has artificials
+left that start above zero, such as a pin row's, and phase 2 few pivots;
+the columns n + arange(m) are the all-artificial start.
 This is the package's only LP engine; the tests cross-check it against
 scipy's HiGHS on the same LPs.
 """

@@ -9,8 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from fluidbandit import lp
 from fluidbandit.lp import solve_relaxation
-from fluidbandit.mdp import ArmModel, BeliefStateAnnotation, model_to_dict, validate_model
+from fluidbandit.mdp import (ArmModel, BeliefStateAnnotation, model_to_dict, reachable_states,
+                             validate_model)
+from fluidbandit.occupancy import fluid_propagate
 from fluidbandit.zoo import bernoulli_bandit, crowdsourcing, fixtures
 
 
@@ -140,6 +143,15 @@ def make_model():
 def dense_kernel(model):
     """The model's kernel as a dense (T, S, 2, S) array, for checks that index it."""
     return np.stack([K.toarray().reshape(model.S, 2, model.S) for K in model.kernel])
+
+
+def myopic_basis(model, red):
+    """The package's vertex builder at the fluid-priority vertex of the
+    myopic scores R[t, :, 1] - R[t, :, 0], for the reduced LP red of model:
+    the simplex start before price rounds."""
+    scores = model.R[:, :, 1] - model.R[:, :, 0]
+    return lp._vertex_basis(model, np.array(reachable_states(model)), red.keep_cols,
+                            red.A.shape[0], scores, fluid_propagate(model, scores)[0])
 
 
 def v2_payload(model):

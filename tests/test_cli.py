@@ -405,6 +405,7 @@ def test_gen_and_model_commands_share_generator_flags():
     ("target", "RangeError", 4),
     ("indptr", "ConfigError", 2),
     ("row_sum", "RowSumError", 3),
+    ("not_an_object", "ConfigError", 2),
 ])
 def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, error, code):
     path = tmp_path / "two.json"
@@ -415,8 +416,10 @@ def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, er
         K["indices"][0] = 2  # TWO has S = 2 states
     elif breakage == "indptr":
         K["indptr"].append(K["indptr"][-1])
-    else:
+    elif breakage == "row_sum":
         K["data"][0] = 0.7
+    else:
+        payload = [1, 2]  # once a raw AttributeError
     path.write_text(json.dumps(payload))
     assert main(["relax", "--model", str(path)]) == code
     err = json.loads(capsys.readouterr().err)

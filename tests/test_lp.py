@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 import fluidbandit.lp as lp
 import reference_lp as ref
-from conftest import dense_kernel, make_random_model
+from conftest import dense_kernel, make_random_model, myopic_basis
 from fluidbandit import simplex
 from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
                                 SolverFailure)
@@ -242,16 +242,27 @@ def test_pin_infeasible(two, two_measure):
         resolve_with_pins(two, f, two_measure.value + 0.5)
 
 
-def test_crash_start_pivot_counts(bern5_measure, bern15_measure):
-    # the all-artificial start took 58 and 1418 pivots on these
+def test_crash_start_pivot_counts(bern5_measure, bern15_measure, assort8_measure):
+    # the all-artificial start took 58 and 1418 pivots on bern5 and bern15;
+    # the myopic vertex took 27 on bern15, 89 on bern24 and 487 on assort8
     assert bern5_measure.pivots == 0
-    assert bern15_measure.pivots < 100
+    assert bern15_measure.pivots <= 5
+    assert solve_relaxation(bernoulli_bandit(24, 1.0 / 3.0)).pivots <= 5
+    assert assort8_measure.pivots <= 5
     assert (bern15_measure.rows, bern5_measure.rows) == (696, 41)
+
+
+def test_crowd7_crash_stays_at_the_myopic_vertex(crowd7, crowd7_measure):
+    # the first price round does not raise crowd7's fluid value, so the
+    # crash is the myopic vertex and the simplex still makes its 5 pivots
+    red = lp._reduce(build_lp(crowd7), crowd7)
+    np.testing.assert_array_equal(red.basis, myopic_basis(crowd7, red))
+    assert crowd7_measure.pivots == 5
 
 
 def _edge_alphas(model, rng):
     """A copy of the model with one period at alpha 0, one at alpha 1, and
-    the last one's budget exactly the mass of its first k crash-order states."""
+    the last one's budget exactly the mass of its first k myopic-order states."""
     T, S = model.T, model.S
     alpha = model.alpha.copy()
     t0, t1 = rng.choice(T - 1, size=2, replace=False)
@@ -267,23 +278,29 @@ def _edge_alphas(model, rng):
 
 
 def test_crash_basis_is_the_fluid_vertex(fix, bern5, bern15, crowd7, assort8):
-    """The crash basis factors, its values are the myopic fluid measure, and
-    it leaves phase 1 nothing to do."""
+    """The crash basis factors, its values are the fluid measure at the
+    scores its price rounds chose, whose fluid value is at least the myopic
+    one, and it leaves phase 1 nothing to do; so does the vertex builder at
+    the myopic scores."""
     rng = np.random.default_rng(44)
     models = list(fix.values()) + [bern5, bern15, crowd7, assort8]
     edged = [_edge_alphas(make_random_model(rng, T=int(rng.integers(3, 5))), rng)
              for _ in range(30)]
     for model in models + edged:
         red = lp._reduce(build_lp(model), model)
-        assert np.unique(red.basis).size == red.A.shape[0]
-        # phase 1 ignores the cost, and a zero cost leaves phase 2 nothing
-        # to price, so this solve's pivots are the relaxation's phase-1 pivots
-        res = simplex.solve_lp(red.A, red.b, np.zeros(red.c.size), red.basis)
-        assert res.status == "optimal" and res.iterations == 0
-        x = np.zeros(model.T * model.S * 2)
-        x[red.keep_cols] = res.x
-        fluid, _ = fluid_propagate(model, model.R[:, :, 1] - model.R[:, :, 0])
-        np.testing.assert_allclose(x.reshape(fluid.shape), fluid, rtol=0, atol=1e-12)
+        myopic = model.R[:, :, 1] - model.R[:, :, 0]
+        chosen = lp._price_rounds(model)[0]
+        assert fluid_propagate(model, chosen)[1] >= fluid_propagate(model, myopic)[1]
+        for basis, scores in ((red.basis, chosen), (myopic_basis(model, red), myopic)):
+            assert np.unique(basis).size == red.A.shape[0]
+            # phase 1 ignores the cost, and a zero cost leaves phase 2 nothing
+            # to price, so this solve's pivots are the phase-1 pivots
+            res = simplex.solve_lp(red.A, red.b, np.zeros(red.c.size), basis)
+            assert res.status == "optimal" and res.iterations == 0
+            x = np.zeros(model.T * model.S * 2)
+            x[red.keep_cols] = res.x
+            fluid, _ = fluid_propagate(model, scores)
+            np.testing.assert_allclose(x.reshape(fluid.shape), fluid, rtol=0, atol=1e-12)
     for model in edged:
         m = solve_relaxation(model)
         assert abs(m.value - _highs(model).value) <= 1e-9

@@ -9,7 +9,7 @@ from conftest import make_random_model
 from fluidbandit.errors import DegeneratePosterior, MissingMetadata, QOutOfRange
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.mdp import BeliefStateAnnotation, CountState, period_budget
-from fluidbandit.occupancy import classify
+from fluidbandit.occupancy import _fluid_fill, classify
 from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   fluid_priority_allocate, fluid_pulls, index_pulls,
                                   parse_policy, rac_pulls, ts_pulls, ucb_scores,
@@ -448,15 +448,22 @@ def test_kernels_match_scalar_reference():
 
 
 def test_index_pulls_on_fluid_mass():
-    # same float operations in the same order as the loop: equal bit for bit
+    # fluid_propagate's fill makes the loop's float operations in the same
+    # order: equal bit for bit, and its boundary is the first state the
+    # loop leaves idle mass in (the last one if none)
     rng = np.random.default_rng(31)
     for _ in range(500):
         S = int(rng.integers(1, 12))
         z = rng.dirichlet(np.ones(S))
         order = rng.permutation(S)
         alpha = float(rng.uniform(0.0, 1.0))
-        got = index_pulls(z[None, :], order, alpha)[0]
-        np.testing.assert_array_equal(got, ref.fluid_greedy_pulls(z, order, alpha))
+        want = ref.fluid_greedy_pulls(z, order, alpha)
+        fill, k = _fluid_fill(z[order], alpha)
+        got = np.zeros(S)
+        got[order] = fill
+        np.testing.assert_array_equal(got, want)
+        idle = np.flatnonzero(want[order] < z[order])
+        assert k == (idle[0] if idle.size else S - 1)
 
 
 def test_parse_policy():

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from conftest import myopic_basis
 from fluidbandit import lp, simplex
 from fluidbandit.errors import SolverFailure
 from fluidbandit.simplex import solve_lp
@@ -123,7 +124,8 @@ def test_nonbasic_entries_exactly_zero():
 
 
 # bern15 and crowd7 start from the all-artificial basis, which keeps a long
-# eta file in play; bern24 starts from the crash basis, as the package does
+# eta file in play; bern24 starts from its myopic fluid-priority vertex, the
+# package's crash start before price rounds, 89 pivots from the optimum
 def test_start_basis():
     # x0 + x1 = 1 and x0 - x1 = 0.5 from the basis {x0, artificial of row 1}:
     # that artificial starts at -0.5, so row 1 is flipped and phase 1
@@ -156,7 +158,7 @@ def test_long_solve_exact_vertex(name, request):
     model = request.getfixturevalue(name)
     red = lp._reduce(lp.build_lp(model), model)
     A, b, c = red.A, red.b, -red.c
-    res = solve_lp(A, b, c, red.basis) if name == "bern24" else _cold(A, b, c)
+    res = solve_lp(A, b, c, myopic_basis(model, red)) if name == "bern24" else _cold(A, b, c)
     assert res.status == "optimal"
     assert res.iterations > simplex.REFACTOR_EVERY
     ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
@@ -168,6 +170,7 @@ def test_long_solve_exact_vertex(name, request):
 
 _THREADS_SCRIPT = """
 import hashlib, json
+from conftest import myopic_basis
 from fluidbandit import lp, simplex, zoo
 iterations = []
 solve_lp = simplex.solve_lp
@@ -179,25 +182,36 @@ simplex.solve_lp = counted
 out = {}
 for name, model in [("bern15", zoo.bernoulli_bandit(15, 1.0 / 3.0)),
                     ("crowd7", zoo.crowdsourcing(7, 0.25)),
-                    ("bern24", zoo.bernoulli_bandit(24, 1.0 / 3.0))]:
+                    ("bern24", zoo.bernoulli_bandit(24, 1.0 / 3.0)),
+                    ("bern30", zoo.bernoulli_bandit(30, 1.0 / 3.0)),
+                    ("assort8", zoo.assortment(8, 0.25))]:
     iterations.clear()
     m = lp.solve_relaxation(model)
     out[name] = [hashlib.sha256(m.x.tobytes()).hexdigest(),
                  hashlib.sha256(m.duals.tobytes()).hexdigest(),
                  m.value.hex(), list(iterations)]
+# bern24 from its myopic vertex runs past REFACTOR_EVERY, so in-loop
+# refactors take part too
+bern24 = zoo.bernoulli_bandit(24, 1.0 / 3.0)
+red = lp._reduce(lp.build_lp(bern24), bern24)
+res = simplex.solve_lp(red.A, red.b, -red.c, myopic_basis(bern24, red))
+out["bern24-myopic"] = [hashlib.sha256(res.x.tobytes()).hexdigest(),
+                        hashlib.sha256(res.y.tobytes()).hexdigest(),
+                        res.obj.hex(), res.iterations]
 print(json.dumps(out))
 """
 
 
 def test_results_do_not_depend_on_blas_threads():
     # a threaded BLAS call may sum in another order, and one changed bit
-    # can send the pivot path, and so the vertex, elsewhere; bern24's
-    # pivots run past REFACTOR_EVERY, so in-loop refactors take part
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    # can send the pivot path, and so the vertex, elsewhere; bern30 and
+    # assort8 (4991 and 2590 rows) run 8 and 6 price rounds before the solve
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
     runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
         proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
@@ -206,9 +220,10 @@ def test_results_do_not_depend_on_blas_threads():
 
 
 def test_basis_factor_keeps_the_staircase_sparse(monkeypatch, bern24):
-    # the crash basis is block lower-triangular in time and pivots mostly
-    # keep that order, so an LU in the basis's own column order stays
-    # within 2.04x of the basis nonzeros; COLAMD's reordering reads 16.4x
+    # a fluid-priority vertex is block lower-triangular in time and pivots
+    # mostly keep that order, so an LU in the basis's own column order stays
+    # within 2.04x of the basis nonzeros over bern24's 89 pivots from its
+    # myopic vertex; COLAMD's reordering reads 16.4x
     splu = simplex.splu
     fills = []
 
@@ -218,10 +233,12 @@ def test_basis_factor_keeps_the_staircase_sparse(monkeypatch, bern24):
         return lu
 
     monkeypatch.setattr(simplex, "splu", recorded)
-    measure = lp.solve_relaxation(bern24)
+    red = lp._reduce(lp.build_lp(bern24), bern24)
+    res = solve_lp(red.A, red.b, -red.c, myopic_basis(bern24, red))
+    assert res.status == "optimal"
     assert len(fills) > 2  # start, in-loop and closing refactors
     assert all(lu_nnz <= 3 * b_nnz for b_nnz, lu_nnz in fills), fills
-    assert measure.lu_nnz == fills[-1][1]
+    assert res.lu_nnz == fills[-1][1]
 
 
 def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
