@@ -24,10 +24,9 @@ from .lp import (
     resolve_with_pins, solve_relaxation, upper_bound,
 )
 from .occupancy import (
-    CategoryPartition, DegeneracyReport, classify, fluid_propagate,
-    is_nondegenerate, search_nondegenerate,
+    CategoryPartition, DegeneracyReport, classify, is_nondegenerate, search_nondegenerate,
 )
-from .priority import PriorityScheme, dual_value, lambda_from_duals, q_recursion
+from .priority import PriorityScheme, dual_value, fluid_propagate, q_recursion
 from .policies import (
     PolicySpec, activation_probabilities, fluid_priority_allocate, parse_policy,
     score_order, ucb_scores,

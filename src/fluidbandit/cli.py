@@ -33,7 +33,7 @@ from .mdp import ArmModel, model_from_json, model_to_json
 from .occupancy import CLASSIFY_TOL, classify, search_nondegenerate
 from .oracle import DEFAULT_GUARD, optimal_value
 from .policies import parse_policy
-from .priority import lambda_from_duals, q_recursion, score_order
+from .priority import q_recursion, score_order
 from .simulator import (REPS_CAP, CompiledPolicy, default_reps, gap_sweep,
                         violation_rate_sweep)
 from . import zoo
@@ -189,7 +189,7 @@ def cmd_relax(model: ArmModel, args) -> dict:
     # (t, s, a) order, as np.argwhere walks the measure
     trips = [[t + 1, s, a, meas.x[t, s, a]]
              for t, s, a in np.argwhere(meas.x > CLASSIFY_TOL).tolist()]
-    return {"value": meas.value, "lambda": lambda_from_duals(meas), "x": trips,
+    return {"value": meas.value, "lambda": meas.require_duals(), "x": trips,
             "pivots": meas.pivots, "rows": meas.rows, "lu_nnz": meas.lu_nnz}
 
 
@@ -222,7 +222,7 @@ def cmd_search_measure(model: ArmModel, args) -> dict:
 
 def _ranked_priorities(model: ArmModel):
     """Priority scheme at the LP's budget duals and each period's state ranking."""
-    scheme = q_recursion(model, lambda_from_duals(solve_relaxation(model)))
+    scheme = q_recursion(model, solve_relaxation(model).require_duals())
     return scheme, [score_order(scheme, t, model.S) for t in range(1, model.T + 1)]
 
 

@@ -21,7 +21,7 @@ returns basic vertices whose nonbasic entries are identically 0, as the
 1e-9 category threshold needs.  It starts at a feasible basis of the
 relaxation, the fluid-priority vertex (``_vertex_basis``) at scores that a
 few price rounds on the fluid limit bring near the budget duals
-(``_price_rounds``); on the zoo models the simplex then makes 0-5 pivots.
+(``priority._price_rounds``); on the zoo models the simplex then makes 0-5 pivots.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import scipy.sparse as sp
 from . import simplex
 from .errors import DimensionMismatch, MissingDuals, PinInfeasible, SolverFailure
 from .mdp import ArmModel, reachable_states, successors, validate_model
+from .priority import _price_rounds, dual_value, score_order
 
 # Residual tolerances for the solved-measure invariants.
 RESIDUAL_TOL = 1e-7
@@ -157,37 +158,6 @@ def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
                                         *_price_rounds(model)))
 
 
-def _price_rounds(model: ArmModel) -> tuple[np.ndarray, np.ndarray]:
-    """Scores near the LP's budget prices and their fluid measure, found by
-    price rounds on the fluid limit.
-
-    Round 0 is the fluid pass at the myopic advantage R[t, :, 1] - R[t, :, 0],
-    and lambda_t is the score of period t's boundary state, the first state
-    the pass leaves idle mass in.  Each later round runs the pass at the
-    advantage P of ``q_recursion(model, lambda)`` and adds P_t at the new
-    boundary to lambda_t, which moves the prices toward the budget duals,
-    where the boundary state is neutral.  The rounds stop at the first one
-    whose fluid value does not rise, and the best round's (scores, x) are
-    returned.  When the measure is non-degenerate, the fluid limit at the
-    dual prices is an optimal vertex, so the simplex then has few pivots
-    left.
-    """
-    from .occupancy import _fluid_pass  # both import this module
-    from .priority import q_recursion
-
-    periods = np.arange(model.T)
-    scores = model.R[:, :, 1] - model.R[:, :, 0]
-    x, value, boundary = _fluid_pass(model, scores)
-    lam = scores[periods, boundary]
-    while True:
-        P = q_recursion(model, lam).P
-        x_next, value_next, boundary = _fluid_pass(model, P)
-        if not value_next > value:
-            return scores, x
-        scores, x, value = P, x_next, value_next
-        lam = lam + P[periods, boundary]
-
-
 def _vertex_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray, n_rows: int,
                   scores: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Basis of the reduced LP at x, the fluid-priority measure of scores.
@@ -202,8 +172,6 @@ def _vertex_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray, n_r
     holds only s0, so the initial row duplicates the mass row and keeps
     its artificial.
     """
-    from .priority import score_order  # priority imports this module
-
     pick = np.zeros((model.T, model.S, 2), dtype=bool)
     for t in range(model.T):
         order = score_order(scores, t + 1, model.S)
@@ -260,8 +228,6 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
         raise SolverFailure(f"relaxation solve failed: {res.status}")
     lam = -res.y[red.budget_row_pos]
     measure = _embed(inst, red, res, lam)
-    from .priority import dual_value  # priority imports this module
-
     gap = abs(dual_value(model, lam) - measure.value)
     if gap > DUALITY_TOL:
         raise SolverFailure(f"duality residual {gap:.3e} exceeds {DUALITY_TOL}")

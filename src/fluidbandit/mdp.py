@@ -129,14 +129,10 @@ class AllocationPlan:
 
     :t: 1-based period.
     :X: counts, shape (S, 2); X[s, a] arms of state s playing action a.
-    :relaxed: True when the plan may miss floor(alpha_t * N) pulls.  No
-        package rule sets it; the reference allocators and bare-callable
-        policies may.
     """
 
     t: int
     X: np.ndarray
-    relaxed: bool = False
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.int64)
@@ -243,8 +239,9 @@ def reachable_states(model: ArmModel) -> list[np.ndarray]:
     masks = [np.zeros(model.S, dtype=bool) for _ in range(model.T)]
     masks[0][model.s0] = True
     for t, K in enumerate(successors(model)):
-        # any successor of a reachable state under either action
-        masks[t + 1][K[np.repeat(masks[t], 2)].indices] = True
+        # any successor of a reachable state under either action; kernel
+        # entries are validated > 0, so a positive product is exact
+        masks[t + 1] = (np.repeat(masks[t], 2) @ K) > 0
     return masks
 
 

@@ -1,4 +1,4 @@
-"""Category partitions, degeneracy detection, and fluid propagation.
+"""Category partitions and degeneracy detection.
 
 A solved measure splits each period's states into three categories by
 their fluid action mix: active (pulled with all their mass), neutral
@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, SolverFailure
+from .errors import SolverFailure
 from .lp import OccupationMeasure, resolve_with_pins, solve_relaxation
-from .mdp import ArmModel, distinct_periods, successors
-from .priority import score_order
+from .mdp import ArmModel
 
 # Strict-positivity tolerance of the category split.
 CLASSIFY_TOL = 1e-9
@@ -164,57 +163,3 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
         certificate=sorted(certified),
         stages=stages,
     )
-
-
-def fluid_propagate(model: ArmModel, scores) -> tuple[np.ndarray, float]:
-    """Deterministic fluid limit of the greedy index policy.
-
-    Pull mass is allocated in descending score (ties by ascending state
-    index) until the period budget fraction is exhausted; the flow then
-    advances through the kernel.  Returns (x_pi, value).  The output is
-    always feasible for the relaxation, so value <= V-hat*_1.
-    """
-    x, value, _ = _fluid_pass(model, scores)
-    return x, value
-
-
-def _fluid_fill(masses: np.ndarray, budget: float) -> tuple[np.ndarray, int]:
-    """The index rule on fluid masses in visit order: the pulls, and the
-    position of the boundary, the first mass left partly idle (the last
-    position when none is).
-
-    The remainders are one running subtraction, in the order of the index
-    rule's loop, so the pulls equal that loop's bit for bit.
-    """
-    rem = np.subtract.accumulate(np.concatenate(([max(budget, 0.0)], masses)))[:-1]
-    idle = np.flatnonzero(rem < masses)
-    k = int(idle[0]) if idle.size else masses.size - 1
-    return np.minimum(masses, np.maximum(rem, 0.0)), k
-
-
-def _fluid_pass(model: ArmModel, scores) -> tuple[np.ndarray, float, np.ndarray]:
-    """``fluid_propagate``'s (x, value), plus each period's boundary state
-    (see ``_fluid_fill``), which ``lp._price_rounds`` prices."""
-    P = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
-    if P.shape != (model.T, model.S):
-        raise DimensionMismatch(f"scores shape {P.shape}, expected ({model.T}, {model.S})")
-    # the transpose of each distinct kernel matrix, built once
-    kernel = successors(model)
-    firsts, kernel_of = distinct_periods(kernel, key=id)
-    flows = [kernel[t].T for t in firsts]
-    x = np.zeros((model.T, model.S, 2))
-    boundary = np.zeros(model.T, dtype=np.intp)
-    z = np.zeros(model.S)
-    z[model.s0] = 1.0
-    value = 0.0
-    for t in range(model.T):
-        order = np.flatnonzero(z > 0.0)  # an empty state takes nothing
-        order = order[score_order(P[t, order], t + 1, order.size)]
-        pull, k = _fluid_fill(z[order], float(model.alpha[t]))
-        boundary[t] = order[k]
-        x[t, order, 1] = pull
-        x[t, :, 0] = z - x[t, :, 1]
-        value += float((model.R[t] * x[t]).sum())
-        if t + 1 < model.T:
-            z = flows[kernel_of[t]] @ x[t].reshape(-1)
-    return x, value, boundary

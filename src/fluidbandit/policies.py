@@ -34,7 +34,8 @@ from typing import Any
 import numpy as np
 from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv
 
-from .errors import DegeneratePosterior, DimensionMismatch, MissingMetadata, QOutOfRange
+from .errors import (ConfigError, DegeneratePosterior, DimensionMismatch, MissingMetadata,
+                     QOutOfRange)
 from .lp import OccupationMeasure
 from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
 from .occupancy import CategoryPartition, classify
@@ -413,8 +414,6 @@ def ucb_scores(annotations, delta: float) -> np.ndarray:
 
 def parse_policy(text: str) -> PolicySpec:
     """CLI form: fluid | relaxed | index | rac | ucb:<delta> | ts."""
-    from .errors import ConfigError
-
     t = text.strip().lower()
     if t in ("fluid", "relaxed", "index", "rac", "ts"):
         return PolicySpec(kind=t)

@@ -261,7 +261,7 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
         status = run_phase(np.zeros(n), phase_two=False)
         if status != "optimal":
             return result(status)
-        if iterations:  # else the start basis's factor and xB stand
+        if factor.etas:  # else the last factor and xB stand
             refactor()
         art_mass = float(xB[basis >= n].sum())
         if art_mass > FEAS_TOL:
@@ -274,7 +274,8 @@ def solve_lp(A: sp.spmatrix, b: np.ndarray, c: np.ndarray,
         # resume if anything still prices in.
         for _ in range(5):
             status = run_phase(c, phase_two=True)
-            refactor()
+            if factor.etas:
+                refactor()
             y = duals(c, phase_two=True)
             if status != "optimal":
                 break

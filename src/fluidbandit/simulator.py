@@ -40,7 +40,7 @@ from .occupancy import CategoryPartition, classify
 from .policies import (TS_CELL_FLOATS, TS_GRID, PolicySpec, activation_probabilities,
                        fluid_pulls, index_pulls, parse_policy, rac_pulls, score_order,
                        ts_pulls, ucb_scores, violation_rows)
-from .priority import lambda_from_duals, q_recursion
+from .priority import q_recursion
 
 # 95% two-sided normal quantile.
 Z95 = 1.959963984540054
@@ -128,7 +128,7 @@ class CompiledPolicy:
         else:
             validate_model(model)
         if self.kind in ("fluid", "relaxed", "index") and scores is None:
-            scores = q_recursion(model, lambda_from_duals(measure))
+            scores = q_recursion(model, measure.require_duals())
         if self.kind == "ucb":
             if spec.delta is None or not np.isfinite(spec.delta):
                 raise RangeError(f"UCB policy needs a finite delta, got {spec.delta!r}")

@@ -13,7 +13,7 @@ from fluidbandit import lp
 from fluidbandit.lp import solve_relaxation
 from fluidbandit.mdp import (ArmModel, BeliefStateAnnotation, model_to_dict, reachable_states,
                              validate_model)
-from fluidbandit.occupancy import fluid_propagate
+from fluidbandit.priority import fluid_propagate
 from fluidbandit.zoo import bernoulli_bandit, crowdsourcing, fixtures
 
 

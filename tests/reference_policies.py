@@ -68,7 +68,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
             X1[s] += take
             B -= take
     X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=False)
+    return AllocationPlan(t=t, X=X)
 
 
 def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
@@ -109,7 +109,7 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
                 X1[s] += take
                 B -= take
     X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=True)
+    return AllocationPlan(t=t, X=X)
 
 
 def violation_event(t: int, counts: CountState, partition: CategoryPartition,
@@ -143,11 +143,11 @@ def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> Allocatio
         X1[s] = take
         rem -= take
     X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X, relaxed=bool(rem > 0))
+    return AllocationPlan(t=t, X=X)
 
 
 def fluid_greedy_pulls(z: np.ndarray, order: np.ndarray, alpha: float) -> np.ndarray:
-    """Index rule on fluid mass z (S,): the greedy step of ``occupancy.fluid_propagate``."""
+    """Index rule on fluid mass z (S,): the greedy step of ``priority.fluid_propagate``."""
     remaining = float(alpha)
     pull = np.zeros(z.size)
     for s in order:

@@ -15,11 +15,10 @@ import pytest
 import conftest
 from conftest import make_random_model
 from fluidbandit.lp import solve_relaxation
-from fluidbandit.occupancy import (classify, fluid_propagate,
-                                   is_nondegenerate, search_nondegenerate)
+from fluidbandit.occupancy import classify, is_nondegenerate, search_nondegenerate
 from fluidbandit.oracle import exact_policy_value, optimal_value
 from fluidbandit.policies import PolicySpec, ucb_scores, violation_rows
-from fluidbandit.priority import dual_value, lambda_from_duals
+from fluidbandit.priority import dual_value, fluid_propagate
 from fluidbandit.simulator import (CompiledPolicy, gap_sweep, simulate,
                                    simulate_per_arm, violation_rate_sweep)
 from fluidbandit.zoo import bernoulli_bandit
@@ -260,7 +259,7 @@ def test_a10_strong_duality_models(bern15, bern15_measure, crowd7,
     for name, model, measure in (("bernoulli", bern15, bern15_measure),
                                  ("crowd", crowd7, crowd7_measure),
                                  ("assort", assort8, assort8_measure)):
-        lam = lambda_from_duals(measure)
+        lam = measure.require_duals()
         errs[name] = abs(dual_value(model, lam) - measure.value)
     ok = all(e <= 1e-6 for e in errs.values())
     _verdict("A10", ok,

@@ -29,3 +29,26 @@ def _unused_imports(path: Path) -> set[str]:
                          + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == TRACER_ONLY.get(path.name, set())
+
+
+def _imports(tree: ast.AST):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+# the layering is one-way: a module that needs another imports it once, at
+# the top, so an import cycle fails at import time instead of hiding in a call
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text())
+    inner = [f"{fn.name}:{node.lineno}" for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for node in _imports(fn)]
+    assert inner == []
+
+
+def test_priority_imports_neither_lp_nor_occupancy():
+    # lp and occupancy build on the priority rule, not the other way round
+    words = set()
+    for node in _imports(ast.parse((SRC / "priority.py").read_text())):
+        words |= set((getattr(node, "module", None) or "").split("."))
+        words |= {part for a in node.names for part in a.name.split(".")}
+    assert not words & {"lp", "occupancy"}

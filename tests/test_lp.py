@@ -17,8 +17,7 @@ from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
 from fluidbandit.lp import (RESIDUAL_TOL, OccupationMeasure, build_lp, resolve_with_pins,
                             solve_relaxation, upper_bound)
 from fluidbandit.mdp import ArmModel
-from fluidbandit.occupancy import fluid_propagate
-from fluidbandit.priority import dual_value, lambda_from_duals, score_order
+from fluidbandit.priority import _price_rounds, dual_value, fluid_propagate, score_order
 from fluidbandit.zoo import bernoulli_bandit
 
 # "simplex" is the package's solve; "highs" solves the same reduced LP with
@@ -129,7 +128,7 @@ def test_random_models_duality_and_residuals():
         m = solve_relaxation(model)
         assert m.x.min() >= 0.0
         assert _max_residual(model, m.x) <= RESIDUAL_TOL
-        lam = lambda_from_duals(m)
+        lam = m.require_duals()
         assert abs(dual_value(model, lam) - m.value) <= 1e-6
 
 
@@ -289,7 +288,7 @@ def test_crash_basis_is_the_fluid_vertex(fix, bern5, bern15, crowd7, assort8):
     for model in models + edged:
         red = lp._reduce(build_lp(model), model)
         myopic = model.R[:, :, 1] - model.R[:, :, 0]
-        chosen = lp._price_rounds(model)[0]
+        chosen = _price_rounds(model)[0]
         assert fluid_propagate(model, chosen)[1] >= fluid_propagate(model, myopic)[1]
         for basis, scores in ((red.basis, chosen), (myopic_basis(model, red), myopic)):
             assert np.unique(basis).size == red.A.shape[0]

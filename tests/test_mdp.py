@@ -307,4 +307,3 @@ def test_count_state_and_plan():
     assert int(cs.Z.sum()) == cs.N
     plan = AllocationPlan(t=1, X=np.array([[1, 1], [2, 0]], dtype=np.int64))
     np.testing.assert_array_equal(plan.pulls, [1, 0])
-    assert plan.relaxed is False

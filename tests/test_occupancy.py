@@ -6,9 +6,8 @@ import pytest
 from conftest import dense_kernel, make_random_model
 from fluidbandit.errors import DimensionMismatch
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
-from fluidbandit.occupancy import (classify, fluid_propagate, is_nondegenerate,
-                                   search_nondegenerate)
-from fluidbandit.priority import score_order
+from fluidbandit.occupancy import classify, is_nondegenerate, search_nondegenerate
+from fluidbandit.priority import fluid_propagate, score_order
 
 
 def test_classify_single(single_measure):

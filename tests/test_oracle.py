@@ -269,7 +269,7 @@ def test_callable_plan_must_split_the_counts(two, edit, error):
             X[s] = [0, Z[s] + 1]
         else:
             X = np.zeros((two.S + 1, 2), dtype=np.int64)
-        return AllocationPlan(t=t, X=X, relaxed=True)
+        return AllocationPlan(t=t, X=X)
 
     with pytest.raises(error):
         exact_policy_value(two, allocate, 2)
@@ -284,7 +284,7 @@ def _pull_fewer(model, rows=lambda Z: True):
             X[s, 1] = min(left, int(counts.Z[s]))
             left -= X[s, 1]
         X[:, 0] = counts.Z - X[:, 1]
-        return AllocationPlan(t=t, X=X, relaxed=True)
+        return AllocationPlan(t=t, X=X)
     return allocate
 
 

@@ -4,8 +4,7 @@ import numpy as np
 
 from conftest import dense_kernel, make_random_model
 from fluidbandit.mdp import ArmModel
-from fluidbandit.priority import (PriorityScheme, dual_value, lambda_from_duals,
-                                  q_recursion, score_order)
+from fluidbandit.priority import PriorityScheme, dual_value, q_recursion, score_order
 
 
 def test_q_recursion_single_zero_prices(single):
@@ -26,7 +25,7 @@ def test_q_recursion_two_zero_prices(two):
 
 
 def test_q_recursion_residual(bern5, bern5_measure):
-    lam = lambda_from_duals(bern5_measure)
+    lam = bern5_measure.require_duals()
     scheme = q_recursion(bern5, lam)
     T, S = bern5.T, bern5.S
     price = np.array([0.0, 1.0])
@@ -44,7 +43,7 @@ def test_duality_identity_fixtures(single, single_measure, two, two_measure,
                                    bern2, bern2_measure):
     for model, m in [(single, single_measure), (two, two_measure),
                      (bern2, bern2_measure)]:
-        lam = lambda_from_duals(m)
+        lam = m.require_duals()
         assert abs(dual_value(model, lam) - m.value) <= 1e-6
 
 
