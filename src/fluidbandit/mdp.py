@@ -47,10 +47,11 @@ class BeliefStateAnnotation:
     :posterior_sd: standard deviation of that belief.
     :family: "beta" (params a, b) or "gamma" (params shape, rate).
     :params: family parameters as a tuple of floats.
-    :sampler: sampler(rng, size) -> draws from the belief, used by the
-        per-arm engine's TS; derived from family and params, a plain
-        attribute afterwards.  The count engine's TS reads family and
-        params directly.
+    :sampler: sampler(rng, size) -> draws from the belief; derived from
+        family and params (building it checks the family), a plain
+        attribute afterwards.  No engine calls it: TS in both engines reads
+        family and params through the count law ``policies.ts_pulls``.  It
+        serves per-arm reference draws and tracers that wrap it.
     """
 
     posterior_mean: float
@@ -142,6 +143,16 @@ class AllocationPlan:
         return self.X[:, 1]
 
 
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_horizon(T) -> None:
+    if not is_integer(T) or T < 1:
+        raise RangeError(f"T must be a positive integer, got {T!r}")
+
+
 def validate_model(model: ArmModel) -> None:
     """Check shapes, ranges, row sums and posterior annotations (one per
     state, with a finite mean, a finite sd >= 0 and finite params > 0);
@@ -149,13 +160,12 @@ def validate_model(model: ArmModel) -> None:
 
     Raises ShapeError / DimensionMismatch / RangeError / RowSumError.
     """
-    if not isinstance(model.T, (int, np.integer)) or model.T < 1:
-        raise RangeError(f"T must be a positive integer, got {model.T!r}")
+    _require_horizon(model.T)
     S = model.S
     if S < 1:
         raise ShapeError("state list is empty")
-    if not (0 <= model.s0 < S):
-        raise RangeError(f"s0={model.s0} outside [0, {S})")
+    if not is_integer(model.s0) or not 0 <= model.s0 < S:
+        raise RangeError(f"s0 must be an integer in [0, {S}), got {model.s0!r}")
     shapes = {K.shape if getattr(K, "format", None) == "csr" else None for K in model.kernel}
     if shapes != {(2 * S, S)} or len(model.kernel) != model.T:
         if None not in shapes and len(shapes) <= 1 and all(m == 2 * n for m, n in shapes):
@@ -332,7 +342,8 @@ def model_from_dict(payload: dict[str, Any]) -> ArmModel:
     meta = dict(payload.get("metadata", {}))
     ann_payload = meta.pop("annotations", None)
     states = [tuple(s) if isinstance(s, list) else s for s in payload["states"]]
-    version, S, T = payload.get("version", 1), len(states), int(payload["T"])
+    version, S, T = payload.get("version", 1), len(states), payload["T"]
+    _require_horizon(T)  # before a version-3 index list is checked against it
     if version not in (1, 2, 3):
         raise ConfigError(f"unknown model JSON version {version!r}")
     R = np.asarray(payload["R"], dtype=np.float64)
@@ -345,7 +356,7 @@ def model_from_dict(payload: dict[str, Any]) -> ArmModel:
         kernel = [kernel[g] for g in _period_index(payload, "kernel_of_period", len(kernel), T)]
         R = R[_period_index(payload, "reward_of_period", len(R), T)]
     model = ArmModel(
-        T=T, states=states, s0=int(payload["s0"]), kernel=kernel, R=R,
+        T=T, states=states, s0=payload["s0"], kernel=kernel, R=R,
         alpha=np.asarray(payload["alpha"], dtype=np.float64),
         metadata=meta,
     )

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, DimensionMismatch, NondeterministicPolicy, RangeError
-from .mdp import ArmModel, CountState, distinct_periods, period_budget, successors
+from .mdp import ArmModel, CountState, distinct_periods, is_integer, period_budget, successors
 from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
 from .policies import fluid_priority_allocate  # noqa: F401  bench/tracing.py patches this name
 from .policies import parse_policy
@@ -111,8 +111,8 @@ class _Lattice:
     level at a time, each level in one batch."""
 
     def __init__(self, model: ArmModel, N: int, guard: int):
-        if N < 1:
-            raise RangeError("N must be >= 1")
+        if not is_integer(N) or N < 1:
+            raise RangeError(f"N must be a positive integer, got {N!r}")
         self.S, self.N = model.S, N
         self.guard, self.used = guard, 0
         self.kernels = successors(model)
@@ -335,9 +335,10 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     Propagates the full distribution over count vectors forward through
     the policy's allocations, made by one ``allocate_batch`` call per
     period over every reachable count vector; raises
-    NondeterministicPolicy for RAC/TS and RangeError for N < 1.  A
-    vector's successor law is the outer product of its passive and
-    active group-table rows, scattered onto the compositions of N; a
+    NondeterministicPolicy for RAC/TS and RangeError for an N that is
+    not a positive integer.  A vector's successor law is the outer
+    product of its passive and active group-table rows, scattered onto
+    the compositions of N; a
     period's passive laws and its active laws are each built in one
     request, since a policy may pull other than B_t.  With M0 the passive
     laws weighted by each vector's probability and M1 the active laws,

@@ -1,13 +1,14 @@
 """Monte Carlo evaluation of policies over N exchangeable arms.
 
-Two engines share one report format.  The count engine tracks only the
-per-state arm counts (cost independent of N for count-level policies)
-and samples transitions as grouped multinomials via sequential binomial
-conditioning.  The per-arm engine tracks every arm individually and is
-the reference for distributional cross-validation; it is also the
-natural home of genuinely per-arm policies at small N.  Its per-period
-pull tagging, Thompson draws and successor draws work in one stable
-by-state order of the arms, so each is O(N) per replication.
+Two engines share one report format and one period loop.  Every policy
+is a rule on the per-state arm counts, so each period both allocate
+through ``CompiledPolicy.allocate_batch`` on the count rows; they differ
+only in the transition.  The count engine samples it as grouped
+multinomials via sequential binomial conditioning (cost independent of
+N).  The per-arm engine tracks every arm: it tags the pulled arms, draws
+each arm's successor and counts them, all in one stable by-state order
+of the arms, so O(N) per replication.  It is the independent check of
+the transition draw.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
-from .mdp import ArmModel, period_budget, successors, validate_model
+from .mdp import ArmModel, is_integer, period_budget, successors, validate_model
 from .occupancy import CategoryPartition, classify
 from .policies import (TS_CELL_FLOATS, TS_GRID, PolicySpec, activation_probabilities,
                        fluid_pulls, index_pulls, parse_policy, rac_pulls, score_order,
@@ -283,9 +284,10 @@ def simulate_per_arm(model: ArmModel, policy, N: int, reps: int, seed: int,
 
 def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
          crn: bool, collect_diffusion: bool) -> SimulationReport:
-    if N < 1 or reps < 1:
-        raise RangeError("need N >= 1 and reps >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    for name, value in (("N", N), ("reps", reps)):
+        if not is_integer(value) or value < 1:
+            raise RangeError(f"{name} must be a positive integer, got {value!r}")
+    if not is_integer(seed) or seed < 0:
         raise RangeError(f"seed must be a nonnegative integer, got {seed!r}")
     t0 = time.perf_counter()
     pol = _resolve_policy(model, policy)
@@ -294,23 +296,23 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     cell = S
     if engine == "per_arm":
         # N * (1 + W) cells per replication, W the widest kernel row: the
-        # size of an (R, N, W) successor tensor, which _chunk_per_arm does
-        # not build.  The width stays because chunk k draws from
+        # size of an (R, N, W) successor tensor, which _chunk does not
+        # build.  The width stays because chunk k draws from
         # _stream(seed, tag, k), so another width would move every per-arm
         # result.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
-    elif pol.kind == "ts":
-        # ts_pulls works on each row's live cells, at most min(S, N), and on
-        # two arrays over the tail grid for the first split
+    if pol.kind == "ts":
+        # in either engine, ts_pulls works on each row's live cells, at most
+        # min(S, N), and on two arrays over the tail grid for the first
+        # split; a per-arm TS chunk holds both working sets
         cell += TS_CELL_FLOATS * min(S, N) + 2 * (TS_GRID + 2)
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
-    chunk = _chunk_counts if engine == "counts" else _chunk_per_arm
 
     stats = _Welford()
     book = _PeriodBook(pol, N, collect_diffusion)
     for chunk_idx, R in enumerate(sizes):
-        stats.add_chunk(chunk(model, pol, N, R, _stream(seed, tag, chunk_idx), book))
+        stats.add_chunk(_chunk(model, pol, N, R, _stream(seed, tag, chunk_idx), book, engine))
 
     wall = time.perf_counter() - t0
     per_t, union, diffusion = book.rates(reps)
@@ -381,40 +383,30 @@ class _PeriodBook:
         return self.vc / reps, self.uc / reps, diffusion
 
 
-def _chunk_counts(model, pol, N, R, rng, book):
+def _chunk(model, pol, N, R, rng, book, engine):
+    """Total rewards (R,) of R replications run by `engine`: the period
+    loop of both engines, which differ only in the transition."""
     T, S = model.T, model.S
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
+    if engine == "per_arm":
+        states = np.full((R, N), model.s0, dtype=np.int64)
+        row = np.arange(R)[:, None] * S
+        tables = [_successor_table(K) for K in pol._support]
     rewards = np.zeros(R)
     for t in range(1, T + 1):
         X1 = pol.allocate_batch(t, Z, rng)
         X0 = Z - X1
         rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
         book.record(t, Z, X0, X1)
-        if t < T:
-            X = np.stack([X0, X1], axis=2)
-            Z = pol.step_counts(t, X, rng)
-    return rewards
-
-
-def _chunk_per_arm(model, pol, N, R, rng, book):
-    T, S = model.T, model.S
-    states = np.full((R, N), model.s0, dtype=np.int64)
-    rewards = np.zeros(R)
-    row = np.arange(R)[:, None] * S
-    tables = [_successor_table(K) for K in pol._support]
-    for t in range(1, T + 1):
-        cells = (states + row).reshape(-1)
-        Z = np.bincount(cells, minlength=R * S).reshape(R, S)
-        actions = _per_arm_actions(pol, t, states, Z, rng)
-        X1 = np.bincount(cells, minlength=R * S, weights=actions.reshape(-1).astype(np.float64))
-        X1 = X1.reshape(R, S).astype(np.int64)
-        X0 = Z - X1
-        k = 2 * states + actions  # row 2s+a of the period's kernel and of R[t-1]
-        rewards += np.take(model.R[t - 1], k).sum(axis=1)
-        book.record(t, Z, X0, X1)
-        if t < T:
+        if t == T:
+            break
+        if engine == "counts":
+            Z = pol.step_counts(t, np.stack([X0, X1], axis=2), rng)
+        else:
+            k = 2 * states + _tag_pulls(states, Z, X1)  # row 2s+a of the period's kernel
             states = _next_states(*tables[t - 1], k, rng)
+            Z = np.bincount((states + row).reshape(-1), minlength=R * S).reshape(R, S)
     return rewards
 
 
@@ -461,52 +453,6 @@ def _tag_pulls(states: np.ndarray, Z: np.ndarray, X1: np.ndarray) -> np.ndarray:
     return act.reshape(R, N)
 
 
-def _ts_draws(annotations, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One posterior draw per arm.  Each occupied state's sampler is called
-    once, in ascending s, for all its arms in row-major order; the draws are
-    scattered back through the by-state order of the flattened states."""
-    flat = states.reshape(-1)
-    counts = np.bincount(flat, minlength=len(annotations))
-    ends = np.cumsum(counts)
-    by_state = np.empty(flat.size, dtype=np.float64)
-    for s in np.flatnonzero(counts):
-        by_state[ends[s] - counts[s]:ends[s]] = annotations[s].sampler(rng, int(counts[s]))
-    draws = np.empty(flat.size, dtype=np.float64)
-    draws[_by_state(flat, len(annotations))] = by_state
-    return draws.reshape(states.shape)
-
-
-def _per_arm_actions(pol: CompiledPolicy, t: int, states: np.ndarray,
-                     Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-arm 0/1 actions consistent with the policy's count semantics."""
-    R, N = states.shape
-    B = period_budget(float(pol.model.alpha[t - 1]), N)
-    if pol.kind == "ts":
-        if B <= 0:
-            return np.zeros((R, N), dtype=np.int64)
-        if B >= N:
-            return np.ones((R, N), dtype=np.int64)
-        draws = _ts_draws(pol.model.annotations, states, rng)
-        thr = np.partition(draws, N - B, axis=1)[:, N - B][:, None]
-        act = draws > thr
-        need = B - act.sum(axis=1)
-        eq = draws == thr
-        rank_eq = np.cumsum(eq, axis=1)
-        act |= eq & (rank_eq <= need[:, None])
-        return act.astype(np.int64)
-    if pol.kind == "rac":
-        q = activation_probabilities(pol.measure, t)
-        coins = rng.random((R, N)) < q[states]
-        keys = rng.random((R, N))
-        visit = np.argsort(keys, axis=1)
-        succ = np.take_along_axis(coins, visit, axis=1)
-        chosen = succ & (np.cumsum(succ, axis=1) <= B)
-        act = np.zeros((R, N), dtype=np.int64)
-        np.put_along_axis(act, visit, chosen.astype(np.int64), axis=1)
-        return act
-    return _tag_pulls(states, Z, pol.allocate_batch(t, Z, rng))
-
-
 # ---- sweeps ----------------------------------------------------------------
 
 
@@ -515,7 +461,7 @@ def _reps_for(reps_per_N, N: int) -> int:
         return default_reps(N)
     if callable(reps_per_N):
         return int(reps_per_N(N))
-    if isinstance(reps_per_N, (int, np.integer)):
+    if is_integer(reps_per_N):
         return int(reps_per_N)
     raise RangeError(f"cannot interpret reps rule {reps_per_N!r}")
 

@@ -1,5 +1,5 @@
 """Reference per-arm steps: the mask-scan and gather forms of the per-arm
-engine's pull tagging, per-state Thompson draws and successor draw.
+engine's pull tagging and successor draw.
 
 Each takes the arguments of the ``fluidbandit.simulator`` helper of the
 same name and returns what it returns, from the same random numbers.
@@ -27,18 +27,6 @@ def _tag_pulls(states: np.ndarray, Z: np.ndarray, X1: np.ndarray) -> np.ndarray:
     act = np.zeros((R, N), dtype=np.int64)
     np.put_along_axis(act, order, chosen_sorted.astype(np.int64), axis=1)
     return act
-
-
-def _ts_draws(annotations, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One posterior draw per arm: a boolean scan of the states for each s,
-    and one sampler call per occupied state in ascending s."""
-    draws = np.empty(states.shape, dtype=np.float64)
-    for s in range(len(annotations)):
-        mask = states == s
-        cnt = int(mask.sum())
-        if cnt:
-            draws[mask] = np.asarray(annotations[s].sampler(rng, cnt), dtype=np.float64)
-    return draws
 
 
 def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,

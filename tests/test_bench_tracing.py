@@ -86,17 +86,21 @@ def test_tracer_sees_the_model_json_names(tmp_path):
     assert tracing.layer_metrics(tracer, 0.0)["mdp.json_mb"] > 0
 
 
-def test_tracer_counts_the_per_arm_ts_samplers():
-    # the per-arm engine's TS draws through each annotation's sampler, the
-    # name the tracer wraps, once per occupied state and period
+def test_tracer_wraps_every_sampler_and_per_arm_ts_calls_none():
+    # the tracer wraps and restores each annotation's sampler; both engines
+    # draw TS at count level from family and params, so none is called
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     model = bernoulli_bandit(3, 1.0 / 3.0)
+    originals = [ann.sampler for ann in model.annotations]
     try:
         tracer.install(models=[model])
+        assert all(ann.sampler is not orig
+                   for ann, orig in zip(model.annotations, originals))
         simulator.simulate_per_arm(model, "ts", N=6, reps=20, seed=1)
     finally:
         tracer.uninstall()
+    assert all(ann.sampler is orig for ann, orig in zip(model.annotations, originals))
     metrics = tracing.layer_metrics(tracer, 0.0)
-    assert metrics["zoo.sampler_calls"] > 0
-    assert metrics["zoo.sampler_s"] > 0
+    assert metrics["zoo.sampler_calls"] == 0
+    assert metrics["zoo.sampler_s"] == 0

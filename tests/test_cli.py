@@ -426,6 +426,20 @@ def test_malformed_v2_model_file_is_a_typed_error(tmp_path, capsys, breakage, er
     assert err["error"] == error and err["exit_code"] == code
 
 
+@pytest.mark.parametrize("field, value", [("T", 2.9), ("T", True), ("s0", 0.7),
+                                          ("s0", True)])
+def test_model_file_needs_an_integer_t_and_s0(tmp_path, capsys, field, value):
+    # both once went through int(), so the file ran another model
+    path = tmp_path / "two.json"
+    assert main(["gen", "two", "-o", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    assert main(["relax", "--model", str(path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "RangeError" and f"{field} must" in err["message"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda p: p.update(kernel_of_period=[0, 5]),
     lambda p: p.update(kernel_of_period=[0, True]),

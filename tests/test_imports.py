@@ -1,4 +1,5 @@
-"""Every name a package module or a test module imports is used in that module."""
+"""Every name a package module or a test module imports is used in that
+module, the package imports one way, and no private helper is left unused."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,18 @@ def test_priority_imports_neither_lp_nor_occupancy():
         words |= set((getattr(node, "module", None) or "").split("."))
         words |= {part for a in node.names for part in a.name.split(".")}
     assert not words & {"lp", "occupancy"}
+
+
+# a private helper that no package module uses is dead code, however many
+# tests still call it; tests check the package, they do not keep it alive
+def test_every_private_helper_is_used_in_the_package():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    orphans = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in used]
+    assert orphans == []

@@ -9,7 +9,7 @@ from conftest import make_random_model
 from fluidbandit.errors import DimensionMismatch, MissingMetadata, RangeError
 from fluidbandit.lp import solve_relaxation
 from fluidbandit.mdp import successors
-from fluidbandit.oracle import exact_policy_value
+from fluidbandit.oracle import exact_policy_value, optimal_value
 from fluidbandit.policies import PolicySpec, parse_policy
 from fluidbandit.simulator import (CompiledPolicy, _successor_table, default_reps, gap_sweep,
                                    simulate, simulate_per_arm, violation_rate_sweep)
@@ -162,13 +162,32 @@ def test_ucb_delta_must_be_finite(bern2, delta):
         exact_policy_value(bern2, spec, 2)
 
 
-@pytest.mark.parametrize("seed", [-3, 1.5, "7"])
+@pytest.mark.parametrize("seed", [-3, 1.5, "7", True])
 def test_seed_must_be_a_nonnegative_integer(two, seed):
     # SeedSequence once raised its own ValueError or TypeError here
     with pytest.raises(RangeError, match="seed"):
         simulate(two, "fluid", 2, 5, seed)
     with pytest.raises(RangeError, match="seed"):
         simulate_per_arm(two, "fluid", 2, 5, seed)
+
+
+@pytest.mark.parametrize("N, reps", [(2.5, 5), (2, 5.0), (True, 5), (2, True), (0, 5),
+                                     (2, -1), ("2", 5)])
+def test_n_and_reps_must_be_positive_integers(two, N, reps):
+    # N = 2.5 once ran at N = 2 and reported N = 2.5, and N = True ran as 1
+    with pytest.raises(RangeError, match="must be a positive integer"):
+        simulate(two, "fluid", N, reps, 0)
+    with pytest.raises(RangeError, match="must be a positive integer"):
+        simulate_per_arm(two, "fluid", N, reps, 0)
+
+
+@pytest.mark.parametrize("N", [2.5, True, 0, "2"])
+def test_oracle_n_must_be_a_positive_integer(two, N):
+    # N = 2.5 once raised a raw TypeError in the oracle's lattice
+    with pytest.raises(RangeError, match="N must be a positive integer"):
+        exact_policy_value(two, "fluid", N)
+    with pytest.raises(RangeError, match="N must be a positive integer"):
+        optimal_value(two, N)
 
 
 def test_ucb_and_ts_validate_a_model_built_in_code():
@@ -233,9 +252,11 @@ def test_a_nan_reward_is_refused_with_a_given_measure_or_scores():
      "interpret policy"),
     (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N="x", seed=0),
      RangeError, "reps rule"),
+    (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N=True, seed=0),
+     RangeError, "reps rule"),
     (lambda bern2, crowd3: violation_rate_sweep(bern2, "index", [2], reps=5, seed=0),
      RangeError, "measure-carrying"),
-], ids=["unknown-kind", "ts-without-annotations", "policy-42", "reps-rule-x",
+], ids=["unknown-kind", "ts-without-annotations", "policy-42", "reps-rule-x", "reps-rule-true",
         "violations-of-index"])
 def test_simulator_refusals(bern2, crowd3, call, error, match):
     with pytest.raises(error, match=match):
@@ -310,19 +331,6 @@ def test_tag_pulls_match_the_reference(S, N):
         np.testing.assert_array_equal(_counts(np.where(act == 1, states, S), S + 1)[:, :S], X1)
 
 
-@pytest.mark.parametrize("N", [1, 6, 200])
-def test_ts_draws_match_the_reference(bern5, N):
-    ann = bern5.annotations
-    for S in (1, len(ann)):
-        rng = np.random.default_rng(N + S)
-        states = _random_states(rng, 11, N, S)
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        draws = simulator._ts_draws(ann[:S], states, a)
-        np.testing.assert_array_equal(draws, ref._ts_draws(ann[:S], states, b))
-        # both left the stream at the same place
-        assert a.random() == b.random()
-
-
 def test_next_states_match_the_reference(bern5, crowd7):
     rng = np.random.default_rng(43)
     for model in (bern5, crowd7, make_random_model(rng, S=5, T=3)):
@@ -350,7 +358,7 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
     pol = CompiledPolicy(bern5, parse_policy(policy))
     assert simulator._chunk_sizes(60, bern5.S + 9 * 3) == [11] * 5 + [5]
     new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
-    for name in ("_tag_pulls", "_ts_draws", "_next_states"):
+    for name in ("_tag_pulls", "_next_states"):
         monkeypatch.setattr(simulator, name, getattr(ref, name))
     old = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
     for name, value in vars(new).items():
@@ -369,10 +377,10 @@ def test_per_arm_chunk_sizes_are_pinned(bern15, monkeypatch):
     # chunk width N * (1 + W) would move every per-arm result
     seen = []
 
-    def no_work(model, pol, N, R, rng, book):
+    def no_work(model, pol, N, R, rng, book, engine):
         seen.append(R)
         return np.zeros(R)
 
-    monkeypatch.setattr(simulator, "_chunk_per_arm", no_work)
+    monkeypatch.setattr(simulator, "_chunk", no_work)
     simulate_per_arm(bern15, "ucb:0.5", N=1200, reps=4000, seed=0)
     assert seen == [563] * 7 + [59]

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,8 +165,20 @@ def test_fixture_values_documented(single, two):
     (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "version": 4}),
      ConfigError, "version"),
     (lambda: BeliefStateAnnotation(0.5, 0.1, "normal", (0.5, 0.1)), RangeError, "family"),
+    # T and s0 once went through int(): T 2.9 loaded as 2, s0 0.7 as 0, true as 1
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "T": 2.9}), RangeError,
+     "T must"),
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "T": True}), RangeError,
+     "T must"),
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "s0": 0.7}), RangeError,
+     "s0 must"),
+    (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "s0": True}), RangeError,
+     "s0 must"),
+    (lambda: validate_model(replace(fixtures()["TWO"], T=True)), RangeError, "T must"),
+    (lambda: validate_model(replace(fixtures()["TWO"], s0=0.0)), RangeError, "s0 must"),
 ], ids=["budget-at-no-arm", "bernoulli-T0", "crowd-T0", "assort-T0", "assort-m-cap-0",
-        "json-version-4", "normal-family"])
+        "json-version-4", "normal-family", "json-T-float", "json-T-bool", "json-s0-float",
+        "json-s0-bool", "model-T-bool", "model-s0-float"])
 def test_model_building_refusals(build, error, match):
     with pytest.raises(error, match=match):
         build()
