@@ -5,10 +5,10 @@ is a rule on the per-state arm counts, so each period both allocate
 through ``CompiledPolicy.allocate_batch`` on the count rows; they differ
 only in the transition.  The count engine samples it as grouped
 multinomials via sequential binomial conditioning (cost independent of
-N).  The per-arm engine tracks every arm: it tags the pulled arms, draws
-each arm's successor and counts them, all in one stable by-state order
-of the arms, so O(N) per replication.  It is the independent check of
-the transition draw.
+N).  The per-arm engine expands the same action counts into one arm per
+count, draws each arm's successor from its kernel row's CDF and counts
+them, so O(N) per replication.  It is the independent check of the
+transition draw.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
@@ -29,6 +29,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +102,7 @@ class SweepRow:
 class CompiledPolicy:
     """Per-(model, spec) engine: the spec's measure, scores and partition,
     solved or derived only where the policy needs them, plus precomputed
-    orders, codes and transition supports; allocation is delegated to the
+    orders and transition supports; allocation is delegated to the
     kernels in policies.  Every compile validates the model exactly once:
     through ``solve_relaxation`` when it solves the LP, directly otherwise."""
 
@@ -146,7 +147,6 @@ class CompiledPolicy:
             self._orders = None
         else:
             self._orders = [score_order(self.scores, t, S) for t in range(1, T + 1)]
-        self._codes = self.partition.codes if self.partition is not None else None
         # transition supports: row 2s+a of entry t-1 for period t
         self._support = successors(model)
 
@@ -165,7 +165,7 @@ class CompiledPolicy:
         B = period_budget(float(self.model.alpha[t - 1]), N)
         if self.kind in ("fluid", "relaxed"):
             quota = np.floor(N * self.measure.x[t - 1, :, 1]).astype(np.int64)
-            return fluid_pulls(Z, self._codes[t - 1], self._orders[t - 1],
+            return fluid_pulls(Z, self.partition.codes[t - 1], self._orders[t - 1],
                                quota, B, relaxed=self.kind == "relaxed")
         if self.kind in ("index", "ucb"):
             return index_pulls(Z, self._orders[t - 1], B)
@@ -204,6 +204,23 @@ class CompiledPolicy:
                     break
             Znext[:, targets[-1]] += remaining
         return Znext
+
+    @cached_property
+    def _tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # built on the first per-arm step only, then kept for every chunk
+        return [_successor_table(K) for K in self._support]
+
+    def step_arms(self, t: int, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Sample Z_{t+1} (R, S) arm by arm: X[r, s, a] arms in kernel row
+        2s+a, occupied columns ascending, each drawing its successor from
+        one uniform (R * N in all) through ``_next_states``."""
+        R, S = X.shape[0], self.model.S
+        Xsa = X.reshape(R, -1)
+        cols = np.flatnonzero(Xsa.any(axis=0))
+        k = np.repeat(np.tile(cols, R), Xsa[:, cols].reshape(-1)).reshape(R, -1)
+        nxt = _next_states(*self._tables[t - 1], k, rng)
+        return np.bincount((nxt + np.arange(0, R * S, S)[:, None]).reshape(-1),
+                           minlength=R * S).reshape(R, S)
 
 
 # ---- chunked execution ----------------------------------------------------
@@ -277,7 +294,8 @@ def simulate(model: ArmModel, policy, N: int, reps: int, seed: int,
 
 def simulate_per_arm(model: ArmModel, policy, N: int, reps: int, seed: int,
                      crn: bool = False, collect_diffusion: bool = True) -> SimulationReport:
-    """Per-arm reference engine; same contract, each arm tracked singly."""
+    """Per-arm reference engine; same contract, each arm's transition drawn
+    singly from the period's action counts (``CompiledPolicy.step_arms``)."""
     return _run(model, policy, N, reps, seed, engine="per_arm",
                 crn=crn, collect_diffusion=collect_diffusion)
 
@@ -296,10 +314,9 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     cell = S
     if engine == "per_arm":
         # N * (1 + W) cells per replication, W the widest kernel row: the
-        # size of an (R, N, W) successor tensor, which _chunk does not
-        # build.  The width stays because chunk k draws from
-        # _stream(seed, tag, k), so another width would move every per-arm
-        # result.
+        # size of an (R, N, W) successor tensor, which step_arms does not
+        # build.  The width stays so that per-arm chunk sizes, and with
+        # them the peak memory of a per-arm run, stay where they are.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
     if pol.kind == "ts":
         # in either engine, ts_pulls works on each row's live cells, at most
@@ -332,11 +349,6 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     )
 
 
-def _violations(pol: CompiledPolicy, t: int, Z: np.ndarray) -> np.ndarray:
-    N = int(Z[0].sum())
-    return violation_rows(Z, pol.partition.codes[t - 1], float(pol.model.alpha[t - 1] * N))
-
-
 class _PeriodBook:
     """Bookkeeping of one run that both engines share: bracketing-event
     failures per period and in any period, and the diffusion second
@@ -360,7 +372,8 @@ class _PeriodBook:
         if self.vc is not None:
             if t == 1:
                 self.union = np.zeros(len(Z), dtype=bool)
-            v = _violations(self.pol, t, Z)
+            v = violation_rows(Z, self.pol.partition.codes[t - 1],
+                               float(self.pol.model.alpha[t - 1] * self.N))
             self.vc[t - 1] += int(v.sum())
             self.uc += int((v & ~self.union).sum())
             self.union |= v
@@ -387,12 +400,9 @@ def _chunk(model, pol, N, R, rng, book, engine):
     """Total rewards (R,) of R replications run by `engine`: the period
     loop of both engines, which differ only in the transition."""
     T, S = model.T, model.S
+    step = pol.step_counts if engine == "counts" else pol.step_arms
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
-    if engine == "per_arm":
-        states = np.full((R, N), model.s0, dtype=np.int64)
-        row = np.arange(R)[:, None] * S
-        tables = [_successor_table(K) for K in pol._support]
     rewards = np.zeros(R)
     for t in range(1, T + 1):
         X1 = pol.allocate_batch(t, Z, rng)
@@ -401,12 +411,7 @@ def _chunk(model, pol, N, R, rng, book, engine):
         book.record(t, Z, X0, X1)
         if t == T:
             break
-        if engine == "counts":
-            Z = pol.step_counts(t, np.stack([X0, X1], axis=2), rng)
-        else:
-            k = 2 * states + _tag_pulls(states, Z, X1)  # row 2s+a of the period's kernel
-            states = _next_states(*tables[t - 1], k, rng)
-            Z = np.bincount((states + row).reshape(-1), minlength=R * S).reshape(R, S)
+        Z = step(t, np.stack([X0, X1], axis=2), rng)
     return rewards
 
 
@@ -432,25 +437,6 @@ def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
     for w in range(W - 1):
         slot += u > np.take(cdf[:, w], k)
     return np.take(targets, slot)
-
-
-def _by_state(states: np.ndarray, S: int) -> np.ndarray:
-    """Stable order of the arms by state along the last axis, keyed on the
-    smallest integer type that holds S - 1 (radix-sorted at 8 or 16 bits)."""
-    return np.argsort(states.astype(np.min_scalar_type(S - 1)), axis=-1, kind="stable")
-
-
-def _tag_pulls(states: np.ndarray, Z: np.ndarray, X1: np.ndarray) -> np.ndarray:
-    """Actions pulling the first X1[r, s] arms of state s in row r, in index
-    order (arms are exchangeable, so any fixed choice works): in by-state
-    order that is X1[r, s] ones then Z[r, s] - X1[r, s] zeros, s ascending."""
-    R, N = states.shape
-    at = _by_state(states, Z.shape[1])
-    at += np.arange(0, R * N, N)[:, None]
-    act = np.empty(R * N, dtype=np.int64)
-    act[at.reshape(-1)] = np.repeat(np.tile([1, 0], Z.size),
-                                    np.stack([X1, Z - X1], axis=2).reshape(-1))
-    return act.reshape(R, N)
 
 
 # ---- sweeps ----------------------------------------------------------------

@@ -55,16 +55,38 @@ def test_priority_imports_neither_lp_nor_occupancy():
     assert not words & {"lp", "occupancy"}
 
 
+def _names(node: ast.AST) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
 # a private helper that no package module uses is dead code, however many
 # tests still call it; tests check the package, they do not keep it alive
 def test_every_private_helper_is_used_in_the_package():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
-        used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= _names(tree)
     orphans = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in used]
+    assert orphans == []
+
+
+# a reference helper is there to check a package form against; once no
+# test and no other helper of its file calls it, the check it served is gone
+def test_every_reference_helper_is_used_by_a_test():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))}
+    orphans = []
+    for name, tree in trees.items():
+        if not name.startswith("reference_"):
+            continue
+        used = set().union(*(_names(t) for other, t in trees.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            in_file = set().union(*(_names(h) for h in tree.body if h is not node))
+            if node.name not in used | in_file:
+                orphans.append(f"{name}:{node.name}")
     assert orphans == []

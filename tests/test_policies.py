@@ -15,7 +15,7 @@ from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   parse_policy, rac_pulls, ts_pulls, ucb_scores,
                                   violation_rows)
 from fluidbandit.priority import _fluid_fill, score_order
-from fluidbandit.simulator import CompiledPolicy, _violations, simulate
+from fluidbandit.simulator import CompiledPolicy, simulate
 
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 
@@ -426,7 +426,7 @@ def test_kernels_match_scalar_reference():
                 B = period_budget(a_t, N)
                 batch = {kind: pol.allocate_batch(t, Zs, rng)
                          for kind, pol in pols.items()}
-                viol = _violations(pols["fluid"], t, Zs)
+                viol = violation_rows(Zs, pols["fluid"].partition.codes[t - 1], a_t * N)
                 for r, Z in enumerate(Zs):
                     cs = _cs(t, Z)
                     kw = dict(alpha_t=a_t, partition=part)

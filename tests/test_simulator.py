@@ -8,7 +8,7 @@ import reference_simulator as ref
 from conftest import make_random_model
 from fluidbandit.errors import DimensionMismatch, MissingMetadata, RangeError
 from fluidbandit.lp import solve_relaxation
-from fluidbandit.mdp import successors
+from fluidbandit.mdp import ArmModel, successors
 from fluidbandit.oracle import exact_policy_value, optimal_value
 from fluidbandit.policies import PolicySpec, parse_policy
 from fluidbandit.simulator import (CompiledPolicy, _successor_table, default_reps, gap_sweep,
@@ -319,16 +319,29 @@ def _counts(states, S):
 
 
 @pytest.mark.parametrize("S, N", [(1, 5), (3, 1), (7, 40), (20, 300)])
-def test_tag_pulls_match_the_reference(S, N):
+def test_step_arms_lands_every_arm(S, N):
+    """Period 1's kernel sends row 2s+a to one state only, so Z_{t+1} is
+    exact; period 2's is dense.  Each row lands N arms from R * N uniforms."""
     rng = np.random.default_rng(S * 1000 + N)
+    dest = rng.integers(0, S, size=2 * S)
+    dense = rng.dirichlet(np.ones(S), size=(S, 2))
+    P = np.stack([np.eye(S)[dest].reshape(S, 2, S), dense, dense])
+    model = ArmModel(3, list(range(S)), 0, P=P, R=np.zeros((3, S, 2)), alpha=[0.5] * 3)
+    pol = CompiledPolicy(model, PolicySpec("index", scores=np.zeros((3, S))))
     states = _random_states(rng, 9, N, S)
     Z = _counts(states, S)
     # no pull (B = 0), every arm pulled (B = N) and random quotas
     for X1 in (np.zeros_like(Z), Z, rng.integers(0, Z + 1)):
-        act = simulator._tag_pulls(states, Z, X1)
-        np.testing.assert_array_equal(act, ref._tag_pulls(states, Z, X1))
-        assert act.dtype == np.int64
-        np.testing.assert_array_equal(_counts(np.where(act == 1, states, S), S + 1)[:, :S], X1)
+        X = np.stack([Z - X1, X1], axis=2)
+        for t in (1, 2):
+            a, b = np.random.default_rng(6), np.random.default_rng(6)
+            Znext = pol.step_arms(t, X, a)
+            assert Znext.dtype == np.int64
+            np.testing.assert_array_equal(Znext.sum(axis=1), N)
+            if t == 1:
+                np.testing.assert_array_equal(Znext, X.reshape(9, -1) @ np.eye(S, dtype=np.int64)[dest])
+            b.random(9 * N)
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_next_states_match_the_reference(bern5, crowd7):
@@ -358,8 +371,7 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
     pol = CompiledPolicy(bern5, parse_policy(policy))
     assert simulator._chunk_sizes(60, bern5.S + 9 * 3) == [11] * 5 + [5]
     new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
-    for name in ("_tag_pulls", "_next_states"):
-        monkeypatch.setattr(simulator, name, getattr(ref, name))
+    monkeypatch.setattr(simulator, "_next_states", ref._next_states)
     old = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
     for name, value in vars(new).items():
         if name == "wall_time":
