@@ -24,7 +24,7 @@ from .lp import (
     resolve_with_pins, solve_relaxation, upper_bound,
 )
 from .occupancy import (
-    CategoryPartition, DegeneracyReport, classify, is_nondegenerate, search_nondegenerate,
+    DegeneracyReport, classify, is_nondegenerate, search_nondegenerate,
 )
 from .priority import PriorityScheme, dual_value, fluid_propagate, q_recursion
 from .policies import (

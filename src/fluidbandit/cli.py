@@ -194,16 +194,11 @@ def cmd_relax(model: ArmModel, args) -> dict:
 
 
 def cmd_classify(model: ArmModel, args) -> dict:
-    part = classify(solve_relaxation(model))
-    periods = []
-    for t in range(1, model.T + 1):
-        periods.append({
-            "t": t,
-            "active": sorted(part.active(t)),
-            "neutral": sorted(part.neutral(t)),
-            "inactive": sorted(part.inactive(t)),
-        })
-    return {"periods": periods, "neutral_counts": part.neutral_counts()}
+    codes = classify(solve_relaxation(model))
+    names = (("active", 1), ("neutral", 0), ("inactive", -1))
+    periods = [{"t": t, **{name: np.flatnonzero(row == code).tolist() for name, code in names}}
+               for t, row in enumerate(codes, start=1)]
+    return {"periods": periods, "neutral_counts": (codes == 0).sum(axis=1)}
 
 
 def cmd_search_measure(model: ArmModel, args) -> dict:

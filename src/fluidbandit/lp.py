@@ -6,9 +6,10 @@ playing action a during period t, subject to flow balance, an exact
 per-period pull-budget fraction, and unit initial mass on s0.  The
 optimal value bounds the N-arm problem from above after scaling by N.
 
-Row order is part of the public contract (duals are read off by row):
-flow rows for t = 2..T in state order, then budget rows for t = 1..T,
-then the initial-state row, then the total-mass row.
+Row order is part of the public contract (duals are read off by row),
+and this paragraph is its only description: (T-1)*S flow rows for
+t = 2..T in state order, then T budget rows for t = 1..T, then the
+initial-state row, then the total-mass row.
 
 Columns come in period blocks of 2S with (s, a) at offset 2s+a, the row
 of (s, a) in the period's kernel K_t from ``mdp.successors``.  So the
@@ -27,6 +28,7 @@ few price rounds on the fluid limit bring near the budget duals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,41 +49,30 @@ class LpInstance:
     """Equality-form LP over the full (t, s, a) grid, to be maximised.
 
     :c: objective (reward) coefficients, shape (n_vars,).
-    :A: constraint matrix, CSR, shape (n_rows, n_vars).
-    :b: right-hand sides, shape (n_rows,).
-    :row_kind: one tag per row: ("flow", t, s), ("budget", t),
-        ("initial",), ("mass",); t and s are 1-based / index form.
+    :A: constraint matrix, CSR, rows in the module docstring's order.
+    :b: right-hand sides, one per row.
     :T, S: model dimensions; var (t, s, a) sits at ((t-1)*S + s)*2 + a.
     """
 
     c: np.ndarray
     A: sp.csr_matrix
     b: np.ndarray
-    row_kind: list[tuple]
     T: int
     S: int
-
-    def var(self, t: int, s: int, a: int) -> int:
-        return ((t - 1) * self.S + s) * 2 + a
 
     @property
     def n_vars(self) -> int:
         return self.T * self.S * 2
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.row_kind)
-
-    def budget_rows(self) -> list[int]:
-        return [i for i, k in enumerate(self.row_kind) if k[0] == "budget"]
 
 
 @dataclass
 class OccupationMeasure:
     """Solved relaxation: fractions of arms per (period, state, action).
 
+    The state marginals ``z`` are derived from ``x`` on first read, so the
+    two cannot disagree.
+
     :x: shape (T, S, 2), entries >= 0.
-    :z: state marginals, z[t, s] = sum_a x[t, s, a].
     :value: optimal per-arm value of the relaxation.
     :duals: budget-row duals, shape (T,), or None for pinned re-solves.
     :pivots: simplex pivots of the solve (0 when not solved, e.g. combined).
@@ -91,12 +82,16 @@ class OccupationMeasure:
     """
 
     x: np.ndarray
-    z: np.ndarray
     value: float
     duals: np.ndarray | None
     pivots: int = 0
     rows: int = 0
     lu_nnz: int = 0
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """State marginals, z[t, s] = sum_a x[t, s, a]."""
+        return self.x.sum(axis=2)
 
     def require_duals(self) -> np.ndarray:
         if self.duals is None:
@@ -126,10 +121,8 @@ def build_lp(model: ArmModel) -> LpInstance:
     A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(F + T + 2, 2 * T * S))
     b = np.concatenate([np.zeros(F), model.alpha, [1.0, 1.0]])
-    row_kind = ([("flow", t, s) for t in range(2, T + 1) for s in range(S)]
-                + [("budget", t) for t in range(1, T + 1)] + [("initial",), ("mass",)])
     c = model.R.reshape(-1).astype(np.float64).copy()
-    return LpInstance(c=c, A=A, b=b, row_kind=row_kind, T=T, S=S)
+    return LpInstance(c=c, A=A, b=b, T=T, S=S)
 
 
 @dataclass
@@ -194,18 +187,18 @@ def _embed(inst: LpInstance, red: _Reduced, res: simplex.SimplexResult,
     value = float((inst.c * x_full).sum())
     x = x_full.reshape(inst.T, inst.S, 2)
     # one dual per row of the LP solved
-    measure = OccupationMeasure(x=x, z=x.sum(axis=2), value=value, duals=duals,
+    measure = OccupationMeasure(x=x, value=value, duals=duals,
                                 pivots=res.iterations, rows=res.y.size, lu_nnz=res.lu_nnz)
     _check_measure(inst, measure)
     return measure
 
 
 def _check_measure(inst: LpInstance, measure: OccupationMeasure) -> None:
-    resid = inst.A @ measure.x.reshape(-1) - inst.b
-    kinds = np.array([k[0] for k in inst.row_kind])
-    worst = {kind: float(np.abs(resid[kinds == kind]).max(initial=0.0))
-             for kind in ("flow", "budget", "initial", "mass")}
-    for kind, v in worst.items():
+    resid = np.abs(inst.A @ measure.x.reshape(-1) - inst.b)
+    F = (inst.T - 1) * inst.S  # the row blocks in the module docstring's order
+    blocks = np.split(resid, [F, F + inst.T, F + inst.T + 1])
+    for kind, block in zip(("flow", "budget", "initial", "mass"), blocks):
+        v = float(block.max(initial=0.0))
         if v > RESIDUAL_TOL:
             raise SolverFailure(f"{kind} residual {v:.3e} exceeds {RESIDUAL_TOL}")
 

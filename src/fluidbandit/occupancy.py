@@ -1,8 +1,10 @@
-"""Category partitions and degeneracy detection.
+"""Category codes and degeneracy detection.
 
 A solved measure splits each period's states into three categories by
 their fluid action mix: active (pulled with all their mass), neutral
-(pulled with part of it), inactive (never pulled).  An instance is
+(pulled with part of it), inactive (never pulled).  ``classify`` returns
+them as a plain (T, S) int8 array of codes, +1 active, 0 neutral and
+-1 inactive, which the allocation kernels take as it is.  An instance is
 non-degenerate when every period keeps at least one neutral state; that
 is the regime where the fluid-priority policy's gap stays O(1) in N.
 """
@@ -28,40 +30,15 @@ MAX_SOLUTIONS = 50
 
 
 @dataclass
-class CategoryPartition:
-    """Per-period split of states by fluid action mix.
-
-    :codes: array (T, S) of {+1 active, 0 neutral, -1 inactive}.
-    """
-
-    codes: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return self.codes.shape[0]
-
-    def active(self, t: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.codes[t - 1] == 1).tolist())
-
-    def neutral(self, t: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.codes[t - 1] == 0).tolist())
-
-    def inactive(self, t: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.codes[t - 1] == -1).tolist())
-
-    def neutral_counts(self) -> np.ndarray:
-        return (self.codes == 0).sum(axis=1)
-
-
-@dataclass
 class DegeneracyReport:
     """Verdict of a degeneracy check or search.
 
     :nondegenerate: every period has at least one neutral state.
     :neutral_counts: |C0_t| per period, for the measure behind the verdict.
     :witness: a non-degenerate optimal measure when one was constructed.
-    :certificate: periods proven to lack a neutral state under every
-        optimal measure (empty unless the search certified them).
+    :certificate: periods without a neutral state: for a plain check,
+        those of the codes checked; for a search, those it proved to lack
+        one under every optimal measure.
     :stages: LP solves performed by the search (0 for plain checks).
     """
 
@@ -72,8 +49,9 @@ class DegeneracyReport:
     stages: int = 0
 
 
-def classify(measure: OccupationMeasure) -> CategoryPartition:
-    """Split states per period: pulled fully, partially, or not at all.
+def classify(measure: OccupationMeasure) -> np.ndarray:
+    """Codes (T, S) of the states per period: +1 pulled fully, 0 partially,
+    -1 not at all.
 
     States with pull mass <= CLASSIFY_TOL are inactive regardless of idle
     mass, so the three categories partition S.
@@ -84,12 +62,12 @@ def classify(measure: OccupationMeasure) -> CategoryPartition:
     pulled = pull > CLASSIFY_TOL
     codes[pulled & (idle > CLASSIFY_TOL)] = 0
     codes[pulled & (idle <= CLASSIFY_TOL)] = 1
-    return CategoryPartition(codes=codes)
+    return codes
 
 
-def is_nondegenerate(partition: CategoryPartition) -> DegeneracyReport:
-    """Check Definition-style non-degeneracy of one partition (no search)."""
-    counts = partition.neutral_counts()
+def is_nondegenerate(codes: np.ndarray) -> DegeneracyReport:
+    """Check Definition-style non-degeneracy of one set of codes (no search)."""
+    counts = (codes == 0).sum(axis=1)
     bad = [int(t + 1) for t in np.flatnonzero(counts == 0)]
     return DegeneracyReport(
         nondegenerate=len(bad) == 0,
@@ -104,8 +82,7 @@ def _combine(solutions: list[OccupationMeasure]) -> OccupationMeasure:
     """Uniform convex combination; optimal by linearity, duals from the first."""
     x = np.mean([m.x for m in solutions], axis=0)
     value = float(np.mean([m.value for m in solutions]))
-    return OccupationMeasure(x=x, z=x.sum(axis=2), value=value,
-                             duals=solutions[0].duals)
+    return OccupationMeasure(x=x, value=value, duals=solutions[0].duals)
 
 
 def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
@@ -131,8 +108,8 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
     stages = 1
 
     while True:
-        part = classify(combo)
-        counts = part.neutral_counts()
+        codes = classify(combo)
+        counts = (codes == 0).sum(axis=1)
         pending = [int(t + 1) for t in np.flatnonzero(counts == 0)
                    if int(t + 1) not in certified]
         if not pending:
@@ -140,7 +117,7 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
         if len(solutions) >= MAX_SOLUTIONS:
             raise SolverFailure("degeneracy search did not settle within the solution cap")
         t_k = pending[0]
-        c_plus = sorted(part.active(t_k))
+        c_plus = np.flatnonzero(codes[t_k - 1] == 1)
         prev_activity = float(combo.x[t_k - 1, c_plus, 1].sum())
         functional = np.zeros((model.T, model.S, 2))
         functional[t_k - 1, c_plus, 1] = 1.0
@@ -153,8 +130,6 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
         solutions.append(pinned)
         combo = _combine(solutions)
 
-    final_part = classify(combo)
-    counts = final_part.neutral_counts()
     nondeg = bool((counts >= 1).all())
     return DegeneracyReport(
         nondegenerate=nondeg,

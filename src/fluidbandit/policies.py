@@ -38,7 +38,7 @@ from .errors import (ConfigError, DegeneratePosterior, DimensionMismatch, Missin
                      QOutOfRange)
 from .lp import OccupationMeasure
 from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
-from .occupancy import CategoryPartition, classify
+from .occupancy import classify
 from .priority import score_order
 
 
@@ -370,11 +370,12 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
 
 def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
                             scores: Any, N: int, alpha_t: float,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
+                            codes: np.ndarray | None = None) -> AllocationPlan:
     """Priority allocation with neutral-state quotas from the measure.
 
     A 1-row call of :func:`fluid_pulls`, for callers that allocate one
-    count state at a time.  Exactly floor(alpha_t * N) arms are pulled.
+    count state at a time; ``codes`` defaults to ``classify(measure)``.
+    Exactly floor(alpha_t * N) arms are pulled.
     """
     Z = counts.Z
     S = Z.size
@@ -382,9 +383,9 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
         raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
-    part = partition if partition is not None else classify(measure)
+    codes = codes if codes is not None else classify(measure)
     quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
-    X1 = fluid_pulls(Z[None, :], part.codes[t - 1], score_order(scores, t, S), quota,
+    X1 = fluid_pulls(Z[None, :], codes[t - 1], score_order(scores, t, S), quota,
                      period_budget(alpha_t, N))[0]
     return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1))
 

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
 from .mdp import ArmModel, is_integer, period_budget, successors, validate_model
-from .occupancy import CategoryPartition, classify
+from .occupancy import classify
 from .policies import (TS_CELL_FLOATS, TS_GRID, PolicySpec, activation_probabilities,
                        fluid_pulls, index_pulls, parse_policy, rac_pulls, score_order,
                        ts_pulls, ucb_scores, violation_rows)
@@ -100,7 +100,7 @@ class SweepRow:
 
 
 class CompiledPolicy:
-    """Per-(model, spec) engine: the spec's measure, scores and partition,
+    """Per-(model, spec) engine: the spec's measure, scores and category codes,
     solved or derived only where the policy needs them, plus precomputed
     orders and transition supports; allocation is delegated to the
     kernels in policies.  Every compile validates the model exactly once:
@@ -140,7 +140,7 @@ class CompiledPolicy:
         self.relaxation: OccupationMeasure | None = measure if uses_measure else None
         # index/ucb/ts carry no reference measure for violation/diffusion
         self.measure = measure if self.kind in ("fluid", "relaxed", "rac") else None
-        self.partition: CategoryPartition | None = (
+        self.codes: np.ndarray | None = (
             classify(self.measure) if self.measure is not None else None)
 
         if self.kind in ("ts", "rac"):
@@ -165,7 +165,7 @@ class CompiledPolicy:
         B = period_budget(float(self.model.alpha[t - 1]), N)
         if self.kind in ("fluid", "relaxed"):
             quota = np.floor(N * self.measure.x[t - 1, :, 1]).astype(np.int64)
-            return fluid_pulls(Z, self.partition.codes[t - 1], self._orders[t - 1],
+            return fluid_pulls(Z, self.codes[t - 1], self._orders[t - 1],
                                quota, B, relaxed=self.kind == "relaxed")
         if self.kind in ("index", "ucb"):
             return index_pulls(Z, self._orders[t - 1], B)
@@ -372,7 +372,7 @@ class _PeriodBook:
         if self.vc is not None:
             if t == 1:
                 self.union = np.zeros(len(Z), dtype=bool)
-            v = violation_rows(Z, self.pol.partition.codes[t - 1],
+            v = violation_rows(Z, self.pol.codes[t - 1],
                                float(self.pol.model.alpha[t - 1] * self.N))
             self.vc[t - 1] += int(v.sum())
             self.uc += int((v & ~self.union).sum())
@@ -484,7 +484,7 @@ def violation_rate_sweep(model: ArmModel, policy, N_list: Sequence[int],
     """Budget-bracket failure rates per (N, t); policy must carry a measure."""
     _check_n_list(N_list)
     pol = _resolve_policy(model, policy)
-    if pol.partition is None:
+    if pol.codes is None:
         raise RangeError("violation sweep needs a measure-carrying policy")
     out = []
     for N in N_list:

@@ -32,7 +32,6 @@ def build_lp(model: ArmModel) -> LpInstance:
     cols: list[int] = []
     vals: list[float] = []
     rhs: list[float] = []
-    row_kind: list[tuple] = []
 
     def add(r: int, cidx: int, v: float) -> None:
         rows.append(r)
@@ -52,32 +51,28 @@ def build_lp(model: ArmModel) -> LpInstance:
                     if p != 0.0:
                         add(r, var(t - 1, sp_, a), -p)
             rhs.append(0.0)
-            row_kind.append(("flow", t, s))
             r += 1
     # budget: pull mass is exactly alpha_t each period
     for t in range(1, T + 1):
         for s in range(S):
             add(r, var(t, s, 1), 1.0)
         rhs.append(float(model.alpha[t - 1]))
-        row_kind.append(("budget", t))
         r += 1
     # all mass starts on s0
     for a in (0, 1):
         add(r, var(1, model.s0, a), 1.0)
     rhs.append(1.0)
-    row_kind.append(("initial",))
     r += 1
     # and totals one
     for s in range(S):
         for a in (0, 1):
             add(r, var(1, s, a), 1.0)
     rhs.append(1.0)
-    row_kind.append(("mass",))
     r += 1
 
     A = sp.csr_matrix((vals, (rows, cols)), shape=(r, n))
     c = model.R.reshape(-1).astype(np.float64).copy()
-    return LpInstance(c=c, A=A, b=np.asarray(rhs), row_kind=row_kind, T=T, S=S)
+    return LpInstance(c=c, A=A, b=np.asarray(rhs), T=T, S=S)
 
 
 def build_lp_kron(model: ArmModel) -> sp.csr_matrix:

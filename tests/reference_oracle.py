@@ -191,13 +191,13 @@ def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], Al
     if getattr(policy, "kind", None) in ("rac", "ts"):
         raise NondeterministicPolicy(f"{policy.kind} is randomized; exact evaluation undefined")
     pol = _resolve_policy(model, policy)
-    measure, scores, part = pol.measure, pol.scores, pol.partition
+    measure, scores, codes = pol.measure, pol.scores, pol.codes
     if pol.kind == "fluid":
         return lambda t, c: fluid_priority_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), codes=codes)
     if pol.kind == "relaxed":
         return lambda t, c: budget_relaxed_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), partition=part)
+            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), codes=codes)
     # index and ucb: greedy in the compiled score order
     return lambda t, c: index_allocate(
         t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))

@@ -25,7 +25,7 @@ from fluidbandit.policies import _prefix_clip, score_order
 
 def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
                             scores: Any, N: int, alpha_t: float,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
+                            codes: np.ndarray | None = None) -> AllocationPlan:
     """Priority allocation with neutral-state quotas from the measure.
 
     Pass order: active states (descending score) up to their counts; then
@@ -38,8 +38,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
         raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
-    part = partition if partition is not None else classify(measure)
-    codes = part.codes[t - 1]
+    codes = (codes if codes is not None else classify(measure))[t - 1]
     order = score_order(scores, t, S)
     B = period_budget(alpha_t, N)
 
@@ -73,7 +72,7 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
 
 def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
                             scores: Any, N: int, alpha_t: float,
-                            partition: CategoryPartition | None = None) -> AllocationPlan:
+                            codes: np.ndarray | None = None) -> AllocationPlan:
     """Relaxed variant: all active arms are pulled even past the budget.
 
     If the budget is spent (or overspent) by the active pass, no neutral
@@ -84,8 +83,7 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
     S = Z.size
     if counts.N != N or int(Z.sum()) != N:
         raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
-    part = partition if partition is not None else classify(measure)
-    codes = part.codes[t - 1]
+    codes = (codes if codes is not None else classify(measure))[t - 1]
     order = score_order(scores, t, S)
     B = period_budget(alpha_t, N)
 
@@ -112,7 +110,7 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
     return AllocationPlan(t=t, X=X)
 
 
-def violation_event(t: int, counts: CountState, partition: CategoryPartition,
+def violation_event(t: int, counts: CountState, codes: np.ndarray,
                     alpha_t: float, N: int | None = None) -> bool:
     """True iff the real-budget bracketing event fails at (t, Z).
 
@@ -122,7 +120,7 @@ def violation_event(t: int, counts: CountState, partition: CategoryPartition,
     """
     if N is None:
         N = counts.N
-    codes = partition.codes[t - 1]
+    codes = codes[t - 1]
     lo = int(counts.Z[codes == 1].sum())
     hi = lo + int(counts.Z[codes == 0].sum())
     target = alpha_t * N

@@ -50,8 +50,8 @@ def test_a01_fixture_relaxations_exact(single, two):
     ok &= bool(np.abs(ms.x - 0.5).max() <= 1e-8)
     want_two = np.array([[[0.5, 0.5], [0.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]]])
     ok &= bool(np.abs(mt.x - want_two).max() <= 1e-8)
-    ok &= classify(ms).codes.tolist() == [[0], [0]]
-    ok &= classify(mt).codes.tolist() == [[0, -1], [1, -1]]
+    ok &= classify(ms).tolist() == [[0], [0]]
+    ok &= classify(mt).tolist() == [[0, -1], [1, -1]]
     ok &= is_nondegenerate(classify(ms)).nondegenerate is True
     rep_two = search_nondegenerate(two)
     ok &= rep_two.nondegenerate is False and rep_two.certificate == [2]
@@ -209,7 +209,7 @@ def test_a08_policy_identity_off_violation():
             Z = rng.multinomial(N, rng.dirichlet(np.ones(model.S)))[None, :]
             states += 1
             a_t = float(model.alpha[t - 1])
-            if violation_rows(Z, strict.partition.codes[t - 1], a_t * N)[0]:
+            if violation_rows(Z, strict.codes[t - 1], a_t * N)[0]:
                 continue
             compared += 1
             if not np.array_equal(strict.allocate_batch(t, Z, None),

@@ -74,6 +74,22 @@ def test_every_private_helper_is_used_in_the_package():
     assert orphans == []
 
 
+# a method or property that no code reads as `.name` is dead surface: a
+# class member that outlives its last reader; dunder methods are called
+# by Python itself and are exempt
+def test_every_class_member_is_read():
+    reads = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        reads |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}:{cls.name}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+              for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in reads]
+    assert unread == []
+
+
 # a reference helper is there to check a package form against; once no
 # test and no other helper of its file calls it, the check it served is gone
 def test_every_reference_helper_is_used_by_a_test():

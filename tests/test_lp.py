@@ -43,8 +43,7 @@ def _highs(model, functional=None, value=None):
     x[red.keep_cols] = np.maximum(res.x, 0.0)
     duals = None if functional is not None else -res.eqlin.marginals[red.budget_row_pos]
     x = x.reshape(inst.T, inst.S, 2)
-    return OccupationMeasure(x=x, z=x.sum(axis=2), value=float(inst.c @ x.reshape(-1)),
-                             duals=duals)
+    return OccupationMeasure(x=x, value=float(inst.c @ x.reshape(-1)), duals=duals)
 
 
 def _relax(model, engine):
@@ -139,9 +138,10 @@ def test_upper_bound_scales(two_measure):
 def test_build_lp_structure(two):
     inst = build_lp(two)
     assert inst.n_vars == two.T * two.S * 2
-    assert len(inst.budget_rows()) == two.T
-    for i, r in enumerate(inst.budget_rows()):
-        assert inst.b[r] == pytest.approx(two.alpha[i])
+    F = (two.T - 1) * two.S  # budget rows follow the flow rows
+    assert inst.A.shape == (F + two.T + 2, inst.n_vars)
+    for i in range(two.T):
+        assert inst.b[F + i] == pytest.approx(two.alpha[i])
 
 
 def test_build_lp_matches_loop_reference(fix, bern5, crowd7, assort8):
@@ -159,7 +159,6 @@ def test_build_lp_matches_loop_reference(fix, bern5, crowd7, assort8):
         assert got.b.dtype == want.b.dtype
         np.testing.assert_array_equal(got.b, want.b)
         np.testing.assert_array_equal(got.c, want.c)
-        assert got.row_kind == want.row_kind
 
 
 def test_build_lp_matches_kron_blocks():
@@ -197,6 +196,19 @@ def test_solve_certifies_strong_duality(bern5, monkeypatch):
 
     monkeypatch.setattr(simplex, "solve_lp", perturbed)
     with pytest.raises(SolverFailure, match="duality residual"):
+        solve_relaxation(bern5)
+
+
+def test_solve_checks_primal_residuals(bern5, monkeypatch):
+    orig = simplex.solve_lp
+
+    def perturbed(A, b, cmin, basis):
+        res = orig(A, b, cmin, basis)
+        res.x[0] += 0.5  # x_1(s0, idle): its initial, mass and period-2 flow rows
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp", perturbed)
+    with pytest.raises(SolverFailure, match="^flow residual .* exceeds"):
         solve_relaxation(bern5)
 
 

@@ -96,6 +96,34 @@ def test_shape_errors(two):
     with pytest.raises((ShapeError, DimensionMismatch)):
         validate_model(_copy(two, dense_kernel(two)[:1]))
 
+    # each copy is otherwise valid, so only the named check can refuse it
+    csc, short_R, short_alpha = _copy(two), _copy(two), _copy(two)
+    csc.kernel[1] = csc.kernel[1].tocsc()
+    short_R.R = short_R.R[:, :, :1]
+    short_alpha.alpha = short_alpha.alpha[:-1]
+    for m, message in ((csc, "kernel must be 2 CSR"), (short_R, "reward shape"),
+                       (short_alpha, "alpha shape")):
+        with pytest.raises(ShapeError, match=message):
+            validate_model(m)
+
+
+def test_unsorted_kernel_row_in_a_file_is_refused():
+    model = make_random_model(np.random.default_rng(38), S=3, T=2)
+    payload = json.loads(model_to_json(model))
+    K = payload["kernel"][payload["kernel_of_period"][0]]
+    row = slice(K["indptr"][0], K["indptr"][1])
+    assert len(K["indices"][row]) == 3  # a dense row: reversed, its targets descend
+    K["indices"][row], K["data"][row] = K["indices"][row][::-1], K["data"][row][::-1]
+    with pytest.raises(ShapeError, match="kernel period 1 rows need ascending, distinct"):
+        model_from_dict(payload)
+
+
+def test_arm_model_takes_exactly_one_kernel_form(two):
+    common = dict(T=two.T, states=list(two.states), s0=two.s0, R=two.R, alpha=two.alpha)
+    for forms in ({}, {"kernel": two.kernel, "P": dense_kernel(two)}):
+        with pytest.raises(TypeError, match="exactly one of kernel= and P="):
+            ArmModel(**common, **forms)
+
 
 def test_non_finite_alpha_is_a_range_error(two):
     # NaN fails both range comparisons, so a NaN alpha once passed
@@ -198,8 +226,9 @@ def test_negative_dust_is_no_successor():
     validate_model(model)
     # flow row of (t=2, s=2) must not see x_1(1, 0)
     inst = build_lp(model)
-    row = inst.row_kind.index(("flow", 2, 2))
-    assert inst.A[row, inst.var(1, 1, 0)] == 0.0
+    row = (2 - 2) * model.S + 2  # flow rows come first: (t, s) at (t-2)S + s
+    col = ((1 - 1) * model.S + 1) * 2 + 0  # (t, s, a) at ((t-1)S + s)2 + a
+    assert inst.A[row, col] == 0.0
     pol = CompiledPolicy(model, parse_policy("fluid"))
     assert pol._support[0][2 * 1 + 0].indices.tolist() == [0, 1]
     # where three idle arms of state 1 land in period 1

@@ -1,42 +1,39 @@
-"""Category partitions, degeneracy reports and search, fluid propagation."""
+"""Category codes, degeneracy reports and search, fluid propagation."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
+import fluidbandit.occupancy as occupancy
 from conftest import dense_kernel, make_random_model
 from fluidbandit.errors import DimensionMismatch
-from fluidbandit.lp import OccupationMeasure, solve_relaxation
-from fluidbandit.occupancy import classify, is_nondegenerate, search_nondegenerate
+from fluidbandit.lp import RESIDUAL_TOL, OccupationMeasure, build_lp, solve_relaxation
+from fluidbandit.occupancy import CERT_TOL, classify, is_nondegenerate, search_nondegenerate
 from fluidbandit.priority import fluid_propagate, score_order
+from fluidbandit.zoo import crowdsourcing
 
 
 def test_classify_single(single_measure):
-    part = classify(single_measure)
-    assert part.codes.tolist() == [[0], [0]]
-    assert part.neutral(1) == frozenset({0})
-    assert part.neutral(2) == frozenset({0})
+    codes = classify(single_measure)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [[0], [0]]
 
 
 def test_classify_two(two_measure):
-    part = classify(two_measure)
-    assert part.codes.tolist() == [[0, -1], [1, -1]]
-    assert part.active(2) == frozenset({0})
-    assert part.inactive(2) == frozenset({1})
+    assert classify(two_measure).tolist() == [[0, -1], [1, -1]]
 
 
 def test_classify_zero_pull_mass_is_inactive():
     x = np.array([[[0.3, 0.0], [0.35, 0.35]]])
-    m = OccupationMeasure(x=x, z=x.sum(axis=2), value=0.0, duals=None)
-    part = classify(m)
-    assert part.codes.tolist() == [[-1, 0]]
+    m = OccupationMeasure(x=x, value=0.0, duals=None)
+    assert classify(m).tolist() == [[-1, 0]]
 
 
 def test_partition_covers_every_state(bern5_measure):
-    part = classify(bern5_measure)
-    assert set(np.unique(part.codes)) <= {-1, 0, 1}
-    for t in range(1, part.T + 1):
-        groups = [part.active(t), part.neutral(t), part.inactive(t)]
-        assert sum(len(g) for g in groups) == bern5_measure.x.shape[1]
+    codes = classify(bern5_measure)
+    assert codes.shape == bern5_measure.x.shape[:2]
+    assert set(np.unique(codes)) <= {-1, 0, 1}
 
 
 def test_is_nondegenerate_reports(single_measure, two_measure):
@@ -71,6 +68,59 @@ def test_search_witness_is_optimal_and_nondegenerate(bern5, bern5_measure):
     assert w.x.min() >= 0.0
     assert (rep.neutral_counts >= 1).all()
     assert is_nondegenerate(classify(w)).nondegenerate
+
+
+def _highs_face_min(model, functional, value):
+    """Minimum of a functional over the optimal face, by scipy's HiGHS."""
+    inst = build_lp(model)
+    res = linprog(functional.reshape(-1), A_eq=sp.vstack([inst.A, sp.csr_matrix(inst.c)]),
+                  b_eq=np.append(inst.b, value), bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("T, alpha, stages, combines, certificate", [
+    (2, 2 / 3, 2, 1, []),
+    (4, 0.75, 3, 2, []),
+    (5, 0.5, 5, 3, [4]),
+], ids=["crowd2", "crowd4", "crowd5"])
+def test_search_combines_pinned_solutions(monkeypatch, T, alpha, stages, combines,
+                                          certificate):
+    """The vertex lacks a neutral state; combining it with pinned re-solves
+    gives one to every period but those certified degenerate."""
+    model = crowdsourcing(T, alpha)
+    base = solve_relaxation(model)
+    assert not is_nondegenerate(classify(base)).nondegenerate
+    combos, pins = [base], []  # pins: (functional, the combination it worked on)
+
+    def combine(solutions, _combine=occupancy._combine):
+        combos.append(_combine(solutions))
+        return combos[-1]
+
+    def pin(model, functional, value, _pin=occupancy.resolve_with_pins):
+        pins.append((functional, combos[-1]))
+        return _pin(model, functional, value)
+
+    monkeypatch.setattr(occupancy, "_combine", combine)
+    monkeypatch.setattr(occupancy, "resolve_with_pins", pin)
+    rep = search_nondegenerate(model)
+    assert (rep.stages, len(combos) - 1, rep.certificate) == (stages, combines, certificate)
+    inst = build_lp(model)
+    for m in combos[1:]:
+        assert abs(m.value - base.value) <= 1e-7
+        assert np.abs(inst.A @ m.x.reshape(-1) - inst.b).max() <= RESIDUAL_TOL
+    counts = (classify(combos[-1]) == 0).sum(axis=1)
+    assert [t + 1 for t in np.flatnonzero(counts == 0)] == certificate
+    assert rep.nondegenerate == (not certificate)
+    assert rep.witness is (None if certificate else combos[-1])
+    for t in certificate:
+        # the last pin at t found no optimal measure with less pull mass on
+        # the combination's active set; HiGHS finds none either
+        f, combo = next((f, m) for f, m in reversed(pins) if f[t - 1].any())
+        low = _highs_face_min(model, f, base.value)
+        assert low >= float((f * combo.x).sum()) - CERT_TOL
 
 
 def test_fluid_propagate_two_recovers_optimum(two, two_measure):

@@ -247,7 +247,7 @@ def test_callable_policy_equals_its_spec(bern2):
     def fluid(t, counts):
         return fluid_priority_allocate(t, counts, pol.measure, pol.scores, counts.N,
                                        alpha_t=float(bern2.alpha[t - 1]),
-                                       partition=pol.partition)
+                                       codes=pol.codes)
 
     for N in (2, 3, 5, 6):
         assert exact_policy_value(bern2, fluid, N) == exact_policy_value(bern2, pol, N)

@@ -6,7 +6,8 @@ import pytest
 import fluidbandit.policies as policies
 import reference_policies as ref
 from conftest import make_random_model
-from fluidbandit.errors import DegeneratePosterior, MissingMetadata, QOutOfRange
+from fluidbandit.errors import (DegeneratePosterior, DimensionMismatch, MissingMetadata,
+                                QOutOfRange)
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
 from fluidbandit.mdp import BeliefStateAnnotation, CountState, period_budget
 from fluidbandit.occupancy import classify
@@ -29,19 +30,19 @@ def _row(Z):
     return np.asarray(Z, dtype=np.int64)[None, :]
 
 
-def _relaxed_pulls(t, Z, measure, scores, alpha_t, partition=None):
+def _relaxed_pulls(t, Z, measure, scores, alpha_t, codes=None):
     """The budget-relaxed rule's pulls for one count row, as
     ``CompiledPolicy.allocate_batch`` computes them."""
     N = int(np.sum(Z))
-    part = partition if partition is not None else classify(measure)
+    codes = codes if codes is not None else classify(measure)
     quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
-    return fluid_pulls(_row(Z), part.codes[t - 1], score_order(scores, t, len(Z)), quota,
+    return fluid_pulls(_row(Z), codes[t - 1], score_order(scores, t, len(Z)), quota,
                        period_budget(alpha_t, N), relaxed=True)[0]
 
 
-def _violated(t, Z, partition, alpha_t):
+def _violated(t, Z, codes, alpha_t):
     """The bracketing event at one count row, at budget mass alpha_t * N."""
-    return bool(violation_rows(_row(Z), partition.codes[t - 1], alpha_t * int(np.sum(Z)))[0])
+    return bool(violation_rows(_row(Z), codes[t - 1], alpha_t * int(np.sum(Z)))[0])
 
 
 def _index_pulls(t, Z, scores, B):
@@ -78,17 +79,17 @@ def test_relaxed_two_never_pulls_inactive(two, two_measure):
 
 
 def test_violation_event_two(two_measure):
-    part = classify(two_measure)
-    assert _violated(2, [1, 3], part, 0.5) is True
-    assert _violated(2, [3, 1], part, 0.5) is True
-    assert _violated(2, [2, 2], part, 0.5) is False
+    codes = classify(two_measure)
+    assert _violated(2, [1, 3], codes, 0.5) is True
+    assert _violated(2, [3, 1], codes, 0.5) is True
+    assert _violated(2, [2, 2], codes, 0.5) is False
 
 
 def test_violation_event_single_never(single_measure):
-    part = classify(single_measure)
+    codes = classify(single_measure)
     for n in (1, 3, 10, 17):
-        assert _violated(1, [n], part, 0.5) is False
-        assert _violated(2, [n], part, 0.5) is False
+        assert _violated(1, [n], codes, 0.5) is False
+        assert _violated(2, [n], codes, 0.5) is False
 
 
 def test_fluid_fixed_point(two, two_measure, single, single_measure):
@@ -104,19 +105,28 @@ def test_fluid_fixed_point(two, two_measure, single, single_measure):
     np.testing.assert_array_equal(plan.X, (10 * single_measure.x[0]).astype(int))
 
 
+@pytest.mark.parametrize("counts, message", [
+    (_cs(1, [2, 0]), "counts sum"),  # two arms where N says three
+    (_cs(1, [1, 1, 1]), "state count"),  # three states where the measure has two
+], ids=["counts-vs-N", "states-vs-measure"])
+def test_fluid_allocate_refuses_mismatched_counts(two_measure, counts, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        fluid_priority_allocate(1, counts, two_measure, G_FIRST, N=3, alpha_t=0.5)
+
+
 def test_fluid_invariants_random():
     rng = np.random.default_rng(17)
     for _ in range(40):
         model = make_random_model(rng)
         measure = solve_relaxation(model)
-        part = classify(measure)
+        codes = classify(measure)
         scores = rng.normal(size=(model.T, model.S))
         N = int(rng.integers(1, 30))
         for t in range(1, model.T + 1):
             Z = rng.multinomial(N, np.full(model.S, 1.0 / model.S))
             plan = fluid_priority_allocate(t, _cs(t, Z), measure, scores, N,
                                            alpha_t=float(model.alpha[t - 1]),
-                                           partition=part)
+                                           codes=codes)
             B = period_budget(float(model.alpha[t - 1]), N)
             assert int(plan.pulls.sum()) == B
             assert (plan.pulls <= Z).all()
@@ -130,17 +140,17 @@ def test_relaxed_equals_fluid_off_violation():
     for _ in range(40):
         model = make_random_model(rng)
         measure = solve_relaxation(model)
-        part = classify(measure)
+        codes = classify(measure)
         scores = rng.normal(size=(model.T, model.S))
         N = int(rng.integers(2, 40))
         for t in range(1, model.T + 1):
             Z = rng.multinomial(N, np.full(model.S, 1.0 / model.S))
             a_t = float(model.alpha[t - 1])
-            if _violated(t, Z, part, a_t):
+            if _violated(t, Z, codes, a_t):
                 continue
             strict = fluid_priority_allocate(t, _cs(t, Z), measure, scores, N,
-                                             alpha_t=a_t, partition=part)
-            relaxed = _relaxed_pulls(t, Z, measure, scores, a_t, partition=part)
+                                             alpha_t=a_t, codes=codes)
+            relaxed = _relaxed_pulls(t, Z, measure, scores, a_t, codes=codes)
             np.testing.assert_array_equal(strict.pulls, relaxed)
             checked += 1
     assert checked > 30
@@ -171,8 +181,8 @@ def test_activation_probabilities(single_measure, two_measure):
 
 
 def test_activation_probabilities_out_of_range():
-    x = np.array([[[0.2, 0.9]]])
-    m = OccupationMeasure(x=x, z=np.array([[0.5]]), value=0.0, duals=None)
+    x = np.array([[[-0.4, 0.9]]])  # negative idle mass: z = 0.5, so q = 1.8
+    m = OccupationMeasure(x=x, value=0.0, duals=None)
     with pytest.raises(QOutOfRange):
         activation_probabilities(m, 1)
 
@@ -189,12 +199,12 @@ def test_rac_truncated_binomial(single_measure):
 
 def test_rac_extreme_probabilities():
     x1 = np.array([[[0.0, 0.5], [0.5, 0.0]]])
-    m1 = OccupationMeasure(x=x1, z=x1.sum(axis=2), value=0.0, duals=None)
+    m1 = OccupationMeasure(x=x1, value=0.0, duals=None)
     rng = np.random.default_rng(1)
     np.testing.assert_array_equal(_rac_row([6, 6], m1, B=12, rng=rng), [6, 0])
 
     x0 = np.array([[[0.5, 0.0], [0.5, 0.0]]])
-    m0 = OccupationMeasure(x=x0, z=x0.sum(axis=2), value=0.0, duals=None)
+    m0 = OccupationMeasure(x=x0, value=0.0, duals=None)
     assert int(_rac_row([6, 6], m0, B=12, rng=rng).sum()) == 0
 
 
@@ -413,7 +423,7 @@ def test_kernels_match_scalar_reference():
             scores = np.round(scores)
             model.alpha = rng.choice([0.25, 0.5, 0.75], size=T)
         measure = solve_relaxation(model)
-        part = classify(measure)
+        codes = classify(measure)
         ucb = ucb_scores(model.annotations, 0.5)
         pols = {kind: CompiledPolicy(model, PolicySpec(kind, measure=measure, scores=scores))
                 for kind in ("fluid", "relaxed", "index")}
@@ -426,10 +436,10 @@ def test_kernels_match_scalar_reference():
                 B = period_budget(a_t, N)
                 batch = {kind: pol.allocate_batch(t, Zs, rng)
                          for kind, pol in pols.items()}
-                viol = violation_rows(Zs, pols["fluid"].partition.codes[t - 1], a_t * N)
+                viol = violation_rows(Zs, pols["fluid"].codes[t - 1], a_t * N)
                 for r, Z in enumerate(Zs):
                     cs = _cs(t, Z)
-                    kw = dict(alpha_t=a_t, partition=part)
+                    kw = dict(alpha_t=a_t, codes=codes)
                     want = {
                         "fluid": ref.fluid_priority_allocate(t, cs, measure, scores, N, **kw),
                         "relaxed": ref.budget_relaxed_allocate(t, cs, measure, scores, N, **kw),
@@ -440,7 +450,7 @@ def test_kernels_match_scalar_reference():
                     np.testing.assert_array_equal(got.X, want["fluid"].X)
                     for kind, plan in want.items():
                         np.testing.assert_array_equal(batch[kind][r], plan.pulls)
-                    assert bool(viol[r]) is ref.violation_event(t, cs, part, a_t)
+                    assert bool(viol[r]) is ref.violation_event(t, cs, codes, a_t)
                     rows += 1
     assert rows >= 5000
 

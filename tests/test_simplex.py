@@ -40,7 +40,7 @@ def _check_against_scipy(A, b, c):
     return res
 
 
-def test_random_lps_match_scipy():
+def _random_lps():
     rng = np.random.default_rng(7)
     for m, n in [(3, 6), (4, 9), (6, 12), (8, 16), (10, 24)]:
         for _ in range(4):
@@ -48,7 +48,12 @@ def test_random_lps_match_scipy():
             x0 = rng.uniform(0.5, 2.0, size=n)
             b = A @ x0  # mixed signs exercise the row-flip path
             c = rng.uniform(0.0, 1.0, size=n)  # c >= 0 keeps the LP bounded
-            _check_against_scipy(A, b, c)
+            yield A, b, c
+
+
+def test_random_lps_match_scipy():
+    for A, b, c in _random_lps():
+        _check_against_scipy(A, b, c)
 
 
 def test_degenerate_doubly_stochastic_lp():
@@ -82,9 +87,9 @@ def test_redundant_rows():
     np.testing.assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
 
 
-def test_anticycling_classic_example():
-    # standard-form encoding of a problem known to cycle under naive
-    # largest-coefficient pivoting; optimum is -1/20
+def _cycling_lp():
+    """Standard-form encoding of a problem known to cycle under naive
+    largest-coefficient pivoting; optimum is -1/20."""
     A = np.array([
         [0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
         [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
@@ -92,9 +97,27 @@ def test_anticycling_classic_example():
     ])
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    res = _cold(A, b, c)
+    return A, b, c
+
+
+def test_anticycling_classic_example():
+    res = _cold(*_cycling_lp())
     assert res.status == "optimal"
     assert abs(res.obj - (-0.05)) <= 1e-9
+
+
+def test_blands_rule_solves_the_same_lps(monkeypatch):
+    # the switch to Bland's rule waits for BLAND_TRIGGER degenerate steps in
+    # a row, which no model LP makes; at 0 it comes on the first one
+    dantzig = _cold(*_cycling_lp())
+    monkeypatch.setattr(simplex, "BLAND_TRIGGER", 0)
+    bland = _cold(*_cycling_lp())
+    assert bland.status == "optimal"
+    assert abs(bland.obj - (-0.05)) <= 1e-9
+    # Bland's entering and leaving choices took another pivot path
+    assert bland.iterations != dantzig.iterations
+    for A, b, c in _random_lps():
+        _check_against_scipy(A, b, c)
 
 
 def test_infeasible():
