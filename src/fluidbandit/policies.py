@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -64,16 +65,20 @@ class PolicySpec:
         return self.kind
 
 
-def _prefix_clip(X1: np.ndarray, slots, caps, budget) -> None:
-    """Greedy fill under a shared budget (scalar or per-row): for each k in
-    turn, add to column slots[k] of X1 as much of caps[k] (R,) as is left."""
+def _prefix_clip(X1: np.ndarray, fills, budget) -> None:
+    """Greedy fill under a shared budget (scalar or per-row): for each
+    (slot, cap (R,)) of ``fills`` in turn, add to column slot of X1 as much
+    of cap as is left.  ``fills`` is read no further once the budget is
+    spent, so a generator of caps builds none it would not use."""
     rem = np.maximum(budget, 0)
-    for s, cap in zip(slots, caps):
-        if not rem.any():
-            break  # caps are >= 0, so every take left would be 0
+    if not rem.any():
+        return
+    for s, cap in fills:
         take = np.minimum(cap, rem)
         X1[:, s] += take
         rem = rem - take
+        if not rem.any():
+            break  # caps are >= 0, so every take left would be 0
 
 
 def fluid_pulls(Z: np.ndarray, codes: np.ndarray, order: np.ndarray, quota: np.ndarray,
@@ -85,27 +90,27 @@ def fluid_pulls(Z: np.ndarray, codes: np.ndarray, order: np.ndarray, quota: np.n
     leftover neutral arms; then inactive states, until B is spent.  The
     relaxed rule pulls every active arm even past B, spends what is left
     of B on the two neutral passes and never pulls an inactive arm.
+    Each pass reads the columns of Z as views, one state at a time.
     """
     active, neutral, inactive = (order[codes[order] == c] for c in (1, 0, -1))
-    zn = Z.T[neutral]
-    first = np.minimum(zn, quota[neutral, None])
-    slots, caps = [*neutral, *neutral], [*first, *(zn - first)]
+    fills = chain(((s, np.minimum(Z[:, s], quota[s])) for s in neutral),
+                  ((s, np.maximum(Z[:, s] - quota[s], 0)) for s in neutral))
     X1 = np.zeros(Z.shape, dtype=np.int64)
     if relaxed:
-        X1[:, active] = Z[:, active]
+        np.copyto(X1, Z, where=codes == 1)
         budget = np.maximum(B - X1.sum(axis=1), 0)
     else:
-        slots = [*active, *slots, *inactive]
-        caps = [*Z.T[active], *caps, *Z.T[inactive]]
+        fills = chain(((s, Z[:, s]) for s in active), fills,
+                      ((s, Z[:, s]) for s in inactive))
         budget = B
-    _prefix_clip(X1, slots, caps, budget)
+    _prefix_clip(X1, fills, budget)
     return X1
 
 
 def index_pulls(Z: np.ndarray, order: np.ndarray, B) -> np.ndarray:
     """Greedy pulls (R, S): states in score order until B is spent."""
     X1 = np.zeros_like(Z)
-    _prefix_clip(X1, order, Z.T[order], B)
+    _prefix_clip(X1, ((s, Z[:, s]) for s in order), B)
     return X1
 
 
@@ -114,10 +119,12 @@ def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarra
 
     The good event asks the active mass to sit at or below alpha_t*N and
     the active-plus-neutral mass to reach it; its failure is what makes
-    the strict and relaxed allocations diverge.
+    the strict and relaxed allocations diverge.  The masses are exact
+    integer products of Z with the category indicators, so no column
+    subset of Z is copied.
     """
-    lo = Z[:, codes == 1].sum(axis=1)
-    hi = lo + Z[:, codes == 0].sum(axis=1)
+    lo = Z @ (codes == 1)
+    hi = lo + Z @ (codes == 0)
     return (lo > target) | (target > hi)
 
 
@@ -379,8 +386,10 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
     """
     Z = counts.Z
     S = Z.size
-    if counts.N != N or int(Z.sum()) != N:
+    if int(Z.sum()) != N:
         raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
+    if counts.N != N:
+        raise DimensionMismatch(f"count state N={counts.N} vs N={N}")
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
     codes = codes if codes is not None else classify(measure)

@@ -8,7 +8,11 @@ multinomials via sequential binomial conditioning (cost independent of
 N).  The per-arm engine expands the same action counts into one arm per
 count, draws each arm's successor from its kernel row's CDF and counts
 them, so O(N) per replication.  It is the independent check of the
-transition draw.
+transition draw.  Both transitions, ``step_counts`` and ``step_arms``,
+take the period's passive and active counts as two (R, S) arrays
+``(t, X0, X1, rng)``, so the loop's working set is three (R, S) arrays:
+the counts Z, which become X0 in place once the period is booked, the
+pulls X1 and the next counts.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
@@ -175,18 +179,17 @@ class CompiledPolicy:
 
     # ---- batch transitions ----------------------------------------------
 
-    def step_counts(self, t: int, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample Z_{t+1} (R, S) from per-(s, a) grouped multinomials.
+    def step_counts(self, t: int, X0: np.ndarray, X1: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+        """Sample Z_{t+1} (R, S) from per-(s, a) grouped multinomials of the
+        passive and active counts X0, X1 (R, S).
 
         Sequential binomial conditioning over each support, visiting
         (s asc, a in 0..1, targets asc) in a fixed order.
         """
-        R = X.shape[0]
-        Znext = np.zeros((R, self.model.S), dtype=np.int64)
+        Znext = np.zeros(X0.shape, dtype=np.int64)
         K = self._support[t - 1]
-        Xsa = X.reshape(R, -1)  # column 2s+a, the row of K it feeds
-        for r in np.flatnonzero(Xsa.any(axis=0)):
-            n = Xsa[:, r]
+        for r, n in _kernel_columns(X0, X1):
             targets = K.indices[K.indptr[r]:K.indptr[r + 1]]
             probs = K.data[K.indptr[r]:K.indptr[r + 1]]
             if targets.size == 1:
@@ -210,17 +213,24 @@ class CompiledPolicy:
         # built on the first per-arm step only, then kept for every chunk
         return [_successor_table(K) for K in self._support]
 
-    def step_arms(self, t: int, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample Z_{t+1} (R, S) arm by arm: X[r, s, a] arms in kernel row
-        2s+a, occupied columns ascending, each drawing its successor from
-        one uniform (R * N in all) through ``_next_states``."""
-        R, S = X.shape[0], self.model.S
-        Xsa = X.reshape(R, -1)
-        cols = np.flatnonzero(Xsa.any(axis=0))
-        k = np.repeat(np.tile(cols, R), Xsa[:, cols].reshape(-1)).reshape(R, -1)
+    def step_arms(self, t: int, X0: np.ndarray, X1: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+        """Sample Z_{t+1} (R, S) arm by arm: X0[r, s] and X1[r, s] arms in
+        kernel rows 2s and 2s+1, occupied rows ascending, each drawing its
+        successor from one uniform (R * N in all) through ``_next_states``."""
+        R, S = X0.shape
+        rows, cols = zip(*_kernel_columns(X0, X1))
+        k = np.repeat(np.tile(rows, R), np.column_stack(cols).reshape(-1)).reshape(R, -1)
         nxt = _next_states(*self._tables[t - 1], k, rng)
         return np.bincount((nxt + np.arange(0, R * S, S)[:, None]).reshape(-1),
                            minlength=R * S).reshape(R, S)
+
+
+def _kernel_columns(X0: np.ndarray, X1: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The occupied kernel rows r = 2s+a, ascending, each with the column of
+    X0 (a = 0) or X1 (a = 1) whose arms it moves, as a view."""
+    occupied = np.column_stack([X0.any(axis=0), X1.any(axis=0)]).reshape(-1)
+    return [(r, (X1 if r % 2 else X0)[:, r // 2]) for r in np.flatnonzero(occupied).tolist()]
 
 
 # ---- chunked execution ----------------------------------------------------
@@ -311,12 +321,14 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     pol = _resolve_policy(model, policy)
     S = model.S
 
+    # Chunk k draws from stream (seed, tag, k), so the chunk widths below
+    # fix every result.  They stay as they are for that reason, not for
+    # the memory a chunk holds.
     cell = S
     if engine == "per_arm":
         # N * (1 + W) cells per replication, W the widest kernel row: the
         # size of an (R, N, W) successor tensor, which step_arms does not
-        # build.  The width stays so that per-arm chunk sizes, and with
-        # them the peak memory of a per-arm run, stay where they are.
+        # build.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
     if pol.kind == "ts":
         # in either engine, ts_pulls works on each row's live cells, at most
@@ -367,8 +379,10 @@ class _PeriodBook:
         self.dz = np.zeros(T) if track and want_diffusion else None
         self.dx = np.zeros(T) if track and want_diffusion else None
 
-    def record(self, t: int, Z: np.ndarray, X0: np.ndarray, X1: np.ndarray) -> None:
-        """Add period t of a chunk's replications; period 1 opens the chunk."""
+    def counts(self, t: int, Z: np.ndarray) -> None:
+        """Add period t's counts Z (R, S) of a chunk's replications: the
+        bracketing failures and ||Z - N z_t||^2 / N.  Period 1 opens the
+        chunk."""
         if self.vc is not None:
             if t == 1:
                 self.union = np.zeros(len(Z), dtype=bool)
@@ -380,8 +394,13 @@ class _PeriodBook:
         if self.dz is not None:
             N, sqrtN = self.N, math.sqrt(self.N)
             zt = self.pol.measure.z[t - 1]
-            xt = self.pol.measure.x[t - 1]
             self.dz[t - 1] += float((((Z - N * zt) / sqrtN) ** 2).sum())
+
+    def pulls(self, t: int, X0: np.ndarray, X1: np.ndarray) -> None:
+        """Add period t's actions X0, X1 (R, S): ||X - N x_t||^2 / N."""
+        if self.dx is not None:
+            N, sqrtN = self.N, math.sqrt(self.N)
+            xt = self.pol.measure.x[t - 1]
             self.dx[t - 1] += float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
                                     + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
 
@@ -398,7 +417,10 @@ class _PeriodBook:
 
 def _chunk(model, pol, N, R, rng, book, engine):
     """Total rewards (R,) of R replications run by `engine`: the period
-    loop of both engines, which differ only in the transition."""
+    loop of both engines, which differ only in the transition.  It holds
+    three (R, S) arrays: the counts Z, which become the passive counts X0
+    in place once the book has read them, the pulls X1 and the next
+    period's counts."""
     T, S = model.T, model.S
     step = pol.step_counts if engine == "counts" else pol.step_arms
     Z = np.zeros((R, S), dtype=np.int64)
@@ -406,12 +428,13 @@ def _chunk(model, pol, N, R, rng, book, engine):
     rewards = np.zeros(R)
     for t in range(1, T + 1):
         X1 = pol.allocate_batch(t, Z, rng)
-        X0 = Z - X1
-        rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
-        book.record(t, Z, X0, X1)
+        book.counts(t, Z)
+        Z -= X1  # Z is X0 from here on
+        rewards += X1 @ model.R[t - 1, :, 1] + Z @ model.R[t - 1, :, 0]
+        book.pulls(t, Z, X1)
         if t == T:
             break
-        Z = step(t, np.stack([X0, X1], axis=2), rng)
+        Z = step(t, Z, X1, rng)
     return rewards
 
 

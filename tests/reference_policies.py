@@ -224,5 +224,5 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
         ce = np.concatenate([[0], np.cumsum(draws == thr_rep)])
         gt[:, s] = cg[ends] - cg[starts]
         eq[:, s] = ce[ends] - ce[starts]
-    _prefix_clip(gt, range(S), eq.T, B - gt.sum(axis=1))
+    _prefix_clip(gt, zip(range(S), eq.T), B - gt.sum(axis=1))
     return gt

@@ -1,15 +1,21 @@
-"""Reference per-arm step: the gather form of the per-arm engine's
-successor draw.
+"""Reference forms of simulator helpers.
 
-It takes the arguments of the ``fluidbandit.simulator`` helper of the
-same name and returns what it returns, from the same random numbers.
-It is the reference that the simulator's slot-by-slot form is checked
+``_next_states`` is the gather form of the per-arm engine's successor
+draw, and ``_chunk`` the stacked period loop, which copies X0 and the
+(X0, X1) stack every period.  Each takes the arguments of the
+``fluidbandit.simulator`` helper of the same name and returns what it
+returns, from the same random numbers: they are the references that the
+simulator's slot-by-slot draw and its three-array period loop are checked
 against, array for array and run for run.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+import fluidbandit.simulator as simulator
 
 
 def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
@@ -21,3 +27,83 @@ def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
     u = rng.random((R, N, 1))
     slot = np.minimum((u > cdf[k]).sum(axis=2), cdf.shape[1] - 1)
     return targets[k, slot]
+
+
+def _chunk(model, pol, N, R, rng, book, engine):
+    """The stacked period loop, for ``fluidbandit.simulator._chunk``: X0 =
+    Z - X1 as an array of its own, the book fed after the rewards, and the
+    step handed the (R, S, 2) stack of (X0, X1), read as columns 2s+a."""
+    T, S = model.T, model.S
+    step = _step_counts if engine == "counts" else _step_arms
+    Z = np.zeros((R, S), dtype=np.int64)
+    Z[:, model.s0] = N
+    rewards = np.zeros(R)
+    for t in range(1, T + 1):
+        X1 = pol.allocate_batch(t, Z, rng)
+        X0 = Z - X1
+        rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
+        _record(book, t, Z, X0, X1)
+        if t == T:
+            break
+        Z = step(pol, t, np.stack([X0, X1], axis=2), rng)
+    return rewards
+
+
+def _record(book, t, Z, X0, X1):
+    """Period t into the run's ``_PeriodBook``, from column-subset sums."""
+    if book.vc is not None:
+        if t == 1:
+            book.union = np.zeros(len(Z), dtype=bool)
+        codes = book.pol.codes[t - 1]
+        target = float(book.pol.model.alpha[t - 1] * book.N)
+        lo = Z[:, codes == 1].sum(axis=1)
+        hi = lo + Z[:, codes == 0].sum(axis=1)
+        v = (lo > target) | (target > hi)
+        book.vc[t - 1] += int(v.sum())
+        book.uc += int((v & ~book.union).sum())
+        book.union |= v
+    if book.dz is not None:
+        N, sqrtN = book.N, math.sqrt(book.N)
+        zt = book.pol.measure.z[t - 1]
+        xt = book.pol.measure.x[t - 1]
+        book.dz[t - 1] += float((((Z - N * zt) / sqrtN) ** 2).sum())
+        book.dx[t - 1] += float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
+                                + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+
+
+def _step_counts(pol, t, X, rng):
+    """Grouped multinomial step over the columns 2s+a of the stack X."""
+    R = X.shape[0]
+    Znext = np.zeros((R, pol.model.S), dtype=np.int64)
+    K = pol._support[t - 1]
+    Xsa = X.reshape(R, -1)
+    for r in np.flatnonzero(Xsa.any(axis=0)):
+        n = Xsa[:, r]
+        targets = K.indices[K.indptr[r]:K.indptr[r + 1]]
+        probs = K.data[K.indptr[r]:K.indptr[r + 1]]
+        if targets.size == 1:
+            Znext[:, targets[0]] += n
+            continue
+        remaining = n.copy()
+        mass = float(probs.sum())
+        for j in range(targets.size - 1):
+            p = min(max(probs[j] / mass, 0.0), 1.0)
+            k = rng.binomial(remaining, p)
+            Znext[:, targets[j]] += k
+            remaining -= k
+            mass -= probs[j]
+            if not remaining.any():
+                break
+        Znext[:, targets[-1]] += remaining
+    return Znext
+
+
+def _step_arms(pol, t, X, rng):
+    """Arm-by-arm step over the occupied columns 2s+a of the stack X."""
+    R, S = X.shape[0], pol.model.S
+    Xsa = X.reshape(R, -1)
+    cols = np.flatnonzero(Xsa.any(axis=0))
+    k = np.repeat(np.tile(cols, R), Xsa[:, cols].reshape(-1)).reshape(R, -1)
+    nxt = simulator._next_states(*pol._tables[t - 1], k, rng)
+    return np.bincount((nxt + np.arange(0, R * S, S)[:, None]).reshape(-1),
+                       minlength=R * S).reshape(R, S)

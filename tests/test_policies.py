@@ -108,7 +108,8 @@ def test_fluid_fixed_point(two, two_measure, single, single_measure):
 @pytest.mark.parametrize("counts, message", [
     (_cs(1, [2, 0]), "counts sum"),  # two arms where N says three
     (_cs(1, [1, 1, 1]), "state count"),  # three states where the measure has two
-], ids=["counts-vs-N", "states-vs-measure"])
+    (CountState(1, 5, [2, 1]), "count state N=5 vs N=3"),  # counts sum to N, its N does not
+], ids=["counts-vs-N", "states-vs-measure", "state-N-vs-N"])
 def test_fluid_allocate_refuses_mismatched_counts(two_measure, counts, message):
     with pytest.raises(DimensionMismatch, match=message):
         fluid_priority_allocate(1, counts, two_measure, G_FIRST, N=3, alpha_t=0.5)

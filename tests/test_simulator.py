@@ -1,5 +1,7 @@
 """Monte Carlo engines: determinism, exact fixtures, cross-validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -335,7 +337,7 @@ def test_step_arms_lands_every_arm(S, N):
         X = np.stack([Z - X1, X1], axis=2)
         for t in (1, 2):
             a, b = np.random.default_rng(6), np.random.default_rng(6)
-            Znext = pol.step_arms(t, X, a)
+            Znext = pol.step_arms(t, Z - X1, X1, a)
             assert Znext.dtype == np.int64
             np.testing.assert_array_equal(Znext.sum(axis=1), N)
             if t == 1:
@@ -373,6 +375,10 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
     new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
     monkeypatch.setattr(simulator, "_next_states", ref._next_states)
     old = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
+    _same_reports(new, old)
+
+
+def _same_reports(new, old):
     for name, value in vars(new).items():
         if name == "wall_time":
             continue
@@ -382,6 +388,59 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
                 np.testing.assert_array_equal(value[key], vars(old)[name][key])
         else:
             np.testing.assert_array_equal(value, vars(old)[name])
+
+
+@pytest.mark.parametrize("engine", ["counts", "per_arm"])
+@pytest.mark.parametrize("policy", ["fluid", "relaxed", "index", "rac", "ucb:0.5", "ts"])
+def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engine, policy):
+    # the three-array loop draws what the stacked loop draws and books the
+    # same moments; a cell budget of 500 gives every run several chunks
+    monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 500)
+    run = simulate if engine == "counts" else simulate_per_arm
+    for model, N in ((bern5, 9), (crowd7, 23)):
+        if policy in ("ucb:0.5", "ts") and not model.annotations:
+            continue
+        pol = CompiledPolicy(model, parse_policy(policy))
+        new = [run(model, pol, N=N, reps=70, seed=seed) for seed in (17, 18)]
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_chunk", ref._chunk)
+            old = [run(model, pol, N=N, reps=70, seed=seed) for seed in (17, 18)]
+        for a, b in zip(new, old):
+            _same_reports(a, b)
+
+
+def test_count_chunk_sizes_are_pinned(bern15, monkeypatch):
+    # chunk k draws from stream (seed, tag, k), so the count engine's chunk
+    # widths S, and S plus the TS working set, fix every count-engine result
+    seen = []
+
+    def no_work(model, pol, N, R, rng, book, engine):
+        seen.append(R)
+        return np.zeros(R)
+
+    monkeypatch.setattr(simulator, "_chunk", no_work)
+    simulate(bern15, "fluid", N=1200, reps=60_000, seed=0)
+    assert seen == [17476] * 3 + [7572]
+    seen.clear()
+    simulate(bern15, "ts", N=1200, reps=4000, seed=0)
+    assert seen == [621] * 6 + [274]
+
+
+@pytest.mark.parametrize("policy", ["fluid", "index"])
+def test_count_engine_holds_three_arrays(bern15, policy):
+    # counts, pulls and next counts: the book, the allocation and the step
+    # copy no (R, S) array beyond them, so one 4000-row chunk peaks near
+    # three arrays of R * S int64 (a stacked (X0, X1) copy peaked near six)
+    pol = CompiledPolicy(bern15, parse_policy(policy))
+    simulate(bern15, pol, N=1200, reps=10, seed=0)  # first-call caches
+    tracemalloc.start()
+    try:
+        simulate(bern15, pol, N=1200, reps=4000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = 4000 * bern15.S * 8
+    assert peak <= 3.5 * array + (1 << 18)
 
 
 def test_per_arm_chunk_sizes_are_pinned(bern15, monkeypatch):
