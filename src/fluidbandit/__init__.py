@@ -3,8 +3,8 @@
 Public surface: model containers and validation, the occupation-measure
 LP relaxation with duals, category classification and degeneracy search,
 Lagrangian priority scores, policy specs that ``CompiledPolicy`` compiles
-onto the batch allocation kernels of ``policies`` (plus the 1-row
-``fluid_priority_allocate``), count-based and per-arm Monte Carlo
+onto the batch allocation kernels of ``policies`` (plus
+``fluid_priority_allocate`` for one count vector), count-based and per-arm Monte Carlo
 simulators, a small-N exact oracle, and problem generators.
 """
 
@@ -15,13 +15,12 @@ from .errors import (
     SolverFailure,
 )
 from .mdp import (
-    AllocationPlan, ArmModel, BeliefStateAnnotation, CountState,
-    model_from_dict, model_from_json, model_to_dict, model_to_json,
-    period_budget, reachable_states, successors, validate_model,
+    ArmModel, BeliefStateAnnotation, model_from_dict, model_from_json,
+    model_to_dict, model_to_json, period_budget, reachable_states,
+    successors, validate_model,
 )
 from .lp import (
-    LpInstance, OccupationMeasure, build_lp,
-    resolve_with_pins, solve_relaxation, upper_bound,
+    LpInstance, OccupationMeasure, build_lp, resolve_with_pins, solve_relaxation,
 )
 from .occupancy import (
     DegeneracyReport, classify, is_nondegenerate, search_nondegenerate,

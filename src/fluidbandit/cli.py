@@ -11,14 +11,16 @@ wall-clock time) of the same base name, so stdout carries only the CSV.
 Every float printed to CSV or JSON goes through a 12-significant-digit
 round-trip so reruns of the same config are byte-identical (wall-clock
 time lives only in the sidecar).  Config files are JSON objects whose
-keys mirror the long flags; each value is checked like the flag it
-stands for, and explicit flags win over file values.
+keys mirror the long flags, required ones included; each value is
+checked like the flag it stands for, and explicit flags win over file
+values.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import functools
 import json
 import os
@@ -136,19 +138,6 @@ def _csv_row(rep, upper_bound: float) -> str:
     return ",".join(_fmt(row[c]) for c in CSV_COLUMNS)
 
 
-def _report_sidecar(rep) -> dict:
-    diff = rep.diffusion_second_moments
-    return {
-        "N": rep.N, "policy": rep.policy, "reps": rep.reps, "seed": rep.seed,
-        "engine": rep.engine, "mean_reward": rep.mean_reward,
-        "ci_halfwidth": rep.ci_halfwidth, "ci_reliable": rep.ci_reliable,
-        "per_t_violation_rate": rep.per_t_violation_rate,
-        "union_violation_rate": rep.union_violation_rate,
-        "diffusion_second_moments": diff if diff is None else dict(diff),
-        "wall_time": rep.wall_time,
-    }
-
-
 def _write_reports(result, path: str | None) -> None:
     """CSV of reports against their upper bounds; beside an -o file, the
     JSON sidecar."""
@@ -157,7 +146,7 @@ def _write_reports(result, path: str | None) -> None:
     lines += [_csv_row(rep, ub) for rep, ub in zip(reports, upper_bounds)]
     _write_text(path, "\n".join(lines) + "\n")
     if path:
-        _emit_json({"rows": [_report_sidecar(rep) for rep in reports]}, _sidecar_path(path))
+        _emit_json({"rows": [dataclasses.asdict(rep) for rep in reports]}, _sidecar_path(path))
 
 
 def _sidecar_path(path: str) -> str:
@@ -218,7 +207,7 @@ def cmd_search_measure(model: ArmModel, args) -> dict:
 def _ranked_priorities(model: ArmModel):
     """Priority scheme at the LP's budget duals and each period's state ranking."""
     scheme = q_recursion(model, solve_relaxation(model).require_duals())
-    return scheme, [score_order(scheme, t, model.S) for t in range(1, model.T + 1)]
+    return scheme, [score_order(scheme.P, t, model.S) for t in range(1, model.T + 1)]
 
 
 def cmd_priority(model: ArmModel, args) -> dict:
@@ -344,17 +333,39 @@ def _config_value(key: str, val: Any, action: argparse.Action) -> Any:
     return value
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@functools.cache  # one per process, like build_parser's
+def _lenient_parser() -> argparse.ArgumentParser:
+    """A copy of the parser that requires no subcommand option, so that it
+    finds the command and --config before a config file can supply a
+    required option; its usage and help are the parser's own."""
+    parser = copy.deepcopy(build_parser())
+    strict = _commands(build_parser())
+    for name, command in _commands(parser).items():
+        for action in command._actions:
+            action.required = False
+        command.format_usage = strict[name].format_usage
+        command.format_help = strict[name].format_help
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse argv with --config values installed as the subcommand's defaults.
 
-    argparse then makes explicit flags win in every form it accepts.  Keys
-    of another subcommand are ignored, so one file serves them all; a key
-    that is an option of no subcommand is a ConfigError.  The defaults go
-    on a copy of ``parser``, so one call's file never reaches the next.
+    argparse then makes explicit flags win in every form it accepts, and
+    an option the file supplies is no longer required on the command line.
+    Keys of another subcommand are ignored, so one file serves them all; a
+    key that is an option of no subcommand is a ConfigError.  The defaults
+    go on a copy of the parser, so one call's file never reaches the next.
     """
-    args = parser.parse_args(argv)
+    args = _lenient_parser().parse_args(argv)
     if not args.config:
-        return args
+        return build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -362,28 +373,28 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    parser = copy.deepcopy(parser)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = {a.dest for p in sub.choices.values() for a in p._actions}
+    parser = copy.deepcopy(build_parser())
+    commands = _commands(parser)
+    known = {a.dest for p in commands.values() for a in p._actions}
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)
     if unknown:
         raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
-    command = sub.choices[args.command]
+    command = commands[args.command]
     actions = {a.dest: a for a in command._actions}
     defaults = {}
     for key, val in cfg.items():
         action = actions.get(key.replace("-", "_"))
         if action is not None:
             defaults[action.dest] = _config_value(key, val, action)
+            action.required = False
     command.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = _parse(argv)
         if "seed" in args and args.seed is None:
             raise ConfigError("--seed is mandatory for simulation commands")
         if "seed" in args and args.out and _sidecar_path(args.out) == args.out:

@@ -227,11 +227,6 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     return measure
 
 
-def upper_bound(measure: OccupationMeasure, N: int) -> float:
-    """N-arm optimal value is at most N times the per-arm relaxation value."""
-    return float(N * measure.value)
-
-
 def resolve_with_pins(model: ArmModel, functional: np.ndarray,
                       value: float) -> OccupationMeasure:
     """Minimize `functional` over the exact optimal face of the relaxation.

@@ -1,4 +1,4 @@
-"""Core model and count-state types for finite-horizon budgeted bandits.
+"""Core model types for finite-horizon budgeted bandits.
 
 An :class:`ArmModel` describes one arm of an exchangeable N-arm system:
 shared finite state space, two actions (0 = idle, 1 = pull), time-dependent
@@ -105,42 +105,6 @@ class ArmModel:
     @property
     def annotations(self) -> list[BeliefStateAnnotation] | None:
         return self.metadata.get("annotations")
-
-
-@dataclass
-class CountState:
-    """Counts of arms per state at the start of one period.
-
-    :t: 1-based period.
-    :N: total number of arms; sum(Z) == N.
-    :Z: integer counts, shape (S,).
-    """
-
-    t: int
-    N: int
-    Z: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.Z = np.asarray(self.Z, dtype=np.int64)
-
-
-@dataclass
-class AllocationPlan:
-    """Integer action counts chosen for one period.
-
-    :t: 1-based period.
-    :X: counts, shape (S, 2); X[s, a] arms of state s playing action a.
-    """
-
-    t: int
-    X: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.X = np.asarray(self.X, dtype=np.int64)
-
-    @property
-    def pulls(self) -> np.ndarray:
-        return self.X[:, 1]
 
 
 def is_integer(value) -> bool:

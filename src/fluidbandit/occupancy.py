@@ -33,7 +33,6 @@ MAX_SOLUTIONS = 50
 class DegeneracyReport:
     """Verdict of a degeneracy check or search.
 
-    :nondegenerate: every period has at least one neutral state.
     :neutral_counts: |C0_t| per period, for the measure behind the verdict.
     :witness: a non-degenerate optimal measure when one was constructed.
     :certificate: periods without a neutral state: for a plain check,
@@ -42,11 +41,15 @@ class DegeneracyReport:
     :stages: LP solves performed by the search (0 for plain checks).
     """
 
-    nondegenerate: bool
     neutral_counts: np.ndarray
     witness: OccupationMeasure | None = None
     certificate: list[int] = field(default_factory=list)
     stages: int = 0
+
+    @property
+    def nondegenerate(self) -> bool:
+        """Every period has at least one neutral state."""
+        return bool((self.neutral_counts >= 1).all())
 
 
 def classify(measure: OccupationMeasure) -> np.ndarray:
@@ -69,13 +72,7 @@ def is_nondegenerate(codes: np.ndarray) -> DegeneracyReport:
     """Check Definition-style non-degeneracy of one set of codes (no search)."""
     counts = (codes == 0).sum(axis=1)
     bad = [int(t + 1) for t in np.flatnonzero(counts == 0)]
-    return DegeneracyReport(
-        nondegenerate=len(bad) == 0,
-        neutral_counts=counts,
-        witness=None,
-        certificate=bad,
-        stages=0,
-    )
+    return DegeneracyReport(neutral_counts=counts, certificate=bad)
 
 
 def _combine(solutions: list[OccupationMeasure]) -> OccupationMeasure:
@@ -130,11 +127,8 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
         solutions.append(pinned)
         combo = _combine(solutions)
 
-    nondeg = bool((counts >= 1).all())
-    return DegeneracyReport(
-        nondegenerate=nondeg,
-        neutral_counts=counts,
-        witness=combo if nondeg else None,
-        certificate=sorted(certified),
-        stages=stages,
-    )
+    report = DegeneracyReport(neutral_counts=counts, certificate=sorted(certified),
+                              stages=stages)
+    if report.nondegenerate:
+        report.witness = combo
+    return report

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, DimensionMismatch, NondeterministicPolicy, RangeError
-from .mdp import ArmModel, CountState, distinct_periods, is_integer, period_budget, successors
+from .mdp import ArmModel, distinct_periods, is_integer, period_budget, successors
 from .occupancy import classify  # noqa: F401  bench/tracing.py patches this name
 from .policies import fluid_priority_allocate  # noqa: F401  bench/tracing.py patches this name
 from .policies import parse_policy
@@ -299,33 +299,29 @@ def _landings(lattice: _Lattice, Y: np.ndarray, p: np.ndarray, L: np.ndarray):
 
 
 def _batch_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Deterministic action counts (R, S, 2) of count rows Z (R, S): a
-    bare callable ``(t, CountState) -> AllocationPlan`` row by row, each
-    plan checked to split its row's counts, anything else compiled by
-    :class:`~fluidbandit.simulator.CompiledPolicy` and applied by one
-    ``allocate_batch`` call."""
+    """Deterministic pulls (R, S) of count rows Z (R, S): a bare callable
+    with ``allocate_batch``'s contract ``(t, Z) -> pulls``, its pulls
+    checked to be whole numbers from 0 to Z, or anything else compiled by
+    :class:`~fluidbandit.simulator.CompiledPolicy` and applied by its
+    ``allocate_batch``."""
     if callable(policy):
-        def plan(t: int, z: np.ndarray) -> np.ndarray:
-            X = policy(t, CountState(t=t, N=int(z.sum()), Z=z.copy())).X
-            if X.shape != (model.S, 2):
+        def allocate(t: int, Z: np.ndarray) -> np.ndarray:
+            X1 = np.asarray(policy(t, Z.copy()))
+            if X1.shape != Z.shape:
                 raise DimensionMismatch(
-                    f"period {t} plan has shape {X.shape}, expected ({model.S}, 2)")
+                    f"period {t} pulls have shape {X1.shape}, expected {Z.shape}")
             # a negative count would never finish peeling in _Lattice.laws
-            if (X < 0).any() or (X.sum(axis=1) != z).any():
-                raise RangeError(f"period {t} plan {X.tolist()} does not split "
-                                 f"counts {z.tolist()} into passive and active arms")
-            return X
-        return lambda t, Z: np.stack([plan(t, z) for z in Z])
+            if not ((X1 >= 0) & (X1 <= Z) & (X1 % 1 == 0)).all():
+                raise RangeError(f"period {t} pulls {X1.tolist()} are not whole numbers "
+                                 f"from 0 to the counts {Z.tolist()}")
+            return X1.astype(np.int64)
+        return allocate
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if getattr(policy, "kind", None) in ("rac", "ts"):
         raise NondeterministicPolicy(f"{policy.kind} is randomized; exact evaluation undefined")
     pol = _resolve_policy(model, policy)
-
-    def allocate(t: int, Z: np.ndarray) -> np.ndarray:
-        X1 = pol.allocate_batch(t, Z, None)
-        return np.stack([Z - X1, X1], axis=2)
-    return allocate
+    return lambda t, Z: pol.allocate_batch(t, Z, None)
 
 
 def exact_policy_value(model: ArmModel, policy, N: int,
@@ -333,8 +329,10 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     """Exact expected total reward of a deterministic policy at arm count N.
 
     Propagates the full distribution over count vectors forward through
-    the policy's allocations, made by one ``allocate_batch`` call per
-    period over every reachable count vector; raises
+    the policy's allocations, made by one call per period over every
+    reachable count vector.  The policy is a ``PolicySpec``, its string
+    form, a ``CompiledPolicy`` or a bare callable with ``allocate_batch``'s
+    contract: ``(t, Z (R, S)) -> pulls (R, S)``.  Raises
     NondeterministicPolicy for RAC/TS and RangeError for an N that is
     not a positive integer.  A vector's successor law is the outer
     product of its passive and active group-table rows, scattered onto
@@ -356,13 +354,14 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     prob = np.ones(1)
     total = 0.0
     for t in range(1, T + 1):
-        X = allocate(t, reach)
-        reward = (model.R[t - 1] * X).reshape(len(X), -1).sum(axis=1)
+        X1 = allocate(t, reach)
+        X0 = reach - X1
+        reward = (model.R[t - 1] * np.stack([X0, X1], axis=2)).reshape(len(X1), -1).sum(axis=1)
         total += float(prob @ reward)
         if t == T:
             break
-        Y0, p0, L0 = lattice.laws(t, 0, map(tuple, X[:, :, 0].tolist()))
-        Y1, p1, L1 = lattice.laws(t, 1, map(tuple, X[:, :, 1].tolist()))
+        Y0, p0, L0 = lattice.laws(t, 0, map(tuple, X0.tolist()))
+        Y1, p1, L1 = lattice.laws(t, 1, map(tuple, X1.tolist()))
         lattice.spend(int((L0 * L1).sum()))
         M0, V0 = _landings(lattice, Y0, np.repeat(prob, L0) * p0, L0)
         M1, V1 = _landings(lattice, Y1, p1, L1)

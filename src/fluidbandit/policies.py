@@ -1,12 +1,13 @@
-"""Allocation rules mapping (t, Z) to integer action counts X.
+"""Allocation rules mapping (t, Z) to integer pull counts X1.
 
 Each rule exists once, as a batch kernel over a count matrix Z (R, S)
 that returns pulls X1 (R, S): ``fluid_pulls`` (strict and relaxed),
 ``index_pulls`` (index and UCB), ``rac_pulls`` and ``ts_pulls``, plus
 ``violation_rows`` for the bracketing event.  The simulator's
 ``CompiledPolicy`` dispatches to them (for the simulators and the exact
-oracle); ``fluid_priority_allocate`` is the one 1-row form, for a single
-count state.  Per-state loop forms of the deterministic rules, in
+oracle); ``fluid_priority_allocate`` returns the fluid-priority pulls
+(S,) of a single count vector.  Scores are plain arrays, (T, S) or
+(S,).  Per-state loop forms of the deterministic rules, in
 ``tests/reference_policies.py``, are the reference the kernels are
 checked against, row for row.  States are visited in
 ``priority.score_order`` (descending score, ties by ascending index), and
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any
 
 import numpy as np
 from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv, gammaincinv
@@ -38,7 +38,7 @@ from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv
 from .errors import (ConfigError, DegeneratePosterior, DimensionMismatch, MissingMetadata,
                      QOutOfRange)
 from .lp import OccupationMeasure
-from .mdp import AllocationPlan, BeliefStateAnnotation, CountState, period_budget
+from .mdp import BeliefStateAnnotation, period_budget
 from .occupancy import classify
 from .priority import score_order
 
@@ -49,13 +49,14 @@ class PolicySpec:
 
     :kind: one of "fluid", "relaxed", "index", "rac", "ucb", "ts".
     :measure: required by fluid/relaxed/rac.
-    :scores: optional explicit scores for fluid/relaxed/index.
+    :scores: optional explicit scores for fluid/relaxed/index, an array
+        (T, S) or (S,).
     :delta: UCB bonus multiplier.
     """
 
     kind: str
     measure: OccupationMeasure | None = None
-    scores: Any = None
+    scores: np.ndarray | None = None
     delta: float | None = None
 
     @property
@@ -375,28 +376,23 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
     return X1
 
 
-def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float,
-                            codes: np.ndarray | None = None) -> AllocationPlan:
-    """Priority allocation with neutral-state quotas from the measure.
+def fluid_priority_allocate(t: int, Z: np.ndarray, measure: OccupationMeasure,
+                            scores: np.ndarray, alpha_t: float,
+                            codes: np.ndarray | None = None) -> np.ndarray:
+    """Fluid-priority pulls (S,) of one count vector Z (S,) at period t.
 
-    A 1-row call of :func:`fluid_pulls`, for callers that allocate one
-    count state at a time; ``codes`` defaults to ``classify(measure)``.
+    A 1-row call of :func:`fluid_pulls` at N = Z.sum(), with neutral-state
+    quotas floor(N * x_t(s,1)); ``codes`` defaults to ``classify(measure)``.
     Exactly floor(alpha_t * N) arms are pulled.
     """
-    Z = counts.Z
-    S = Z.size
-    if int(Z.sum()) != N:
-        raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
-    if counts.N != N:
-        raise DimensionMismatch(f"count state N={counts.N} vs N={N}")
+    Z = np.asarray(Z, dtype=np.int64)
+    S, N = Z.size, int(Z.sum())
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
     codes = codes if codes is not None else classify(measure)
     quota = np.floor(N * measure.x[t - 1, :, 1]).astype(np.int64)
-    X1 = fluid_pulls(Z[None, :], codes[t - 1], score_order(scores, t, S), quota,
-                     period_budget(alpha_t, N))[0]
-    return AllocationPlan(t=t, X=np.stack([Z - X1, X1], axis=1))
+    return fluid_pulls(Z[None, :], codes[t - 1], score_order(scores, t, S), quota,
+                       period_budget(alpha_t, N))[0]
 
 
 def activation_probabilities(measure: OccupationMeasure, t: int) -> np.ndarray:

@@ -12,7 +12,7 @@ fluid vertex starts the LP's simplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
 
 import numpy as np
 
@@ -20,13 +20,12 @@ from .errors import DimensionMismatch
 from .mdp import ArmModel, distinct_periods, successors
 
 
-def score_order(scores: Any, t: int, S: int) -> np.ndarray:
+def score_order(scores: np.ndarray, t: int, S: int) -> np.ndarray:
     """State visit order for period t: descending score, ties by ascending index.
 
-    Scores may be a PriorityScheme, a full (T, S) array or a per-period
-    (S,) vector.
+    Scores are a full (T, S) array or a per-period (S,) vector.
     """
-    sc = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
+    sc = np.asarray(scores, dtype=np.float64)
     if sc.ndim == 2:
         sc = sc[t - 1]
     if sc.shape != (S,):
@@ -38,14 +37,20 @@ def score_order(scores: Any, t: int, S: int) -> np.ndarray:
 class PriorityScheme:
     """Priority data at fixed budget prices.
 
+    The pull advantage ``P`` is derived from ``Q`` on first read, so the
+    two cannot disagree.
+
     :lam: prices, shape (T,).
     :Q: penalized action values, shape (T, S, 2).
-    :P: pull advantage Q[..., 1] - Q[..., 0], shape (T, S).
     """
 
     lam: np.ndarray
     Q: np.ndarray
-    P: np.ndarray
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Pull advantage Q[..., 1] - Q[..., 0], shape (T, S)."""
+        return self.Q[:, :, 1] - self.Q[:, :, 0]
 
 
 def q_recursion(model: ArmModel, lam) -> PriorityScheme:
@@ -59,7 +64,7 @@ def q_recursion(model: ArmModel, lam) -> PriorityScheme:
         vnext = np.maximum(Q[t + 1, :, 0], Q[t + 1, :, 1])
         cont = (successors(model)[t] @ vnext).reshape(S, 2)
         Q[t] = model.R[t] - lam[t] * price + cont
-    return PriorityScheme(lam=lam, Q=Q, P=Q[:, :, 1] - Q[:, :, 0])
+    return PriorityScheme(lam=lam, Q=Q)
 
 
 def dual_value(model: ArmModel, lam) -> float:
@@ -98,7 +103,7 @@ def _fluid_fill(masses: np.ndarray, budget: float) -> tuple[np.ndarray, int]:
 def _fluid_pass(model: ArmModel, scores) -> tuple[np.ndarray, float, np.ndarray]:
     """``fluid_propagate``'s (x, value), plus each period's boundary state
     (see ``_fluid_fill``), which ``_price_rounds`` prices."""
-    P = np.asarray(getattr(scores, "P", scores), dtype=np.float64)
+    P = np.asarray(scores, dtype=np.float64)
     if P.shape != (model.T, model.S):
         raise DimensionMismatch(f"scores shape {P.shape}, expected ({model.T}, {model.S})")
     # the transpose of each distinct kernel matrix, built once

@@ -93,14 +93,16 @@ class SimulationReport:
 
 @dataclass
 class SweepRow:
-    """One N of a gap sweep; gap bracket is gap +- ci."""
+    """One N of a gap sweep: the bound N * V-hat and the run's report; the
+    gap bracket is gap_upper_bound +- report.ci_halfwidth."""
 
     N: int
     upper_bound: float
-    mean: float
-    ci: float
-    gap_upper_bound: float
-    report: SimulationReport = field(repr=False, default=None)
+    report: SimulationReport = field(repr=False)
+
+    @property
+    def gap_upper_bound(self) -> float:
+        return self.upper_bound - self.report.mean_reward
 
 
 class CompiledPolicy:
@@ -122,7 +124,7 @@ class CompiledPolicy:
         if measure is not None and measure.x.shape != (T, S, 2):
             raise DimensionMismatch(
                 f"measure has shape {measure.x.shape}, expected ({T}, {S}, 2)")
-        score_shape = np.shape(getattr(scores, "P", scores))
+        score_shape = np.shape(scores)
         if len(score_shape) == 2 and score_shape != (T, S):
             raise DimensionMismatch(f"scores have shape {score_shape}, expected ({T}, {S})")
         if self.kind == "ts" and not model.annotations:
@@ -134,7 +136,7 @@ class CompiledPolicy:
         else:
             validate_model(model)
         if self.kind in ("fluid", "relaxed", "index") and scores is None:
-            scores = q_recursion(model, measure.require_duals())
+            scores = q_recursion(model, measure.require_duals()).P
         if self.kind == "ucb":
             if spec.delta is None or not np.isfinite(spec.delta):
                 raise RangeError(f"UCB policy needs a finite delta, got {spec.delta!r}")
@@ -494,11 +496,8 @@ def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
     rows = []
     for N in N_list:
         reps = _reps_for(reps_per_N, N)
-        rep = run(model, pol, N, reps, seed, crn=crn)
-        ub = N * vhat
-        rows.append(SweepRow(N=N, upper_bound=ub, mean=rep.mean_reward,
-                             ci=rep.ci_halfwidth,
-                             gap_upper_bound=ub - rep.mean_reward, report=rep))
+        rows.append(SweepRow(N=N, upper_bound=N * vhat,
+                             report=run(model, pol, N, reps, seed, crn=crn)))
     return rows
 
 

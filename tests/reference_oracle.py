@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from fluidbandit.errors import BudgetExceeded, NondeterministicPolicy, RangeError
-from fluidbandit.mdp import AllocationPlan, ArmModel, CountState, period_budget, successors
+from fluidbandit.mdp import ArmModel, period_budget, successors
 from fluidbandit.oracle import DEFAULT_GUARD, bounded_compositions, compositions
 from fluidbandit.policies import parse_policy
 from fluidbandit.simulator import _resolve_policy
@@ -180,12 +180,13 @@ def optimal_value(model: ArmModel, N: int, guard: int = DEFAULT_GUARD,
     return value
 
 
-def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], AllocationPlan]:
-    """Deterministic per-count-state allocation: a bare callable as given,
+def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Deterministic pulls (S,) of one count vector (S,): a bare callable
+    (with ``allocate_batch``'s contract) on that vector as a one-row batch,
     anything else compiled by :class:`~fluidbandit.simulator.CompiledPolicy`
     and applied through the loop forms of ``reference_policies``."""
     if callable(policy):
-        return policy
+        return lambda t, Z: np.asarray(policy(t, Z[None, :]))[0]
     if isinstance(policy, str):
         policy = parse_policy(policy)
     if getattr(policy, "kind", None) in ("rac", "ts"):
@@ -193,14 +194,14 @@ def _scalar_allocator(model: ArmModel, policy) -> Callable[[int, CountState], Al
     pol = _resolve_policy(model, policy)
     measure, scores, codes = pol.measure, pol.scores, pol.codes
     if pol.kind == "fluid":
-        return lambda t, c: fluid_priority_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), codes=codes)
+        return lambda t, Z: fluid_priority_allocate(
+            t, Z, measure, scores, alpha_t=float(model.alpha[t - 1]), codes=codes)
     if pol.kind == "relaxed":
-        return lambda t, c: budget_relaxed_allocate(
-            t, c, measure, scores, c.N, alpha_t=float(model.alpha[t - 1]), codes=codes)
+        return lambda t, Z: budget_relaxed_allocate(
+            t, Z, measure, scores, alpha_t=float(model.alpha[t - 1]), codes=codes)
     # index and ucb: greedy in the compiled score order
-    return lambda t, c: index_allocate(
-        t, c, scores, period_budget(float(model.alpha[t - 1]), c.N))
+    return lambda t, Z: index_allocate(
+        t, Z, scores, period_budget(float(model.alpha[t - 1]), int(Z.sum())))
 
 
 def exact_policy_value(model: ArmModel, policy, N: int,
@@ -220,11 +221,12 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     for t in range(1, T + 1):
         new: dict[tuple[int, ...], float] = {}
         for Z, pz in dist.items():
-            counts = CountState(t=t, N=N, Z=np.array(Z, dtype=np.int64))
-            plan = allocate(t, counts)
-            total += pz * float((model.R[t - 1] * plan.X).sum())
+            Z = np.array(Z, dtype=np.int64)
+            X1 = allocate(t, Z)
+            X = np.stack([Z - X1, X1], axis=1)
+            total += pz * float((model.R[t - 1] * X).sum())
             if t < T:
-                succ = _successor_distribution(kernels[t - 1], plan.X, meter)
+                succ = _successor_distribution(kernels[t - 1], X, meter)
                 for z2, p2 in succ.items():
                     new[z2] = new.get(z2, 0.0) + pz * p2
         dist = new

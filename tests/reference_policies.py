@@ -1,8 +1,9 @@
 """Reference allocators: per-state loop forms of the deterministic rules and
 per-arm forms of the randomized ones.
 
-The fluid-priority, budget-relaxed and index rules and the bracketing
-event, one count state at a time (and the index rule on fluid mass).
+The fluid-priority, budget-relaxed and index rules, each returning the
+pulls (S,) of one count vector Z (S,), and the bracketing event (and the
+index rule on fluid mass).
 They are the reference that the ``fluidbandit.policies`` kernels and
 ``fluid_priority_allocate`` are checked against, row for row, and the
 allocators of ``reference_oracle``'s policy evaluation.  ``rac_pulls``
@@ -18,24 +19,23 @@ import math
 import numpy as np
 
 from fluidbandit.errors import DimensionMismatch
-from fluidbandit.mdp import AllocationPlan, period_budget
+from fluidbandit.mdp import period_budget
 from fluidbandit.occupancy import classify
 from fluidbandit.policies import _prefix_clip, score_order
 
 
-def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float,
-                            codes: np.ndarray | None = None) -> AllocationPlan:
-    """Priority allocation with neutral-state quotas from the measure.
+def fluid_priority_allocate(t: int, Z: np.ndarray, measure: OccupationMeasure,
+                            scores: np.ndarray, alpha_t: float,
+                            codes: np.ndarray | None = None) -> np.ndarray:
+    """Priority allocation with neutral-state quotas from the measure: the
+    pulls (S,) of count vector Z (S,), N = Z.sum().
 
     Pass order: active states (descending score) up to their counts; then
     neutral states up to floor(N * x_t(s,1)); then leftover neutral arms;
     then inactive states.  Exactly floor(alpha_t * N) arms are pulled.
     """
-    Z = counts.Z
-    S = Z.size
-    if counts.N != N or int(Z.sum()) != N:
-        raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
+    Z = np.asarray(Z, dtype=np.int64)
+    S, N = Z.size, int(Z.sum())
     if measure.x.shape[1] != S:
         raise DimensionMismatch("measure and counts disagree on the state count")
     codes = (codes if codes is not None else classify(measure))[t - 1]
@@ -66,23 +66,21 @@ def fluid_priority_allocate(t: int, counts: CountState, measure: OccupationMeasu
             take = min(B, int(Z[s]))
             X1[s] += take
             B -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X)
+    return X1
 
 
-def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasure,
-                            scores: Any, N: int, alpha_t: float,
-                            codes: np.ndarray | None = None) -> AllocationPlan:
-    """Relaxed variant: all active arms are pulled even past the budget.
+def budget_relaxed_allocate(t: int, Z: np.ndarray, measure: OccupationMeasure,
+                            scores: np.ndarray, alpha_t: float,
+                            codes: np.ndarray | None = None) -> np.ndarray:
+    """Relaxed variant, pulls (S,): all active arms are pulled even past
+    the budget.
 
     If the budget is spent (or overspent) by the active pass, no neutral
     arm is pulled; otherwise the two neutral passes run as in the strict
-    policy.  Inactive arms are never pulled.  The plan is flagged relaxed.
+    policy.  Inactive arms are never pulled.
     """
-    Z = counts.Z
-    S = Z.size
-    if counts.N != N or int(Z.sum()) != N:
-        raise DimensionMismatch(f"counts sum {Z.sum()} vs N={N}")
+    Z = np.asarray(Z, dtype=np.int64)
+    S, N = Z.size, int(Z.sum())
     codes = (codes if codes is not None else classify(measure))[t - 1]
     order = score_order(scores, t, S)
     B = period_budget(alpha_t, N)
@@ -106,30 +104,25 @@ def budget_relaxed_allocate(t: int, counts: CountState, measure: OccupationMeasu
                 take = min(B, int(undecided[s]))
                 X1[s] += take
                 B -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X)
+    return X1
 
 
-def violation_event(t: int, counts: CountState, codes: np.ndarray,
-                    alpha_t: float, N: int | None = None) -> bool:
+def violation_event(t: int, Z: np.ndarray, codes: np.ndarray, alpha_t: float) -> bool:
     """True iff the real-budget bracketing event fails at (t, Z).
 
     The good event asks the active mass to sit at or below alpha_t*N and
     the active-plus-neutral mass to reach it; its failure is what makes
     the strict and relaxed allocations diverge.
     """
-    if N is None:
-        N = counts.N
     codes = codes[t - 1]
-    lo = int(counts.Z[codes == 1].sum())
-    hi = lo + int(counts.Z[codes == 0].sum())
-    target = alpha_t * N
+    lo = int(Z[codes == 1].sum())
+    hi = lo + int(Z[codes == 0].sum())
+    target = alpha_t * int(Z.sum())
     return not (lo <= target <= hi)
 
 
-def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> AllocationPlan:
-    """Greedy: pull arms in descending state score until B is spent."""
-    Z = counts.Z
+def index_allocate(t: int, Z: np.ndarray, scores: np.ndarray, B: int) -> np.ndarray:
+    """Greedy pulls (S,): arms in descending state score until B is spent."""
     S = Z.size
     order = score_order(scores, t, S)
     X1 = np.zeros(S, dtype=np.int64)
@@ -140,8 +133,7 @@ def index_allocate(t: int, counts: CountState, scores: Any, B: int) -> Allocatio
         take = min(rem, int(Z[s]))
         X1[s] = take
         rem -= take
-    X = np.stack([Z - X1, X1], axis=1)
-    return AllocationPlan(t=t, X=X)
+    return X1
 
 
 def fluid_greedy_pulls(z: np.ndarray, order: np.ndarray, alpha: float) -> np.ndarray:

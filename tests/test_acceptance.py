@@ -111,7 +111,7 @@ def test_a04_constant_gap_fluid(bern15_fluid_rows):
     t0 = time.perf_counter()
     rows = bern15_fluid_rows
     gaps = {r.N: r.gap_upper_bound for r in rows}
-    cis = {r.N: r.ci for r in rows}
+    cis = {r.N: r.report.ci_halfwidth for r in rows}
     all_small = all(g <= 2.0 for g in gaps.values())
     combined = math.hypot(cis[300], cis[9600])
     flat = gaps[9600] <= gaps[300] + 3.0 * combined

@@ -189,6 +189,34 @@ def test_config_file_supplies_seed_flags_win(tmp_path):
     assert sidecar["rows"][0]["seed"] == 4
 
 
+def _n_column(text):
+    """The N of each row of a CSV command's stdout, or of oracle's JSON."""
+    if text.startswith("{"):
+        return [json.loads(text)["N"]]
+    return [int(line.split(",")[0]) for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("command, n_text, flag", [("eval", 4, "6"), ("sweep", "2,4", "3,6"),
+                                                    ("violations", "2,4", "3,6"),
+                                                    ("oracle", 4, "6")])
+def test_config_file_supplies_required_options(tmp_path, capsys, command, n_text, flag):
+    # --N (and --policy of eval and sweep) are required flags; a config key
+    # supplies them as it does --seed, explicit flags still win, and the
+    # file's keys do not make them optional for the next call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": n_text, "policy": "fluid", "reps": 20, "seed": 1}))
+    base = ["--config", str(cfg), command, "--gen", "two"]
+    assert main(base) == 0
+    assert _n_column(capsys.readouterr().out) == [int(n) for n in str(n_text).split(",")]
+    assert main([*base, "--N", flag]) == 0
+    assert _n_column(capsys.readouterr().out) == [int(n) for n in flag.split(",")]
+    cfg.write_text(json.dumps({"policy": "fluid", "reps": 20, "seed": 1}))
+    for argv in (base, base[2:]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
     # main reuses one parser; a config's seed must not become the next
     # call's default

@@ -74,19 +74,28 @@ def test_every_private_helper_is_used_in_the_package():
     assert orphans == []
 
 
-# a method or property that no code reads as `.name` is dead surface: a
-# class member that outlives its last reader; dunder methods are called
-# by Python itself and are exempt
+def _members(cls: ast.ClassDef):
+    """Names of the methods, properties and annotated fields of a class;
+    dunder methods are called by Python itself and are left out."""
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+# a method, property or field that no code reads as `.name` is dead
+# surface: a class member that outlives its last reader, or a field that
+# only copies what its callers already hold
 def test_every_class_member_is_read():
     reads = set()
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         reads |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f"{path.name}:{cls.name}.{fn.name}" for path in sorted(SRC.glob("*.py"))
+    unread = [f"{path.name}:{cls.name}.{name}" for path in sorted(SRC.glob("*.py"))
               for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
-              for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not (fn.name.startswith("__") and fn.name.endswith("__"))
-              and fn.name not in reads]
+              for name in _members(cls) if name not in reads]
     assert unread == []
 
 

@@ -15,7 +15,7 @@ from fluidbandit import simplex
 from fluidbandit.errors import (DimensionMismatch, MissingDuals, PinInfeasible,
                                 SolverFailure)
 from fluidbandit.lp import (RESIDUAL_TOL, OccupationMeasure, build_lp, resolve_with_pins,
-                            solve_relaxation, upper_bound)
+                            solve_relaxation)
 from fluidbandit.mdp import ArmModel
 from fluidbandit.priority import _price_rounds, dual_value, fluid_propagate, score_order
 from fluidbandit.zoo import bernoulli_bandit
@@ -129,10 +129,6 @@ def test_random_models_duality_and_residuals():
         assert _max_residual(model, m.x) <= RESIDUAL_TOL
         lam = m.require_duals()
         assert abs(dual_value(model, lam) - m.value) <= 1e-6
-
-
-def test_upper_bound_scales(two_measure):
-    assert upper_bound(two_measure, 7) == pytest.approx(7.0, abs=1e-9)
 
 
 def test_build_lp_structure(two):

@@ -10,8 +10,7 @@ from conftest import dense_kernel, make_random_model, v1_payload, v2_payload
 from fluidbandit.errors import (DimensionMismatch, RangeError, RowSumError,
                                 ShapeError)
 from fluidbandit.lp import build_lp
-from fluidbandit.mdp import (AllocationPlan, ArmModel, CountState,
-                             model_from_dict, model_to_dict, model_to_json,
+from fluidbandit.mdp import (ArmModel, model_from_dict, model_to_dict, model_to_json,
                              period_budget, reachable_states, successors,
                              validate_model)
 from fluidbandit.oracle import _Lattice
@@ -329,10 +328,3 @@ def test_json_round_trip_rebuilds_samplers(bern2):
     assert draws.shape == (2000,)
     assert np.isfinite(draws).all()
     assert abs(float(draws.mean()) - anns[0].posterior_mean) < 5 * anns[0].posterior_sd / np.sqrt(2000)
-
-
-def test_count_state_and_plan():
-    cs = CountState(t=1, N=4, Z=np.array([2, 2], dtype=np.int64))
-    assert int(cs.Z.sum()) == cs.N
-    plan = AllocationPlan(t=1, X=np.array([[1, 1], [2, 0]], dtype=np.int64))
-    np.testing.assert_array_equal(plan.pulls, [1, 0])

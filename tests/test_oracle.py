@@ -9,8 +9,7 @@ import reference_oracle as ref
 from conftest import make_random_model, v2_payload
 from fluidbandit.errors import (BudgetExceeded, DimensionMismatch, NondeterministicPolicy,
                                RangeError)
-from fluidbandit.mdp import (AllocationPlan, ArmModel, model_from_dict, period_budget,
-                             validate_model)
+from fluidbandit.mdp import ArmModel, model_from_dict, period_budget, validate_model
 from fluidbandit.oracle import (bounded_compositions, compositions,
                                 exact_policy_value, optimal_value)
 from fluidbandit.policies import PolicySpec, fluid_priority_allocate
@@ -240,14 +239,14 @@ def test_policy_dp_allocates_once_per_period(monkeypatch, bern2):
 
 
 def test_callable_policy_equals_its_spec(bern2):
-    # a bare callable goes row by row through the public 1-row allocator;
-    # the spec goes through one batch call per period
+    # a bare callable maps the public one-vector allocator over the rows;
+    # the spec goes through one allocate_batch call per period
     pol = CompiledPolicy(bern2, PolicySpec("fluid"))
 
-    def fluid(t, counts):
-        return fluid_priority_allocate(t, counts, pol.measure, pol.scores, counts.N,
-                                       alpha_t=float(bern2.alpha[t - 1]),
-                                       codes=pol.codes)
+    def fluid(t, Z):
+        return np.array([fluid_priority_allocate(t, z, pol.measure, pol.scores,
+                                                 alpha_t=float(bern2.alpha[t - 1]),
+                                                 codes=pol.codes) for z in Z])
 
     for N in (2, 3, 5, 6):
         assert exact_policy_value(bern2, fluid, N) == exact_policy_value(bern2, pol, N)
@@ -255,36 +254,38 @@ def test_callable_policy_equals_its_spec(bern2):
 
 
 @pytest.mark.parametrize("edit, error", [("negative", RangeError), ("overdraw", RangeError),
-                                         ("shape", DimensionMismatch)])
+                                         ("shape", DimensionMismatch), ("half", RangeError)])
 def test_callable_plan_must_split_the_counts(two, edit, error):
-    # a -1 count once sent the group-law peel into an endless loop, and a
-    # plan pulling more arms than a state holds was valued as if possible
-    def allocate(t, counts):
-        Z = counts.Z
-        s = int(np.argmax(Z))
-        X = np.stack([Z, np.zeros_like(Z)], axis=1)
+    # a -1 count once sent the group-law peel into an endless loop, a plan
+    # pulling more arms than a state holds was valued as if possible, and
+    # half an arm is no pull
+    def allocate(t, Z):
+        rows, s = np.arange(len(Z)), np.argmax(Z, axis=1)
+        X1 = np.zeros_like(Z, dtype=float if edit == "half" else None)
         if edit == "negative":
-            X[s] = [Z[s] + 1, -1]
+            X1[rows, s] = -1
         elif edit == "overdraw":
-            X[s] = [0, Z[s] + 1]
+            X1[rows, s] = Z[rows, s] + 1
+        elif edit == "half":
+            X1[rows, s] = 0.5
         else:
-            X = np.zeros((two.S + 1, 2), dtype=np.int64)
-        return AllocationPlan(t=t, X=X)
+            X1 = np.zeros((len(Z), two.S + 1), dtype=np.int64)
+        return X1
 
     with pytest.raises(error):
         exact_policy_value(two, allocate, 2)
 
 def _pull_fewer(model, rows=lambda Z: True):
-    """Pulls B_t - 1 arms (none when B_t = 0) in the rows Z where rows(Z)
-    holds and B_t in the others, highest states first."""
-    def allocate(t, counts):
-        left = max(period_budget(float(model.alpha[t - 1]), counts.N) - bool(rows(counts.Z)), 0)
-        X = np.zeros((model.S, 2), dtype=np.int64)
-        for s in range(model.S - 1, -1, -1):
-            X[s, 1] = min(left, int(counts.Z[s]))
-            left -= X[s, 1]
-        X[:, 0] = counts.Z - X[:, 1]
-        return AllocationPlan(t=t, X=X)
+    """A bare callable that pulls B_t - 1 arms (none when B_t = 0) in the
+    rows Z where rows(Z) holds and B_t in the others, highest states first."""
+    def allocate(t, Z):
+        X1 = np.zeros_like(Z)
+        for z, x1 in zip(Z, X1):
+            left = max(period_budget(float(model.alpha[t - 1]), int(z.sum())) - bool(rows(z)), 0)
+            for s in range(model.S - 1, -1, -1):
+                x1[s] = min(left, int(z[s]))
+                left -= x1[s]
+        return X1
     return allocate
 
 

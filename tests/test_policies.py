@@ -9,7 +9,7 @@ from conftest import make_random_model
 from fluidbandit.errors import (DegeneratePosterior, DimensionMismatch, MissingMetadata,
                                 QOutOfRange)
 from fluidbandit.lp import OccupationMeasure, solve_relaxation
-from fluidbandit.mdp import BeliefStateAnnotation, CountState, period_budget
+from fluidbandit.mdp import BeliefStateAnnotation, period_budget
 from fluidbandit.occupancy import classify
 from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   fluid_priority_allocate, fluid_pulls, index_pulls,
@@ -21,9 +21,12 @@ from fluidbandit.simulator import CompiledPolicy, simulate
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 
 
-def _cs(t, Z):
+def _plan(t, Z, measure, scores, alpha_t, codes=None):
+    """The action counts (S, 2), idle and pulled arms per state, of
+    ``fluid_priority_allocate``'s pulls for count vector Z."""
     Z = np.asarray(Z, dtype=np.int64)
-    return CountState(t=t, N=int(Z.sum()), Z=Z)
+    X1 = fluid_priority_allocate(t, Z, measure, scores, alpha_t, codes=codes)
+    return np.stack([Z - X1, X1], axis=1)
 
 
 def _row(Z):
@@ -51,21 +54,18 @@ def _index_pulls(t, Z, scores, B):
 
 
 def test_fluid_two_t1_neutral_quota(two, two_measure):
-    plan = fluid_priority_allocate(1, _cs(1, [2, 0]), two_measure, G_FIRST,
-                                   N=2, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.X, [[1, 1], [0, 0]])
+    plan = _plan(1, [2, 0], two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(plan, [[1, 1], [0, 0]])
 
 
 def test_fluid_single_one_state(single, single_measure):
-    plan = fluid_priority_allocate(1, _cs(1, [4]), single_measure,
-                                   np.ones((2, 1)), N=4, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.X, [[2, 2]])
+    plan = _plan(1, [4], single_measure, np.ones((2, 1)), alpha_t=0.5)
+    np.testing.assert_array_equal(plan, [[2, 2]])
 
 
 def test_fluid_two_t2_active_first(two, two_measure):
-    plan = fluid_priority_allocate(2, _cs(2, [1, 1]), two_measure, G_FIRST,
-                                   N=2, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.pulls, [1, 0])
+    pulls = fluid_priority_allocate(2, np.array([1, 1]), two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(pulls, [1, 0])
 
 
 def test_relaxed_two_overspends_on_active(two, two_measure):
@@ -94,25 +94,20 @@ def test_violation_event_single_never(single_measure):
 
 def test_fluid_fixed_point(two, two_measure, single, single_measure):
     # counts on the fluid trajectory with integral N*x reproduce N*x
-    plan = fluid_priority_allocate(1, _cs(1, [4, 0]), two_measure, G_FIRST,
-                                   N=4, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.X, (4 * two_measure.x[0]).astype(int))
-    plan = fluid_priority_allocate(2, _cs(2, [2, 2]), two_measure, G_FIRST,
-                                   N=4, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.X, (4 * two_measure.x[1]).astype(int))
-    plan = fluid_priority_allocate(1, _cs(1, [10]), single_measure,
-                                   np.ones((2, 1)), N=10, alpha_t=0.5)
-    np.testing.assert_array_equal(plan.X, (10 * single_measure.x[0]).astype(int))
+    plan = _plan(1, [4, 0], two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(plan, (4 * two_measure.x[0]).astype(int))
+    plan = _plan(2, [2, 2], two_measure, G_FIRST, alpha_t=0.5)
+    np.testing.assert_array_equal(plan, (4 * two_measure.x[1]).astype(int))
+    plan = _plan(1, [10], single_measure, np.ones((2, 1)), alpha_t=0.5)
+    np.testing.assert_array_equal(plan, (10 * single_measure.x[0]).astype(int))
 
 
 @pytest.mark.parametrize("counts, message", [
-    (_cs(1, [2, 0]), "counts sum"),  # two arms where N says three
-    (_cs(1, [1, 1, 1]), "state count"),  # three states where the measure has two
-    (CountState(1, 5, [2, 1]), "count state N=5 vs N=3"),  # counts sum to N, its N does not
-], ids=["counts-vs-N", "states-vs-measure", "state-N-vs-N"])
+    ([1, 1, 1], "state count"),  # three states where the measure has two
+], ids=["states-vs-measure"])
 def test_fluid_allocate_refuses_mismatched_counts(two_measure, counts, message):
     with pytest.raises(DimensionMismatch, match=message):
-        fluid_priority_allocate(1, counts, two_measure, G_FIRST, N=3, alpha_t=0.5)
+        fluid_priority_allocate(1, np.array(counts), two_measure, G_FIRST, alpha_t=0.5)
 
 
 def test_fluid_invariants_random():
@@ -125,14 +120,13 @@ def test_fluid_invariants_random():
         N = int(rng.integers(1, 30))
         for t in range(1, model.T + 1):
             Z = rng.multinomial(N, np.full(model.S, 1.0 / model.S))
-            plan = fluid_priority_allocate(t, _cs(t, Z), measure, scores, N,
-                                           alpha_t=float(model.alpha[t - 1]),
-                                           codes=codes)
+            plan = _plan(t, Z, measure, scores, alpha_t=float(model.alpha[t - 1]),
+                         codes=codes)
             B = period_budget(float(model.alpha[t - 1]), N)
-            assert int(plan.pulls.sum()) == B
-            assert (plan.pulls <= Z).all()
-            assert (plan.X >= 0).all()
-            np.testing.assert_array_equal(plan.X.sum(axis=1), Z)
+            assert int(plan[:, 1].sum()) == B
+            assert (plan[:, 1] <= Z).all()
+            assert (plan >= 0).all()
+            np.testing.assert_array_equal(plan.sum(axis=1), Z)
 
 
 def test_relaxed_equals_fluid_off_violation():
@@ -149,10 +143,9 @@ def test_relaxed_equals_fluid_off_violation():
             a_t = float(model.alpha[t - 1])
             if _violated(t, Z, codes, a_t):
                 continue
-            strict = fluid_priority_allocate(t, _cs(t, Z), measure, scores, N,
-                                             alpha_t=a_t, codes=codes)
+            strict = fluid_priority_allocate(t, Z, measure, scores, alpha_t=a_t, codes=codes)
             relaxed = _relaxed_pulls(t, Z, measure, scores, a_t, codes=codes)
-            np.testing.assert_array_equal(strict.pulls, relaxed)
+            np.testing.assert_array_equal(strict, relaxed)
             checked += 1
     assert checked > 30
 
@@ -439,19 +432,18 @@ def test_kernels_match_scalar_reference():
                          for kind, pol in pols.items()}
                 viol = violation_rows(Zs, pols["fluid"].codes[t - 1], a_t * N)
                 for r, Z in enumerate(Zs):
-                    cs = _cs(t, Z)
                     kw = dict(alpha_t=a_t, codes=codes)
                     want = {
-                        "fluid": ref.fluid_priority_allocate(t, cs, measure, scores, N, **kw),
-                        "relaxed": ref.budget_relaxed_allocate(t, cs, measure, scores, N, **kw),
-                        "index": ref.index_allocate(t, cs, scores, B),
-                        "ucb": ref.index_allocate(t, cs, ucb, B),
+                        "fluid": ref.fluid_priority_allocate(t, Z, measure, scores, **kw),
+                        "relaxed": ref.budget_relaxed_allocate(t, Z, measure, scores, **kw),
+                        "index": ref.index_allocate(t, Z, scores, B),
+                        "ucb": ref.index_allocate(t, Z, ucb, B),
                     }
-                    got = fluid_priority_allocate(t, cs, measure, scores, N, **kw)
-                    np.testing.assert_array_equal(got.X, want["fluid"].X)
-                    for kind, plan in want.items():
-                        np.testing.assert_array_equal(batch[kind][r], plan.pulls)
-                    assert bool(viol[r]) is ref.violation_event(t, cs, codes, a_t)
+                    got = fluid_priority_allocate(t, Z, measure, scores, **kw)
+                    np.testing.assert_array_equal(got, want["fluid"])
+                    for kind, pulls in want.items():
+                        np.testing.assert_array_equal(batch[kind][r], pulls)
+                    assert bool(viol[r]) is ref.violation_event(t, Z, codes, a_t)
                     rows += 1
     assert rows >= 5000
 

@@ -58,8 +58,8 @@ def test_reward_shift_keeps_priority_order():
                        alpha=model.alpha, metadata={})
     moved = q_recursion(shifted, lam)
     for t in range(1, model.T + 1):
-        np.testing.assert_array_equal(score_order(base, t, model.S),
-                                      score_order(moved, t, model.S))
+        np.testing.assert_array_equal(score_order(base.P, t, model.S),
+                                      score_order(moved.P, t, model.S))
 
 
 def test_q_recursion_bitwise_deterministic(bern5):
@@ -72,6 +72,5 @@ def test_q_recursion_bitwise_deterministic(bern5):
 
 def test_order_breaks_ties_by_state_index():
     scheme = PriorityScheme(lam=np.zeros(1),
-                            Q=np.zeros((1, 3, 2)),
-                            P=np.array([[2.0, 2.0, 1.0]]))
-    assert score_order(scheme, 1, 3).tolist() == [0, 1, 2]
+                            Q=np.array([[[0.0, 2.0], [0.0, 2.0], [0.0, 1.0]]]))
+    assert score_order(scheme.P, 1, 3).tolist() == [0, 1, 2]

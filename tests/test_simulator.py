@@ -67,6 +67,7 @@ def test_report_fields(bern2):
     assert rep.engine == "counts"
     assert rep.ci_reliable is False  # below the normal-approximation floor
     assert rep.ci_halfwidth >= 0.0
+    assert rep.wall_time > 0.0
     assert all(0.0 <= v <= 1.0 for v in rep.per_t_violation_rate)
     moments = rep.diffusion_second_moments
     assert set(moments) == {"Z", "X"}
