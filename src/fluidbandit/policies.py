@@ -129,19 +129,32 @@ def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarra
     return (lo > target) | (target > hi)
 
 
+# Cells (rows x columns) of one blocked binomial draw: ``rac_pulls`` draws
+# its coins, and the simulator's count step its two-target kernel rows, at
+# most this many a call.  ``Generator.binomial`` fills a broadcast draw in C
+# order, so a split into blocks draws what one call (or one call per row)
+# draws and no result depends on this value; it bounds the temporaries,
+# about three int64 arrays of this many cells.
+BLOCK_CELLS = 1 << 15
+
+
 def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) -> np.ndarray:
     """Randomized activation pulls (R, S): visit arms in uniform order, flip a
     q(s) coin for each, and stop at the B-th success.
 
     Drawn at count level by the same law: per state, c_s ~ Binomial(Z_s, q_s)
-    successes; a row with sum(c) <= B pulls c, and any other row pulls the
-    B successes visited first, a multivariate hypergeometric draw of B from
-    c (sampled state by state in ascending index).  A row may spend less
-    than B but never more.
+    successes, drawn over the occupied states in blocks of rows of at most
+    ``BLOCK_CELLS`` cells; a row with sum(c) <= B pulls c, and any other
+    row pulls the B successes visited first, a multivariate hypergeometric
+    draw of B from c (sampled state by state in ascending index).  A row
+    may spend less than B but never more.
     """
     occupied = np.flatnonzero(Z.any(axis=0))
     X1 = np.zeros(Z.shape, dtype=np.int64)
-    X1[:, occupied] = rng.binomial(Z[:, occupied], q[occupied])
+    qo = q[occupied]
+    rows = max(1, BLOCK_CELLS // occupied.size)
+    for lo in range(0, len(Z), rows):
+        X1[lo:lo + rows, occupied] = rng.binomial(Z[lo:lo + rows, occupied], qo)
     over = np.flatnonzero(X1.sum(axis=1) > B)
     if over.size:
         c = X1[over]

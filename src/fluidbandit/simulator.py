@@ -4,15 +4,17 @@ Two engines share one report format and one period loop.  Every policy
 is a rule on the per-state arm counts, so each period both allocate
 through ``CompiledPolicy.allocate_batch`` on the count rows; they differ
 only in the transition.  The count engine samples it as grouped
-multinomials via sequential binomial conditioning (cost independent of
-N).  The per-arm engine expands the same action counts into one arm per
-count, draws each arm's successor from its kernel row's CDF and counts
-them, so O(N) per replication.  It is the independent check of the
-transition draw.  Both transitions, ``step_counts`` and ``step_arms``,
-take the period's passive and active counts as two (R, S) arrays
-``(t, X0, X1, rng)``, so the loop's working set is three (R, S) arrays:
-the counts Z, which become X0 in place once the period is booked, the
-pulls X1 and the next counts.
+multinomials via sequential binomial conditioning, with the conditional
+probabilities compiled once per kernel row and the one draw of each
+two-target row made for a whole block of such rows in one binomial call
+(cost independent of N).  The per-arm engine expands the same action
+counts into one arm per count, draws each arm's successor from its
+kernel row's CDF and counts them, so O(N) per replication.  It is the
+independent check of the transition draw.  Both transitions,
+``step_counts`` and ``step_arms``, take the period's passive and active
+counts as two (R, S) arrays ``(t, X0, X1, rng)``, so the loop's working
+set is three (R, S) arrays: the counts Z, which become X0 in place once
+the period is booked, the pulls X1 and the next counts.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -43,9 +45,9 @@ from .errors import DimensionMismatch, MissingMetadata, RangeError
 from .lp import OccupationMeasure, solve_relaxation
 from .mdp import ArmModel, is_integer, period_budget, successors, validate_model
 from .occupancy import classify
-from .policies import (TS_CELL_FLOATS, TS_GRID, PolicySpec, activation_probabilities,
-                       fluid_pulls, index_pulls, parse_policy, rac_pulls, score_order,
-                       ts_pulls, ucb_scores, violation_rows)
+from .policies import (BLOCK_CELLS, TS_CELL_FLOATS, TS_GRID, PolicySpec,
+                       activation_probabilities, fluid_pulls, index_pulls, parse_policy,
+                       rac_pulls, score_order, ts_pulls, ucb_scores, violation_rows)
 from .priority import q_recursion
 
 # 95% two-sided normal quantile.
@@ -91,18 +93,24 @@ class SimulationReport:
     engine: str
 
 
-@dataclass
+@dataclass(repr=False)
 class SweepRow:
-    """One N of a gap sweep: the bound N * V-hat and the run's report; the
-    gap bracket is gap_upper_bound +- report.ci_halfwidth."""
+    """One N of a gap sweep: the bound N * V-hat and the run's report, which
+    holds N; the gap bracket is gap_upper_bound +- report.ci_halfwidth."""
 
-    N: int
     upper_bound: float
-    report: SimulationReport = field(repr=False)
+    report: SimulationReport
+
+    @property
+    def N(self) -> int:
+        return self.report.N
 
     @property
     def gap_upper_bound(self) -> float:
         return self.upper_bound - self.report.mean_reward
+
+    def __repr__(self) -> str:
+        return f"SweepRow(N={self.N!r}, upper_bound={self.upper_bound!r})"
 
 
 class CompiledPolicy:
@@ -187,28 +195,44 @@ class CompiledPolicy:
         passive and active counts X0, X1 (R, S).
 
         Sequential binomial conditioning over each support, visiting
-        (s asc, a in 0..1, targets asc) in a fixed order.
+        (s asc, a in 0..1, targets asc) in a fixed order, with the
+        probabilities of ``_conditional_probabilities``.  Consecutive
+        two-target rows, which make one draw each, draw as one (m, R)
+        block of at most ``BLOCK_CELLS`` cells; ``Generator.binomial``
+        fills it in C order, so it draws what m calls in row order draw.
+        A wider row draws the pending block first, then its own targets.
         """
         Znext = np.zeros(X0.shape, dtype=np.int64)
         K = self._support[t - 1]
+        indptr, targets, cond = K.indptr.tolist(), K.indices.tolist(), self._cond[t - 1]
+        cap = max(1, BLOCK_CELLS // len(X0))
+        block: list[tuple[int, np.ndarray]] = []
         for r, n in _kernel_columns(X0, X1):
-            targets = K.indices[K.indptr[r]:K.indptr[r + 1]]
-            probs = K.data[K.indptr[r]:K.indptr[r + 1]]
-            if targets.size == 1:
-                Znext[:, targets[0]] += n
+            lo, hi = indptr[r], indptr[r + 1]
+            if hi - lo == 1:
+                Znext[:, targets[lo]] += n
                 continue
+            if hi - lo == 2:
+                block.append((lo, n))
+                if len(block) == cap:
+                    _draw_block(Znext, targets, cond, block, rng)
+                continue
+            _draw_block(Znext, targets, cond, block, rng)
             remaining = n.copy()
-            mass = float(probs.sum())
-            for j in range(targets.size - 1):
-                p = min(max(probs[j] / mass, 0.0), 1.0)
-                k = rng.binomial(remaining, p)
+            for j in range(lo, hi - 1):
+                k = rng.binomial(remaining, cond[j])
                 Znext[:, targets[j]] += k
                 remaining -= k
-                mass -= probs[j]
                 if not remaining.any():
                     break
-            Znext[:, targets[-1]] += remaining
+            Znext[:, targets[hi - 1]] += remaining
+        _draw_block(Znext, targets, cond, block, rng)
         return Znext
+
+    @cached_property
+    def _cond(self) -> list[np.ndarray]:
+        # built on the first count step only, then kept for every chunk
+        return [_conditional_probabilities(K) for K in self._support]
 
     @cached_property
     def _tables(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -233,6 +257,38 @@ def _kernel_columns(X0: np.ndarray, X1: np.ndarray) -> list[tuple[int, np.ndarra
     X0 (a = 0) or X1 (a = 1) whose arms it moves, as a view."""
     occupied = np.column_stack([X0.any(axis=0), X1.any(axis=0)]).reshape(-1)
     return [(r, (X1 if r % 2 else X0)[:, r // 2]) for r in np.flatnonzero(occupied).tolist()]
+
+
+def _conditional_probabilities(K) -> np.ndarray:
+    """Per entry j of one period's kernel matrix, the probability that the
+    arms its row has left after its earlier targets go to target j:
+    min(max(p_j / mass, 0), 1), mass the row's total less its earlier
+    entries.  The last entry of a row takes the rest and is never drawn."""
+    cond = np.ones(K.nnz)
+    for lo, hi in zip(K.indptr[:-1].tolist(), K.indptr[1:].tolist()):
+        if hi - lo > 1:
+            mass = float(K.data[lo:hi].sum())
+            for j in range(lo, hi - 1):
+                cond[j] = min(max(K.data[j] / mass, 0.0), 1.0)
+                mass -= K.data[j]
+    return cond
+
+
+def _draw_block(Znext: np.ndarray, targets: list[int], cond: np.ndarray,
+                block: list[tuple[int, np.ndarray]], rng: np.random.Generator) -> None:
+    """Land the arms of a block of two-target rows, each (first entry lo,
+    column n (R,)), in Znext from one binomial draw over their stacked
+    columns, and empty the block."""
+    if not block:
+        return
+    n = np.stack([col for _, col in block])
+    first = [lo for lo, _ in block]
+    k = rng.binomial(n, cond[first][:, None])
+    n -= k
+    for lo, drawn, rest in zip(first, k, n):
+        Znext[:, targets[lo]] += drawn
+        Znext[:, targets[lo + 1]] += rest
+    block.clear()
 
 
 # ---- chunked execution ----------------------------------------------------
@@ -496,7 +552,7 @@ def gap_sweep(model: ArmModel, policy, N_list: Sequence[int], reps_per_N=None,
     rows = []
     for N in N_list:
         reps = _reps_for(reps_per_N, N)
-        rows.append(SweepRow(N=N, upper_bound=N * vhat,
+        rows.append(SweepRow(upper_bound=N * vhat,
                              report=run(model, pol, N, reps, seed, crn=crn)))
     return rows
 
