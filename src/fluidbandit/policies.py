@@ -13,15 +13,17 @@ checked against, row for row.  States are visited in
 ``priority.score_order`` (descending score, ties by ascending index), and
 the period budget is ``mdp.period_budget``.
 
-The randomized rules draw no coin or sample for every arm:
-``rac_pulls`` samples the per-state law of randomized activation
-(binomial coins, then a multivariate hypergeometric cut to the budget)
-and ``ts_pulls`` the law of Thompson sampling's top-B draws (binomial
-splitting of the value range on the posterior CDFs, the order-statistics
-method of Devroye, *Non-Uniform Random Variate Generation*, 1986, with
-each split aimed at the B-th largest draw: first at the pooled expected
-quantile from a tail table cached per set of annotations, then by regula
-falsi on the bracket).  Their per-arm forms in
+The randomized rules draw no coin or sample for every arm, and both split
+a sample in halves whose conditional laws are known (Devroye,
+*Non-Uniform Random Variate Generation*, 1986): ``rac_pulls`` samples
+the per-state law of randomized activation (binomial coins, then a
+multivariate hypergeometric cut to the budget, one hypergeometric draw
+per level of halving the occupied states) and ``ts_pulls`` the law of
+Thompson sampling's top-B draws (binomial splitting of the value range
+on the posterior CDFs, the order-statistics method, with each split
+aimed at the B-th largest draw: first at the pooled expected quantile
+from a tail table cached per set of annotations, then by regula falsi
+on the bracket).  Their per-arm forms in
 ``tests/reference_policies.py`` are the reference for their per-state
 pull laws.
 """
@@ -129,12 +131,13 @@ def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarra
     return (lo > target) | (target > hi)
 
 
-# Cells (rows x columns) of one blocked binomial draw: ``rac_pulls`` draws
-# its coins, and the simulator's count step its two-target kernel rows, at
-# most this many a call.  ``Generator.binomial`` fills a broadcast draw in C
-# order, so a split into blocks draws what one call (or one call per row)
-# draws and no result depends on this value; it bounds the temporaries,
-# about three int64 arrays of this many cells.
+# Cells (rows x columns) of one blocked draw: ``rac_pulls`` draws its coins
+# and each level of its cut, and the simulator's count step its two-target
+# kernel rows, at most this many a call.  ``Generator.binomial`` and
+# ``Generator.hypergeometric`` fill a broadcast draw in C order, so a split
+# into blocks of rows draws what one call (or one call per row) draws and
+# no result depends on this value; it bounds the temporaries, about three
+# int64 arrays of this many cells (five in the cut).
 BLOCK_CELLS = 1 << 15
 
 
@@ -146,27 +149,57 @@ def rac_pulls(Z: np.ndarray, q: np.ndarray, B: int, rng: np.random.Generator) ->
     successes, drawn over the occupied states in blocks of rows of at most
     ``BLOCK_CELLS`` cells; a row with sum(c) <= B pulls c, and any other
     row pulls the B successes visited first, a multivariate hypergeometric
-    draw of B from c (sampled state by state in ascending index).  A row
-    may spend less than B but never more.
+    draw of B from c.  That draw halves the k occupied states (ascending)
+    level by level: the share of a range's take that falls in its left
+    half is hypergeometric on the range's coins, and given it each half's
+    take is again a uniform draw (Devroye, 1986), so ceil(log2 k) draws,
+    one per level over every over-budget row and range, cut the rows.  A
+    row may spend less than B but never more.
     """
     occupied = np.flatnonzero(Z.any(axis=0))
     X1 = np.zeros(Z.shape, dtype=np.int64)
     qo = q[occupied]
     rows = max(1, BLOCK_CELLS // occupied.size)
-    for lo in range(0, len(Z), rows):
-        X1[lo:lo + rows, occupied] = rng.binomial(Z[lo:lo + rows, occupied], qo)
+    for a in range(0, len(Z), rows):
+        X1[a:a + rows, occupied] = rng.binomial(Z[a:a + rows, occupied], qo)
     over = np.flatnonzero(X1.sum(axis=1) > B)
     if over.size:
-        c = X1[over]
-        left = c.sum(axis=1)  # successes in this state and the states after it
-        need = np.full(over.size, B, dtype=np.int64)
-        for s in occupied:
-            k = rng.hypergeometric(c[:, s], left - c[:, s], need)
-            left -= c[:, s]
-            c[:, s] = k
-            need -= k
-        X1[over] = c
+        # coins of the over-budget rows before each occupied state; a range's
+        # take sits in X1 at the column of its first state
+        P = np.zeros((over.size, occupied.size + 1), dtype=np.int64)
+        for a in range(0, over.size, rows):
+            np.cumsum(X1[np.ix_(over[a:a + rows], occupied)], axis=1, out=P[a:a + rows, 1:])
+        X1[over, occupied[0]] = B
+        for lo, mid, hi in _halvings(occupied.size):
+            first, second = occupied[lo], occupied[mid]
+            rows = max(1, BLOCK_CELLS // lo.size)
+            for a in range(0, over.size, rows):
+                r, p = over[a:a + rows, None], P[a:a + rows]
+                take, good = X1[r, first], p[:, mid]  # copies: fancy indexing
+                bad = p[:, hi] - good
+                good -= p[:, lo]
+                left = rng.hypergeometric(good, bad, take)
+                X1[r, first] = left
+                take -= left
+                X1[r, second] = take
+                del take, good, bad, left  # freed before the next block copies
     return X1
+
+
+@functools.lru_cache(maxsize=64)
+def _halvings(k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per level of halving [0, k) down to single states, the (lo, mid, hi)
+    of every range of width >= 2, split at mid = (lo + hi) // 2: ceil(log2 k)
+    levels."""
+    levels, lo, hi = [], np.array([0]), np.array([k])
+    while (wide := hi - lo >= 2).any():
+        lo, hi = lo[wide], hi[wide]
+        mid = (lo + hi) // 2
+        levels.append((lo, mid, hi))
+        lo, hi = np.c_[lo, mid].ravel(), np.c_[mid, hi].ravel()
+    for a in chain.from_iterable(levels):  # every later call shares them
+        a.flags.writeable = False
+    return tuple(levels)
 
 
 # A TS row whose bracket holds at most this many arms draws them by inverse

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, multivariate_hypergeom
 
 import fluidbandit.policies as policies
 import reference_policies as ref
@@ -301,6 +302,52 @@ def test_rac_law_matches_per_arm_reference(B):
     ref_pulls = ref.rac_pulls(Zs, q, B, np.random.default_rng(400 + B))
     assert (new.sum(axis=1) <= B).all() and (new >= 0).all() and (new <= Zs).all()
     assert (new[:, 0] == 0).all()
+    z, ratios = _law_gap(new, ref_pulls)
+    assert z <= 4.0
+    assert ((ratios > 0.85) & (ratios < 1.15)).all(), ratios
+
+
+def test_rac_cut_is_multivariate_hypergeometric():
+    """With every coin a success, an over-budget row pulls B of its coins
+    drawn without replacement.  Over k = 7 occupied states (a range the
+    halving splits unevenly) with one coinless state among them, each
+    state's mean and every covariance is within 4 SE of
+    ``multivariate_hypergeom``; on a three-state row the frequencies of
+    the five joint outcomes pass a chi-square test at level 1e-3."""
+    c, B, R = np.array([3, 0, 2, 4, 1, 5, 2]), 6, 60_000
+    q = (c > 0).astype(float)  # state 1 holds arms but flips no success
+    X = rac_pulls(np.tile(np.where(c > 0, c, 4), (R, 1)), q, B, np.random.default_rng(21))
+    assert (X.sum(axis=1) == B).all() and (X <= c).all()
+    law = multivariate_hypergeom(c, B)
+    D, cov = X - law.mean(), law.cov()
+    checks = [(D[:, i], 0.0) for i in range(c.size)]
+    checks += [(D[:, i] * D[:, j], cov[i, j]) for i in range(c.size) for j in range(i, c.size)]
+    for u, exact in checks:
+        se = u.std() / np.sqrt(R)
+        if se == 0.0:  # a coinless state never pulls
+            assert (u == exact).all()
+        else:
+            assert abs(u.mean() - exact) <= 4.0 * se, (u.mean(), exact)
+
+    c, B, R = np.array([2, 1, 2]), 2, 20_000
+    X = rac_pulls(np.tile(c, (R, 1)), np.ones(3), B, np.random.default_rng(22))
+    outcomes, seen = np.unique(X, axis=0, return_counts=True)
+    expected = R * multivariate_hypergeom.pmf(outcomes, c, B)
+    assert len(outcomes) == 5 and np.isclose(expected.sum(), R)
+    assert ((seen - expected) ** 2 / expected).sum() <= chi2.ppf(1.0 - 1e-3, len(outcomes) - 1)
+
+
+@pytest.mark.parametrize("B", [5, 15, 30])
+def test_rac_law_on_a_deep_cut(B):
+    """Count-level RAC pulls per state match the visit-order reference over
+    12 occupied states with uneven counts, q in {0, 1, interior} and an
+    unoccupied state among them, so the cut to B runs four levels."""
+    q = np.array([0.0, 1.0, 0.3, 0.5, 0.8, 0.1, 0.65, 1.0, 0.2, 0.9, 0.45, 0.0, 0.7])
+    Zs = np.tile([6, 5, 10, 0, 8, 3, 12, 1, 7, 4, 9, 2, 11], (20_000, 1))
+    new = rac_pulls(Zs, q, B, np.random.default_rng(500 + B))
+    ref_pulls = ref.rac_pulls(Zs, q, B, np.random.default_rng(600 + B))
+    assert (new.sum(axis=1) <= B).all() and (new >= 0).all() and (new <= Zs).all()
+    assert (new[:, q == 0.0] == 0).all()
     z, ratios = _law_gap(new, ref_pulls)
     assert z <= 4.0
     assert ((ratios > 0.85) & (ratios < 1.15)).all(), ratios

@@ -514,6 +514,41 @@ def test_bern15_count_step_draws_once_a_period(bern15, monkeypatch):
     assert all(len(shape) == 2 and shape[1] == 50 for shape in calls)
 
 
+def test_bern15_rac_cuts_in_log2_k_draws(bern15, monkeypatch):
+    # at R = 50 the coins and every level of the cut fit one block, so a
+    # rac_pulls call over k occupied states makes ceil(log2 k)
+    # hypergeometric calls if a row's coins exceed B, and none otherwise
+    draws, seen = [], []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def binomial(self, n, p):
+            draws.append(self.rng.binomial(n, p))
+            return draws[-1]
+
+        def hypergeometric(self, good, bad, take):
+            draws.append(None)
+            return self.rng.hypergeometric(good, bad, take)
+
+    def counted(Z, q, B, rng):
+        draws.clear()
+        X1 = policies.rac_pulls(Z, q, B, rng)
+        coins, *cut = draws
+        k = int(np.count_nonzero(Z.any(axis=0)))
+        over = (coins.sum(axis=1) > B).any()
+        seen.append((k, over))
+        assert all(d is None for d in cut) and len(cut) == ((k - 1).bit_length() if over else 0)
+        return X1
+
+    stream = simulator._stream
+    monkeypatch.setattr(simulator, "_stream", lambda *key: Counting(stream(*key)))
+    monkeypatch.setattr(simulator, "rac_pulls", counted)
+    simulate(bern15, "rac", N=1200, reps=50, seed=0)
+    assert len(seen) == bern15.T and max(k for k, over in seen if over) >= 9
+
+
 @pytest.mark.parametrize("policy, bound", [
     ("fluid", 3.5), ("index", 3.5), ("relaxed", 3.5), ("ucb:0.5", 3.5), ("ts", 3.5),
     ("rac", 3.75)], ids=["fluid", "index", "relaxed", "ucb:0.5", "ts", "rac"])
@@ -521,9 +556,10 @@ def test_count_engine_holds_three_arrays(bern15, policy, bound):
     # counts, pulls and next counts: the book, the allocation and the step
     # copy no (R, S) array beyond them, so one 4000-row chunk peaks near
     # three arrays of R * S int64 (a stacked (X0, X1) copy peaked near six).
-    # The step's blocks and rac's coin blocks add at most a few arrays of
-    # BLOCK_CELLS cells; rac also holds the rows over budget while it cuts
-    # them (a gathered (R, k) copy of Z for the coins peaked at 4.07)
+    # The step's blocks and rac's coin and cut blocks add at most a few
+    # arrays of BLOCK_CELLS cells; rac also holds, while it cuts them, the
+    # coin prefix sums P (m, k + 1) of its m rows over budget (3.57 arrays
+    # at peak; a gathered (R, k) copy of Z for the coins peaked at 4.07)
     pol = CompiledPolicy(bern15, parse_policy(policy))
     simulate(bern15, pol, N=1200, reps=10, seed=0)  # first-call caches
     tracemalloc.start()
