@@ -40,7 +40,7 @@ from scipy.special import betainc, betaincinv, gammainc, gammaincc, gammainccinv
 from .errors import (ConfigError, DegeneratePosterior, DimensionMismatch, MissingMetadata,
                      QOutOfRange)
 from .lp import OccupationMeasure
-from .mdp import BeliefStateAnnotation, period_budget
+from .mdp import period_budget
 from .occupancy import classify
 from .priority import score_order
 
@@ -453,15 +453,10 @@ def activation_probabilities(measure: OccupationMeasure, t: int) -> np.ndarray:
     return np.clip(q, 0.0, 1.0)
 
 
-def _require_annotations(annotations) -> list[BeliefStateAnnotation]:
+def ucb_scores(annotations, delta: float) -> np.ndarray:
     if not annotations:
         raise MissingMetadata("model ships no per-state posterior annotations")
-    return annotations
-
-
-def ucb_scores(annotations, delta: float) -> np.ndarray:
-    ann = _require_annotations(annotations)
-    return np.array([a.posterior_mean + delta * a.posterior_sd for a in ann])
+    return np.array([a.posterior_mean + delta * a.posterior_sd for a in annotations])
 
 
 def parse_policy(text: str) -> PolicySpec:

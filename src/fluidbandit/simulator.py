@@ -14,13 +14,14 @@ independent check of the transition draw.  Both transitions,
 ``step_counts`` and ``step_arms``, take the period's passive and active
 counts as two (R, S) arrays ``(t, X0, X1, rng)``, so the loop's working
 set is three (R, S) arrays: the counts Z, which become X0 in place once
-the period is booked, the pulls X1 and the next counts.
+the period's figures have read them, the pulls X1 and the next counts.
 
 ``CompiledPolicy`` is the one place a ``PolicySpec`` is compiled (LP,
 prices, scores, categories); both engines and ``oracle.exact_policy_value``
 run what it compiles.  Its allocations read N off the count rows, so no
-per-N state is carried; one ``_PeriodBook`` per run sums the budget
-bracket failures and diffusion moments chunk by chunk.
+per-N state is carried.  Each chunk returns its rewards, its budget
+bracket failures and its diffusion moment sums, and the run folds them in
+chunk order.
 
 Replications are processed in deterministic chunks, vectorized across
 the chunk.  Chunk k of a run draws from a Philox stream seeded by
@@ -61,7 +62,10 @@ REPS_CAP = 200_000
 
 
 def default_reps(N: int, cap: int = REPS_CAP) -> int:
-    """Desk-scale default replication rule: min(50 N, cap)."""
+    """Desk-scale default replication rule: min(50 N, cap), cap a positive
+    integer."""
+    if not is_integer(cap) or cap < 1:
+        raise RangeError(f"reps cap must be a positive integer, got {cap!r}")
     return min(50 * N, cap)
 
 
@@ -71,12 +75,21 @@ class SimulationReport:
 
     :mean_reward: mean total reward across replications.
     :ci_halfwidth: 95% normal-approximation halfwidth of that mean.
+    :reps: replications run.
     :per_t_violation_rate: per-period failure frequency of the budget
         bracketing event (NaN when the policy carries no measure).
-    :union_violation_rate: frequency of failing in at least one period.
     :diffusion_second_moments: {"Z": per-t E||Z~||^2, "X": per-t E||X~||^2},
-        or None when no reference measure exists.
+        Z~ = (Z - N z_t) / sqrt(N) and X~ likewise against x_t, or None
+        when no reference measure exists or none was asked for.
+    :seed: the run's seed.
+    :wall_time: wall-clock seconds of the run, the policy's compile
+        included when the policy came uncompiled.
+    :N: arms per replication.
+    :policy: the policy's label.
+    :union_violation_rate: frequency of failing in at least one period
+        (NaN when the policy carries no measure).
     :ci_reliable: False when reps < 1000 (normal CI not trusted).
+    :engine: "counts" or "per_arm".
     """
 
     mean_reward: float
@@ -338,6 +351,8 @@ class _Welford:
 
 def _resolve_policy(model: ArmModel, policy) -> CompiledPolicy:
     if isinstance(policy, CompiledPolicy):
+        if policy.model is not model:
+            raise RangeError(f"policy {policy.label!r} was compiled for another model")
         return policy
     if isinstance(policy, str):
         policy = parse_policy(policy)
@@ -377,7 +392,7 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
         raise RangeError(f"seed must be a nonnegative integer, got {seed!r}")
     t0 = time.perf_counter()
     pol = _resolve_policy(model, policy)
-    S = model.S
+    T, S = model.T, model.S
 
     # Chunk k draws from stream (seed, tag, k), so the chunk widths below
     # fix every result.  They stay as they are for that reason, not for
@@ -396,13 +411,26 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     sizes = _chunk_sizes(reps, cell)
     tag = _policy_tag(pol.label, N, reps, engine, crn)
 
-    stats = _Welford()
-    book = _PeriodBook(pol, N, collect_diffusion)
+    stats, union = _Welford(), 0
+    failures, moments = np.zeros(T, dtype=np.int64), np.zeros((2, T))
     for chunk_idx, R in enumerate(sizes):
-        stats.add_chunk(_chunk(model, pol, N, R, _stream(seed, tag, chunk_idx), book, engine))
+        rewards, failed, sums = _chunk(pol, N, R, _stream(seed, tag, chunk_idx), engine,
+                                       collect_diffusion)
+        stats.add_chunk(rewards)
+        if failed is not None:
+            failures += failed.sum(axis=0)
+            union += int(failed.any(axis=1).sum())
+        if sums is not None:
+            moments += sums
 
     wall = time.perf_counter() - t0
-    per_t, union, diffusion = book.rates(reps)
+    diffusion = None
+    if pol.measure is None:
+        per_t, union_rate = np.full(T, np.nan), float("nan")
+    else:
+        per_t, union_rate = failures / reps, union / reps
+        if collect_diffusion:
+            diffusion = {"Z": moments[0] / reps, "X": moments[1] / reps}
     return SimulationReport(
         mean_reward=stats.mean,
         ci_halfwidth=stats.ci95(),
@@ -413,87 +441,47 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
         wall_time=wall,
         N=N,
         policy=pol.label,
-        union_violation_rate=union,
+        union_violation_rate=union_rate,
         ci_reliable=reps >= CI_MIN_REPS,
         engine=engine,
     )
 
 
-class _PeriodBook:
-    """Bookkeeping of one run that both engines share: bracketing-event
-    failures per period and in any period, and the diffusion second
-    moments ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N against the
-    policy's measure, summed over the replications chunk by chunk.  Both
-    are kept only when the policy carries a measure, the moments only
-    when asked for."""
-
-    def __init__(self, pol: CompiledPolicy, N: int, want_diffusion: bool):
-        T = pol.model.T
-        self.pol, self.N, self.T = pol, N, T
-        track = pol.measure is not None
-        self.vc = np.zeros(T, dtype=np.int64) if track else None
-        self.uc = 0
-        self.union = np.zeros(0, dtype=bool)  # failed so far, per replication of the chunk
-        self.dz = np.zeros(T) if track and want_diffusion else None
-        self.dx = np.zeros(T) if track and want_diffusion else None
-
-    def counts(self, t: int, Z: np.ndarray) -> None:
-        """Add period t's counts Z (R, S) of a chunk's replications: the
-        bracketing failures and ||Z - N z_t||^2 / N.  Period 1 opens the
-        chunk."""
-        if self.vc is not None:
-            if t == 1:
-                self.union = np.zeros(len(Z), dtype=bool)
-            v = violation_rows(Z, self.pol.codes[t - 1],
-                               float(self.pol.model.alpha[t - 1] * self.N))
-            self.vc[t - 1] += int(v.sum())
-            self.uc += int((v & ~self.union).sum())
-            self.union |= v
-        if self.dz is not None:
-            N, sqrtN = self.N, math.sqrt(self.N)
-            zt = self.pol.measure.z[t - 1]
-            self.dz[t - 1] += float((((Z - N * zt) / sqrtN) ** 2).sum())
-
-    def pulls(self, t: int, X0: np.ndarray, X1: np.ndarray) -> None:
-        """Add period t's actions X0, X1 (R, S): ||X - N x_t||^2 / N."""
-        if self.dx is not None:
-            N, sqrtN = self.N, math.sqrt(self.N)
-            xt = self.pol.measure.x[t - 1]
-            self.dx[t - 1] += float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                                    + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
-
-    def rates(self, reps: int):
-        """(per-period failure rate, any-period failure rate, diffusion
-        moments or None); the rates are NaN without a measure."""
-        if self.vc is None:
-            return np.full(self.T, np.nan), float("nan"), None
-        diffusion = None
-        if self.dz is not None:
-            diffusion = {"Z": self.dz / reps, "X": self.dx / reps}
-        return self.vc / reps, self.uc / reps, diffusion
-
-
-def _chunk(model, pol, N, R, rng, book, engine):
-    """Total rewards (R,) of R replications run by `engine`: the period
-    loop of both engines, which differ only in the transition.  It holds
-    three (R, S) arrays: the counts Z, which become the passive counts X0
-    in place once the book has read them, the pulls X1 and the next
-    period's counts."""
+def _chunk(pol, N, R, rng, engine, diffusion):
+    """R replications of `pol` at N arms run by `engine`: the period loop
+    of both engines, which differ only in the transition.  Returns the
+    total rewards (R,); when the policy carries a measure, the bracketing
+    failures (R, T) of each replication and period; and when it does and
+    `diffusion` is set, the sums over the replications (2, T) of
+    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N.  Each is None otherwise.
+    It holds three (R, S) arrays: the counts Z, which become the passive
+    counts X0 in place once their figures are read, the pulls X1 and the
+    next period's counts."""
+    model, measure = pol.model, pol.measure
     T, S = model.T, model.S
     step = pol.step_counts if engine == "counts" else pol.step_arms
+    failed = np.zeros((R, T), dtype=bool) if measure is not None else None
+    moments = np.zeros((2, T)) if measure is not None and diffusion else None
+    sqrtN = math.sqrt(N)
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
     rewards = np.zeros(R)
     for t in range(1, T + 1):
         X1 = pol.allocate_batch(t, Z, rng)
-        book.counts(t, Z)
+        if failed is not None:
+            failed[:, t - 1] = violation_rows(Z, pol.codes[t - 1], float(model.alpha[t - 1] * N))
+        if moments is not None:
+            moments[0, t - 1] = float((((Z - N * measure.z[t - 1]) / sqrtN) ** 2).sum())
         Z -= X1  # Z is X0 from here on
         rewards += X1 @ model.R[t - 1, :, 1] + Z @ model.R[t - 1, :, 0]
-        book.pulls(t, Z, X1)
+        if moments is not None:
+            xt = measure.x[t - 1]
+            moments[1, t - 1] = float((((Z - N * xt[:, 0]) / sqrtN) ** 2).sum()
+                                      + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
         if t == T:
             break
         Z = step(t, Z, X1, rng)
-    return rewards
+    return rewards, failed, moments
 
 
 def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:

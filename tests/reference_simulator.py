@@ -29,12 +29,16 @@ def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
     return targets[k, slot]
 
 
-def _chunk(model, pol, N, R, rng, book, engine):
+def _chunk(pol, N, R, rng, engine, diffusion):
     """The stacked period loop, for ``fluidbandit.simulator._chunk``: X0 =
-    Z - X1 as an array of its own, the book fed after the rewards, and the
-    step handed the (R, S, 2) stack of (X0, X1), read as columns 2s+a."""
+    Z - X1 as an array of its own, the figures read after the rewards, the
+    bracketing masses from column-subset sums, and the step handed the
+    (R, S, 2) stack of (X0, X1), read as columns 2s+a."""
+    model, measure = pol.model, pol.measure
     T, S = model.T, model.S
     step = _step_counts if engine == "counts" else _step_arms
+    failed = np.zeros((R, T), dtype=bool) if measure is not None else None
+    moments = np.zeros((2, T)) if measure is not None and diffusion else None
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
     rewards = np.zeros(R)
@@ -42,33 +46,22 @@ def _chunk(model, pol, N, R, rng, book, engine):
         X1 = pol.allocate_batch(t, Z, rng)
         X0 = Z - X1
         rewards += X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]
-        _record(book, t, Z, X0, X1)
+        if failed is not None:
+            codes = pol.codes[t - 1]
+            target = float(model.alpha[t - 1] * N)
+            lo = Z[:, codes == 1].sum(axis=1)
+            hi = lo + Z[:, codes == 0].sum(axis=1)
+            failed[:, t - 1] = (lo > target) | (target > hi)
+        if moments is not None:
+            sqrtN = math.sqrt(N)
+            zt, xt = measure.z[t - 1], measure.x[t - 1]
+            moments[0, t - 1] = float((((Z - N * zt) / sqrtN) ** 2).sum())
+            moments[1, t - 1] = float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
+                                      + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
         if t == T:
             break
         Z = step(pol, t, np.stack([X0, X1], axis=2), rng)
-    return rewards
-
-
-def _record(book, t, Z, X0, X1):
-    """Period t into the run's ``_PeriodBook``, from column-subset sums."""
-    if book.vc is not None:
-        if t == 1:
-            book.union = np.zeros(len(Z), dtype=bool)
-        codes = book.pol.codes[t - 1]
-        target = float(book.pol.model.alpha[t - 1] * book.N)
-        lo = Z[:, codes == 1].sum(axis=1)
-        hi = lo + Z[:, codes == 0].sum(axis=1)
-        v = (lo > target) | (target > hi)
-        book.vc[t - 1] += int(v.sum())
-        book.uc += int((v & ~book.union).sum())
-        book.union |= v
-    if book.dz is not None:
-        N, sqrtN = book.N, math.sqrt(book.N)
-        zt = book.pol.measure.z[t - 1]
-        xt = book.pol.measure.x[t - 1]
-        book.dz[t - 1] += float((((Z - N * zt) / sqrtN) ** 2).sum())
-        book.dx[t - 1] += float((((X0 - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                                + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+    return rewards, failed, moments
 
 
 def _step_counts(pol, t, X, rng):

@@ -406,12 +406,15 @@ def test_simulation_commands_solve_the_relaxation_once(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", ["sweep", "violations"])
 def test_reps_cap_zero_fails_like_a_negative_cap(tmp_path, capsys, command):
-    # a cap of 0 once fell back to 200000 and ran uncapped
+    # a cap of 0 once fell back to 200000 and ran uncapped, and then was
+    # refused as "reps must be a positive integer"
     for cap in ("0", "-3"):
         assert main([command, "--gen", "two", "--policy", "fluid", "--N", "2,4",
                      "--reps-cap", cap, "--seed", "1",
                      "-o", str(tmp_path / "out.csv")]) == 4
-        assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RangeError"
+        assert err["message"] == f"reps cap must be a positive integer, got {cap}"
 
 
 def test_gen_and_model_commands_share_generator_flags():

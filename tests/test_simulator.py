@@ -1,5 +1,6 @@
 """Monte Carlo engines: determinism, exact fixtures, cross-validation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import fluidbandit.policies as policies
 import fluidbandit.simulator as simulator
 import reference_simulator as ref
+import report_digest
 from conftest import make_random_model
 from fluidbandit.errors import DimensionMismatch, MissingMetadata, RangeError
 from fluidbandit.lp import solve_relaxation
@@ -136,6 +138,35 @@ def test_default_reps_rule():
 def test_default_reps_takes_a_cap():
     assert default_reps(4, cap=300) == 200
     assert default_reps(100, cap=300) == 300
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+def test_default_reps_refuses_a_cap_that_is_no_positive_integer(cap):
+    # a cap of 0 once made 0 reps, refused as "reps must be a positive integer"
+    with pytest.raises(RangeError, match="reps cap must be a positive integer"):
+        default_reps(4, cap=cap)
+
+
+ENTRY_POINTS = {
+    "simulate": lambda model, pol: simulate(model, pol, N=4, reps=5, seed=1),
+    "simulate_per_arm": lambda model, pol: simulate_per_arm(model, pol, N=4, reps=5, seed=1),
+    "gap_sweep": lambda model, pol: gap_sweep(model, pol, [4], reps_per_N=5, seed=1),
+    "violation_rate_sweep": lambda model, pol: violation_rate_sweep(model, pol, [4], reps=5,
+                                                                    seed=1),
+    "exact_policy_value": lambda model, pol: exact_policy_value(model, pol, 4),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_policy_compiled_for_another_model_is_refused(bern2, bern5, entry):
+    # a model of the same shape once ran the compiled model's policy and
+    # reported its figures, and one of another shape died in a raw matmul
+    # ValueError; an equal model built anew is another model too
+    pol = CompiledPolicy(bern2, PolicySpec("fluid"))
+    for model in (bernoulli_bandit(2, 0.25), bern5, bernoulli_bandit(2, 1.0 / 3.0)):
+        with pytest.raises(RangeError, match="compiled for another model"):
+            entry(model, pol)
+    entry(bern2, pol)
 
 
 @pytest.mark.parametrize("N_list", [[6, 3, 3], [], [3, 3]])
@@ -411,14 +442,74 @@ def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engin
             _same_reports(a, b)
 
 
+def test_run_folds_the_chunk_figures(two, monkeypatch):
+    """Three synthetic chunks of 2, 2 and 1 rows: the rewards fold by
+    Welford, a row failing in two periods counts once in the union, the
+    moment sums add in chunk order (1e16 + 1 + 1 is not 1 + 1 + 1e16),
+    a policy without a measure reports NaN rates and no moments, and
+    collect_diffusion=False reports rates and no moments."""
+    failed = [np.array([[True, True], [False, False]]),
+              np.array([[False, True], [True, False]]),
+              np.array([[False, True]])]
+    a, b = [1e16, 1.0, 1.0], [1.0, 1.0, 1e16]
+    sums = [np.array([[a[k], b[k]], [b[k], a[k]]]) for k in range(3)]
+    calls = []
+
+    def synthetic(pol, N, R, rng, engine, diffusion):
+        k = len(calls)
+        calls.append((R, diffusion))
+        rewards = np.arange(1.0, 6.0)[2 * k:2 * k + R]
+        if pol.measure is None:
+            return rewards, None, None
+        return rewards, failed[k], sums[k] if diffusion else None
+
+    monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 2 * two.S)
+    monkeypatch.setattr(simulator, "_chunk", synthetic)
+    rep = simulate(two, "fluid", N=2, reps=5, seed=0)
+    assert calls == [(2, True), (2, True), (1, True)]
+    assert rep.mean_reward == 3.0
+    assert rep.ci_halfwidth == pytest.approx(simulator.Z95 * np.sqrt(2.5 / 5), rel=1e-12)
+    np.testing.assert_array_equal(rep.per_t_violation_rate, [2 / 5, 3 / 5])
+    assert rep.union_violation_rate == 4 / 5
+    in_order = ((np.zeros((2, 2)) + sums[0]) + sums[1]) + sums[2]
+    assert not np.array_equal(in_order, (sums[2] + sums[1]) + sums[0])
+    np.testing.assert_array_equal(rep.diffusion_second_moments["Z"], in_order[0] / 5)
+    np.testing.assert_array_equal(rep.diffusion_second_moments["X"], in_order[1] / 5)
+
+    calls.clear()
+    rep = simulate(two, "index", N=2, reps=5, seed=0)
+    assert np.isnan(rep.per_t_violation_rate).all() and rep.per_t_violation_rate.shape == (2,)
+    assert np.isnan(rep.union_violation_rate) and rep.diffusion_second_moments is None
+    assert rep.mean_reward == 3.0
+
+    calls.clear()
+    rep = simulate(two, "fluid", N=2, reps=5, seed=0, collect_diffusion=False)
+    assert calls == [(2, False), (2, False), (1, False)]
+    np.testing.assert_array_equal(rep.per_t_violation_rate, [2 / 5, 3 / 5])
+    assert rep.union_violation_rate == 4 / 5 and rep.diffusion_second_moments is None
+
+
+def test_report_digest_repeats_and_follows_every_field_but_wall_time(bern5):
+    line = report_digest.run_line("bern5", "rac", "counts", 8, 50, 3, cells=500)
+    assert report_digest.run_line("bern5", "rac", "counts", 8, 50, 3, cells=500) == line
+    other = report_digest.run_line("bern5", "rac", "counts", 8, 50, 4, cells=500)
+    assert other.split()[-1] != line.split()[-1]
+    rep = simulate(bern5, "fluid", N=8, reps=50, seed=3)
+    digest = report_digest.digest(rep)
+    assert report_digest.digest(dataclasses.replace(rep, wall_time=rep.wall_time + 1)) == digest
+    moved = rep.per_t_violation_rate.copy()
+    moved[0] = np.nextafter(moved[0], 1.0)
+    assert report_digest.digest(dataclasses.replace(rep, per_t_violation_rate=moved)) != digest
+
+
 def test_count_chunk_sizes_are_pinned(bern15, monkeypatch):
     # chunk k draws from stream (seed, tag, k), so the count engine's chunk
     # widths S, and S plus the TS working set, fix every count-engine result
     seen = []
 
-    def no_work(model, pol, N, R, rng, book, engine):
+    def no_work(pol, N, R, rng, engine, diffusion):
         seen.append(R)
-        return np.zeros(R)
+        return np.zeros(R), None, None
 
     monkeypatch.setattr(simulator, "_chunk", no_work)
     simulate(bern15, "fluid", N=1200, reps=60_000, seed=0)
@@ -553,8 +644,8 @@ def test_bern15_rac_cuts_in_log2_k_draws(bern15, monkeypatch):
     ("fluid", 3.5), ("index", 3.5), ("relaxed", 3.5), ("ucb:0.5", 3.5), ("ts", 3.5),
     ("rac", 3.75)], ids=["fluid", "index", "relaxed", "ucb:0.5", "ts", "rac"])
 def test_count_engine_holds_three_arrays(bern15, policy, bound):
-    # counts, pulls and next counts: the book, the allocation and the step
-    # copy no (R, S) array beyond them, so one 4000-row chunk peaks near
+    # counts, pulls and next counts: the period's figures, the allocation
+    # and the step copy no (R, S) array beyond them, so one 4000-row chunk peaks near
     # three arrays of R * S int64 (a stacked (X0, X1) copy peaked near six).
     # The step's blocks and rac's coin and cut blocks add at most a few
     # arrays of BLOCK_CELLS cells; rac also holds, while it cuts them, the
@@ -577,9 +668,9 @@ def test_per_arm_chunk_sizes_are_pinned(bern15, monkeypatch):
     # chunk width N * (1 + W) would move every per-arm result
     seen = []
 
-    def no_work(model, pol, N, R, rng, book, engine):
+    def no_work(pol, N, R, rng, engine, diffusion):
         seen.append(R)
-        return np.zeros(R)
+        return np.zeros(R), None, None
 
     monkeypatch.setattr(simulator, "_chunk", no_work)
     simulate_per_arm(bern15, "ucb:0.5", N=1200, reps=4000, seed=0)
