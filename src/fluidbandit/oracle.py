@@ -356,8 +356,7 @@ def exact_policy_value(model: ArmModel, policy, N: int,
     for t in range(1, T + 1):
         X1 = allocate(t, reach)
         X0 = reach - X1
-        reward = (model.R[t - 1] * np.stack([X0, X1], axis=2)).reshape(len(X1), -1).sum(axis=1)
-        total += float(prob @ reward)
+        total += float(prob @ (X1 @ model.R[t - 1, :, 1] + X0 @ model.R[t - 1, :, 0]))
         if t == T:
             break
         Y0, p0, L0 = lattice.laws(t, 0, map(tuple, X0.tolist()))

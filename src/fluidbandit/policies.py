@@ -122,12 +122,11 @@ def violation_rows(Z: np.ndarray, codes: np.ndarray, target: float) -> np.ndarra
 
     The good event asks the active mass to sit at or below alpha_t*N and
     the active-plus-neutral mass to reach it; its failure is what makes
-    the strict and relaxed allocations diverge.  The masses are exact
-    integer products of Z with the category indicators, so no column
-    subset of Z is copied.
+    the strict and relaxed allocations diverge.  Both masses come from one
+    exact integer product of Z with the (S, 2) category indicators, so no
+    column subset of Z is copied.
     """
-    lo = Z @ (codes == 1)
-    hi = lo + Z @ (codes == 0)
+    lo, hi = (Z @ np.column_stack([codes == 1, codes >= 0])).T
     return (lo > target) | (target > hi)
 
 

@@ -21,7 +21,9 @@ prices, scores, categories); both engines and ``oracle.exact_policy_value``
 run what it compiles.  Its allocations read N off the count rows, so no
 per-N state is carried.  Each chunk returns its rewards, its budget
 bracket failures and its diffusion moment sums, and the run folds them in
-chunk order.
+chunk order.  The moments come from exact integer tallies of the counts
+(row square sums and column sums), not from dense float arrays, so they
+round within a few N * eps per replication of the dense sum.
 
 Replications are processed in deterministic chunks, vectorized across
 the chunk.  Chunk k of a run draws from a Philox stream seeded by
@@ -453,16 +455,16 @@ def _chunk(pol, N, R, rng, engine, diffusion):
     total rewards (R,); when the policy carries a measure, the bracketing
     failures (R, T) of each replication and period; and when it does and
     `diffusion` is set, the sums over the replications (2, T) of
-    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N.  Each is None otherwise.
-    It holds three (R, S) arrays: the counts Z, which become the passive
-    counts X0 in place once their figures are read, the pulls X1 and the
-    next period's counts."""
+    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N, each from the integer
+    tallies of ``_square_distance``.  Each is None otherwise.  It holds
+    three (R, S) arrays, and builds no (R, S) float array for its figures:
+    the counts Z, which become the passive counts X0 in place once their
+    figures are read, the pulls X1 and the next period's counts."""
     model, measure = pol.model, pol.measure
     T, S = model.T, model.S
     step = pol.step_counts if engine == "counts" else pol.step_arms
     failed = np.zeros((R, T), dtype=bool) if measure is not None else None
     moments = np.zeros((2, T)) if measure is not None and diffusion else None
-    sqrtN = math.sqrt(N)
     Z = np.zeros((R, S), dtype=np.int64)
     Z[:, model.s0] = N
     rewards = np.zeros(R)
@@ -471,17 +473,29 @@ def _chunk(pol, N, R, rng, engine, diffusion):
         if failed is not None:
             failed[:, t - 1] = violation_rows(Z, pol.codes[t - 1], float(model.alpha[t - 1] * N))
         if moments is not None:
-            moments[0, t - 1] = float((((Z - N * measure.z[t - 1]) / sqrtN) ** 2).sum())
+            moments[0, t - 1] = _square_distance(Z, N, measure.z[t - 1])
         Z -= X1  # Z is X0 from here on
         rewards += X1 @ model.R[t - 1, :, 1] + Z @ model.R[t - 1, :, 0]
         if moments is not None:
             xt = measure.x[t - 1]
-            moments[1, t - 1] = float((((Z - N * xt[:, 0]) / sqrtN) ** 2).sum()
-                                      + (((X1 - N * xt[:, 1]) / sqrtN) ** 2).sum())
+            moments[1, t - 1] = (_square_distance(Z, N, xt[:, 0])
+                                 + _square_distance(X1, N, xt[:, 1]))
         if t == T:
             break
         Z = step(t, Z, X1, rng)
     return rewards, failed, moments
+
+
+def _square_distance(Y: np.ndarray, N: int, y: np.ndarray) -> float:
+    """The sum over the rows of the counts Y (R, S) of ||Y - N y||^2 / N, as
+    sum Y^2 / N - 2 (column sums of Y) . y + R N ||y||^2 from exact integer
+    tallies: each row's int64 square sum (at most N^2, so exact for N below
+    3e9; a whole-array sum would wrap once R N^2 passes 2^63), folded in
+    float64, and Y's int64 column sums.  No (R, S) float array is made;
+    with ||y||^2 <= 1 the cancelling terms are at most a few N per row, so
+    the result is within a few N * eps per row of the dense sum."""
+    squares = np.einsum("ij,ij->i", Y, Y).sum(dtype=np.float64)
+    return float(squares / N - 2.0 * (np.einsum("ij->j", Y) @ y) + len(Y) * N * (y @ y))
 
 
 def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +529,10 @@ def _reps_for(reps_per_N, N: int) -> int:
     if reps_per_N is None:
         return default_reps(N)
     if callable(reps_per_N):
-        return int(reps_per_N(N))
+        reps = reps_per_N(N)
+        if not is_integer(reps):
+            raise RangeError(f"reps rule returned {reps!r} at N={N}, not an integer")
+        return int(reps)
     if is_integer(reps_per_N):
         return int(reps_per_N)
     raise RangeError(f"cannot interpret reps rule {reps_per_N!r}")

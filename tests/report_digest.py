@@ -1,10 +1,12 @@
 """Digests of the simulator's reports over a fixed grid of runs.
 
-Prints one line per run: the run's key, then a digest of every
-``SimulationReport`` field but ``wall_time`` (floats by their hex form,
-arrays by dtype, shape and bytes).  Two checkouts give the same lines
-exactly when their reports agree bit for bit, so a refactor that must not
-move a result is checked with::
+Prints one line per run: the run's key, a digest of every
+``SimulationReport`` field but ``wall_time`` and
+``diffusion_second_moments``, and last the digest of the moments alone
+(floats by their hex form, arrays by dtype, shape and bytes).  Two
+checkouts give the same lines exactly when their reports agree bit for
+bit, and a change that moves only the moments' rounding moves only the
+last column, so a refactor that must not move a result is checked with::
 
     python tests/report_digest.py > new.txt
     python <other checkout>/tests/report_digest.py > old.txt
@@ -61,13 +63,19 @@ def _encode(value) -> bytes:
     return repr(value).encode()
 
 
-def digest(report: simulator.SimulationReport) -> str:
-    """Hex digest of every field of `report` but wall_time."""
+def _hex(report, names) -> str:
     h = hashlib.sha256()
-    for field in dataclasses.fields(report):
-        if field.name != "wall_time":
-            h.update(field.name.encode() + b"=" + _encode(getattr(report, field.name)) + b";")
+    for name in names:
+        h.update(name.encode() + b"=" + _encode(getattr(report, name)) + b";")
     return h.hexdigest()[:32]
+
+
+def digest(report: simulator.SimulationReport) -> str:
+    """Hex digests of every field of `report` but wall_time and the moments,
+    then of diffusion_second_moments, separated by a space."""
+    moments = "diffusion_second_moments"
+    names = [f.name for f in dataclasses.fields(report) if f.name not in ("wall_time", moments)]
+    return f"{_hex(report, names)} {_hex(report, [moments])}"
 
 
 def run_line(model_name: str, policy: str, engine: str, N: int, reps: int, seed: int,

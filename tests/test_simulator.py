@@ -122,6 +122,12 @@ def test_gap_sweep_single(single):
         assert row.report.ci_halfwidth == 0.0
 
 
+def test_reps_rule_may_return_a_numpy_integer(single):
+    rows = gap_sweep(single, "fluid", [2, 4], reps_per_N=lambda N: np.int64(5 * N), seed=1)
+    assert [row.report.reps for row in rows] == [10, 20]
+    assert all(type(row.report.reps) is int for row in rows)
+
+
 def test_violation_rate_sweep_single(single):
     table = violation_rate_sweep(single, "fluid", [2, 4], reps=100, seed=1)
     for rep in table:
@@ -289,9 +295,16 @@ def test_a_nan_reward_is_refused_with_a_given_measure_or_scores():
      RangeError, "reps rule"),
     (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N=True, seed=0),
      RangeError, "reps rule"),
+    (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N=lambda N: 2.7, seed=0),
+     RangeError, r"reps rule returned 2\.7 at N=2"),
+    (lambda bern2, crowd3: gap_sweep(bern2, "fluid", [2], reps_per_N=lambda N: True, seed=0),
+     RangeError, "reps rule returned True at N=2"),
+    (lambda bern2, crowd3: violation_rate_sweep(bern2, "fluid", [2], lambda N: 0.5, seed=0),
+     RangeError, r"reps rule returned 0\.5 at N=2"),
     (lambda bern2, crowd3: violation_rate_sweep(bern2, "index", [2], reps=5, seed=0),
      RangeError, "measure-carrying"),
 ], ids=["unknown-kind", "ts-without-annotations", "policy-42", "reps-rule-x", "reps-rule-true",
+        "reps-rule-gives-float", "reps-rule-gives-bool", "reps-rule-gives-half",
         "violations-of-index"])
 def test_simulator_refusals(bern2, crowd3, call, error, match):
     with pytest.raises(error, match=match):
@@ -423,11 +436,29 @@ def _same_reports(new, old):
             np.testing.assert_array_equal(value, vars(old)[name])
 
 
+def _same_reports_and_near_moments(new, old, N):
+    """Every field but wall_time bit-identical, and each moment within
+    8 N eps of the dense reference's: the integer-tally form cancels terms
+    of at most a few N per replication (||y||^2 <= 1), so it rounds by a
+    few N eps, while one arm more in one cell moves a moment by the order
+    of 1 / (N reps), far above the bound."""
+    bound = 8 * N * np.finfo(float).eps
+    moments, ref_moments = new.diffusion_second_moments, old.diffusion_second_moments
+    assert (moments is None) == (ref_moments is None)
+    if moments is not None:
+        assert moments.keys() == ref_moments.keys()
+        for key in moments:
+            assert np.abs(moments[key] - ref_moments[key]).max() <= bound, key
+    _same_reports(dataclasses.replace(new, diffusion_second_moments=None),
+                  dataclasses.replace(old, diffusion_second_moments=None))
+
+
 @pytest.mark.parametrize("engine", ["counts", "per_arm"])
 @pytest.mark.parametrize("policy", ["fluid", "relaxed", "index", "rac", "ucb:0.5", "ts"])
 def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engine, policy):
-    # the three-array loop draws what the stacked loop draws and books the
-    # same moments; a cell budget of 500 gives every run several chunks
+    # the three-array loop draws what the stacked loop draws, and books
+    # the dense loop's moments to within 8 N eps; a cell budget of 500
+    # gives every run several chunks
     monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 500)
     run = simulate if engine == "counts" else simulate_per_arm
     for model, N in ((bern5, 9), (crowd7, 23)):
@@ -439,7 +470,18 @@ def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engin
             m.setattr(simulator, "_chunk", ref._chunk)
             old = [run(model, pol, N=N, reps=70, seed=seed) for seed in (17, 18)]
         for a, b in zip(new, old):
-            _same_reports(a, b)
+            _same_reports_and_near_moments(a, b, N)
+
+
+@pytest.mark.parametrize("N", [9600, 10**8])
+def test_square_sums_do_not_wrap(bern15, monkeypatch, N):
+    # at N = 1e8 one 1000-row chunk has R N^2 = 1e19 > 2^63, so a
+    # whole-array int64 square sum wraps; each row's sum is at most N^2
+    pol = CompiledPolicy(bern15, parse_policy("fluid"))
+    assert simulator._chunk_sizes(1000, bern15.S) == [1000]
+    new = simulate(bern15, pol, N, 1000, 5)
+    monkeypatch.setattr(simulator, "_chunk", ref._chunk)
+    _same_reports_and_near_moments(new, simulate(bern15, pol, N, 1000, 5), N)
 
 
 def test_run_folds_the_chunk_figures(two, monkeypatch):
@@ -493,13 +535,22 @@ def test_report_digest_repeats_and_follows_every_field_but_wall_time(bern5):
     line = report_digest.run_line("bern5", "rac", "counts", 8, 50, 3, cells=500)
     assert report_digest.run_line("bern5", "rac", "counts", 8, 50, 3, cells=500) == line
     other = report_digest.run_line("bern5", "rac", "counts", 8, 50, 4, cells=500)
-    assert other.split()[-1] != line.split()[-1]
+    assert other.split()[-2] != line.split()[-2] and other.split()[-1] != line.split()[-1]
     rep = simulate(bern5, "fluid", N=8, reps=50, seed=3)
     digest = report_digest.digest(rep)
+    fields, moments = digest.split()
     assert report_digest.digest(dataclasses.replace(rep, wall_time=rep.wall_time + 1)) == digest
+    # the moments have their own last column, and no other field moves it
     moved = rep.per_t_violation_rate.copy()
     moved[0] = np.nextafter(moved[0], 1.0)
-    assert report_digest.digest(dataclasses.replace(rep, per_t_violation_rate=moved)) != digest
+    moved_fields, same_moments = report_digest.digest(
+        dataclasses.replace(rep, per_t_violation_rate=moved)).split()
+    assert moved_fields != fields and same_moments == moments
+    Z = rep.diffusion_second_moments["Z"].copy()
+    Z[-1] = np.nextafter(Z[-1], np.inf)
+    same_fields, moved_moments = report_digest.digest(dataclasses.replace(
+        rep, diffusion_second_moments={**rep.diffusion_second_moments, "Z": Z})).split()
+    assert same_fields == fields and moved_moments != moments
 
 
 def test_count_chunk_sizes_are_pinned(bern15, monkeypatch):
