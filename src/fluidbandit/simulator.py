@@ -21,9 +21,10 @@ prices, scores, categories); both engines and ``oracle.exact_policy_value``
 run what it compiles.  Its allocations read N off the count rows, so no
 per-N state is carried.  Each chunk returns its rewards, its budget
 bracket failures and its diffusion moment sums, and the run folds them in
-chunk order.  The moments come from exact integer tallies of the counts
-(row square sums and column sums), not from dense float arrays, so they
-round within a few N * eps per replication of the dense sum.
+chunk order.  The moments come from tallies of the counts (row square
+sums, summed in float64 and exact while N^2 < 2^53, and integer column
+sums), not from dense float arrays, so they round within a few N * eps
+per replication of the dense sum.
 
 Replications are processed in deterministic chunks, vectorized across
 the chunk.  Chunk k of a run draws from a Philox stream seeded by
@@ -455,8 +456,8 @@ def _chunk(pol, N, R, rng, engine, diffusion):
     total rewards (R,); when the policy carries a measure, the bracketing
     failures (R, T) of each replication and period; and when it does and
     `diffusion` is set, the sums over the replications (2, T) of
-    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N, each from the integer
-    tallies of ``_square_distance``.  Each is None otherwise.  It holds
+    ||Z - N z_t||^2 / N and ||X - N x_t||^2 / N, each from the tallies of
+    ``_square_distance``.  Each is None otherwise.  It holds
     three (R, S) arrays, and builds no (R, S) float array for its figures:
     the counts Z, which become the passive counts X0 in place once their
     figures are read, the pulls X1 and the next period's counts."""
@@ -489,12 +490,13 @@ def _chunk(pol, N, R, rng, engine, diffusion):
 def _square_distance(Y: np.ndarray, N: int, y: np.ndarray) -> float:
     """The sum over the rows of the counts Y (R, S) of ||Y - N y||^2 / N, as
     sum Y^2 / N - 2 (column sums of Y) . y + R N ||y||^2 from exact integer
-    tallies: each row's int64 square sum (at most N^2, so exact for N below
-    3e9; a whole-array sum would wrap once R N^2 passes 2^63), folded in
-    float64, and Y's int64 column sums.  No (R, S) float array is made;
-    with ||y||^2 <= 1 the cancelling terms are at most a few N per row, so
-    the result is within a few N * eps per row of the dense sum."""
-    squares = np.einsum("ij,ij->i", Y, Y).sum(dtype=np.float64)
+    tallies: each row's square sum, summed in float64 (at most N^2, so
+    exact while N^2 < 2^53 and rounded, never wrapped, above; an int64 sum
+    would wrap once it passes 2^63), and Y's int64 column sums.  No (R, S)
+    float array is made; with ||y||^2 <= 1 the cancelling terms are at most
+    a few N per row, so the result is within a few N * eps per row of the
+    dense sum."""
+    squares = np.einsum("ij,ij->i", Y, Y, dtype=np.float64).sum()
     return float(squares / N - 2.0 * (np.einsum("ij->j", Y) @ y) + len(Y) * N * (y @ y))
 
 

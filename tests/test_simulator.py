@@ -473,15 +473,18 @@ def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engin
             _same_reports_and_near_moments(a, b, N)
 
 
-@pytest.mark.parametrize("N", [9600, 10**8])
-def test_square_sums_do_not_wrap(bern15, monkeypatch, N):
+@pytest.mark.parametrize("N, reps", [pytest.param(9600, 1000, id="9600"),
+                                     pytest.param(10**8, 1000, id="100000000"),
+                                     pytest.param(4 * 10**9, 20, id="4000000000")])
+def test_square_sums_do_not_wrap(bern15, monkeypatch, N, reps):
     # at N = 1e8 one 1000-row chunk has R N^2 = 1e19 > 2^63, so a
-    # whole-array int64 square sum wraps; each row's sum is at most N^2
+    # whole-array int64 square sum wraps; at N = 4e9 one row's square
+    # sum N^2 = 1.6e19 does too, so the rows are summed in float64
     pol = CompiledPolicy(bern15, parse_policy("fluid"))
-    assert simulator._chunk_sizes(1000, bern15.S) == [1000]
-    new = simulate(bern15, pol, N, 1000, 5)
+    assert simulator._chunk_sizes(reps, bern15.S) == [reps]
+    new = simulate(bern15, pol, N, reps, 5)
     monkeypatch.setattr(simulator, "_chunk", ref._chunk)
-    _same_reports_and_near_moments(new, simulate(bern15, pol, N, 1000, 5), N)
+    _same_reports_and_near_moments(new, simulate(bern15, pol, N, reps, 5), N)
 
 
 def test_run_folds_the_chunk_figures(two, monkeypatch):
