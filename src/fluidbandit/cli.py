@@ -56,7 +56,15 @@ def _round12(x: float) -> float:
 
 
 def _clean(obj: Any) -> Any:
-    """Round floats and unwrap numpy scalars/arrays for JSON emission."""
+    """Round floats and unwrap numpy scalars/arrays for JSON emission.  The
+    exact built-in leaf types, nearly every value of a payload, are
+    dispatched first; subclasses such as bool and np.float64 take the
+    general tests below."""
+    kind = type(obj)
+    if kind is float:
+        return obj if obj != obj else _round12(obj)  # NaN passes through
+    if kind is int or kind is str:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -7,10 +7,12 @@ only in the transition.  The count engine samples it as grouped
 multinomials via sequential binomial conditioning, with the conditional
 probabilities compiled once per kernel row and the one draw of each
 two-target row made for a whole block of such rows in one binomial call
-(cost independent of N).  The per-arm engine expands the same action
-counts into one arm per count, draws each arm's successor from its
-kernel row's CDF and counts them, so O(N) per replication.  It is the
-independent check of the transition draw.  Both transitions,
+(cost independent of N).  The per-arm engine draws one uniform per arm
+of the same action counts and counts, for each (replication, kernel
+row), how many fall in each slot of the row's CDF (the arms of a row
+are exchangeable), so O(N) per replication.  Each arm still draws its
+own uniform, so it is the independent check of the count engine's
+binomial draws.  Both transitions,
 ``step_counts`` and ``step_arms``, take the period's passive and active
 counts as two (R, S) arrays ``(t, X0, X1, rng)``, so the loop's working
 set is three (R, S) arrays: the counts Z, which become X0 in place once
@@ -258,20 +260,44 @@ class CompiledPolicy:
     def step_arms(self, t: int, X0: np.ndarray, X1: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
         """Sample Z_{t+1} (R, S) arm by arm: X0[r, s] and X1[r, s] arms in
-        kernel rows 2s and 2s+1, occupied rows ascending, each drawing its
-        successor from one uniform (R * N in all) through ``_next_states``."""
+        kernel rows 2s and 2s+1, occupied rows ascending, each draw one
+        uniform u of an (R, N) draw and go to slot w of their row of
+        ``_successor_table``, w the count of the row's first W-1 CDF values
+        below u (a padded row is nondecreasing, so the last slot takes the
+        rest).  The arms of one row are exchangeable, so each nonempty
+        (replication, row) segment of the uniforms keeps only how many lie
+        above each CDF value; their differences, the arms per slot, land on
+        the slots' successors."""
         R, S = X0.shape
+        cdf, targets = self._tables[t - 1]
+        W = cdf.shape[1]
         rows, cols = zip(*_kernel_columns(X0, X1))
-        k = np.repeat(np.tile(rows, R), np.column_stack(cols).reshape(-1)).reshape(R, -1)
-        nxt = _next_states(*self._tables[t - 1], k, rng)
-        return np.bincount((nxt + np.arange(0, R * S, S)[:, None]).reshape(-1),
-                           minlength=R * S).reshape(R, S)
+        n = np.column_stack(cols).reshape(-1)  # arms per (replication, row)
+        live = np.flatnonzero(n)
+        rep, seg = np.divmod(live, len(rows))
+        seg, n = np.take(rows, seg), n[live]
+        u = rng.random((R, int(n.sum()) // R)).reshape(-1)
+        starts = np.cumsum(n) - n
+        # row j: the segment's arms in slot j or later, so rows 0 and W are
+        # all and none of them, and row w + 1 those above CDF value w
+        above = np.empty((W + 1, len(n)), dtype=np.int64)
+        above[0], above[W] = n, 0
+        for w in range(W - 1):
+            np.add.reduceat(u > np.repeat(cdf[seg, w], n), starts, dtype=np.int64,
+                            out=above[w + 1])
+        Znext = np.zeros(R * S, dtype=np.int64)
+        np.add.at(Znext, (np.take(targets.T, seg, axis=1) + rep * S).reshape(-1),
+                  (above[:-1] - above[1:]).reshape(-1))
+        return Znext.reshape(R, S)
 
 
 def _kernel_columns(X0: np.ndarray, X1: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """The occupied kernel rows r = 2s+a, ascending, each with the column of
     X0 (a = 0) or X1 (a = 1) whose arms it moves, as a view."""
-    occupied = np.column_stack([X0.any(axis=0), X1.any(axis=0)]).reshape(-1)
+    # counts are never negative, so a column sum is 0 only for an empty
+    # column (a wrap to exactly 0 needs R * N >= 2^64); einsum sums a
+    # narrow array several times faster than any(axis=0) tests it
+    occupied = np.column_stack([np.einsum("ij->j", X0), np.einsum("ij->j", X1)]).reshape(-1)
     return [(r, (X1 if r % 2 else X0)[:, r // 2]) for r in np.flatnonzero(occupied).tolist()]
 
 
@@ -403,8 +429,10 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     cell = S
     if engine == "per_arm":
         # N * (1 + W) cells per replication, W the widest kernel row: the
-        # size of an (R, N, W) successor tensor, which step_arms does not
-        # build.
+        # size of the (R, N, W) tensor of a gather-form successor draw.
+        # step_arms holds about 2 N floats per replication and a few W
+        # numbers per nonempty (replication, kernel row) segment: within
+        # the width on bern15 at N = 1200, about twice it at N = 8.
         cell += N * (1 + max((int(np.diff(K.indptr).max()) for K in pol._support), default=0))
     if pol.kind == "ts":
         # in either engine, ts_pulls works on each row's live cells, at most
@@ -509,19 +537,6 @@ def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:
     probs = sp.csr_matrix((K.data, slot, K.indptr), shape=shape).toarray()
     targets = sp.csr_matrix((K.indices.astype(np.int64), slot, K.indptr), shape=shape).toarray()
     return np.cumsum(probs, axis=1), np.maximum.accumulate(targets, axis=1)
-
-
-def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Each arm's successor from one uniform u: slot w of its successor-table
-    row k = 2s+a, w the count of the row's first W-1 CDF values below u (a
-    padded row is nondecreasing, so the last slot takes the rest)."""
-    W = cdf.shape[1]
-    u = rng.random(k.shape)
-    slot = k * W
-    for w in range(W - 1):
-        slot += u > np.take(cdf[:, w], k)
-    return np.take(targets, slot)
 
 
 # ---- sweeps ----------------------------------------------------------------

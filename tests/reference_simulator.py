@@ -1,12 +1,15 @@
 """Reference forms of simulator helpers.
 
-``_next_states`` is the gather form of the per-arm engine's successor
-draw, and ``_chunk`` the stacked period loop, which copies X0 and the
-(X0, X1) stack every period.  Each takes the arguments of the
-``fluidbandit.simulator`` helper of the same name and returns what it
-returns, from the same random numbers: they are the references that the
-simulator's slot-by-slot draw and its three-array period loop are checked
-against, array for array and run for run.
+``_step_arms`` is the per-arm engine's step in gather form: it expands
+the (X0, X1) stack into each arm's kernel row and draws each arm's
+successor through ``_next_states``, which compares one uniform per arm
+with the whole (R, N, W) gather of its padded CDF row.  ``_chunk`` is the
+stacked period loop, which copies X0 and the (X0, X1) stack every
+period.  Each returns what its ``fluidbandit.simulator`` counterpart
+returns, from the same random numbers, and uses none of that module's
+code: they are the references that ``CompiledPolicy.step_arms``'s
+counting draw and the three-array period loop are checked against,
+array for array and run for run.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-import fluidbandit.simulator as simulator
 
 
 def _next_states(cdf: np.ndarray, targets: np.ndarray, k: np.ndarray,
@@ -97,6 +98,6 @@ def _step_arms(pol, t, X, rng):
     Xsa = X.reshape(R, -1)
     cols = np.flatnonzero(Xsa.any(axis=0))
     k = np.repeat(np.tile(cols, R), Xsa[:, cols].reshape(-1)).reshape(R, -1)
-    nxt = simulator._next_states(*pol._tables[t - 1], k, rng)
+    nxt = _next_states(*pol._tables[t - 1], k, rng)
     return np.bincount((nxt + np.arange(0, R * S, S)[:, None]).reshape(-1),
                        minlength=R * S).reshape(R, S)

@@ -4,10 +4,11 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import v2_payload
-from fluidbandit.cli import CSV_COLUMNS, _round12, main
+from fluidbandit.cli import CSV_COLUMNS, _emit_json, _round12, main
 from fluidbandit.mdp import model_from_json
 
 
@@ -586,3 +587,57 @@ def test_search_measure_single(capsys):
     assert main(["search-measure", "--gen", "single"]) == 0
     payload = _stdout_json(capsys)
     assert payload["nondegenerate"] is True and payload["witness_value"] == 1.0
+
+
+def test_emitted_json_text_is_pinned(capsys):
+    # the leaf types the payloads hold: built-in and NumPy floats (rounded
+    # to 12 digits; NaN and infinities pass through), ints, bools and None,
+    # in nested dicts (keys made strings), tuples and arrays
+    payload = {"tuple": (1, np.float64(0.1) * 3, np.int64(-7), 2.5e-13),
+               "nested": {"flags": [True, np.bool_(False), None], 3: np.float32(0.1),
+                          "deeper": {"n": float("nan"), "inf": float("-inf")}},
+               "array": np.array([[0.1 + 0.2, np.nan], [np.inf, -0.0]]),
+               "ints": np.arange(3), "word": "x", "big": 123456789.123456789}
+    _emit_json(payload, None)
+    assert capsys.readouterr().out == EMITTED
+
+
+EMITTED = """\
+{
+  "array": [
+    [
+      0.3,
+      NaN
+    ],
+    [
+      Infinity,
+      -0.0
+    ]
+  ],
+  "big": 123456789.123,
+  "ints": [
+    0,
+    1,
+    2
+  ],
+  "nested": {
+    "3": 0.10000000149,
+    "deeper": {
+      "inf": -Infinity,
+      "n": NaN
+    },
+    "flags": [
+      true,
+      false,
+      null
+    ]
+  },
+  "tuple": [
+    1,
+    0.3,
+    -7,
+    2.5e-13
+  ],
+  "word": "x"
+}
+"""

@@ -392,24 +392,40 @@ def test_step_arms_lands_every_arm(S, N):
             assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_next_states_match_the_reference(bern5, crowd7):
+def _same_steps(pol, t, X0, X1, seed):
+    # the counting step lands what the reference's per-arm gather lands,
+    # from the same uniforms, and leaves the stream where it leaves it
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    Znext = pol.step_arms(t, X0, X1, a)
+    assert Znext.dtype == np.int64
+    np.testing.assert_array_equal(Znext, ref._step_arms(pol, t, np.stack([X0, X1], axis=2), b))
+    assert a.random() == b.random()
+
+
+def test_step_arms_matches_the_reference(bern5, crowd7):
+    # bern5 and crowd7 rows have two successors; the random model's rows
+    # are dense (W = 5)
     rng = np.random.default_rng(43)
     for model in (bern5, crowd7, make_random_model(rng, S=5, T=3)):
-        for K in successors(model):
-            cdf, targets = _successor_table(K)
-            states = _random_states(rng, 13, 70, model.S)
-            k = 2 * states + rng.integers(0, 2, size=states.shape)
-            a, b = np.random.default_rng(6), np.random.default_rng(6)
-            nxt = simulator._next_states(cdf, targets, k, a)
-            np.testing.assert_array_equal(nxt, ref._next_states(cdf, targets, k, b))
-            assert a.random() == b.random()
+        pol = CompiledPolicy(model, PolicySpec("index", scores=np.zeros((model.T, model.S))))
+        for t in range(1, model.T):
+            Z = _counts(_random_states(rng, 13, 70, model.S), model.S)
+            X1 = rng.integers(0, Z + 1)
+            _same_steps(pol, t, Z - X1, X1, 6)
     # rows whose totals fall short of 1: a uniform above a row's total
-    # takes the row's last slot, not a slot of the next row
-    cdf, targets = np.array([[0.25, 0.5], [0.5, 0.5]]), np.array([[0, 1], [2, 2]])
-    k = rng.integers(0, 2, size=(13, 70))
-    a, b = np.random.default_rng(7), np.random.default_rng(7)
-    np.testing.assert_array_equal(simulator._next_states(cdf, targets, k, a),
-                                  ref._next_states(cdf, targets, k, b))
+    # takes the row's last slot, not a slot of the next row; and the first
+    # arm's row has every CDF value equal to its uniform, which stays in
+    # slot 0 (a uniform goes past a CDF value only when above it)
+    pol = CompiledPolicy(bern5, PolicySpec("index", scores=np.zeros((bern5.T, bern5.S))))
+    cdf = np.resize([[0.25, 0.5, 0.5], [0.5, 0.5, 0.5], [0.2, 0.6, 0.9]], (2 * bern5.S, 3))
+    targets = np.resize([[0, 1, 1], [2, 2, 2], [0, 1, 3]], (2 * bern5.S, 3))
+    Z = _counts(_random_states(rng, 13, 70, bern5.S), bern5.S)
+    X1 = rng.integers(0, Z + 1)
+    first = np.flatnonzero(np.column_stack([Z[0] - X1[0], X1[0]]).reshape(-1))[0]
+    cdf[first] = np.random.default_rng(7).random()
+    targets[first] = [0, 1, 3]
+    pol.__dict__["_tables"] = [(cdf, targets)] * (bern5.T - 1)
+    _same_steps(pol, 1, Z - X1, X1, 7)
 
 
 @pytest.mark.parametrize("policy", ["fluid", "relaxed", "index", "rac", "ucb:0.5", "ts"])
@@ -419,7 +435,8 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
     pol = CompiledPolicy(bern5, parse_policy(policy))
     assert simulator._chunk_sizes(60, bern5.S + 9 * 3) == [11] * 5 + [5]
     new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
-    monkeypatch.setattr(simulator, "_next_states", ref._next_states)
+    monkeypatch.setattr(CompiledPolicy, "step_arms", lambda pol, t, X0, X1, rng:
+                        ref._step_arms(pol, t, np.stack([X0, X1], axis=2), rng))
     old = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
     _same_reports(new, old)
 
@@ -714,6 +731,28 @@ def test_count_engine_holds_three_arrays(bern15, policy, bound):
     finally:
         tracemalloc.stop()
     array = 4000 * bern15.S * 8
+    assert peak <= bound * array + (1 << 18)
+
+
+@pytest.mark.parametrize("policy, bound", [
+    ("fluid", 2.7), ("index", 2.7), ("relaxed", 2.7), ("ucb:0.5", 2.7), ("ts", 3.0),
+    ("rac", 2.75)], ids=["fluid", "index", "relaxed", "ucb:0.5", "ts", "rac"])
+def test_per_arm_step_holds_no_per_arm_index(bern15, policy, bound):
+    # step_arms holds the (R, N) uniforms, one repeated CDF value per arm
+    # and the comparison's bool (2.125 arrays of R * N float64), plus its
+    # tallies per (replication, kernel row) segment; one 400-row chunk at
+    # N = 1200 peaks at 2.65 of them (rac 2.69, ts 2.94, whose allocation
+    # holds more).  Per-arm int64 kernel-row, slot and successor arrays
+    # with their gathers peaked at 4.33.
+    pol = CompiledPolicy(bern15, parse_policy(policy))
+    simulate_per_arm(bern15, pol, N=1200, reps=10, seed=0)  # first-call caches
+    tracemalloc.start()
+    try:
+        simulator._chunk(pol, 1200, 400, simulator._stream(0, 1, 0), "per_arm", True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = 400 * 1200 * 8
     assert peak <= bound * array + (1 << 18)
 
 
