@@ -112,7 +112,7 @@ def _load_model(args) -> ArmModel:
             return model_from_json(text)
         except FluidBanditError:
             raise
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad model JSON {args.model!r}: {exc}") from exc
     if not args.gen:
         raise ConfigError("need --model FILE or --gen NAME")

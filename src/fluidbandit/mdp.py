@@ -297,32 +297,67 @@ def _period_index(payload: dict[str, Any], name: str, entries: int, T: int) -> l
     return index
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A model file's numeric field as a float64 array, once every entry of
+    its nested lists is checked to be a JSON number: NumPy would read true
+    as 1 and "0.5" as 0.5."""
+    a = np.asarray(value, dtype=object)
+    if not set(map(type, a.ravel().tolist())) <= {int, float}:
+        raise ConfigError(f"{name} must hold numbers only (no booleans)")
+    return a.astype(np.float64)
+
+
+def _csr(K: dict[str, Any], S: int) -> sp.csr_matrix:
+    """One kernel matrix of a model file from its CSR triplet, checked before
+    SciPy reads it, which would read true as 1, truncate 1.5 to 1 and fail
+    on 10**20 with an OverflowError: JSON numbers in ``data``, JSON
+    integers in ``indices`` and ``indptr`` (int64 once converted, so none
+    passes 2^63), targets in [0, S) and row pointers in [0, len(indices)]."""
+    data, indices, indptr = K["data"], K["indices"], K["indptr"]
+    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+        raise ConfigError("kernel data must list JSON numbers (no booleans)")
+    for name, index in (("indices", indices), ("indptr", indptr)):
+        if not isinstance(index, list) or not set(map(type, index)) <= {int}:
+            raise ConfigError(f"kernel {name} must list JSON integers")
+    data, indices, indptr = np.array(data, dtype=np.float64), np.array(indices), np.array(indptr)
+    if indices.size and not (indices.dtype == np.int64 and 0 <= indices.min()
+                             and indices.max() < S):
+        raise RangeError(f"a kernel target lies outside [0, {S})")
+    if indptr.size and not (indptr.dtype == np.int64 and 0 <= indptr.min()
+                            and indptr.max() <= indices.size):
+        raise ConfigError(f"kernel indptr entries must lie in [0, {indices.size}]")
+    return sp.csr_matrix((data, indices, indptr), shape=(2 * S, S))
+
+
 def model_from_dict(payload: dict[str, Any]) -> ArmModel:
     """Model from a version-3 or version-2 dict, or a version-1 one (no version
     field, dense "P").  Periods that share a version-3 kernel entry share
-    one matrix object."""
+    one matrix object.  Every number is checked to be a JSON number, and
+    every index an integer in range, before NumPy or SciPy reads it."""
     if not isinstance(payload, dict):
         raise ConfigError(f"a model file holds a JSON object, not {type(payload).__name__}")
-    meta = dict(payload.get("metadata", {}))
+    if not isinstance(payload["metadata"], dict):
+        raise ConfigError("metadata must be a JSON object")
+    meta = dict(payload["metadata"])
+    if not isinstance(meta.get("annotations", []), list):
+        raise ConfigError("metadata annotations must be a list")
     ann_payload = meta.pop("annotations", None)
     states = [tuple(s) if isinstance(s, list) else s for s in payload["states"]]
     version, S, T = payload.get("version", 1), len(states), payload["T"]
     _require_horizon(T)  # before a version-3 index list is checked against it
     if version not in (1, 2, 3):
         raise ConfigError(f"unknown model JSON version {version!r}")
-    R = np.asarray(payload["R"], dtype=np.float64)
+    R = _numbers(payload["R"], "R")
     if version == 1:
-        kernel = _kernel_from_dense(payload["P"])
+        kernel = _kernel_from_dense(_numbers(payload["P"], "P"))
     else:
-        kernel = [sp.csr_matrix((K["data"], K["indices"], K["indptr"]), shape=(2 * S, S),
-                                dtype=np.float64) for K in payload["kernel"]]
+        kernel = [_csr(K, S) for K in payload["kernel"]]
     if version == 3:
         kernel = [kernel[g] for g in _period_index(payload, "kernel_of_period", len(kernel), T)]
         R = R[_period_index(payload, "reward_of_period", len(R), T)]
     model = ArmModel(
         T=T, states=states, s0=payload["s0"], kernel=kernel, R=R,
-        alpha=np.asarray(payload["alpha"], dtype=np.float64),
-        metadata=meta,
+        alpha=_numbers(payload["alpha"], "alpha"), metadata=meta,
     )
     if ann_payload is not None:
         model.metadata["annotations"] = [

@@ -22,10 +22,10 @@ per level of halving the occupied states) and ``ts_pulls`` the law of
 Thompson sampling's top-B draws (binomial splitting of the value range
 on the posterior CDFs, the order-statistics method, with each split
 aimed at the B-th largest draw: first at the pooled expected quantile
-from a tail table cached per set of annotations, then by regula falsi
-on the bracket).  Their per-arm forms in
-``tests/reference_policies.py`` are the reference for their per-state
-pull laws.
+from the tail table of ``ts_posterior``, which ``CompiledPolicy`` builds
+once per ts policy, then by regula falsi on the bracket).  Their per-arm
+forms in ``tests/reference_policies.py`` are the reference for their
+per-state pull laws.
 """
 
 from __future__ import annotations
@@ -238,24 +238,18 @@ class _Posterior:
         return self.top / (TS_GRID + 1)
 
 
-def _posterior(annotations) -> _Posterior:
-    """The posterior tables of these annotations, built once per set of
-    (family, params) pairs."""
-    return _posterior_of(tuple((a.family, tuple(a.params)) for a in annotations))
-
-
-@functools.lru_cache(maxsize=16)
-def _posterior_of(key) -> _Posterior:
-    S = len(key)
-    gamma = np.array([family == "gamma" for family, _ in key])
-    p0, p1 = np.array([params for _, params in key], dtype=np.float64).T
+def ts_posterior(annotations) -> _Posterior:
+    """The posterior tables of these annotations that ``ts_pulls`` reads.  A
+    posterior CDF that is not a number on the grid raises
+    ``DegeneratePosterior`` here."""
+    S = len(annotations)
+    gamma = np.array([a.family == "gamma" for a in annotations])
+    p0, p1 = np.array([a.params for a in annotations], dtype=np.float64).T
     post = _Posterior(gamma, p0, p1, 1.0 if gamma.any() else 0.5, np.zeros((S, TS_GRID + 2)))
     post.tail[:, 0] = 1.0
     v = np.arange(1, TS_GRID + 1) * post.step
     post.tail[:, 1:-1] = _tails(post, np.repeat(np.arange(S), TS_GRID),
                                 np.tile(v, S))[1].reshape(S, TS_GRID)
-    for a in (gamma, p0, p1, post.tail):  # every later call shares them
-        a.flags.writeable = False
     return post
 
 
@@ -330,7 +324,7 @@ def _first_split(post: _Posterior, Z: np.ndarray, B: int) -> np.ndarray:
     return (k - 1 + (above - B) / (above - below)) * post.step
 
 
-def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np.ndarray:
+def ts_pulls(Z: np.ndarray, post: _Posterior, B: int, rng: np.random.Generator) -> np.ndarray:
     """Thompson-sampling pulls (R, S): every arm draws from its state's
     posterior, and each row pulls its B largest draws.
 
@@ -347,11 +341,10 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
     The law is exact wherever m falls, as long as it depends only on Z, B
     and the draws already made.  The first m is where the row's expected
     number of arms above v, sum_s Z_s (1 - F_s(v)), falls to B: a product
-    with the tail table of the annotations (built once per set of
-    annotations), interpolated linearly between its grid points.  Each
-    later m is where the need-th largest of the bracket's arms would sit if
-    they were spread evenly over it (regula falsi), at least ``TS_CLIP`` of
-    the bracket from either end.  Once a bracket holds at most ``TS_LEAF``
+    with the tail table of ``post`` (from ``ts_posterior``), interpolated
+    linearly between its grid points.  Each later m is where the need-th
+    largest of the bracket's arms would sit if they were spread evenly over
+    it (regula falsi), at least ``TS_CLIP`` of the bracket from either end.  Once a bracket holds at most ``TS_LEAF``
     arms, or can no longer be split in floating point, its arms are drawn
     by inverse CDF truncated to it and the largest ones are pulled.  The
     posteriors are continuous, so ties have probability 0; draws that
@@ -370,7 +363,6 @@ def ts_pulls(Z: np.ndarray, annotations, B: int, rng: np.random.Generator) -> np
         return np.zeros((R, S), dtype=np.int64)
     if B >= N:
         return Z.copy()
-    post = _posterior(annotations)
     X1 = np.zeros((R, S), dtype=np.int64)
     lo, hi = np.zeros(R), np.full(R, post.top)
     mid = _first_split(post, Z, B)

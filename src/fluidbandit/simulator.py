@@ -53,7 +53,8 @@ from .mdp import ArmModel, is_integer, period_budget, successors, validate_model
 from .occupancy import classify
 from .policies import (BLOCK_CELLS, TS_CELL_FLOATS, TS_GRID, PolicySpec,
                        activation_probabilities, fluid_pulls, index_pulls, parse_policy,
-                       rac_pulls, score_order, ts_pulls, ucb_scores, violation_rows)
+                       rac_pulls, score_order, ts_posterior, ts_pulls, ucb_scores,
+                       violation_rows)
 from .priority import q_recursion
 
 # 95% two-sided normal quantile.
@@ -85,7 +86,10 @@ class SimulationReport:
         bracketing event (NaN when the policy carries no measure).
     :diffusion_second_moments: {"Z": per-t E||Z~||^2, "X": per-t E||X~||^2},
         Z~ = (Z - N z_t) / sqrt(N) and X~ likewise against x_t, or None
-        when no reference measure exists or none was asked for.
+        when no reference measure exists or none was asked for.  Each is
+        within a few N * eps of the dense sum per replication, so one whose
+        exact value is 0 can read slightly below it (-0.000375 at t = 1 for
+        fluid on bern15 at N = 10**12); it is not clipped.
     :seed: the run's seed.
     :wall_time: wall-clock seconds of the run, the policy's compile
         included when the policy came uncompiled.
@@ -133,9 +137,10 @@ class SweepRow:
 
 class CompiledPolicy:
     """Per-(model, spec) engine: the spec's measure, scores and category codes,
-    solved or derived only where the policy needs them, plus precomputed
-    orders and transition supports; allocation is delegated to the
-    kernels in policies.  Every compile validates the model exactly once:
+    solved or derived only where the policy needs them, plus what its kernel
+    in policies reads each period (score orders, RAC's (T, S) activation
+    probabilities or TS's posterior tables), all built here once, and the
+    transition supports.  Every compile validates the model exactly once:
     through ``solve_relaxation`` when it solves the LP, directly otherwise."""
 
     def __init__(self, model: ArmModel, spec: PolicySpec):
@@ -175,10 +180,11 @@ class CompiledPolicy:
         self.codes: np.ndarray | None = (
             classify(self.measure) if self.measure is not None else None)
 
-        if self.kind in ("ts", "rac"):
-            self._orders = None
-        else:
-            self._orders = [score_order(self.scores, t, S) for t in range(1, T + 1)]
+        self._orders = (None if self.kind in ("ts", "rac")
+                        else [score_order(self.scores, t, S) for t in range(1, T + 1)])
+        self._q = (np.array([activation_probabilities(measure, t) for t in range(1, T + 1)])
+                   if self.kind == "rac" else None)
+        self._posterior = ts_posterior(model.annotations) if self.kind == "ts" else None
         # transition supports: row 2s+a of entry t-1 for period t
         self._support = successors(model)
 
@@ -202,8 +208,8 @@ class CompiledPolicy:
         if self.kind in ("index", "ucb"):
             return index_pulls(Z, self._orders[t - 1], B)
         if self.kind == "rac":
-            return rac_pulls(Z, activation_probabilities(self.measure, t), B, rng)
-        return ts_pulls(Z, self.model.annotations, B, rng)
+            return rac_pulls(Z, self._q[t - 1], B, rng)
+        return ts_pulls(Z, self._posterior, B, rng)
 
     # ---- batch transitions ----------------------------------------------
 
@@ -520,12 +526,15 @@ def _square_distance(Y: np.ndarray, N: int, y: np.ndarray) -> float:
     sum Y^2 / N - 2 (column sums of Y) . y + R N ||y||^2 from exact integer
     tallies: each row's square sum, summed in float64 (at most N^2, so
     exact while N^2 < 2^53 and rounded, never wrapped, above; an int64 sum
-    would wrap once it passes 2^63), and Y's int64 column sums.  No (R, S)
-    float array is made; with ||y||^2 <= 1 the cancelling terms are at most
-    a few N per row, so the result is within a few N * eps per row of the
-    dense sum."""
+    would wrap once it passes 2^63), and Y's int64 column sums over blocks
+    of at most (2^63 - 1) // N rows, which cannot wrap (a row holds at most
+    N arms), their products with y added in float64.  No (R, S) float array
+    is made; with ||y||^2 <= 1 the cancelling terms are at most a few N per
+    row, so the result is within a few N * eps per row of the dense sum."""
     squares = np.einsum("ij,ij->i", Y, Y, dtype=np.float64).sum()
-    return float(squares / N - 2.0 * (np.einsum("ij->j", Y) @ y) + len(Y) * N * (y @ y))
+    rows = (2**63 - 1) // N
+    cols = sum(np.einsum("ij->j", Y[a:a + rows]) @ y for a in range(0, len(Y), rows))
+    return float(squares / N - 2.0 * cols + len(Y) * N * (y @ y))
 
 
 def _successor_table(K) -> tuple[np.ndarray, np.ndarray]:

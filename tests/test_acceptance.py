@@ -107,6 +107,7 @@ def test_a03_degeneracy_verdicts(bern15, crowd7, assort8):
                 not rep7.nondegenerate, rep8.neutral_counts.tolist(), elapsed))
 
 
+@pytest.mark.slow
 def test_a04_constant_gap_fluid(bern15_fluid_rows):
     t0 = time.perf_counter()
     rows = bern15_fluid_rows
@@ -124,6 +125,7 @@ def test_a04_constant_gap_fluid(bern15_fluid_rows):
                 gaps[9600], gaps[300], combined, flat))
 
 
+@pytest.mark.slow
 def test_a05_linear_gap_baselines(bern15, bern15_measure, bern15_fluid_rows):
     t0 = time.perf_counter()
     fluid_gap = {r.N: r.gap_upper_bound for r in bern15_fluid_rows}[9600]
@@ -222,6 +224,7 @@ def test_a08_policy_identity_off_violation():
              "(0 required), %.0fs" % (states, compared, mismatches, elapsed))
 
 
+@pytest.mark.slow
 def test_a09_engine_cross_validation(single, two):
     t0 = time.perf_counter()
     a = simulate(two, "fluid", N=2, reps=200, seed=9)

@@ -1,15 +1,20 @@
 """Command-line contract: pipelines, reproducibility, exit codes."""
 
+import copy
 import csv
 import json
 import warnings
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
 
 from conftest import v2_payload
 from fluidbandit.cli import CSV_COLUMNS, _emit_json, _round12, main
-from fluidbandit.mdp import model_from_json
+from fluidbandit.errors import EXIT_CODES
+from fluidbandit.mdp import model_from_dict, model_from_json, model_to_dict
+from fluidbandit.zoo import bernoulli_bandit
 
 
 def _read_csv(path):
@@ -500,6 +505,55 @@ def test_malformed_v3_index_list_is_a_config_error(tmp_path, capsys, edit):
     assert main(["relax", "--model", str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "_of_period" in err["message"]
+
+
+# Values each field of a model file, and the first entry of each list in it,
+# is replaced by in test_mutated_model_file_exits_with_a_typed_code.
+JUNK = [None, True, -1, 0, 1.5, "x", [], {}, [[]], float("nan"), 10**20, [1, 2], -0.0]
+DELETE = object()
+
+
+def _entry_paths(node, path=()):
+    """The path of every field of a JSON tree and of the first entry of every
+    nonempty list in it, at any depth."""
+    keys = list(node) if isinstance(node, dict) else [0] if isinstance(node, list) and node else []
+    for key in keys:
+        yield path + (key,)
+        yield from _entry_paths(node[key], path + (key,))
+
+
+def test_mutated_model_file_exits_with_a_typed_code(tmp_path, capsys):
+    """Every field of bern3's model file and the first entry of every list in
+    it, replaced by each value of JUNK or deleted: relax exits 0 or with a
+    code of EXIT_CODES, never 1 and never by an escaped exception.  A file it
+    accepts is the model it loads (so no number was truncated), and a bool
+    in a kernel array, alpha or R is refused.  An index of 1.5 once loaded
+    as 1, true as 1 in indices, alpha and R, and 10**20 escaped main as an
+    OverflowError."""
+    base = model_to_dict(bernoulli_bandit(3, 1.0 / 3.0))
+    path, out, bad = tmp_path / "bern3.json", str(tmp_path / "relax.json"), []
+    for where in _entry_paths(base):
+        for junk in [*JUNK, DELETE]:
+            payload = copy.deepcopy(base)
+            parent = reduce(getitem, where[:-1], payload)
+            if junk is DELETE:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = junk
+            path.write_text(json.dumps(payload))
+            try:
+                code = main(["relax", "--model", str(path), "-o", out])
+            except Exception as exc:
+                code = repr(exc)
+            capsys.readouterr()
+            if code == 0:
+                ok = (model_to_dict(model_from_dict(payload)) == payload
+                      and not (junk is True and where[0] in ("kernel", "alpha", "R")))
+            else:
+                ok = code in EXIT_CODES.values()
+            if not ok:
+                bad.append((where, "deleted" if junk is DELETE else junk, code))
+    assert not bad, bad
 
 
 def test_gen_stores_the_shared_kernel_once(tmp_path):

@@ -1,10 +1,13 @@
 """Allocation rules: hand-traced plans, invariants, baseline policies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, multivariate_hypergeom
 
 import fluidbandit.policies as policies
+import fluidbandit.simulator as simulator
 import reference_policies as ref
 from conftest import make_random_model
 from fluidbandit.errors import (DegeneratePosterior, DimensionMismatch, MissingMetadata,
@@ -14,10 +17,10 @@ from fluidbandit.mdp import BeliefStateAnnotation, period_budget
 from fluidbandit.occupancy import classify
 from fluidbandit.policies import (PolicySpec, _mass, activation_probabilities,
                                   fluid_priority_allocate, fluid_pulls, index_pulls,
-                                  parse_policy, rac_pulls, ts_pulls, ucb_scores,
-                                  violation_rows)
+                                  parse_policy, rac_pulls, ts_posterior, ts_pulls,
+                                  ucb_scores, violation_rows)
 from fluidbandit.priority import _fluid_fill, score_order
-from fluidbandit.simulator import CompiledPolicy, simulate
+from fluidbandit.simulator import CompiledPolicy, simulate, simulate_per_arm
 
 G_FIRST = np.array([[1.0, 0.0], [1.0, 0.0]])
 
@@ -222,22 +225,22 @@ def test_ucb_requires_annotations(crowd3):
 
 
 def test_ts_allocation(bern2):
-    ann = bern2.annotations
+    post = ts_posterior(bern2.annotations)
     Z = np.array([3, 2, 1], dtype=np.int64)
-    pulls = ts_pulls(_row(Z), ann, 2, np.random.default_rng(4))[0]
+    pulls = ts_pulls(_row(Z), post, 2, np.random.default_rng(4))[0]
     assert int(pulls.sum()) == 2
     assert (pulls <= Z).all()
-    again = ts_pulls(_row(Z), ann, 2, np.random.default_rng(4))[0]
+    again = ts_pulls(_row(Z), post, 2, np.random.default_rng(4))[0]
     np.testing.assert_array_equal(pulls, again)
-    full = ts_pulls(_row(Z), ann, 10, np.random.default_rng(4))[0]
+    full = ts_pulls(_row(Z), post, 10, np.random.default_rng(4))[0]
     assert int(full.sum()) == 6
-    none = ts_pulls(_row(Z), ann, 0, np.random.default_rng(4))[0]
+    none = ts_pulls(_row(Z), post, 0, np.random.default_rng(4))[0]
     assert int(none.sum()) == 0
     # one row at a time: some seeds settle the row by bisection alone,
     # others finish it with truncated draws
     Z = np.array([30, 20, 10], dtype=np.int64)
     for seed in range(200):
-        pulls = ts_pulls(_row(Z), ann, 20, np.random.default_rng(seed))[0]
+        pulls = ts_pulls(_row(Z), post, 20, np.random.default_rng(seed))[0]
         assert int(pulls.sum()) == 20 and (pulls <= Z).all()
 
 
@@ -280,10 +283,10 @@ def test_ts_law_matches_per_arm_reference(case, bern5, assort8):
     variance (4 SE, ratio within 0.85-1.15) at B = 0, 1, N/2, N-1 and N, and
     every row pulls exactly B arms, none beyond its counts."""
     name, ann, Z = _ts_cases(bern5, assort8)[case]
-    N = int(Z.sum())
+    N, post = int(Z.sum()), ts_posterior(ann)
     Zs = np.tile(Z, (20_000, 1))
     for B in (0, 1, N // 2, N - 1, N):
-        new = ts_pulls(Zs, ann, B, np.random.default_rng(100 + B))
+        new = ts_pulls(Zs, post, B, np.random.default_rng(100 + B))
         ref_pulls = ref.ts_pulls(Zs, ann, B, np.random.default_rng(200 + B))
         assert (new.sum(axis=1) == B).all() and (new >= 0).all() and (new <= Zs).all()
         z, ratios = _law_gap(new, ref_pulls)
@@ -364,7 +367,7 @@ def test_ts_draws_no_arm_at_large_n(bern5, monkeypatch):
     rng = np.random.default_rng(5)
     N, B = 10**6, 333_333
     Zs = rng.multinomial(N, np.r_[np.full(6, 1 / 6), np.zeros(9)], size=2)
-    pulls = ts_pulls(Zs, bern5.annotations, B, rng)
+    pulls = ts_pulls(Zs, ts_posterior(bern5.annotations), B, rng)
     assert (pulls.sum(axis=1) == B).all() and (pulls <= Zs).all()
 
 
@@ -376,16 +379,22 @@ def test_ts_unsplittable_bracket_goes_to_leaf():
     for family in ("beta", "gamma"):
         ann = [_ann(family, 1e35, 1e35)] * 2
         Zs = np.tile([1000, 1000], (200, 1))
-        pulls = ts_pulls(Zs, ann, 700, np.random.default_rng(7))
+        pulls = ts_pulls(Zs, ts_posterior(ann), 700, np.random.default_rng(7))
         assert (pulls.sum(axis=1) == 700).all() and (pulls <= Zs).all()
         assert abs(pulls[:, 0].mean() - 350.0) <= 4.0, pulls.mean(axis=0)
 
 
 def test_ts_degenerate_posterior_is_typed():
-    ann = [_ann("beta", 2, 3), _ann("beta", float("nan"), 3)]
+    # a CDF that is not a number fails where the tables are built, before
+    # any count row is seen
+    with pytest.raises(DegeneratePosterior):
+        ts_posterior([_ann("beta", 2, 3), _ann("beta", float("nan"), 3)])
+    # and in ts_pulls, given tables whose parameters are not numbers
+    post = ts_posterior([_ann("beta", 2, 3), _ann("beta", 2, 3)])
+    post = dataclasses.replace(post, p0=np.array([2.0, float("nan")]))
     for n in (1, 25):  # two arms go straight to the leaf; fifty are split first
         with pytest.raises(DegeneratePosterior):
-            ts_pulls(np.array([[n, n]]), ann, n, np.random.default_rng(0))
+            ts_pulls(np.array([[n, n]]), post, n, np.random.default_rng(0))
     # a bracket that holds arms of a state with no mass in it
     s, low, empty = np.array([1]), np.array([True]), np.array([0.25])
     with pytest.raises(DegeneratePosterior):
@@ -403,10 +412,10 @@ def test_ts_law_matches_per_arm_reference_at_larger_n(case, bern15, assort8):
     else:
         ann = bern15.annotations[:20] + [assort8.annotations[s] for s in range(0, 80, 8)]
         Z = np.resize([12, 3, 8, 1, 15, 6], 30)
-    N = int(Z.sum())
+    N, post = int(Z.sum()), ts_posterior(ann)
     Zs = np.tile(Z, (20_000, 1))
     for B in (1, N // 3, N - 1):
-        new = ts_pulls(Zs, ann, B, np.random.default_rng(500 + B))
+        new = ts_pulls(Zs, post, B, np.random.default_rng(500 + B))
         ref_pulls = ref.ts_pulls(Zs, ann, B, np.random.default_rng(600 + B))
         assert (new.sum(axis=1) == B).all() and (new >= 0).all() and (new <= Zs).all()
         z, ratios = _law_gap(new, ref_pulls)
@@ -414,21 +423,28 @@ def test_ts_law_matches_per_arm_reference_at_larger_n(case, bern15, assort8):
         assert ((ratios > 0.85) & (ratios < 1.15)).all(), (case, B, ratios)
 
 
-def test_ts_tail_table_is_built_once_per_annotation_set(bern5):
-    """Calls on one set of annotations, in the same list or an equal one,
-    share one posterior table; another set gets its own."""
-    policies._posterior_of.cache_clear()
-    Zs = np.tile(np.r_[[6, 5, 4, 5, 3, 2, 4, 1], np.zeros(7, np.int64)], (50, 1))
-    rng = np.random.default_rng(8)
-    for B in (3, 10, 20):
-        ts_pulls(Zs, bern5.annotations, B, rng)
-        ts_pulls(Zs, list(bern5.annotations), B, rng)
-    simulate(bern5, "ts", N=30, reps=40, seed=3)
-    info = policies._posterior_of.cache_info()
-    assert (info.misses, info.hits) == (1, 5 + bern5.T)
-    other = [_ann("beta", 2, 3)] * bern5.S
-    ts_pulls(Zs, other, 10, rng)
-    assert policies._posterior_of.cache_info().misses == 2
+def test_ts_and_rac_tables_are_built_once_per_compiled_policy(bern5, monkeypatch):
+    """A compiled ts policy builds its posterior tables, and a compiled rac
+    policy its (T, S) activation probabilities, when it is compiled and
+    never again: not per chunk of a multi-chunk count run, not per period,
+    not in a per-arm run."""
+    calls = []
+
+    def counted(name):
+        call = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, lambda *a: calls.append(name) or call(*a))
+
+    for name in ("ts_posterior", "activation_probabilities", "_chunk"):
+        counted(name)
+    monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 2_000)
+    for kind, table in (("ts", "ts_posterior"), ("rac", "activation_probabilities")):
+        pol = CompiledPolicy(bern5, parse_policy(kind))
+        simulate(bern5, pol, N=30, reps=400, seed=3)
+        assert calls.count("_chunk") >= 2
+        simulate_per_arm(bern5, pol, N=30, reps=40, seed=3)
+        builds = [c for c in calls if c != "_chunk"]
+        assert builds == [table] * (1 if kind == "ts" else bern5.T), (kind, builds)
+        calls.clear()
 
 
 def test_ts_cdf_cells_are_pinned(bern15, monkeypatch):
@@ -443,7 +459,6 @@ def test_ts_cdf_cells_are_pinned(bern15, monkeypatch):
         return tails(post, s, v)
 
     monkeypatch.setattr(policies, "_tails", counted)
-    policies._posterior_of.cache_clear()
     simulate(bern15, "ts", 1200, 50, 103)
     assert sum(cells) <= 66_000, sum(cells)
 

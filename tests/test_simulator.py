@@ -492,11 +492,13 @@ def test_runs_match_the_stacked_reference_loop(bern5, crowd7, monkeypatch, engin
 
 @pytest.mark.parametrize("N, reps", [pytest.param(9600, 1000, id="9600"),
                                      pytest.param(10**8, 1000, id="100000000"),
-                                     pytest.param(4 * 10**9, 20, id="4000000000")])
+                                     pytest.param(4 * 10**9, 20, id="4000000000"),
+                                     pytest.param(10**16, 1000, id="10000000000000000")])
 def test_square_sums_do_not_wrap(bern15, monkeypatch, N, reps):
     # at N = 1e8 one 1000-row chunk has R N^2 = 1e19 > 2^63, so a
     # whole-array int64 square sum wraps; at N = 4e9 one row's square
-    # sum N^2 = 1.6e19 does too, so the rows are summed in float64
+    # sum N^2 = 1.6e19 does too, so the rows are summed in float64; at
+    # N = 1e16 a column sum of the chunk, up to R N = 1e19, would too
     pol = CompiledPolicy(bern15, parse_policy("fluid"))
     assert simulator._chunk_sizes(reps, bern15.S) == [reps]
     new = simulate(bern15, pol, N, reps, 5)
