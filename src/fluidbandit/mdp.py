@@ -16,7 +16,8 @@ reward slab R[t] once, with index lists ``kernel_of_period`` and
 ``reward_of_period`` mapping every period to its entry; "distinct" is byte
 equality (:func:`distinct_periods`).  Version 2 (one CSR triplet and one
 reward slab per period) and version 1 (no version field, the dense
-(T, S, 2, S) array) still load.
+(T, S, 2, S) array) still load.  A posterior annotation is stored as its family
+and params alone; older files' ``posterior_mean`` and ``posterior_sd`` are not read.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ BUDGET_FLOOR_ULPS = 8
 
 @dataclass
 class BeliefStateAnnotation:
-    """Posterior descriptor for one state, used by UCB and TS baselines.
+    """Posterior of the per-arm belief in one state, used by UCB and TS.
 
-    :posterior_mean: mean of the per-arm belief in this state.
-    :posterior_sd: standard deviation of that belief.
     :family: "beta" (params a, b) or "gamma" (params shape, rate).
-    :params: family parameters as a tuple of floats.
+    :params: family parameters as a tuple of floats, the only stored belief.
+    :posterior_mean, posterior_sd: read-only, derived from family and params.
     :sampler: sampler(rng, size) -> draws from the belief; derived from
         family and params (building it checks the family), a plain
         attribute afterwards.  No engine calls it: TS in both engines reads
@@ -54,14 +54,25 @@ class BeliefStateAnnotation:
         serves per-arm reference draws and tracers that wrap it.
     """
 
-    posterior_mean: float
-    posterior_sd: float
     family: str
     params: tuple[float, ...]
     sampler: Callable[[np.random.Generator, Any], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.sampler = _sampler_for(self.family, self.params)
+
+    @property
+    def posterior_mean(self) -> float:
+        """a / (a + b) for Beta(a, b), shape / rate for Gamma(shape, rate)."""
+        x, y = self.params
+        return x / (x + y) if self.family == "beta" else x / y
+
+    @property
+    def posterior_sd(self) -> float:
+        """sqrt(ab / ((a + b)^2 (a + b + 1))) for Beta(a, b), sqrt(shape) / rate."""
+        x, y = self.params
+        return (math.sqrt(x * y / ((x + y) ** 2 * (x + y + 1.0))) if self.family == "beta"
+                else math.sqrt(x) / y)
 
 
 @dataclass(init=False)
@@ -119,8 +130,8 @@ def _require_horizon(T) -> None:
 
 def validate_model(model: ArmModel) -> None:
     """Check shapes, ranges, row sums and posterior annotations (one per
-    state, with a finite mean, a finite sd >= 0 and finite params > 0);
-    raise a typed error on failure.
+    state, with finite params > 0 whose mean and sd are finite); raise a
+    typed error on failure.
 
     Raises ShapeError / DimensionMismatch / RangeError / RowSumError.
     """
@@ -158,20 +169,26 @@ def validate_model(model: ArmModel) -> None:
     if ann is not None:
         if len(ann) != S:
             raise DimensionMismatch(f"{len(ann)} posterior annotations for {S} states")
-        mean, sd = np.array([(a.posterior_mean, a.posterior_sd) for a in ann],
-                            dtype=np.float64).T
-        params = np.array([a.params for a in ann], dtype=np.float64)
-        ok = (np.isfinite(mean) & (sd >= 0) & (sd < np.inf)
-              & ((params > 0) & (params < np.inf)).all(axis=1))  # NaN fails too
-        if not ok.all():
-            raise RangeError(f"annotation of state {model.states[np.argmin(ok)]!r} needs a "
-                             "finite mean, a finite sd >= 0 and finite params > 0")
+        bad = [s for s, a in zip(model.states, ann) if not _sound_belief(a)]
+        if bad:
+            raise RangeError(f"annotation of state {bad[0]!r} needs finite params > 0 "
+                             "and a finite mean and sd")
     rowsum = np.array([model.kernel[t] @ np.ones(S) for t in periods])
     bad = np.abs(rowsum - 1.0) > ROW_SUM_TOL
     if bad.any():
         u, r = np.argwhere(bad)[0]
         raise RowSumError(f"kernel row (t={periods[u] + 1}, s={model.states[r // 2]}, "
                           f"a={r % 2}) sums to {rowsum[u, r]!r}")
+
+
+def _sound_belief(a: BeliefStateAnnotation) -> bool:
+    """Finite numeric params > 0, then a finite mean and sd, which huge or tiny
+    params put out of float range (an inf, or a Beta variance's 0 / 0)."""
+    try:
+        return (all(0 < p < math.inf for p in a.params)
+                and math.isfinite(a.posterior_mean) and math.isfinite(a.posterior_sd))
+    except (TypeError, ZeroDivisionError, OverflowError):
+        return False
 
 
 def _kernel_from_dense(P) -> list[sp.csr_matrix]:
@@ -251,11 +268,7 @@ def model_to_dict(model: ArmModel) -> dict[str, Any]:
     meta = {k: v for k, v in model.metadata.items() if k != "annotations"}
     ann = model.metadata.get("annotations")
     if ann is not None:
-        meta["annotations"] = [
-            {"posterior_mean": a.posterior_mean, "posterior_sd": a.posterior_sd,
-             "family": a.family, "params": list(a.params)}
-            for a in ann
-        ]
+        meta["annotations"] = [{"family": a.family, "params": list(a.params)} for a in ann]
     firsts, kernel_of_period = distinct_periods(model.kernel)
     kernels = [model.kernel[t] for t in firsts]
     firsts, reward_of_period = distinct_periods(model.R)
@@ -360,15 +373,9 @@ def model_from_dict(payload: dict[str, Any]) -> ArmModel:
         alpha=_numbers(payload["alpha"], "alpha"), metadata=meta,
     )
     if ann_payload is not None:
-        model.metadata["annotations"] = [
-            BeliefStateAnnotation(
-                posterior_mean=float(a["posterior_mean"]),
-                posterior_sd=float(a["posterior_sd"]),
-                family=a["family"],
-                params=tuple(a["params"]),
-            )
-            for a in ann_payload
-        ]
+        params = _numbers([a["params"] for a in ann_payload], "annotation params").tolist()
+        model.metadata["annotations"] = [BeliefStateAnnotation(a["family"], tuple(p))
+                                         for a, p in zip(ann_payload, params)]
     validate_model(model)
     return model
 

@@ -42,7 +42,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -354,10 +354,15 @@ def _stream(seed: int, tag: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunk_sizes(reps: int, cell: int) -> list[int]:
+def _chunk_sizes(reps: int, cell: int) -> Iterator[int]:
+    """Full chunks of the widest size the cell budget allows, then the rest;
+    yielded one at a time, since reps may be too large for a list."""
     size = max(1, min(reps, CHUNK_CELL_BUDGET // max(1, cell)))
     full, rem = divmod(reps, size)
-    return [size] * full + ([rem] if rem else [])
+    for _ in range(full):
+        yield size
+    if rem:
+        yield rem
 
 
 @dataclass
@@ -423,6 +428,8 @@ def _run(model: ArmModel, policy, N: int, reps: int, seed: int, engine: str,
     for name, value in (("N", N), ("reps", reps)):
         if not is_integer(value) or value < 1:
             raise RangeError(f"{name} must be a positive integer, got {value!r}")
+    if N >= 2**63:  # the counts are int64
+        raise RangeError(f"N must be a positive integer below 2**63, got {N!r}")
     if not is_integer(seed) or seed < 0:
         raise RangeError(f"seed must be a nonnegative integer, got {seed!r}")
     t0 = time.perf_counter()

@@ -27,13 +27,6 @@ ASSORT_X_CAP = 40
 TRUNCATION_WARN = 1e-4
 
 
-def _beta_annotation(a: int, b: int) -> BeliefStateAnnotation:
-    mean = a / (a + b)
-    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
-    return BeliefStateAnnotation(posterior_mean=mean, posterior_sd=sd,
-                                 family="beta", params=(float(a), float(b)))
-
-
 def _kernel(rows: list[dict[int, float]]) -> sp.csr_matrix:
     """One period's (2S, S) kernel matrix from rows[2s+a] = {target: probability}."""
     r, c, v = zip(*[(i, j, p) for i, row in enumerate(rows) for j, p in row.items() if p > 0.0])
@@ -62,7 +55,7 @@ def bernoulli_bandit(T: int, alpha: float) -> ArmModel:
         rows.append({idx[(n + 1, k + 1)]: mean, idx[(n + 1, k)]: 1.0 - mean}
                     if n + 1 <= T - 1 else {i: 1.0})
         R1[i, 1] = mean
-        ann.append(_beta_annotation(1 + k, 1 + n - k))
+        ann.append(BeliefStateAnnotation("beta", (1.0 + k, 1.0 + n - k)))
     R = np.broadcast_to(R1, (T, S, 2))
     model = ArmModel(
         T=T, states=states, s0=idx[(0, 0)], kernel=[_kernel(rows)] * T, R=R,
@@ -185,8 +178,7 @@ def assortment(T: int, alpha: float, m_cap: int = ASSORT_M_CAP,
         else:
             pull[i] = 1.0
         rows.append(pull)
-        ann.append(BeliefStateAnnotation(posterior_mean=m / a, posterior_sd=math.sqrt(m) / a,
-                                         family="gamma", params=(float(m), float(a))))
+        ann.append(BeliefStateAnnotation("gamma", (float(m), a)))
     K = _kernel(rows)
     # always-display forward flow from (1, 0) accumulates divergence mass
     display = K[1::2].T

@@ -4,8 +4,6 @@ Expensive artifacts (zoo models and their LP solves) are session-scoped so
 the module tests and the acceptance suite pay for each one exactly once.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -120,14 +118,7 @@ def make_random_model(rng, S=None, T=None, annotate=False):
         for _ in range(S):
             a = float(rng.uniform(0.5, 3.0))
             b = float(rng.uniform(0.5, 3.0))
-            mean = a / (a + b)
-            sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-            anns.append(BeliefStateAnnotation(
-                posterior_mean=mean,
-                posterior_sd=sd,
-                family="beta",
-                params=(a, b),
-            ))
+            anns.append(BeliefStateAnnotation("beta", (a, b)))
         meta["annotations"] = anns
     model = ArmModel(T=T, states=[f"s{i}" for i in range(S)], s0=0,
                      P=P, R=R, alpha=alpha, metadata=meta)

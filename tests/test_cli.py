@@ -509,7 +509,7 @@ def test_malformed_v3_index_list_is_a_config_error(tmp_path, capsys, edit):
 
 # Values each field of a model file, and the first entry of each list in it,
 # is replaced by in test_mutated_model_file_exits_with_a_typed_code.
-JUNK = [None, True, -1, 0, 1.5, "x", [], {}, [[]], float("nan"), 10**20, [1, 2], -0.0]
+JUNK = [None, True, -1, 0, 1.5, "x", "1", [], {}, [[]], float("nan"), 10**20, [1, 2], -0.0]
 DELETE = object()
 
 
@@ -527,9 +527,10 @@ def test_mutated_model_file_exits_with_a_typed_code(tmp_path, capsys):
     it, replaced by each value of JUNK or deleted: relax exits 0 or with a
     code of EXIT_CODES, never 1 and never by an escaped exception.  A file it
     accepts is the model it loads (so no number was truncated), and a bool
-    in a kernel array, alpha or R is refused.  An index of 1.5 once loaded
-    as 1, true as 1 in indices, alpha and R, and 10**20 escaped main as an
-    OverflowError."""
+    or a numeric string in a kernel array, alpha, R or an annotation number
+    (any annotation key but family) is refused.  An index of 1.5 once
+    loaded as 1, true as 1 in indices, alpha and R, true or "1" in an
+    annotation number loaded, and 10**20 escaped main as an OverflowError."""
     base = model_to_dict(bernoulli_bandit(3, 1.0 / 3.0))
     path, out, bad = tmp_path / "bern3.json", str(tmp_path / "relax.json"), []
     for where in _entry_paths(base):
@@ -547,8 +548,10 @@ def test_mutated_model_file_exits_with_a_typed_code(tmp_path, capsys):
                 code = repr(exc)
             capsys.readouterr()
             if code == 0:
+                typed = (where[0] in ("kernel", "alpha", "R")
+                         or where[:2] == ("metadata", "annotations") and "family" not in where)
                 ok = (model_to_dict(model_from_dict(payload)) == payload
-                      and not (junk is True and where[0] in ("kernel", "alpha", "R")))
+                      and not ((junk is True or junk == "1") and typed))
             else:
                 ok = code in EXIT_CODES.values()
             if not ok:

@@ -7,7 +7,8 @@ from scipy.optimize import linprog
 
 import fluidbandit.occupancy as occupancy
 from conftest import dense_kernel, make_random_model
-from fluidbandit.errors import DimensionMismatch
+from fluidbandit.cli import main
+from fluidbandit.errors import DimensionMismatch, SolverFailure
 from fluidbandit.lp import RESIDUAL_TOL, OccupationMeasure, build_lp, solve_relaxation
 from fluidbandit.occupancy import CERT_TOL, classify, is_nondegenerate, search_nondegenerate
 from fluidbandit.priority import fluid_propagate, score_order
@@ -68,6 +69,15 @@ def test_search_witness_is_optimal_and_nondegenerate(bern5, bern5_measure):
     assert w.x.min() >= 0.0
     assert (rep.neutral_counts >= 1).all()
     assert is_nondegenerate(classify(w)).nondegenerate
+
+
+def test_search_stops_at_the_solution_cap(monkeypatch, capsys, crowd7):
+    # crowd7's search combines pinned solutions, so one solution is too few
+    monkeypatch.setattr(occupancy, "MAX_SOLUTIONS", 1)
+    with pytest.raises(SolverFailure, match="solution cap"):
+        search_nondegenerate(crowd7)
+    assert main(["search-measure", "--gen", "crowd", "--T", "7", "--alpha", "0.25"]) == 7
+    assert '"error": "SolverFailure"' in capsys.readouterr().err
 
 
 def _highs_face_min(model, functional, value):

@@ -259,8 +259,7 @@ def _law_gap(new, ref):
 
 
 def _ann(family, *params):
-    return BeliefStateAnnotation(posterior_mean=0.5, posterior_sd=0.1, family=family,
-                                 params=tuple(float(p) for p in params))
+    return BeliefStateAnnotation(family, tuple(float(p) for p in params))
 
 
 def _ts_cases(bern5, assort8):

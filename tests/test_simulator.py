@@ -213,13 +213,28 @@ def test_seed_must_be_a_nonnegative_integer(two, seed):
 
 
 @pytest.mark.parametrize("N, reps", [(2.5, 5), (2, 5.0), (True, 5), (2, True), (0, 5),
-                                     (2, -1), ("2", 5)])
+                                     (2, -1), ("2", 5), (2**63, 5)])
 def test_n_and_reps_must_be_positive_integers(two, N, reps):
-    # N = 2.5 once ran at N = 2 and reported N = 2.5, and N = True ran as 1
+    # N = 2.5 once ran at N = 2 and reported N = 2.5, N = True ran as 1, and
+    # N = 2**63 overflowed the int64 counts with a raw OverflowError
     with pytest.raises(RangeError, match="must be a positive integer"):
         simulate(two, "fluid", N, reps, 0)
     with pytest.raises(RangeError, match="must be a positive integer"):
         simulate_per_arm(two, "fluid", N, reps, 0)
+
+
+def test_huge_reps_reach_the_first_chunk(two, monkeypatch):
+    # the chunk sizes were once a list, [size] * (reps // size), so 10**20
+    # replications raised a raw MemoryError before any of them ran
+    class Reached(Exception):
+        pass
+
+    def first_chunk(*args):
+        raise Reached
+
+    monkeypatch.setattr(simulator, "_chunk", first_chunk)
+    with pytest.raises(Reached):
+        simulate(two, "fluid", 2, 10**20, 1)
 
 
 @pytest.mark.parametrize("N", [2.5, True, 0, "2"])
@@ -232,11 +247,13 @@ def test_oracle_n_must_be_a_positive_integer(two, N):
 
 
 def test_ucb_and_ts_validate_a_model_built_in_code():
-    # ucb and ts solve no relaxation, so compiling them validates the model
-    model = make_random_model(np.random.default_rng(1), annotate=True)
-    model.annotations[0].posterior_mean = float("nan")
-    with pytest.raises(RangeError, match="finite mean"):
-        simulate(model, "ucb:0.5", N=6, reps=5, seed=1)
+    # ucb and ts solve no relaxation, so compiling them validates the model;
+    # a string param once passed, read as a number by NumPy
+    for params in [(float("inf"), 1.0), ("1", 1.0)]:
+        model = make_random_model(np.random.default_rng(1), annotate=True)
+        model.annotations[0].params = params
+        with pytest.raises(RangeError, match="finite mean"):
+            simulate(model, "ucb:0.5", N=6, reps=5, seed=1)
     model = make_random_model(np.random.default_rng(1), annotate=True)
     model.annotations.pop()
     with pytest.raises(DimensionMismatch, match="annotations"):
@@ -433,7 +450,7 @@ def test_per_arm_runs_match_the_reference_helpers(bern5, monkeypatch, policy):
     # a cell budget of 500 splits the 60 replications into six chunks
     monkeypatch.setattr(simulator, "CHUNK_CELL_BUDGET", 500)
     pol = CompiledPolicy(bern5, parse_policy(policy))
-    assert simulator._chunk_sizes(60, bern5.S + 9 * 3) == [11] * 5 + [5]
+    assert list(simulator._chunk_sizes(60, bern5.S + 9 * 3)) == [11] * 5 + [5]
     new = simulate_per_arm(bern5, pol, N=9, reps=60, seed=17)
     monkeypatch.setattr(CompiledPolicy, "step_arms", lambda pol, t, X0, X1, rng:
                         ref._step_arms(pol, t, np.stack([X0, X1], axis=2), rng))
@@ -500,7 +517,7 @@ def test_square_sums_do_not_wrap(bern15, monkeypatch, N, reps):
     # sum N^2 = 1.6e19 does too, so the rows are summed in float64; at
     # N = 1e16 a column sum of the chunk, up to R N = 1e19, would too
     pol = CompiledPolicy(bern15, parse_policy("fluid"))
-    assert simulator._chunk_sizes(reps, bern15.S) == [reps]
+    assert list(simulator._chunk_sizes(reps, bern15.S)) == [reps]
     new = simulate(bern15, pol, N, reps, 5)
     monkeypatch.setattr(simulator, "_chunk", ref._chunk)
     _same_reports_and_near_moments(new, simulate(bern15, pol, N, reps, 5), N)

@@ -164,7 +164,7 @@ def test_fixture_values_documented(single, two):
     (lambda: assortment(2, 0.3, m_cap=0), RangeError, "caps"),
     (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "version": 4}),
      ConfigError, "version"),
-    (lambda: BeliefStateAnnotation(0.5, 0.1, "normal", (0.5, 0.1)), RangeError, "family"),
+    (lambda: BeliefStateAnnotation("normal", (0.5, 0.1)), RangeError, "family"),
     # T and s0 once went through int(): T 2.9 loaded as 2, s0 0.7 as 0, true as 1
     (lambda: model_from_dict({**model_to_dict(fixtures()["TWO"]), "T": 2.9}), RangeError,
      "T must"),
