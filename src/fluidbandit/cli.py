@@ -347,19 +347,11 @@ def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPar
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
-@functools.cache  # one per process, like build_parser's
-def _lenient_parser() -> argparse.ArgumentParser:
-    """A copy of the parser that requires no subcommand option, so that it
-    finds the command and --config before a config file can supply a
-    required option; its usage and help are the parser's own."""
-    parser = copy.deepcopy(build_parser())
-    strict = _commands(build_parser())
-    for name, command in _commands(parser).items():
-        for action in command._actions:
-            action.required = False
-        command.format_usage = strict[name].format_usage
-        command.format_help = strict[name].format_help
-    return parser
+# --config alone, found before the subcommand's options are parsed; its
+# value is optional here, so that this parse never fails and the full
+# parser reports every malformed command line
+_CONFIG = argparse.ArgumentParser(add_help=False)
+_CONFIG.add_argument("--config", nargs="?")
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -371,7 +363,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     key that is an option of no subcommand is a ConfigError.  The defaults
     go on a copy of the parser, so one call's file never reaches the next.
     """
-    args = _lenient_parser().parse_args(argv)
+    args, rest = _CONFIG.parse_known_args(argv)
     if not args.config:
         return build_parser().parse_args(argv)
     try:
@@ -387,7 +379,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     unknown = sorted(k for k in cfg if k.replace("-", "_") not in known)
     if unknown:
         raise ConfigError(f"config {args.config!r} has unknown keys: {', '.join(unknown)}")
-    command = commands[args.command]
+    command = commands.get(rest[0]) if rest else None
+    if command is None:  # no subcommand follows --config: argparse reports the line
+        return parser.parse_args(argv)
     actions = {a.dest: a for a in command._actions}
     defaults = {}
     for key, val in cfg.items():

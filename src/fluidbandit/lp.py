@@ -20,8 +20,8 @@ on block t-1, and the budget rows are kron(I_T, [0, 1] * S);
 Every LP goes to the package's exact simplex (``simplex.solve_lp``), which
 returns basic vertices whose nonbasic entries are identically 0, as the
 1e-9 category threshold needs.  It starts at a feasible basis of the
-relaxation, the fluid-priority vertex (``_vertex_basis``) at scores that a
-few price rounds on the fluid limit bring near the budget duals
+relaxation, the fluid-priority vertex (``_vertex_basis``) split at the
+boundary states of the last accepted price round on the fluid limit
 (``priority._price_rounds``); on the zoo models the simplex then makes 0-5 pivots.
 """
 
@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from . import simplex
 from .errors import DimensionMismatch, MissingDuals, PinInfeasible, SolverFailure
 from .mdp import ArmModel, reachable_states, successors, validate_model
-from .priority import _price_rounds, dual_value, score_order
+from .priority import _price_rounds, dual_value
 
 # Residual tolerances for the solved-measure invariants.
 RESIDUAL_TOL = 1e-7
@@ -127,17 +127,19 @@ def build_lp(model: ArmModel) -> LpInstance:
 
 @dataclass
 class _Reduced:
-    """Reachability-pruned copy of an LpInstance plus the embeddings."""
+    """Reachability-pruned copy of a model's LpInstance plus the embeddings."""
 
+    inst: LpInstance  # the full-size LP, for the embedding and its residual check
     A: sp.csc_matrix
     b: np.ndarray
     c: np.ndarray
     keep_cols: np.ndarray
     budget_row_pos: np.ndarray  # rows of A that are budget rows
-    basis: np.ndarray  # crash start: _vertex_basis at the scores of _price_rounds
+    basis: np.ndarray  # crash start: _vertex_basis at _price_rounds' scores and boundaries
 
 
-def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
+def _reduce(model: ArmModel) -> _Reduced:
+    inst = build_lp(model)
     masks = np.array(reachable_states(model))
     keep_cols = np.flatnonzero(np.repeat(masks.reshape(-1), 2))
     # flow rows of unreachable (t, s) go; budget, initial and mass rows stay
@@ -145,41 +147,38 @@ def _reduce(inst: LpInstance, model: ArmModel) -> _Reduced:
                                                np.ones(inst.T + 2, dtype=bool)]))
     A = sp.csc_matrix(inst.A[keep_rows][:, keep_cols])
     budget_pos = int(masks[1:].sum()) + np.arange(inst.T)
-    return _Reduced(A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
+    return _Reduced(inst=inst, A=A, b=inst.b[keep_rows], c=inst.c[keep_cols],
                     keep_cols=keep_cols, budget_row_pos=budget_pos,
                     basis=_vertex_basis(model, masks, keep_cols, keep_rows.size,
                                         *_price_rounds(model)))
 
 
 def _vertex_basis(model: ArmModel, masks: np.ndarray, keep_cols: np.ndarray, n_rows: int,
-                  scores: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Basis of the reduced LP at x, the fluid-priority measure of scores.
+                  scores: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Basis of the reduced LP at the fluid-priority vertex of scores.
 
-    Each period walks its reachable states in ``score_order``.  The
-    boundary is the first state the fluid limit leaves idle mass in, or
-    the last state if none: states before it take their active column,
-    states after it their passive column, and the boundary takes both.
-    Each period's diagonal block (its flow rows and budget row) then has
-    determinant +-1, and the basis is block lower-triangular in time, so
-    it is nonsingular; its values are x, so it is feasible.  Period 1
-    holds only s0, so the initial row duplicates the mass row and keeps
-    its artificial.
+    Each period splits at its boundary state, the one the fluid pass at
+    scores splits (``priority._fluid_pass``).  Reachable states before it in
+    ``score_order``'s rule (higher score first, ties by lower index) take
+    their active column, states after it their passive column, and the
+    boundary takes both.  Each period's diagonal block (its flow rows and
+    budget row) then has determinant +-1, and the basis is block
+    lower-triangular in time, so it is nonsingular; its values are the
+    fluid measure, so it is feasible.  Period 1 holds only s0, so the
+    initial row duplicates the mass row and keeps its artificial.
     """
-    pick = np.zeros((model.T, model.S, 2), dtype=bool)
-    for t in range(model.T):
-        order = score_order(scores, t + 1, model.S)
-        order = order[masks[t][order]]
-        idle = np.flatnonzero(x[t, order, 0] > 0.0)
-        k = int(idle[0]) if idle.size else order.size - 1
-        pick[t, order[:k + 1], 1] = True
-        pick[t, order[k:], 0] = True
+    s, b = np.arange(model.S), boundary[:, None]
+    top = scores[np.arange(model.T), boundary][:, None]
+    before = (scores > top) | ((scores == top) & (s < b))
+    pick = np.stack([masks & ~before, masks & (before | (s == b))], axis=2)
     cols = np.searchsorted(keep_cols, np.flatnonzero(pick))
     # the initial row is the second last; its artificial is column n + row
     return np.append(cols, keep_cols.size + n_rows - 2)
 
 
-def _embed(inst: LpInstance, red: _Reduced, res: simplex.SimplexResult,
+def _embed(red: _Reduced, res: simplex.SimplexResult,
            duals: np.ndarray | None) -> OccupationMeasure:
+    inst = red.inst
     x_full = np.zeros(inst.n_vars)
     x_full[red.keep_cols] = res.x  # the simplex returns no negative entry
     # numpy's own sum, not a BLAS dot, which threads above 10 000 entries
@@ -214,13 +213,12 @@ def solve_relaxation(model: ArmModel) -> OccupationMeasure:
     strong duality, |dual_value(lambda) - value| <= DUALITY_TOL, or
     SolverFailure.
     """
-    inst = build_lp(model)
-    red = _reduce(inst, model)
+    red = _reduce(model)
     res = simplex.solve_lp(red.A, red.b, -red.c, red.basis)  # max r'x == -min(-r)'x
     if res.status != "optimal":
         raise SolverFailure(f"relaxation solve failed: {res.status}")
     lam = -res.y[red.budget_row_pos]
-    measure = _embed(inst, red, res, lam)
+    measure = _embed(red, res, lam)
     gap = abs(dual_value(model, lam) - measure.value)
     if gap > DUALITY_TOL:
         raise SolverFailure(f"duality residual {gap:.3e} exceeds {DUALITY_TOL}")
@@ -240,12 +238,11 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray,
 
     Raises PinInfeasible when the pinned value is unattainable.
     """
-    inst = build_lp(model)
-    red = _reduce(inst, model)
+    red = _reduce(model)
     f = np.asarray(functional, dtype=np.float64).reshape(-1)
-    if f.shape != (inst.n_vars,):
+    if f.shape != (red.inst.n_vars,):
         raise DimensionMismatch(
-            f"functional has {f.size} entries, expected T*S*2 = {inst.n_vars}")
+            f"functional has {f.size} entries, expected T*S*2 = {red.inst.n_vars}")
     A = sp.vstack([red.A, sp.csr_matrix(red.c)], format="csc")
     # the pin row starts on its artificial, the last column
     res = simplex.solve_lp(A, np.concatenate([red.b, [value]]), f[red.keep_cols],
@@ -254,4 +251,4 @@ def resolve_with_pins(model: ArmModel, functional: np.ndarray,
         raise PinInfeasible(f"no optimal measure at pinned value {value}")
     if res.status != "optimal":
         raise SolverFailure(f"pinned solve failed: {res.status}")
-    return _embed(inst, red, res, None)
+    return _embed(red, res, None)

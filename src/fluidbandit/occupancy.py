@@ -106,9 +106,8 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
 
     while True:
         codes = classify(combo)
-        counts = (codes == 0).sum(axis=1)
-        pending = [int(t + 1) for t in np.flatnonzero(counts == 0)
-                   if int(t + 1) not in certified]
+        report = is_nondegenerate(codes)
+        pending = [t for t in report.certificate if t not in certified]
         if not pending:
             break
         if len(solutions) >= MAX_SOLUTIONS:
@@ -127,8 +126,7 @@ def search_nondegenerate(model: ArmModel) -> DegeneracyReport:
         solutions.append(pinned)
         combo = _combine(solutions)
 
-    report = DegeneracyReport(neutral_counts=counts, certificate=sorted(certified),
-                              stages=stages)
+    report.certificate, report.stages = sorted(certified), stages
     if report.nondegenerate:
         report.witness = combo
     return report

@@ -6,7 +6,7 @@ at the optimal prices ranks states for the index-style policies; those
 prices are the LP's certified budget duals (see ``lp.solve_relaxation``).
 ``fluid_propagate`` runs such a ranking on the continuum of arms, and
 ``_price_rounds`` prices its boundary states to pick the scores whose
-fluid vertex starts the LP's simplex.
+fluid vertex, split at those boundary states, starts the LP's simplex.
 """
 
 from __future__ import annotations
@@ -129,28 +129,28 @@ def _fluid_pass(model: ArmModel, scores) -> tuple[np.ndarray, float, np.ndarray]
 
 
 def _price_rounds(model: ArmModel) -> tuple[np.ndarray, np.ndarray]:
-    """Scores near the LP's budget prices and their fluid measure, found by
-    price rounds on the fluid limit.
+    """Scores near the LP's budget prices and each period's boundary state
+    under them, found by price rounds on the fluid limit.
 
     Round 0 is the fluid pass at the myopic advantage R[t, :, 1] - R[t, :, 0],
     and lambda_t is the score of period t's boundary state, the first state
-    the pass leaves idle mass in.  Each later round runs the pass at the
-    advantage P of ``q_recursion(model, lambda)`` and adds P_t at the new
-    boundary to lambda_t, which moves the prices toward the budget duals,
-    where the boundary state is neutral.  The rounds stop at the first one
-    whose fluid value does not rise, and the best round's (scores, x) are
-    returned.  When the measure is non-degenerate, the fluid limit at the
-    dual prices is an optimal vertex, so the simplex then has few pivots
-    left.
+    the pass leaves idle mass in (see ``_fluid_fill``).  Each later round
+    runs the pass at the advantage P of ``q_recursion(model, lambda)`` and
+    adds P_t at the new boundary to lambda_t, which moves the prices toward
+    the budget duals, where the boundary state is neutral.  The rounds stop
+    at the first one whose fluid value does not rise, and the best round's
+    (scores, boundary) are returned.  When the measure is non-degenerate,
+    the fluid limit at the dual prices is an optimal vertex, so the simplex
+    then has few pivots left.
     """
     periods = np.arange(model.T)
     scores = model.R[:, :, 1] - model.R[:, :, 0]
-    x, value, boundary = _fluid_pass(model, scores)
+    _, value, boundary = _fluid_pass(model, scores)
     lam = scores[periods, boundary]
     while True:
         P = q_recursion(model, lam).P
-        x_next, value_next, boundary = _fluid_pass(model, P)
+        _, value_next, boundary_next = _fluid_pass(model, P)
         if not value_next > value:
-            return scores, x
-        scores, x, value = P, x_next, value_next
+            return scores, boundary
+        scores, boundary, value = P, boundary_next, value_next
         lam = lam + P[periods, boundary]

@@ -7,11 +7,10 @@ the module tests and the acceptance suite pay for each one exactly once.
 import numpy as np
 import pytest
 
-from fluidbandit import lp
+from fluidbandit import lp, priority
 from fluidbandit.lp import solve_relaxation
 from fluidbandit.mdp import (ArmModel, BeliefStateAnnotation, model_to_dict, reachable_states,
                              validate_model)
-from fluidbandit.priority import fluid_propagate
 from fluidbandit.zoo import bernoulli_bandit, crowdsourcing, fixtures
 
 
@@ -142,7 +141,7 @@ def myopic_basis(model, red):
     the simplex start before price rounds."""
     scores = model.R[:, :, 1] - model.R[:, :, 0]
     return lp._vertex_basis(model, np.array(reachable_states(model)), red.keep_cols,
-                            red.A.shape[0], scores, fluid_propagate(model, scores)[0])
+                            red.A.shape[0], scores, priority._fluid_pass(model, scores)[2])
 
 
 def v2_payload(model):

@@ -559,6 +559,51 @@ def test_mutated_model_file_exits_with_a_typed_code(tmp_path, capsys):
     assert not bad, bad
 
 
+# Each command's base config in test_mutated_config_exits_with_a_typed_code,
+# the generator keys its mutations add, and the keys whose 10**20 asks for
+# unbounded work.
+CONFIG_BASES = {
+    "eval": {"policy": "fluid", "N": 6, "reps": 20, "seed": 1, "engine": "count"},
+    "sweep": {"policy": "fluid", "N": "4,6", "reps": 20, "seed": 1, "reps_cap": 100},
+    "violations": {"policy": "fluid", "N": "4,6", "reps": 20, "seed": 1},
+    "oracle": {"N": 3, "guard": 100000},
+    "relax": {},
+}
+CONFIG_EXTRA_KEYS = ("T", "alpha", "m_cap", "x_cap", "gen", "model", "crn")
+UNBOUNDED_KEYS = ("T", "m_cap", "x_cap", "reps", "reps_cap")
+
+
+def test_mutated_config_exits_with_a_typed_code(tmp_path, capsys):
+    """Each key of each command's base config, and each generator key,
+    replaced by each value of JUNK or deleted, on a bern3 --model file: main
+    returns 0 or a code of EXIT_CODES or argparse exits 2, never 1 and never
+    by an escaped exception."""
+    model = tmp_path / "bern3.json"
+    model.write_text(json.dumps(model_to_dict(bernoulli_bandit(3, 1.0 / 3.0))))
+    path, out, bad = tmp_path / "cfg.json", str(tmp_path / "out.csv"), []
+    for command, base in CONFIG_BASES.items():
+        for key in [*base, *CONFIG_EXTRA_KEYS]:
+            for junk in [*JUNK, DELETE]:
+                if junk is DELETE and key not in base or (
+                        junk == 10**20 and key in UNBOUNDED_KEYS):
+                    continue
+                cfg = {k: v for k, v in base.items() if k != key}
+                if junk is not DELETE:
+                    cfg[key] = junk
+                path.write_text(json.dumps(cfg))
+                try:
+                    code = main(["--config", str(path), command, "--model", str(model),
+                                 "-o", out])
+                except SystemExit as exc:  # argparse's own usage error
+                    code = "argparse" if exc.code == 2 else repr(exc)
+                except Exception as exc:
+                    code = repr(exc)
+                capsys.readouterr()
+                if code != "argparse" and code != 0 and code not in EXIT_CODES.values():
+                    bad.append((command, key, "deleted" if junk is DELETE else junk, code))
+    assert not bad, bad
+
+
 def test_gen_stores_the_shared_kernel_once(tmp_path):
     # bern24's version-2 file, one kernel and reward slab per period, was
     # 1.33 MB; the version-3 file stores each once

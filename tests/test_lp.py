@@ -28,8 +28,8 @@ ENGINES = ["simplex", "highs"]
 def _highs(model, functional=None, value=None):
     """HiGHS reference for the relaxation or, given a functional and a
     value, for the pinned re-solve; a measure embedded like the package's."""
-    inst = build_lp(model)
-    red = lp._reduce(inst, model)
+    red = lp._reduce(model)
+    inst = red.inst
     A, b, c = red.A, red.b, -red.c
     if functional is not None:
         A = sp.vstack([A, sp.csr_matrix(red.c)], format="csc")
@@ -262,7 +262,7 @@ def test_crash_start_pivot_counts(bern5_measure, bern15_measure, assort8_measure
 def test_crowd7_crash_stays_at_the_myopic_vertex(crowd7, crowd7_measure):
     # the first price round does not raise crowd7's fluid value, so the
     # crash is the myopic vertex and the simplex still makes its 5 pivots
-    red = lp._reduce(build_lp(crowd7), crowd7)
+    red = lp._reduce(crowd7)
     np.testing.assert_array_equal(red.basis, myopic_basis(crowd7, red))
     assert crowd7_measure.pivots == 5
 
@@ -284,17 +284,22 @@ def _edge_alphas(model, rng):
                     kernel=model.kernel, metadata=model.metadata)
 
 
+def _edged_models():
+    """30 random models through ``_edge_alphas``, the same ones every call."""
+    rng = np.random.default_rng(44)
+    return [_edge_alphas(make_random_model(rng, T=int(rng.integers(3, 5))), rng)
+            for _ in range(30)]
+
+
 def test_crash_basis_is_the_fluid_vertex(fix, bern5, bern15, crowd7, assort8):
     """The crash basis factors, its values are the fluid measure at the
     scores its price rounds chose, whose fluid value is at least the myopic
     one, and it leaves phase 1 nothing to do; so does the vertex builder at
     the myopic scores."""
-    rng = np.random.default_rng(44)
     models = list(fix.values()) + [bern5, bern15, crowd7, assort8]
-    edged = [_edge_alphas(make_random_model(rng, T=int(rng.integers(3, 5))), rng)
-             for _ in range(30)]
+    edged = _edged_models()
     for model in models + edged:
-        red = lp._reduce(build_lp(model), model)
+        red = lp._reduce(model)
         myopic = model.R[:, :, 1] - model.R[:, :, 0]
         chosen = _price_rounds(model)[0]
         assert fluid_propagate(model, chosen)[1] >= fluid_propagate(model, myopic)[1]
@@ -311,3 +316,23 @@ def test_crash_basis_is_the_fluid_vertex(fix, bern5, bern15, crowd7, assort8):
     for model in edged:
         m = solve_relaxation(model)
         assert abs(m.value - _highs(model).value) <= 1e-9
+
+
+def test_crash_basis_splits_one_state_with_mass_per_period(fix, bern5, bern15, crowd7, assort8):
+    """In every period the crash basis takes both columns of exactly one
+    state, the price rounds' boundary, which carries fluid mass at the
+    chosen scores.  On TWO at alpha = (1, 1) no state idles in period 2, and
+    the empty state B ranks after G there, so a crash that split the last
+    reachable state would split B."""
+    two = fix["TWO"]
+    two_full = ArmModel(two.T, two.states, two.s0, R=two.R, alpha=np.array([1.0, 1.0]),
+                        kernel=two.kernel, metadata=two.metadata)
+    for model in list(fix.values()) + [bern5, bern15, crowd7, assort8, two_full] + _edged_models():
+        red = lp._reduce(model)
+        cols = red.keep_cols[red.basis[red.basis < red.keep_cols.size]]
+        taken = np.bincount(cols // 2, minlength=model.T * model.S).reshape(model.T, model.S)
+        split = taken == 2
+        assert (split.sum(axis=1) == 1).all()
+        z = fluid_propagate(model, _price_rounds(model)[0])[0].sum(axis=2)
+        assert (z[split] > 0.0).all()
+    assert solve_relaxation(two_full).value == 2.0

@@ -162,6 +162,8 @@ def test_start_basis():
     assert solve_lp(sp.csc_matrix(A), b, c, np.array([0, 0])).status == "singular_basis"
     with pytest.raises(ValueError, match="one column per row"):
         solve_lp(sp.csc_matrix(A), b, c, np.array([0]))
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        solve_lp(sp.csc_matrix(A), b[:1], c, np.array([0, 3]))
 
 
 LONG_SOLVES = ["bern15", "crowd7", "bern24"]
@@ -179,7 +181,7 @@ def test_long_solve_exact_vertex(name, request):
     # the model LPs run past REFACTOR_EVERY pivots, so eta files, in-loop
     # refactorisations and the phase-2 certification all take part
     model = request.getfixturevalue(name)
-    red = lp._reduce(lp.build_lp(model), model)
+    red = lp._reduce(model)
     A, b, c = red.A, red.b, -red.c
     res = solve_lp(A, b, c, myopic_basis(model, red)) if name == "bern24" else _cold(A, b, c)
     assert res.status == "optimal"
@@ -216,7 +218,7 @@ for name, model in [("bern15", zoo.bernoulli_bandit(15, 1.0 / 3.0)),
 # bern24 from its myopic vertex runs past REFACTOR_EVERY, so in-loop
 # refactors take part too
 bern24 = zoo.bernoulli_bandit(24, 1.0 / 3.0)
-red = lp._reduce(lp.build_lp(bern24), bern24)
+red = lp._reduce(bern24)
 res = simplex.solve_lp(red.A, red.b, -red.c, myopic_basis(bern24, red))
 out["bern24-myopic"] = [hashlib.sha256(res.x.tobytes()).hexdigest(),
                         hashlib.sha256(res.y.tobytes()).hexdigest(),
@@ -256,7 +258,7 @@ def test_basis_factor_keeps_the_staircase_sparse(monkeypatch, bern24):
         return lu
 
     monkeypatch.setattr(simplex, "splu", recorded)
-    red = lp._reduce(lp.build_lp(bern24), bern24)
+    red = lp._reduce(bern24)
     res = solve_lp(red.A, red.b, -red.c, myopic_basis(bern24, red))
     assert res.status == "optimal"
     assert len(fills) > 2  # start, in-loop and closing refactors
@@ -264,10 +266,21 @@ def test_basis_factor_keeps_the_staircase_sparse(monkeypatch, bern24):
     assert res.lu_nnz == fills[-1][1]
 
 
-def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5):
+def test_singular_factor_is_a_status_and_a_solver_failure(monkeypatch, bern5, crowd7):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
+    # a factor that turns singular after the start: crowd7's crash start
+    # factors, and the refactor after its 5 pivots fails
+    red, factors, splu = lp._reduce(crowd7), [], simplex.splu
+
+    def singular_after_start(*args, **kwargs):
+        factors.append(args)
+        return (singular if len(factors) > 1 else splu)(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "splu", singular_after_start)
+    res = solve_lp(red.A, red.b, -red.c, red.basis)
+    assert (res.status, res.iterations, len(factors)) == ("singular_basis", 5, 2)
     monkeypatch.setattr(simplex, "splu", singular)
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     res = _cold(A, np.array([1.0, 1.0]), np.array([1.0, 2.0, 1.0]))
